@@ -75,6 +75,7 @@ from repro.algebra import (
 )
 from repro.core import (
     EvaluationOptions,
+    PreferredWeightOracle,
     build_scheme,
     classify,
     fit_scaling,
@@ -620,7 +621,10 @@ def cmd_scale(args) -> int:
     rows = []
     for n in sizes:
         graph = _topology(algebra, is_bgp, args.topology, n, args.seed + n)
-        scheme = build_scheme(graph, algebra, rng=random.Random(args.seed + n + 1))
+        # Build-only: a private tree store goes with the scheme, where the
+        # process-wide oracle cache would keep every size's trees.
+        scheme = build_scheme(graph, algebra, rng=random.Random(args.seed + n + 1),
+                              oracle=PreferredWeightOracle(graph, algebra))
         bits = memory_report(scheme).max_bits
         rows.append((graph.number_of_nodes(), bits))
         print(f"n={graph.number_of_nodes():5d}  max table bits={bits}")

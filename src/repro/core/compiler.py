@@ -57,7 +57,7 @@ def _build_bgp(graph, algebra, attr):
 
 
 def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
-                 attr: str = WEIGHT_ATTR, rng=None,
+                 attr: str = WEIGHT_ATTR, rng=None, oracle=None,
                  **kwargs) -> RoutingScheme:
     """Build the routing scheme the paper's theory prescribes for *algebra*.
 
@@ -73,6 +73,16 @@ def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
     * ``"auto"`` — ``exact``, upgraded to the compact scheme when that
       is exact anyway (selective algebras).
 
+    The Cowen and destination-table schemes need a preferred-path tree
+    from every node.  They take them from a tree store, the
+    :class:`~repro.core.simulate.PreferredWeightOracle` *oracle*, which
+    builds them in batched sweeps over one compiled graph.  By default
+    that is the oracle :func:`~repro.core.simulate.evaluate_scheme` reads
+    (from :data:`~repro.core.simulate.oracle_cache`), so evaluation
+    finds every tree already built.  A caller that keeps its own oracle
+    (the routing service) passes it in, and a rebuild after an edge
+    change reuses every tree its invalidation kept.
+
     Raises :class:`NotApplicableError` when no scheme in the catalog can
     implement the algebra on this graph (the honest outcome for, e.g., the
     un-assumed B3 policy, per Theorem 8).
@@ -86,11 +96,12 @@ def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
 
     with span("build_scheme", algebra=algebra.name, mode=mode):
         return _build_scheme(graph, algebra, mode=mode, attr=attr,
-                             rng=as_rng(rng), **kwargs)
+                             rng=as_rng(rng), oracle=oracle, **kwargs)
 
 
 def _build_scheme(graph, algebra: RoutingAlgebra, mode: str, attr: str,
-                  rng: Optional[random.Random], **kwargs) -> RoutingScheme:
+                  rng: Optional[random.Random], oracle,
+                  **kwargs) -> RoutingScheme:
     if mode not in MODES:
         raise NotApplicableError(f"unknown mode {mode!r}; pick one of {MODES}")
     declared = algebra.declared_properties()
@@ -122,13 +133,20 @@ def _build_scheme(graph, algebra: RoutingAlgebra, mode: str, attr: str,
         return TreeRoutingScheme(graph, algebra, attr=attr)
 
     if declared.regular:
+        if mode == "compact" and not declared.delimited:
+            raise NotApplicableError(
+                f"{algebra.name}: Theorem 3's compact scheme needs delimitedness"
+            )
         if mode == "compact":
-            if not declared.delimited:
-                raise NotApplicableError(
-                    f"{algebra.name}: Theorem 3's compact scheme needs delimitedness"
-                )
-            return CowenScheme(graph, algebra, attr=attr, rng=rng, **kwargs)
-        return DestinationTableScheme(graph, algebra, attr=attr)
+            scheme_class, options = CowenScheme, dict(rng=rng, **kwargs)
+        else:
+            scheme_class, options = DestinationTableScheme, {}
+        if oracle is None:
+            from repro.core.simulate import oracle_cache
+
+            oracle = oracle_cache.get(graph, algebra, attr=attr,
+                                      scheme_name=scheme_class.name)
+        return scheme_class(graph, algebra, attr=attr, oracle=oracle, **options)
 
     if declared.isotone is False:
         if _is_shortest_widest(algebra):

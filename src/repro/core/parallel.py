@@ -512,8 +512,9 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
     the salvaged results a pool failure can no longer discard; *lost*
     holds shards that started in a worker but never completed (the worker
     died, or the shard exceeded *timeout*) — they consume retry budget;
-    *displaced* holds shards the breakage caught still queued — they are
-    re-issued for free.  *cause* describes the triggering failure.
+    *displaced* holds shards the breakage caught still queued or not yet
+    submitted — they are re-issued for free.  *cause* describes the
+    triggering failure.
     """
     started_queue = context.SimpleQueue()
     results: Dict[int, ShardResult] = {}
@@ -529,12 +530,21 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
                                    initializer=initializer,
                                    initargs=initargs + (started_queue,))
     try:
-        futures = {
-            executor.submit(_run_shard,
-                            (shard_id, attempts[shard_id], shards[shard_id])):
-            shard_id
-            for shard_id in todo
-        }
+        futures = {}
+        for position, shard_id in enumerate(todo):
+            try:
+                future = executor.submit(
+                    _run_shard,
+                    (shard_id, attempts[shard_id], shards[shard_id]))
+            except BrokenProcessPool as exc:
+                # A worker died before every shard was submitted: this
+                # round broke at submit time.  The unsubmitted shards
+                # never reached a worker; the submitted ones are
+                # harvested and classified below like any breakage.
+                cause = repr(exc)
+                displaced.extend(todo[position:])
+                break
+            futures[future] = shard_id
         pending = set(futures)
         while pending:
             done, pending = _cf_wait(

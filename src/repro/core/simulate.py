@@ -23,7 +23,11 @@ workload pays only for the sources it routes from.  Oracles are cached
 process-wide in :data:`oracle_cache`, keyed on the graph's content
 signature, the algebra and the weight attribute, so repeated evaluations
 of the same instance (benchmarks, profiles, scale sweeps) accumulate
-trees instead of rebuilding them.  With ``workers > 1`` the pair set is
+trees instead of rebuilding them.  The oracle is also the one **tree
+store**: :func:`repro.core.compiler.build_scheme` builds the Cowen and
+destination-table schemes from the cached oracle's trees, so the trees a
+scheme is built from and the trees evaluation checks it against are
+computed once, together.  With ``workers > 1`` the pair set is
 split into source-grouped shards and evaluated in parallel by
 :mod:`repro.core.parallel`; shard merging is exact, so the report is
 bit-identical to a serial run.
@@ -51,7 +55,7 @@ from repro.algebra.base import PHI, RoutingAlgebra, is_phi
 from repro.algebra.bgp import BGPAlgebra
 from repro.algebra.lexicographic import LexicographicProduct
 from repro.algebra.catalog import ShortestPath, WidestPath
-from repro.exceptions import ReproError
+from repro.exceptions import AlgebraError, ReproError
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.routing.memory import MemoryReport, memory_report
 from repro.routing.model import RoutingScheme
@@ -226,6 +230,9 @@ class PreferredWeightOracle:
     * :meth:`ensure_sources` bulk-builds the structures for a known
       source set (the parallel engine calls it per shard, so a shard's
       startup cost is ``O(sources_per_shard)`` builds);
+    * :meth:`trees` hands out the generalized-Dijkstra engine's trees as
+      :class:`~repro.paths.dijkstra.PathTree` views — the tree store the
+      Cowen and destination-table schemes are built from;
     * ``trees_requested`` / ``trees_built`` count lookups and actual
       builds (also emitted as the ``oracle.trees_requested`` /
       ``oracle.trees_built`` telemetry counters), so cache behavior is
@@ -365,9 +372,9 @@ class PreferredWeightOracle:
 
         A no-op for the enumeration fallback, where no per-source
         structure exists and eager enumeration over all targets would
-        cost more than the queries it serves.  Under
-        ``REPRO_PATH_ENGINE=batch`` (with an eligible algebra) the
-        missing trees build in vectorized multi-source sweeps
+        cost more than the queries it serves.  Under the default
+        ``batch`` path engine (with an eligible algebra) the missing
+        trees build in vectorized multi-source sweeps
         (:mod:`repro.paths.batch`) instead of one Python run each; the
         per-source loop below then only counts requests and serves
         cache hits.
@@ -382,6 +389,31 @@ class PreferredWeightOracle:
             if _telemetry_enabled():
                 _telemetry().counter("oracle.trees_requested").inc()
             self._table_for(source)
+
+    def trees(self, sources: Iterable) -> Dict:
+        """``source -> PathTree`` for *sources*, building the missing trees.
+
+        The tree store's read side: missing trees are built through
+        :meth:`ensure_sources` (batched sweeps over the one compiled
+        graph where the engine allows), and each returned
+        :class:`~repro.paths.dijkstra.PathTree` wraps the memoized weight
+        and parent maps themselves, not copies — a scheme built from
+        them and this oracle's optimality checks read the same trees.
+        Only the generalized-Dijkstra engine keeps trees; the others
+        raise :class:`~repro.exceptions.AlgebraError`.
+        """
+        if self.engine != "dijkstra":
+            raise AlgebraError(
+                f"{self.algebra.name}: the {self.engine} oracle engine "
+                f"keeps no path trees")
+        from repro.paths.dijkstra import PathTree
+
+        ordered = list(dict.fromkeys(sources))
+        self.ensure_sources(ordered)
+        with self._lock:
+            return {source: PathTree(source, self._tables[source],
+                                     self._parents[source])
+                    for source in ordered}
 
     def _batch_ensure(self, sources) -> None:
         """Fill missing per-source tables with batched sweeps when eligible.
@@ -604,20 +636,23 @@ def preferred_weight_oracle(graph, algebra: RoutingAlgebra, attr: str = WEIGHT_A
 
 
 def graph_signature(graph, attr: str = WEIGHT_ATTR) -> Tuple:
-    """A content signature of (nodes, weighted edges) for cache keying.
+    """A signature of the graph as the path engines walk it, for cache keying.
 
-    Computed from reprs so heterogeneous node/weight types stay sortable;
-    O(n + m log m), which is negligible next to any exact oracle build.
-    Mutating the graph (adding/removing edges, changing weights) changes
-    the signature, so stale entries are never returned — they simply age
-    out of the LRU.
+    The nodes, and each node's weighted adjacency, in iteration order,
+    as reprs.  Order is part of the key because the engines break ties
+    between equal-weight paths in adjacency order: two graphs with equal
+    content but different orders can have different preferred-path trees,
+    and schemes are built from the cached trees.  O(n + m), negligible
+    next to any exact oracle build.  Mutating the graph (adding/removing
+    edges, changing weights) changes the signature, so stale entries are
+    never returned — they simply age out of the LRU.
     """
-    nodes = tuple(sorted(repr(node) for node in graph.nodes()))
-    edges = tuple(sorted(
-        (repr(u), repr(v), repr(data.get(attr)))
-        for u, v, data in graph.edges(data=True)
-    ))
-    return (graph.is_directed(), attr, nodes, edges)
+    adjacency = tuple(
+        (repr(node), tuple((repr(neighbor), repr(data.get(attr)))
+                           for neighbor, data in graph.adj[node].items()))
+        for node in graph.nodes()
+    )
+    return (graph.is_directed(), attr, adjacency)
 
 
 def _algebra_key(algebra: RoutingAlgebra) -> Tuple:
@@ -636,7 +671,11 @@ class OracleCache:
     Entries are :class:`PreferredWeightOracle` objects, so the per-source
     trees an evaluation builds stay memoized for the next evaluation of
     the same instance — the cache accumulates exactly the trees the
-    workloads have touched, never more.
+    workloads have touched, never more.  Building a Cowen or
+    destination-table scheme touches every source: ``build_scheme``
+    takes the scheme's trees from this cache, so such an entry holds all
+    ``n`` trees from the build on, and the evaluation that follows finds
+    them already built.
 
     Thread-safe: lookups, ``stats()`` and ``clear()`` share one lock, and
     a miss takes a per-key build lock with a double check, so concurrent

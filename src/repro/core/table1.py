@@ -35,6 +35,7 @@ from repro.algebra.lexicographic import shortest_widest_path, widest_shortest_pa
 from repro.core.classify import Classification, classify
 from repro.core.compiler import build_scheme
 from repro.core.scaling import ScalingFit, fit_scaling
+from repro.core.simulate import PreferredWeightOracle
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
 from repro.routing.memory import memory_report
@@ -87,7 +88,10 @@ def reproduce_table1(sizes: Sequence[int] = (32, 64, 128),
             rng = random.Random(seed + n)
             graph = erdos_renyi(n, rng=rng)
             assign_random_weights(graph, algebra, rng=rng)
-            scheme = build_scheme(graph, algebra, rng=random.Random(seed + n + 1))
+            # Build-only: a private tree store goes with the scheme, where
+            # the process-wide oracle cache would keep every size's trees.
+            scheme = build_scheme(graph, algebra, rng=random.Random(seed + n + 1),
+                                  oracle=PreferredWeightOracle(graph, algebra))
             measurements.append((n, memory_report(scheme).max_bits))
         fit = fit_scaling(*zip(*measurements))
         verdict = classify(algebra, sm_subalgebra_witness=bool(sm_witness))

@@ -12,14 +12,27 @@ final.  The implementation refuses algebras *declared* non-isotone unless
 ``unsafe=True``; for undeclared algebras it proceeds (callers can validate
 results against :mod:`repro.paths.enumerate` on small instances).
 
-Two engines produce the (bit-identical) result:
+Three engines produce the (bit-identical) result:
 
-* the **compiled kernel** (:mod:`repro.paths.kernel`, the default) runs
-  over CSR-flattened arrays and engages a Dial-style bucketed frontier
-  when the algebra declares an integer key embedding;
+* the **batch** engine (:mod:`repro.paths.batch`, the default for
+  multi-source builds) runs vectorized numpy sweeps over CSR-flattened
+  arrays for algebras whose integer key embedding is exactly additive,
+  and hands every other algebra (or an install without numpy) to the
+  kernel;
+* the **compiled kernel** (:mod:`repro.paths.kernel`, the default for a
+  single root) runs one Python sweep per source over the same arrays and
+  engages a Dial-style bucketed frontier when the algebra declares an
+  integer key embedding;
 * the **reference** engine below walks the networkx adjacency dicts with
   a ``_HeapEntry`` heap — the seed implementation, kept as the semantics
   referee and selectable with ``REPRO_PATH_ENGINE=reference``.
+
+All-pairs work should not call :func:`preferred_path_tree` once per
+source: the tree store
+(:class:`repro.core.simulate.PreferredWeightOracle`) builds every
+source's tree in batched sweeps over one compiled graph, and the
+schemes :func:`repro.core.compiler.build_scheme` makes read their trees
+from it.
 
 See ``docs/PERFORMANCE.md`` for the selection rules and counters.
 """
@@ -85,15 +98,16 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
     right-associative algebras use :mod:`repro.paths.valley_free` instead —
     path-vector composition does not grow from the source side.
 
-    *engine* forces a path engine (``kernel``, ``kernel-heap``,
-    ``reference``); by default the ``REPRO_PATH_ENGINE`` environment
-    override applies, falling back to the compiled kernel.  Pass a
+    *engine* forces a path engine (``batch``, ``kernel``,
+    ``kernel-heap``, ``reference``); by default the ``REPRO_PATH_ENGINE``
+    environment override applies, falling back to the kernel (one root
+    leaves the batch engine no sweep to share).  Pass a
     pre-built *compiled* graph (from :func:`compile_graph`) to amortize
     flattening across per-source runs — mandatory hygiene for all-pairs
     sweeps; single-shot callers can omit it.
     """
     _check_tree_preconditions(algebra, unsafe)
-    resolved = resolve_engine(engine)
+    resolved = resolve_engine(engine, single_root=True)
     if resolved == "reference" and compiled is None:
         if root not in graph:
             raise AlgebraError(f"root {root!r} not in graph")
@@ -201,8 +215,8 @@ def all_pairs_preferred_weights(graph, algebra: RoutingAlgebra, attr: str = WEIG
 
     Eager by design: use it when every tree is genuinely needed (e.g.
     materializing a full routing table).  The graph is compiled once and
-    shared across the per-source runs.  Under ``REPRO_PATH_ENGINE=batch``
-    (with an eligible algebra) all sources run through the vectorized
+    shared across the per-source runs.  Under the default ``batch``
+    engine (with an eligible algebra) all sources run through the vectorized
     multi-source sweeps of :mod:`repro.paths.batch` — identical trees,
     one chunked numpy sweep instead of n Python loops.  Evaluation
     workloads that touch only some sources should go through the lazy

@@ -31,12 +31,14 @@ reproduces the heap's insertion-counter tie-break exactly, and the
 golden-trace harness enforces this under ``REPRO_PATH_ENGINE`` in CI.
 
 Engine selection is overridable with the ``REPRO_PATH_ENGINE``
-environment variable (mirroring ``REPRO_START_METHOD``): ``kernel``
-(default; buckets where eligible), ``batch`` (the vectorized
-multi-source engine of :mod:`repro.paths.batch` where eligible, kernel
-otherwise), ``kernel-heap`` (compiled arrays, no buckets), ``reference``
-(the seed engine).  Unrecognized environment values warn once and apply
-the default.  See ``docs/PERFORMANCE.md``.
+environment variable (mirroring ``REPRO_START_METHOD``): ``batch``
+(default; the vectorized multi-source engine of :mod:`repro.paths.batch`
+where the algebra admits a plan, this module's kernel otherwise — and
+this module's kernel for a single root, which has no sweep to share),
+``kernel`` (compiled arrays, buckets where eligible), ``kernel-heap``
+(compiled arrays, no buckets), ``reference`` (the seed engine).  All of
+them build bit-identical trees.  Unrecognized environment values warn
+once and apply the default.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -53,14 +55,14 @@ from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 
-#: Environment variable forcing the path engine (kernel/kernel-heap/reference).
+#: Environment variable forcing the path engine (see :func:`resolve_engine`).
 ENGINE_ENV = "REPRO_PATH_ENGINE"
 
 #: Recognized engine spellings -> canonical engine name.
 _ENGINE_ALIASES = {
-    "": "kernel",
-    "auto": "kernel",
-    "default": "kernel",
+    "": "batch",
+    "auto": "batch",
+    "default": "batch",
     "kernel": "kernel",
     "compiled": "kernel",
     "kernel-heap": "kernel-heap",
@@ -70,6 +72,9 @@ _ENGINE_ALIASES = {
     "batch": "batch",
     "vectorized": "batch",
 }
+
+#: Spellings that leave the choice to the library (the default engine).
+_DEFAULT_SPELLINGS = frozenset({"", "auto", "default"})
 
 #: Environment values already warned about (one warning per value per process).
 _WARNED_ENGINE_VALUES: set = set()
@@ -85,40 +90,45 @@ BUCKET_MIN_LIMIT = 4096
 BUCKET_EDGE_FACTOR = 32
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
+def resolve_engine(engine: Optional[str] = None, *,
+                   single_root: bool = False) -> str:
     """The canonical path-engine choice: explicit arg > environment > default.
 
-    Returns one of ``"kernel"`` (compiled arrays, buckets where eligible),
-    ``"batch"`` (vectorized multi-source sweeps where eligible, kernel
-    otherwise), ``"kernel-heap"`` (compiled arrays, heap frontier only) or
-    ``"reference"`` (the seed networkx-walking engine).  An unrecognized
-    *explicit* argument raises ``ValueError``; an unrecognized environment
-    value applies the default ``kernel`` after a one-time
-    ``RuntimeWarning`` naming the bad value — a typo in
+    Returns one of ``"batch"`` (the default: vectorized multi-source
+    sweeps where eligible, kernel otherwise), ``"kernel"`` (compiled
+    arrays, buckets where eligible), ``"kernel-heap"`` (compiled arrays,
+    heap frontier only) or ``"reference"`` (the seed networkx-walking
+    engine).  The batch engine pays off by sharing one sweep among many
+    roots, so a *single_root* build under the default gets ``"kernel"``
+    instead; an explicit ``batch`` (argument or environment) still runs
+    a one-lane sweep.  An unrecognized *explicit* argument raises
+    ``ValueError``; an unrecognized environment value applies the default
+    after a one-time ``RuntimeWarning`` naming the bad value — a typo in
     ``REPRO_PATH_ENGINE`` must not silently benchmark the wrong engine.
     """
     if engine is None:
         raw = os.environ.get(ENGINE_ENV, "")
         value = raw.strip().lower()
-        resolved = _ENGINE_ALIASES.get(value)
-        if resolved is None:
+        if value not in _ENGINE_ALIASES:
             if value not in _WARNED_ENGINE_VALUES:
                 _WARNED_ENGINE_VALUES.add(value)
                 warnings.warn(
                     f"unrecognized {ENGINE_ENV} value {raw.strip()!r}; "
-                    f"using the default engine 'kernel' "
-                    f"(recognized: kernel, batch, kernel-heap, reference)",
+                    f"using the default engine 'batch' "
+                    f"(recognized: batch, kernel, kernel-heap, reference)",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return "kernel"
-        return resolved
-    value = engine.strip().lower()
-    if value not in _ENGINE_ALIASES:
-        raise ValueError(
-            f"unknown path engine {engine!r}; pick one of "
-            f"kernel, batch, kernel-heap, reference"
-        )
+            value = ""
+    else:
+        value = engine.strip().lower()
+        if value not in _ENGINE_ALIASES:
+            raise ValueError(
+                f"unknown path engine {engine!r}; pick one of "
+                f"batch, kernel, kernel-heap, reference"
+            )
+    if single_root and value in _DEFAULT_SPELLINGS:
+        return "kernel"
     return _ENGINE_ALIASES[value]
 
 

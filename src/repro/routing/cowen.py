@@ -51,7 +51,9 @@ from repro.algebra.base import PHI, RoutingAlgebra
 from repro.exceptions import NotApplicableError, RoutingError
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
-from repro.paths.dijkstra import preferred_path_tree
+# Not called here (the trees come from a tree store), but kept importable:
+# perfbench/spans.py wraps this name to count scheme-side tree builds.
+from repro.paths.dijkstra import preferred_path_tree  # noqa: F401
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
 from repro.routing.model import Action, Decision, RoutingScheme
 from repro.routing.tree_routing import TreeRoutingScheme
@@ -60,13 +62,22 @@ STRATEGIES = ("random", "cowen", "degree")
 
 
 class CowenScheme(RoutingScheme):
-    """Landmark + cluster compact routing for delimited regular algebras."""
+    """Landmark + cluster compact routing for delimited regular algebras.
+
+    The construction reads a preferred-path tree from every node, out of
+    a tree store: *oracle* (a
+    :class:`~repro.core.simulate.PreferredWeightOracle`; ``build_scheme``
+    passes the one evaluation reads) or, without one, a private store.
+    Either way the trees are built in batched sweeps over one compiled
+    graph and the scheme holds the store's own maps.
+    """
 
     name = "cowen-stretch3"
 
     def __init__(self, graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,
                  strategy: str = "random", rng: Optional[random.Random] = None,
-                 landmarks: Optional[Set] = None, cluster_threshold: Optional[int] = None):
+                 landmarks: Optional[Set] = None, cluster_threshold: Optional[int] = None,
+                 oracle=None):
         super().__init__(graph, algebra, attr)
         declared = algebra.declared_properties()
         if declared.monotone is False or declared.isotone is False:
@@ -87,10 +98,11 @@ class CowenScheme(RoutingScheme):
         self.strategy = strategy
 
         with span("preferred_trees", scheme=self.name):
-            self._trees = {
-                node: preferred_path_tree(graph, algebra, node, attr=attr)
-                for node in graph.nodes()
-            }
+            if oracle is None:
+                from repro.core.simulate import PreferredWeightOracle
+
+                oracle = PreferredWeightOracle(graph, algebra, attr=attr)
+            self._trees = oracle.trees(graph.nodes())
         n = graph.number_of_nodes()
         for node, tree in self._trees.items():
             if len(tree.reachable()) != n - 1:

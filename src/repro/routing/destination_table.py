@@ -8,10 +8,14 @@ is regular, and Proposition 3 / Theorem 2 show that for strictly monotone
 delimited algebras no scheme does asymptotically better: the table is
 optimal up to a logarithmic factor.
 
-Construction: one generalized-Dijkstra run rooted at every destination
+Construction: one generalized-Dijkstra tree rooted at every destination
 ``t`` yields, via commutativity of ``⊕`` on the undirected graph, the
 first hop of the preferred ``u -> t`` path for every ``u`` (the preferred
-``t -> u`` tree read backwards).
+``t -> u`` tree read backwards).  The trees come from a tree store
+(:class:`~repro.core.simulate.PreferredWeightOracle`): the one
+``build_scheme`` passes, else a private one.  Only ``unsafe=True``, which
+forces algebras the store refuses, runs ``preferred_path_tree`` once per
+destination.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ class DestinationTableScheme(RoutingScheme):
     name = "destination-table"
 
     def __init__(self, graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,
-                 unsafe: bool = False):
+                 unsafe: bool = False, oracle=None):
         super().__init__(graph, algebra, attr)
         if graph.is_directed():
             raise NotApplicableError(
@@ -53,8 +57,18 @@ class DestinationTableScheme(RoutingScheme):
         }
         self._weight_to: Dict[object, Dict[object, object]] = {}
         with span("preferred_trees", scheme=self.name):
-            for target in graph.nodes():
-                tree = preferred_path_tree(graph, algebra, target, attr=attr, unsafe=unsafe)
+            if unsafe:
+                trees = (preferred_path_tree(graph, algebra, target,
+                                             attr=attr, unsafe=True)
+                         for target in graph.nodes())
+            else:
+                if oracle is None:
+                    from repro.core.simulate import PreferredWeightOracle
+
+                    oracle = PreferredWeightOracle(graph, algebra, attr=attr)
+                trees = oracle.trees(graph.nodes()).values()
+            for tree in trees:
+                target = tree.root
                 self._weight_to[target] = tree.weight
                 for node in tree.reachable():
                     # parent pointers walk toward the root (= destination), so

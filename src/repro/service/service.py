@@ -8,7 +8,10 @@ state warm across queries:
   seed — after any mutation dirties it;
 * a private lazy :class:`~repro.core.simulate.PreferredWeightOracle`
   whose per-source trees accumulate across queries and survive mutations
-  that provably cannot affect them (surgical invalidation);
+  that provably cannot affect them (surgical invalidation).  It is also
+  the scheme's tree store: the Cowen and destination-table schemes are
+  built from its trees, so startup builds all ``n`` of them and a
+  rebuild after a mutation builds only the trees it dropped;
 * the oracle's :class:`~repro.paths.kernel.CompiledGraph`, weight-patched
   in place when a mutation allows it.
 
@@ -102,12 +105,13 @@ class UpdateResult:
     """The outcome of one mutation: what survived, what was invalidated.
 
     ``trees_kept``/``trees_dropped`` count the oracle's memoized
-    per-source structures; ``compiled_patched`` says the CSR arrays
+    per-source structures — all ``n`` sources for the schemes built from
+    the oracle's trees; ``compiled_patched`` says the CSR arrays
     absorbed the change in place (weight updates on compiled edges).
     The scheme is always rebuilt lazily on the next query
     (``scheme_rebuild == "deferred"``) — landmark/cluster structure has
     no incremental story, but the rebuild is seeded so it matches a cold
-    construction bit for bit.
+    construction bit for bit, and it rebuilds only the dropped trees.
     """
 
     op: str
@@ -162,7 +166,8 @@ class RoutingService:
                                    algebra=self.algebra.name):
                 self._scheme = build_scheme(
                     self.graph, self.algebra, mode=self.options.mode,
-                    attr=self.attr, rng=random.Random(self.options.seed))
+                    attr=self.attr, rng=random.Random(self.options.seed),
+                    oracle=self._oracle)
             self.scheme_builds += 1
             if _telemetry_enabled():
                 _telemetry().counter("service.scheme_builds").inc()

@@ -4,6 +4,8 @@ Covers :class:`repro.core.simulate.PreferredWeightOracle` directly plus the
 :class:`~repro.core.simulate.OracleCache` fixes that ride along: the
 per-key build lock (no thundering herd), the explicit ``attr`` key
 component, and truthful per-scheme ``oracle`` span attribution on hits.
+``TestTreeStore`` covers the oracle as the one tree store the Cowen and
+destination-table schemes are built from.
 """
 
 import pickle
@@ -11,18 +13,22 @@ import random
 import threading
 import time
 
+import networkx as nx
 import pytest
 
 from repro.algebra.bgp import valley_free_algebra
-from repro.algebra.catalog import ShortestPath
-from repro.algebra.lexicographic import shortest_widest_path
+from repro.algebra.catalog import ShortestPath, WidestPath
+from repro.algebra.lexicographic import shortest_widest_path, widest_shortest_path
 from repro.core import simulate as simulate_mod
+from repro.core.compiler import build_scheme
 from repro.core.simulate import (
     OracleCache,
     PreferredWeightOracle,
+    evaluate_scheme,
     oracle_cache,
     preferred_weight_oracle,
 )
+from repro.exceptions import AlgebraError
 from repro.graphs.bgp_topologies import coned_as_topology
 from repro.graphs.generators import erdos_renyi, ring
 from repro.graphs.weighting import assign_random_weights
@@ -31,8 +37,11 @@ from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
+from repro.paths.dijkstra import preferred_path_tree
 from repro.paths.enumerate import preferred_by_enumeration
 from repro.protocols.disputes import DisputeWheelAlgebra, bad_gadget
+from repro.routing.cowen import CowenScheme
+from repro.routing.destination_table import DestinationTableScheme
 
 
 @pytest.fixture(autouse=True)
@@ -273,3 +282,109 @@ class TestCachedTreesAccumulate:
         assert again is first
         again(0, 7)  # same source: no new build
         assert again.trees_built == built
+
+
+class TestTreeStore:
+    """Schemes build from the oracle's trees; each tree is built once."""
+
+    @pytest.mark.parametrize("mode", ["exact", "compact"])
+    def test_build_and_evaluate_build_each_tree_once(self, mode):
+        graph, algebra = _sp_instance(n=20)
+        scheme = build_scheme(graph, algebra, mode=mode, rng=4)
+        report = evaluate_scheme(graph, algebra, scheme)
+        n = graph.number_of_nodes()
+        assert report.pairs == n * (n - 1)
+        assert oracle_cache.stats()["misses"] == 1
+        oracle = oracle_cache.get(graph, algebra)
+        assert oracle.trees_built == n
+        # The scheme holds the store's weight and parent maps, not copies.
+        for source, tree in oracle.trees(graph.nodes()).items():
+            if isinstance(scheme, CowenScheme):
+                assert scheme._trees[source].weight is tree.weight
+                assert scheme._trees[source].parent is tree.parent
+            else:
+                assert scheme._weight_to[source] is tree.weight
+        assert oracle.trees_built == n
+
+    def test_explicit_store_bypasses_the_cache(self):
+        graph, algebra = _sp_instance()
+        store = PreferredWeightOracle(graph, algebra)
+        scheme = build_scheme(graph, algebra, mode="compact", rng=4,
+                              oracle=store)
+        assert len(oracle_cache) == 0
+        assert store.trees_built == graph.number_of_nodes()
+        assert scheme._trees[0].parent is store.trees([0])[0].parent
+
+    def test_schemes_without_trees_leave_the_store_alone(self):
+        # Widest path is selective: one Lemma 1 tree, no per-source trees.
+        graph = erdos_renyi(12, rng=random.Random(1))
+        algebra = WidestPath()
+        assign_random_weights(graph, algebra, rng=random.Random(2))
+        build_scheme(graph, algebra)
+        assert len(oracle_cache) == 0
+
+    def test_storeless_schemes_build_from_a_private_store(self, monkeypatch):
+        from repro.paths import dijkstra as dijkstra_mod
+        from repro.paths import kernel as kernel_mod
+
+        compiles = []
+        original = kernel_mod.compile_graph
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod, "compile_graph", counting_compile)
+        monkeypatch.setattr(dijkstra_mod, "compile_graph", counting_compile)
+        graph, algebra = _sp_instance()
+        CowenScheme(graph, algebra, rng=random.Random(4))
+        DestinationTableScheme(graph, algebra)
+        # At most one compiled graph per scheme (none under the reference
+        # engine), not one per node, and the process-wide cache is left alone.
+        assert len(compiles) <= 2
+        assert len(oracle_cache) == 0
+
+    @pytest.mark.parametrize("factory", [ShortestPath, widest_shortest_path],
+                             ids=["batch-eligible", "kernel-fallback"])
+    def test_store_trees_match_the_reference_engine(self, factory):
+        # The scheme and its referee share these trees, so an independent
+        # engine checks them.
+        algebra = factory()
+        graph = erdos_renyi(20, rng=random.Random(7))
+        assign_random_weights(graph, algebra, rng=random.Random(8))
+        build_scheme(graph, algebra, mode="exact")
+        oracle = oracle_cache.get(graph, algebra)
+        sources = sorted(graph.nodes())[::5]
+        for source, tree in oracle.trees(sources).items():
+            reference = preferred_path_tree(graph, algebra, source,
+                                            engine="reference")
+            assert tree.weight == reference.weight
+            assert tree.parent == reference.parent
+            assert list(tree.weight) == list(reference.weight)
+            assert list(tree.parent) == list(reference.parent)
+
+    def test_reordered_graph_gets_its_own_store(self):
+        # Equal content, different adjacency order: ties between
+        # equal-weight paths break differently, so the trees differ and
+        # a scheme built after the first graph's must not reuse them.
+        algebra = ShortestPath(max_weight=3)
+        graph = erdos_renyi(16, rng=random.Random(1))
+        assign_random_weights(graph, algebra, rng=random.Random(2))
+        reordered = nx.Graph()
+        reordered.add_nodes_from(graph.nodes())
+        reordered.add_edges_from(reversed(list(graph.edges(data=True))))
+        pairs = [(s, t) for s in graph for t in graph if s != t]
+        build_scheme(graph, algebra)
+        after_first = build_scheme(reordered, algebra)
+        assert oracle_cache.stats()["misses"] == 2
+        oracle_cache.clear()
+        fresh = build_scheme(reordered, algebra)
+        assert [after_first.route(s, t).path for s, t in pairs] == \
+            [fresh.route(s, t).path for s, t in pairs]
+
+    def test_engines_without_trees_refuse(self):
+        graph = erdos_renyi(8, rng=random.Random(1))
+        algebra = shortest_widest_path()
+        assign_random_weights(graph, algebra, rng=random.Random(2))
+        with pytest.raises(AlgebraError, match="keeps no path trees"):
+            PreferredWeightOracle(graph, algebra).trees([0])

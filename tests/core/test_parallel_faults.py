@@ -10,9 +10,12 @@ the kill test lives in ``test_parallel_spawn.py``.
 """
 
 import random
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.core.parallel as parallel
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
 from repro.core.parallel import (
@@ -209,6 +212,63 @@ class TestRetryExhaustion:
         monkeypatch.setenv(FAULT_SPEC_ENV, "raise:shard=0")
         with pytest.raises(InjectedFault):
             _run_faulted(graph, algebra, scheme)
+
+
+class _SubmitBreaksAfterFirst(ProcessPoolExecutor):
+    """A pool whose second ``submit`` finds it broken.
+
+    Reproduces, deterministically, a worker dying while the parent is
+    still submitting a round's shards: the first shard is really
+    submitted (and runs, or dies under an injected kill), every later
+    ``submit`` raises the way a broken pool's does.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self._submitted:
+            raise BrokenProcessPool("a worker died during submission")
+        self._submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestSubmitTimeBreakage:
+    def test_unsubmitted_shards_are_displaced_and_reissued(self, monkeypatch):
+        graph, algebra, scheme = _instance()
+        serial = evaluate_scheme(graph, algebra, scheme)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            _SubmitBreaksAfterFirst)
+        report, pairs = _run_faulted(graph, algebra, scheme)
+        assert report == serial
+        run = last_run_info()
+        assert run.fallback is None
+        # Six shards, one completes per round: five rebuilds, and the
+        # shards never submitted cost no retry budget.
+        assert run.recovery == {"shards_lost": 0, "shards_retried": 0,
+                                "shards_displaced": 5 + 4 + 3 + 2 + 1,
+                                "pool_rebuilds": 5, "recovered": True}
+        assert [info["retries"] for info in run.shards] == [0] * 6
+        assert sum(info["pairs"] for info in run.shards) == len(pairs)
+
+    def test_kill_during_submission_exhausts_retries(self, monkeypatch):
+        # The race behind an intermittent "pool-failure": shard 0's worker
+        # dies before the submission loop is done.  The breakage belongs
+        # to the round, so the persistent kill still exhausts shard 0's
+        # retry budget.
+        graph, algebra, scheme = _instance()
+        serial = evaluate_scheme(graph, algebra, scheme)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            _SubmitBreaksAfterFirst)
+        monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=0")
+        monkeypatch.setenv(SHARD_RETRIES_ENV, "1")
+        report, _pairs = _run_faulted(graph, algebra, scheme)
+        assert report == serial
+        run = last_run_info()
+        assert run.fallback.reason == "retry-exhausted"
+        assert "shard 0" in run.fallback.cause
+        assert run.recovery["recovered"] is False
 
 
 class TestSerialImmunity:

@@ -218,7 +218,7 @@ class TestAllPairsAndOracle:
 
     def test_all_pairs_matches_kernel_under_env(self, monkeypatch):
         graph, algebra = self._instance()
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        monkeypatch.setenv(ENGINE_ENV, "kernel")
         kernel_trees = all_pairs_preferred_weights(graph, algebra)
         monkeypatch.setenv(ENGINE_ENV, "batch")
         batch_trees = all_pairs_preferred_weights(graph, algebra)
@@ -232,7 +232,7 @@ class TestAllPairsAndOracle:
     def test_oracle_bulk_build_matches_per_source(self, monkeypatch):
         graph, algebra = self._instance(seed=6)
         sources = list(graph.nodes())[:8]
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        monkeypatch.setenv(ENGINE_ENV, "kernel")
         serial = PreferredWeightOracle(graph, algebra)
         serial.ensure_sources(sources)
         monkeypatch.setenv(ENGINE_ENV, "batch")

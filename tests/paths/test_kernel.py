@@ -136,8 +136,38 @@ class TestBucketPlan:
 
 class TestEngineResolution:
     def test_default_is_kernel(self, monkeypatch):
+        # A single root leaves the batch engine no sweep to share.
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine() == "kernel"
+        assert resolve_engine(single_root=True) == "kernel"
+        assert resolve_engine("auto", single_root=True) == "kernel"
+
+    def test_default_is_batch(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        assert resolve_engine() == "batch"
+
+    def test_forced_batch_applies_to_a_single_root(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV, "batch")
+        assert resolve_engine(single_root=True) == "batch"
+        monkeypatch.delenv(ENGINE_ENV)
+        assert resolve_engine("batch", single_root=True) == "batch"
+
+    def test_default_single_root_tree_runs_the_kernel(self, monkeypatch):
+        from repro.paths import dijkstra as dijkstra_mod
+
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        calls = []
+
+        def counting_kernel_tree(*args, **kwargs):
+            calls.append(kwargs.get("buckets"))
+            return kernel_tree(*args, **kwargs)
+
+        monkeypatch.setattr(dijkstra_mod, "kernel_tree", counting_kernel_tree)
+        algebra = ShortestPath(9)
+        graph = _weighted_er(10, 6, algebra)
+        tree = preferred_path_tree(graph, algebra, 0)
+        assert calls == [True]
+        reference = preferred_path_tree(graph, algebra, 0, engine="reference")
+        assert tree.parent == reference.parent
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "reference")
@@ -151,11 +181,11 @@ class TestEngineResolution:
         monkeypatch.setenv(ENGINE_ENV, "warp-drive")
         monkeypatch.setattr(kernel_mod, "_WARNED_ENGINE_VALUES", set())
         with pytest.warns(RuntimeWarning, match="warp-drive"):
-            assert resolve_engine() == "kernel"
+            assert resolve_engine() == "batch"
         # one warning per bad value per process: the repeat is silent
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_engine() == "kernel"
+            assert resolve_engine() == "batch"
 
     def test_invalid_explicit_engine_raises(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,17 @@ class TestCorrectness:
         scheme = DestinationTableScheme(graph, ShortestPath())
         assert scheme.initial_header(0, 8) == 8
 
+    @pytest.mark.parametrize("algebra", REGULAR, ids=lambda a: a.name)
+    def test_unsafe_per_destination_build_matches_the_store(self, algebra):
+        # unsafe=True is the one construction that bypasses the tree store.
+        rng = random.Random(3)
+        graph = erdos_renyi(12, p=0.4, rng=rng)
+        assign_random_weights(graph, algebra, rng=rng)
+        forced = DestinationTableScheme(graph, algebra, unsafe=True)
+        stored = DestinationTableScheme(graph, algebra)
+        assert forced._next_hop == stored._next_hop
+        assert forced._weight_to == stored._weight_to
+
     def test_stuck_packet_raises(self):
         graph = nx.Graph()
         graph.add_edge(0, 1, weight=1)

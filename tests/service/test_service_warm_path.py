@@ -6,8 +6,10 @@ re-adoption, no new oracle trees, no scheme rebuild.  The tests enforce
 this by making the build entry points explode and querying anyway.
 """
 
+import copy
 import random
 
+import networkx as nx
 import pytest
 
 import repro.core.simulate as simulate
@@ -15,14 +17,15 @@ import repro.paths.kernel as kernel
 from repro.algebra.catalog import ShortestPath
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
+from repro.paths.dijkstra import preferred_path_tree
 from repro.service import RoutingService, ServiceOptions
 
 
-def make_service(n=24, seed=9):
+def make_service(n=24, seed=9, mode="auto"):
     algebra = ShortestPath()
     graph = erdos_renyi(n, rng=random.Random(seed))
     assign_random_weights(graph, algebra, rng=random.Random(seed + 1))
-    return RoutingService(graph, algebra, ServiceOptions(seed=seed))
+    return RoutingService(graph, algebra, ServiceOptions(mode=mode, seed=seed))
 
 
 def all_pairs(graph):
@@ -60,25 +63,21 @@ def test_warm_queries_touch_no_build_machinery(monkeypatch):
     assert service.scheme_builds == 1
 
 
-def test_update_then_query_rebuilds_only_dropped_trees(monkeypatch):
+def test_update_then_query_rebuilds_only_dropped_trees():
     service = make_service()
     pairs = all_pairs(service.graph)
     service.route(pairs)
     u, v = next(iter(service.graph.edges()))
     result = service.update_weight(u, v, 1)
+    assert result.trees_kept + result.trees_dropped == len(service.graph)
 
-    calls = []
-    real_build = simulate.PreferredWeightOracle._build_table
-
-    def counting_build(self, source):
-        calls.append(source)
-        return real_build(self, source)
-
-    monkeypatch.setattr(simulate.PreferredWeightOracle, "_build_table",
-                        counting_build)
+    # Counted on trees_built: batched sweeps bypass _build_table.
+    built = service.stats()["oracle"]["trees_built"]
     service.route(pairs)
-    # Only the invalidated trees are rebuilt — kept trees stay warm.
-    assert len(set(calls)) == result.trees_dropped
+    # The scheme rebuild and the query build only the invalidated trees —
+    # kept trees stay warm.
+    assert (service.stats()["oracle"]["trees_built"] - built
+            == result.trees_dropped)
 
 
 def test_mutated_service_fails_loudly_if_rebuild_is_blocked(monkeypatch):
@@ -94,3 +93,54 @@ def test_mutated_service_fails_loudly_if_rebuild_is_blocked(monkeypatch):
     monkeypatch.setattr(compiler, "build_scheme", _boom)
     with pytest.raises(AssertionError, match="build entry point"):
         service.route(pairs[:1])
+
+
+def _tree_edge_of_source_zero(service):
+    """A non-bridge edge on node 0's preferred tree: changing it drops
+    some trees (0's among them) and keeps others."""
+    bridges = {frozenset(edge) for edge in nx.bridges(service.graph)}
+    tree = service._oracle.trees([0])[0]
+    return next((parent, child) for child, parent in tree.parent.items()
+                if frozenset((parent, child)) not in bridges)
+
+
+@pytest.mark.parametrize("mode", ["auto", "compact"])
+@pytest.mark.parametrize("op", ["update_weight", "fail_link", "restore_link"])
+def test_scheme_rebuild_reuses_every_kept_tree(mode, op):
+    service = make_service(mode=mode)
+    n = len(service.graph)
+    assert service.stats()["oracle"]["trees_built"] == n
+    pairs = all_pairs(service.graph)
+    service.route(pairs)
+    u, v = _tree_edge_of_source_zero(service)
+    if op == "update_weight":
+        result = service.update_weight(u, v, service.graph[u][v]["weight"] + 50)
+    elif op == "fail_link":
+        result = service.fail_link(u, v)
+    else:
+        # Restoring re-appends the edge to both endpoints' adjacency, so
+        # kept trees must match a cold build on the new order too.
+        service.fail_link(u, v)
+        service.route(pairs)
+        result = service.restore_link(u, v)
+    assert result.trees_kept > 0 and result.trees_dropped > 0
+    assert result.trees_kept + result.trees_dropped == n
+
+    built = service.stats()["oracle"]["trees_built"]
+    builds = service.scheme_builds
+    warm = service.route(pairs)
+    assert service.scheme_builds == builds + 1
+    assert (service.stats()["oracle"]["trees_built"] - built
+            == result.trees_dropped)
+    # deepcopy keeps every node's adjacency order (Graph.copy() need not),
+    # and ties between equal-weight paths break in that order.
+    cold = RoutingService(copy.deepcopy(service.graph), service.algebra,
+                          service.options)
+    assert warm == cold.route(pairs)
+    # Kept and rebuilt trees alike equal the reference engine's on the
+    # changed graph, parent pointers included.
+    for source, tree in service._oracle.trees(service.graph.nodes()).items():
+        reference = preferred_path_tree(service.graph, service.algebra,
+                                        source, engine="reference")
+        assert tree.weight == reference.weight
+        assert tree.parent == reference.parent
