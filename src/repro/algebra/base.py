@@ -17,7 +17,8 @@ tuples); each concrete algebra documents its weight domain.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import AlgebraError
 
@@ -212,7 +213,7 @@ class RoutingAlgebra(abc.ABC):
         return acc
 
     # ------------------------------------------------------------------
-    # integer-key capability (bucketed frontiers)
+    # integer-key capability (bucketed frontiers, vectorized engines)
     # ------------------------------------------------------------------
 
     def integer_key_bound(self, max_hops: int) -> Optional[int]:
@@ -243,31 +244,34 @@ class RoutingAlgebra(abc.ABC):
         """
         raise AlgebraError(f"{self.name} declares no integer key embedding")
 
-    def integer_key_additive(self, max_hops: int) -> bool:
-        """Whether the integer key embedding is *exactly* additive.
+    def integer_key_combine(self, max_hops: int) -> Optional["KeyCombine"]:
+        """The vectorizable key combine, or None.
 
-        Returning True strengthens the :meth:`integer_key_bound` contract
-        from subadditivity to equality, for all weights of paths of at
+        Returning a :class:`KeyCombine` ``c`` strengthens the
+        :meth:`integer_key_bound` contract, for all weights of paths of at
         most *max_hops* edges:
 
-        * **exact additivity** — ``ik(w1 ⊕ w2) == ik(w1) + ik(w2)``
-          (which implies the combination of finite weights is always
-          finite: a ``phi`` result would have no key);
+        * **homomorphism** — ``ik(w1 ⊕ w2) == c.combine(ik(w1), ik(w2))``
+          (so finite weights always combine to a finite weight: a ``phi``
+          result would have no key);
         * **invertibility** — :meth:`integer_key_weight_fn` reconstructs
-          the unique realized weight from its key, i.e.
-          ``decode(ik(w)) == w`` for every such path weight.
+          the unique weight from its key, ``decode(ik(w)) == w``.
 
-        Together these let the vectorized multi-source batch engine
-        (:mod:`repro.paths.batch`) run the whole sweep on integer arrays
-        and decode the final labels back to weight objects, bit-identical
-        to the per-source kernel.  The default declares nothing.
+        The combine also bounds how far one edge raises a key
+        (:meth:`KeyCombine.step`).  Together these let the vectorized
+        engines — the multi-source batch sweep
+        (:mod:`repro.paths.batch`) and the compiled query walk
+        (:mod:`repro.routing.compiled_query`) — run on integer arrays
+        and decode back to weight objects, bit-identical to the kernel
+        and the reference loop.  :func:`key_codec` derives and checks the
+        whole capability in one place.  The default declares nothing.
         """
-        return False
+        return None
 
     def integer_key_weight_fn(self, max_hops: int):
-        """The ``key -> weight`` decode promised by :meth:`integer_key_additive`.
+        """The ``key -> weight`` decode of :meth:`integer_key_combine`.
 
-        Only called when :meth:`integer_key_additive` returned True;
+        Only called when :meth:`integer_key_combine` returned a combine;
         algebras without the capability keep the default, which raises.
         """
         raise AlgebraError(f"{self.name} declares no integer key decode")
@@ -315,3 +319,128 @@ class RoutingAlgebra(abc.ABC):
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+# ----------------------------------------------------------------------
+# integer keys for the vectorized engines
+# ----------------------------------------------------------------------
+
+#: Part combines of a :class:`KeyCombine`: component keys add, or the
+#: larger one wins.
+KEY_ADD = "add"
+KEY_MAX = "max"
+
+#: Keys whose bound exceeds this could overflow int64 once two of them
+#: are summed (:meth:`KeyCombine.combine` adds before it corrects).
+INT64_KEY_LIMIT = 1 << 62
+
+
+@dataclass(frozen=True)
+class KeyCombine:
+    """How integer keys compose: ``ik(w1 ⊕ w2) == combine(ik(w1), ik(w2))``.
+
+    A key is a mixed-radix number over *parts*, most significant first.
+    Each part is ``(op, base)``: ``op`` is :data:`KEY_ADD` (component keys
+    add) or :data:`KEY_MAX` (the larger component key wins), and ``base``
+    is the component's key bound.  A plain algebra declares one part; a
+    lexicographic product concatenates its factors' parts, so the
+    flattened key combines one component at a time.  Key 0 is the
+    identity of every part (``0 + k == max(0, k) == k`` for ``k >= 0``),
+    so a walk's key accumulates from 0.
+
+    :meth:`combine` and :meth:`step` use integer arithmetic and the
+    *minimum* they are handed, so one implementation serves Python ints
+    and numpy int arrays (pass ``numpy.minimum``) without this module
+    importing numpy.
+    """
+
+    parts: Tuple[Tuple[str, int], ...]
+    #: ``(place, base)`` of every max part, where ``place`` is the product
+    #: of the bases below the part.
+    _max_places: Tuple[Tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        places = []
+        place = 1
+        for op, base in reversed(self.parts):
+            if op not in (KEY_ADD, KEY_MAX) or base < 1:
+                raise AlgebraError(f"bad key combine part {(op, base)!r}")
+            if op == KEY_MAX:
+                places.append((place, base))
+            place *= base
+        object.__setattr__(self, "_max_places", tuple(places))
+
+    def combine(self, a, b, minimum=min):
+        """The key of ``w1 ⊕ w2`` from the keys *a* and *b*.
+
+        Every part is summed, then each max part gives back its smaller
+        component: ``x + y - min(x, y) == max(x, y)``.  No part carries
+        into the next, because component keys stay below their bases.
+        """
+        result = a + b
+        for place, base in self._max_places:
+            result = result - minimum(a // place % base,
+                                      b // place % base) * place
+        return result
+
+    def step(self, edge_key):
+        """A lower bound on ``combine(k, edge_key) - k`` over every key ``k``.
+
+        An add part raises its component by the edge's component key; a
+        max part may not raise it at all.  So the bound is the edge key
+        with its max components zeroed: the edge key itself for
+        shortest path, 0 for widest path, the shortest-path component
+        times the widest-path base for widest-shortest path.
+        """
+        result = edge_key
+        for place, base in self._max_places:
+            result = result - edge_key // place % base * place
+        return result
+
+
+@dataclass(frozen=True)
+class KeyCodec:
+    """An algebra's whole integer-key capability at one hop budget."""
+
+    bound: int
+    key: Callable[[Weight], int]
+    decode: Callable[[int], Weight]
+    combine: KeyCombine
+
+    def encode(self, weights: Iterable[Weight]) -> Optional[List[int]]:
+        """The keys of edge *weights*, or None unless every one round-trips.
+
+        A key must be a plain ``int`` in ``[0, bound)`` that decodes back
+        to its weight: a capability bug then demotes the algebra to the
+        (bit-identical) per-source engines instead of corrupting a run.
+        """
+        key_of, decode, bound = self.key, self.decode, self.bound
+        keys = []
+        for weight in weights:
+            key = key_of(weight)
+            if (type(key) is not int or not 0 <= key < bound
+                    or decode(key) != weight):
+                return None
+            keys.append(key)
+        return keys
+
+
+def key_codec(algebra: RoutingAlgebra, max_hops: int) -> Optional[KeyCodec]:
+    """The algebra's integer-key codec for paths of *max_hops* edges, or None.
+
+    The one eligibility check of the vectorized engines: the algebra
+    declares a key bound, a :class:`KeyCombine` and a decode
+    (:meth:`RoutingAlgebra.integer_key_combine`), and its keys fit int64
+    arithmetic — a bound above :data:`INT64_KEY_LIMIT` is refused.
+    """
+    bound = algebra.integer_key_bound(max_hops)
+    combine = algebra.integer_key_combine(max_hops)
+    if bound is None or combine is None or not 1 <= bound <= INT64_KEY_LIMIT:
+        return None
+    try:
+        key = algebra.integer_key_fn(max_hops)
+        decode = algebra.integer_key_weight_fn(max_hops)
+    except AlgebraError:   # the defaults: no key map or no decode declared
+        return None
+    return KeyCodec(bound=bound, key=key, decode=decode, combine=combine)

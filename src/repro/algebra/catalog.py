@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.algebra.base import RoutingAlgebra
+from repro.algebra.base import KEY_ADD, KEY_MAX, KeyCombine, RoutingAlgebra
 from repro.algebra.properties import PropertyProfile
 
 
@@ -74,10 +74,10 @@ class ShortestPath(RoutingAlgebra):
     def integer_key_fn(self, max_hops):
         return lambda weight: weight
 
-    def integer_key_additive(self, max_hops):
-        # Keys ARE the weights and composition is integer addition, so the
-        # embedding is exactly additive and trivially invertible.
-        return True
+    def integer_key_combine(self, max_hops):
+        # Keys ARE the weights and composition is integer addition, so
+        # keys add and decode trivially.
+        return KeyCombine(((KEY_ADD, self.integer_key_bound(max_hops)),))
 
     def integer_key_weight_fn(self, max_hops):
         return lambda key: key
@@ -146,6 +146,14 @@ class WidestPath(RoutingAlgebra):
     def integer_key_fn(self, max_hops):
         capacity = self.max_capacity
         return lambda weight: capacity - weight
+
+    def integer_key_combine(self, max_hops):
+        # min of capacities is max of the inverted keys.
+        return KeyCombine(((KEY_MAX, self.max_capacity),))
+
+    def integer_key_weight_fn(self, max_hops):
+        capacity = self.max_capacity
+        return lambda key: capacity - key
 
 
 class MostReliablePath(RoutingAlgebra):
@@ -261,9 +269,9 @@ class UsablePath(RoutingAlgebra):
     def integer_key_fn(self, max_hops):
         return lambda weight: 0
 
-    def integer_key_additive(self, max_hops):
+    def integer_key_combine(self, max_hops):
         # 0 + 0 == 0 and the one key decodes to the one weight.
-        return True
+        return KeyCombine(((KEY_ADD, 1),))
 
     def integer_key_weight_fn(self, max_hops):
         return lambda key: 1

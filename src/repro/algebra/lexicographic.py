@@ -10,7 +10,7 @@ path falls out mechanically — exactly the way Table 1 derives it.
 
 from __future__ import annotations
 
-from repro.algebra.base import PHI, RoutingAlgebra, is_phi
+from repro.algebra.base import PHI, KeyCombine, RoutingAlgebra, is_phi
 from repro.algebra.catalog import ShortestPath, WidestPath
 from repro.algebra.properties import PropertyProfile
 
@@ -130,16 +130,15 @@ class LexicographicProduct(RoutingAlgebra):
         k2 = self.second.integer_key_fn(max_hops)
         return lambda weight: k1(weight[0]) * b2 + k2(weight[1])
 
-    def integer_key_additive(self, max_hops):
-        # The flattened key is exactly additive iff both component keys
-        # are: ik(w ⊕ w') = (k1+k1')*b2 + (k2+k2') = ik(w) + ik(w'),
-        # using that second-component path keys stay below b2.
-        return (
-            self.first.integer_key_bound(max_hops) is not None
-            and self.second.integer_key_bound(max_hops) is not None
-            and self.first.integer_key_additive(max_hops)
-            and self.second.integer_key_additive(max_hops)
-        )
+    def integer_key_combine(self, max_hops):
+        # The flattened key k1 * b2 + k2 is a mixed-radix number whose
+        # digits are the factors' keys, so the product combines one
+        # component at a time: the factors' parts, concatenated.
+        c1 = self.first.integer_key_combine(max_hops)
+        c2 = self.second.integer_key_combine(max_hops)
+        if c1 is None or c2 is None:
+            return None
+        return KeyCombine(c1.parts + c2.parts)
 
     def integer_key_weight_fn(self, max_hops):
         b2 = self.second.integer_key_bound(max_hops)

@@ -2,49 +2,58 @@
 
 PR 5's :mod:`repro.paths.kernel` flattened every ``(graph, attr)`` into
 CSR arrays, but the sweep itself remained one Python loop per source.
-This module removes that loop for **integer-keyed algebras whose key
-embedding is exactly additive** (the new
-:meth:`~repro.algebra.base.RoutingAlgebra.integer_key_additive`
-capability — shortest-path, min-hop, usable-path, and lexicographic
-products of such components): *batches* of sources run through one
-numpy-vectorized Dial/Bellman-Ford sweep, with distances as ``int64``
-matrices (one lane per source), frontiers as boolean masks, and per-lane
+This module removes that loop for **integer-keyed algebras with a key
+combine** (the
+:meth:`~repro.algebra.base.RoutingAlgebra.integer_key_combine`
+capability — shortest-path, min-hop, usable-path, widest-path, and
+lexicographic products of them such as widest-shortest and
+shortest-widest path): *batches* of sources run through one
+numpy-vectorized Dial/Bellman-Ford sweep, with distances as integer
+matrices (one lane per source), frontiers as masks, and per-lane
 parent/weight matrices decoded back to weight objects only at the end.
 
 Bit-identity with the PR 5 kernel
 ---------------------------------
 
-The bucket kernel settles nodes in non-decreasing key order, FIFO within
-a bucket, and builds the ``weight``/``parent`` maps in first-relaxation
-order with strict-improvement tie-breaks.  The batch sweep reproduces
-all of it exactly, per lane:
+The kernel settles nodes in non-decreasing key order, FIFO within a key
+(its buckets, or its heap's insertion-counter tie-break), and builds the
+``weight``/``parent`` maps in first-relaxation order with
+strict-improvement tie-breaks.  The batch sweep reproduces all of it
+exactly, per lane:
 
-* **levels** — the sweep processes distance *levels* in increasing key
-  order; a level equals one bucket of the Dial frontier;
-* **waves** — within a level, nodes are settled in *waves* ordered by
-  the push rank of their current label.  Wave ``j``'s relaxations
-  generate wave ``j+1`` (zero-key edges cascade inside a level exactly
-  like the kernel's growing bucket; positive-key algebras settle each
-  level in one wave), so wave order *is* the kernel's FIFO order;
+* **windows** — the sweep settles key *windows* ``[L, L + step)`` in
+  increasing order, where ``step`` is the smallest raise any compiled
+  edge can give a key (:meth:`~repro.algebra.base.KeyCombine.step`).
+  No relaxation from inside a window can land inside it, so a window's
+  nodes settle at once, in (key, push rank) order within each lane —
+  the kernel's pop order.  Shortest path has step 1 (one key per
+  window); widest-shortest path has the smallest shortest-path edge
+  weight times widest path's key base;
+* **waves** — a step of 0 (widest path, usable path: an edge may leave a
+  key unchanged) settles one key per window in *waves* ordered by push
+  rank.  Wave ``j``'s relaxations generate wave ``j+1`` exactly like the
+  entries appended to the kernel's in-scan bucket, so wave order *is*
+  the kernel's FIFO order;
 * **events** — each wave expands its nodes' CSR rows into one flat
   event array whose index order equals the kernel's scan order (settle
-  order major, CSR edge order minor).  Per relaxed target the sweep
-  keeps the event minimizing ``(candidate key, event rank)`` — exactly
-  the label the kernel's sequential strict-improvement scan leaves
-  behind — and separately the *first* touching event, which fixes the
-  map-insertion (first-relaxation) order;
+  order major, CSR edge order minor), and forms the candidate keys with
+  the algebra's key combine.  Per relaxed target the sweep keeps the
+  event minimizing ``(candidate key, event rank)`` — exactly the label
+  the kernel's sequential strict-improvement scan leaves behind — and
+  separately the *first* touching event, which fixes the map-insertion
+  (first-relaxation) order;
 * **decode** — final labels are integer keys; the algebra's
   :meth:`~repro.algebra.base.RoutingAlgebra.integer_key_weight_fn`
   decodes them back to the weight objects the kernel would have
   produced (the capability promises ``decode(ik(w)) == w``; the plan
   additionally validates the promise on every compiled edge weight).
 
-Eligibility falls back **per algebra**: when the bucket plan is
-ineligible, the key embedding is not exactly additive, or numpy is
-absent, callers run the PR 5 kernel instead (counted on
-``path_engine.batch_fallbacks``) — results are bit-identical either
-way, which the golden-trace harness enforces in CI under
-``REPRO_PATH_ENGINE=batch``.
+Eligibility falls back **per algebra**: when the algebra declares no key
+combine (:func:`~repro.algebra.base.key_codec`), is not monotone, its
+keys could overflow int64, or numpy is absent, callers run the
+per-source kernel instead (counted on ``path_engine.batch_fallbacks``)
+— results are bit-identical either way, which the golden-trace harness
+enforces in CI under ``REPRO_PATH_ENGINE=batch``.
 
 Shared memory
 -------------
@@ -70,7 +79,7 @@ try:  # numpy is an optional extra (`pip install repro[fast]`)
 except Exception:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
-from repro.algebra.base import RoutingAlgebra
+from repro.algebra.base import KeyCodec, KeyCombine, RoutingAlgebra, key_codec
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
@@ -82,10 +91,9 @@ from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
 #: chunks amortize no better and measurably thrash.
 DEFAULT_BATCH_SIZE = 128
 
-#: The unreachable sentinel inside the integer distance matrices.  Far
-#: above any reachable key (bucket plans cap key ranges at 2^22) yet far
-#: below int64 overflow even after adding an edge key.
-_INF = (1 << 60)
+#: The int64 maximum: the unreachable sentinel of int64 label and rank
+#: state, above every key a plan admits (key bounds stop at 2^62).
+_INF = (1 << 63) - 1
 
 #: ``compiled.scratch`` key of the algebra-independent CSR int arrays.
 _CSR_KEY = "batch-csr"
@@ -108,23 +116,25 @@ class BatchPlan:
 
     ``indptr``/``indices`` are the CSR arrays as ``int64`` numpy arrays
     (shared across algebras via ``compiled.scratch``), ``edge_keys`` the
-    per-arc integer keys for this algebra, ``decode`` the key -> weight
-    reconstruction, and ``length`` the bucket-range bound inherited from
-    the kernel's :class:`~repro.paths.kernel._BucketPlan` (stats only —
-    the integer matrices need no bucket arrays).
+    per-arc integer keys for this algebra, ``bound`` the exclusive key
+    bound for paths of ``max_hops`` edges, ``combine`` the key combine,
+    ``step`` the smallest raise any arc gives a key (the window width),
+    ``max_lanes`` the widest chunk whose packed ``(key, event rank)``
+    pairs fit int64, and ``decode`` the key -> weight reconstruction.
     """
 
-    length: int
+    bound: int
+    step: int
+    max_lanes: int
     max_hops: int
     indptr: "object"
     indices: "object"
     edge_keys: "object"
+    combine: KeyCombine
     decode: Callable[[int], object]
     #: True when every weight IS its own integer key (plain-int
-    #: additive algebras like shortest-path / min-hop): emission can
-    #: then skip the per-node decode call entirely.  Exact additivity
-    #: makes path keys plain int sums, so edge-level identity extends
-    #: to every reachable label.
+    #: algebras like shortest-path / min-hop): emission can then skip
+    #: the per-node decode call entirely.
     identity_decode: bool = False
 
 
@@ -137,8 +147,8 @@ class BatchStats:
     ``improvements`` counts label updates that survived the per-target
     reduction (the kernel additionally counts improvements later
     overwritten within one bucket, so its ``frontier_pushes`` is an
-    upper bound of this), ``levels`` counts distinct settled key values
-    summed over chunks.
+    upper bound of this), ``levels`` counts settled key windows summed
+    over chunks (one per distinct key when the step is 0 or 1).
     """
 
     sources: int
@@ -152,15 +162,15 @@ def batch_plan(compiled: CompiledGraph, algebra: RoutingAlgebra
                ) -> Optional[BatchPlan]:
     """The vectorized-sweep plan for *algebra*, or None when ineligible.
 
-    Eligibility: numpy importable, the algebra is left-associative, the
-    kernel's :meth:`~repro.paths.kernel.CompiledGraph.bucket_plan`
-    accepts it (monotone, integer key bound, every edge key in range),
-    the embedding declares exact additivity
-    (:meth:`~repro.algebra.base.RoutingAlgebra.integer_key_additive`),
-    and the declared decode reproduces every compiled edge weight.
-    Decisions are memoized per algebra object in ``compiled.scratch``,
-    which :meth:`~repro.paths.kernel.CompiledGraph.patch_weight`
-    invalidates together with the kernel's own bucket plans.
+    Eligibility: numpy importable, the algebra is left-associative and
+    declares monotonicity (keys never fall along a path, so windows
+    settle in order), :func:`~repro.algebra.base.key_codec` accepts it
+    (key bound, key combine and decode, keys within int64), every
+    compiled edge weight round-trips through its key, and one lane's
+    packed ``(key, event rank)`` pairs fit int64.  Decisions are
+    memoized per algebra object in ``compiled.scratch``, which
+    :meth:`~repro.paths.kernel.CompiledGraph.patch_weight` invalidates
+    together with the kernel's own bucket plans.
     """
     if _np is None:
         return None
@@ -173,37 +183,45 @@ def batch_plan(compiled: CompiledGraph, algebra: RoutingAlgebra
 
 
 def _make_batch_plan(compiled, algebra):
-    if getattr(algebra, "is_right_associative", False):
-        return None
-    bucket = compiled.bucket_plan(algebra)
-    if bucket is None:
+    if (algebra.is_right_associative
+            or algebra.declared_properties().monotone is not True):
         return None
     max_hops = max(1, len(compiled.nodes) - 1)
-    if not algebra.integer_key_additive(max_hops):
+    codec = key_codec(algebra, max_hops)
+    if codec is None:
         return None
-    try:
-        decode = algebra.integer_key_weight_fn(max_hops)
-    except Exception:
+    keys = codec.encode(compiled.weights)
+    if keys is None:
         return None
-    # Validate the decode promise on every compiled arc: a capability
-    # bug must demote the algebra to the (bit-identical) kernel, never
-    # corrupt a sweep.  Spot weight-is-key algebras along the way
-    # (``bool`` is excluded: it needs a real decode back from int).
-    identity = True
-    for key, weight in zip(bucket.edge_keys, compiled.weights):
-        if decode(key) != weight:
-            return None
-        if identity and not (type(weight) is int and weight == key):
-            identity = False
+    # ``bool`` is excluded: it needs a real decode back from int.
+    identity = all(type(weight) is int and weight == key
+                   for weight, key in zip(compiled.weights, keys))
     csr = compiled.scratch.get(_CSR_KEY)
     if csr is None:
         csr = (_np.asarray(compiled.indptr, dtype=_np.int64),
                _np.asarray(compiled.indices, dtype=_np.int64))
         compiled.scratch[_CSR_KEY] = csr
-    edge_keys = _np.asarray(bucket.edge_keys, dtype=_np.int64)
-    return BatchPlan(length=bucket.length, max_hops=max_hops,
-                     indptr=csr[0], indices=csr[1], edge_keys=edge_keys,
-                     decode=decode, identity_decode=identity)
+    return _plan(codec, max_hops, csr[0], csr[1],
+                 _np.asarray(keys, dtype=_np.int64), identity)
+
+
+def _plan(codec: KeyCodec, max_hops: int, indptr, indices, edge_keys,
+          identity: bool) -> Optional[BatchPlan]:
+    """The plan over int64 CSR arrays, or None when its keys could overflow.
+
+    A chunk's event ranks stay below ``lanes * (arcs + 1)`` and its keys
+    below the bound, so packing a (key, rank) pair into one int64 is
+    exact for up to ``max_lanes`` lanes; a plan that cannot run even one
+    lane is refused (the kernel computes on Python ints instead).
+    """
+    max_lanes = ((1 << 63) - 1) // (codec.bound * (int(edge_keys.size) + 1))
+    if max_lanes < 1:
+        return None
+    step = int(codec.combine.step(edge_keys).min()) if edge_keys.size else 0
+    return BatchPlan(bound=codec.bound, step=step, max_lanes=max_lanes,
+                     max_hops=max_hops, indptr=indptr, indices=indices,
+                     edge_keys=edge_keys, combine=codec.combine,
+                     decode=codec.decode, identity_decode=identity)
 
 
 def count_fallback() -> None:
@@ -224,8 +242,9 @@ def batch_trees(compiled: CompiledGraph, algebra: RoutingAlgebra,
     """Vectorized sweeps from every root; kernel-identical per-root results.
 
     Roots are processed in chunks of *batch_size* lanes (the tail chunk
-    ragged); each chunk shares one level/wave loop, so the per-level
-    numpy work amortizes across its lanes.  Returns one
+    ragged; no wider than the plan's ``max_lanes``); each chunk shares
+    one window/wave loop, so the per-window numpy work amortizes across
+    its lanes.  Returns one
     :class:`~repro.paths.kernel.KernelRun` per root, in *roots* order —
     ``weight``/``parent`` maps equal to :func:`~repro.paths.kernel.kernel_tree`'s
     for the same root, including dict insertion order.
@@ -243,13 +262,14 @@ def batch_trees(compiled: CompiledGraph, algebra: RoutingAlgebra,
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     root_indices = [compiled.node_index[root] for root in roots]
+    width = min(batch_size, plan.max_lanes)
     runs: List[KernelRun] = []
     chunks = 0
     levels = 0
     relaxations = 0
     improvements = 0
-    for start in range(0, len(root_indices), batch_size):
-        chunk = root_indices[start:start + batch_size]
+    for start in range(0, len(root_indices), width):
+        chunk = root_indices[start:start + width]
         dist, parent, touch, touch_inf, chunk_stats = _sweep_chunk(
             compiled, plan, chunk)
         chunks += 1
@@ -258,7 +278,7 @@ def batch_trees(compiled: CompiledGraph, algebra: RoutingAlgebra,
         improvements += chunk_stats[2]
         stats = KernelStats(engine="batch", relaxations=chunk_stats[1],
                             frontier_pushes=chunk_stats[2], stale_pops=0,
-                            bucket_engaged=False, buckets=plan.length)
+                            bucket_engaged=False)
         runs.extend(_emit_chunk(compiled, plan, dist, parent, touch,
                                 touch_inf, len(chunk), stats))
     _emit_batch_stats(BatchStats(sources=len(root_indices), chunks=chunks,
@@ -268,22 +288,23 @@ def batch_trees(compiled: CompiledGraph, algebra: RoutingAlgebra,
 
 
 def _sweep_chunk(compiled, plan, roots) -> Tuple:
-    """One dense multi-lane Dial sweep; returns (dist, parent, touch, stats).
+    """One dense multi-lane window sweep; returns (dist, parent, touch, stats).
 
     ``dist[lane, v]`` is the integer key of lane ``lane``'s current label
-    at node ``v`` (``_INF`` = unreached), ``parent`` the predecessor
+    at node ``v`` (``key_inf`` = unreached), ``parent`` the predecessor
     index (-1 = none), ``touch[lane, v]`` the global rank of the first
     relaxation that reached ``v`` (the map-insertion order), and stats a
-    ``(levels, relaxations, improvements)`` triple.
+    ``(windows, relaxations, improvements)`` triple.
 
     All label state lives in flat ``lanes * n`` arrays indexed by
     ``lane * n + v`` so every gather/scatter is a 1-D ``take``/fancy
     assignment; ``frontier`` mirrors ``dist`` on unsettled nodes and
-    ``_INF`` on settled ones, maintained incrementally so level and wave
-    selection never rebuild a masked copy of the distance matrix.
+    ``key_inf`` on settled ones, maintained incrementally so window and
+    wave selection never rebuild a masked copy of the distance matrix.
     """
     np = _np
     indptr, indices, edge_keys = plan.indptr, plan.indices, plan.edge_keys
+    combine = plan.combine.combine
     n = len(compiled.nodes)
     lanes_count = len(roots)
     size = lanes_count * n
@@ -296,10 +317,11 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
     rank_dtype = np.int32 if rank_bound < (1 << 31) - 1 else np.int64
     touch_inf = (1 << 31) - 1 if rank_dtype is np.int32 else _INF
     group_dtype = np.int32 if size < (1 << 31) else np.int64
-    # Label keys are bounded by twice the bucket range (far below
-    # 2^31), so the distance state narrows to int32 as well — with its
-    # own unreached sentinel above every reachable key.
-    key_inf = (1 << 31) - 1 if plan.length < (1 << 30) else _INF
+    # Label keys stay below the plan's bound; when that is far below
+    # 2^31 the distance state narrows to int32 as well — with its own
+    # unreached sentinel above every reachable key.  Candidates are
+    # formed in int64 (the edge keys' width) before they are stored.
+    key_inf = (1 << 31) - 1 if plan.bound < (1 << 30) else _INF
     key_dtype = np.int32 if key_inf < _INF else np.int64
     if edge_keys.size >= (1 << 31):  # pragma: no cover - 2^31+ arcs
         group_dtype = np.int64
@@ -318,21 +340,25 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
     # Maps each CSR arc position back to its source node, so winner
     # parents are two tiny gathers instead of a per-event search.
     edge_src = np.repeat(np.arange(n, dtype=group_dtype), np.diff(indptr))
-    # The root's "distance" seeds candidate keys at 0 (exact additivity:
-    # a one-edge path's key is the edge key).  The root stays settled and
-    # untouched, so it never reaches the output maps — kernel semantics.
+    # The root's "key" seeds candidates at 0, the identity of every key
+    # combine: a one-edge path's key is the edge key.  The root stays
+    # settled and untouched, so it never reaches the output maps —
+    # kernel semantics.
     root_flat = lane_base0 + root_arr
     dist[root_flat] = 0
     settled[root_flat] = True
-    # With strictly positive edge keys a level settles in a single wave:
-    # no relaxation at level k can produce another level-k label.
-    zero_keys = edge_keys.size > 0 and int(edge_keys.min()) == 0
+    # Every arc raises a key by at least ``step``, so no relaxation from
+    # a window [low, low + step) lands inside it: the whole window
+    # settles in one wave.  A step of 0 (an edge may leave a key as it
+    # is) settles one key per window, in waves.
+    width = max(plan.step, 1)
+    cascade = plan.step == 0
     counters = {"time": 0, "relaxations": 0, "improvements": 0}
 
-    def relax(us, lane_base, base_key):
-        """Scan the CSR rows of the wave's nodes — in settle order, all
-        carrying label key *base_key* — and fold the generated events
-        into dist/parent/push_rank/touch."""
+    def relax(us, lane_base, base_keys):
+        """Scan the CSR rows of the wave's nodes — in settle order, with
+        label keys *base_keys* (one int when they all share it) — and
+        fold the generated events into dist/parent/push_rank/touch."""
         starts = indptr[us]
         degs = indptr[us + 1] - starts
         ends = np.cumsum(degs)
@@ -347,7 +373,9 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
         # The kernel counts every edge scanned toward an unsettled node.
         counters["relaxations"] += total - int(
             np.count_nonzero(settled.take(targets)))
-        cand = edge_keys.take(pos) + base_key
+        if not isinstance(base_keys, int):
+            base_keys = np.repeat(base_keys, degs)
+        cand = combine(base_keys, edge_keys.take(pos), np.minimum)
         # Keep only candidates that beat the target's current label.
         # This is winner- and touch-preserving: the per-target winner
         # minimizes (candidate key, rank), so whenever any event
@@ -355,7 +383,7 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
         # no improving event need neither a label nor a touch (unreached
         # targets hold the unreached sentinel, so every live candidate
         # beats them).  Settled targets drop out for free: their final
-        # key is <= the level, hence <= every candidate.
+        # key is <= the window, hence <= every candidate.
         rank = np.flatnonzero(cand < dist.take(targets))
         if rank.size == 0:
             counters["time"] += total
@@ -373,8 +401,9 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
         # The label the kernel's sequential scan leaves on each target
         # is the event minimizing (candidate key, rank): later equal-key
         # candidates are not strict improvements, and intermediate worse
-        # labels are overwritten.  Packing the pair into one int64 turns
-        # that into a single segmented min over the sorted groups.
+        # labels are overwritten.  Packing the pair into one int64 (the
+        # plan's ``max_lanes`` keeps it exact) turns that into a single
+        # segmented min over the sorted groups.
         packed = (cand * total + rank).take(order)
         group_min = np.minimum.reduceat(packed, bounds)
         # Every group holds at least one improving event, so its winner
@@ -397,32 +426,41 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
         counters["time"] += total
 
     relax(root_arr, lane_base0, 0)
-    level_count = 0
+    window_count = 0
     while True:
-        level = int(frontier.min())
-        if level >= key_inf:
+        low = int(frontier.min())
+        if low >= key_inf:
             break
-        level_count += 1
+        window_count += 1
         while True:
-            wave = np.flatnonzero(frontier == level)
+            wave = np.flatnonzero(frontier < low + width)
             if wave.size == 0:
                 break
-            # Settle this wave FIFO: stable sort by the (globally
-            # monotone) push rank keeps each lane's nodes in push order;
-            # the cross-lane interleave is irrelevant to any per-lane
-            # result because lanes never share events.
-            wave = wave.take(np.argsort(push_rank.take(wave),
-                                        kind="stable")).astype(group_dtype)
+            # Settle the window in the kernel's pop order, (key, push
+            # rank): push ranks are globally monotone, so within one key
+            # they are FIFO order.  The cross-lane interleave is
+            # irrelevant to any per-lane result because lanes never
+            # share events.
+            if width == 1:
+                # One key per window: push rank alone orders it.
+                order = np.argsort(push_rank.take(wave), kind="stable")
+                base_keys = low
+            else:
+                keys = frontier.take(wave)
+                order = np.argsort((keys - low).astype(np.int64) * rank_bound
+                                   + push_rank.take(wave), kind="stable")
+                base_keys = keys.take(order)
+            wave = wave.take(order).astype(group_dtype)
             settled[wave] = True
             frontier[wave] = key_inf
             lane_base = wave // n * n
-            relax(wave - lane_base, lane_base, level)
-            if not zero_keys:
+            relax(wave - lane_base, lane_base, base_keys)
+            if not cascade:
                 break
-            # Zero-key edges may have labeled new nodes at this same
-            # level: they form the next wave, exactly like entries
-            # appended to the kernel's in-scan bucket.
-    return dist, parent, touch, touch_inf, (level_count,
+            # A zero raise may have labeled new nodes at this same key:
+            # they form the next wave, exactly like entries appended to
+            # the kernel's in-scan bucket.
+    return dist, parent, touch, touch_inf, (window_count,
                                             counters["relaxations"],
                                             counters["improvements"])
 
@@ -435,7 +473,9 @@ def _emit_chunk(compiled, plan, dist, parent, touch, touch_inf, lanes_count,
     all lanes' map-insertion orders at once, and ``tolist()``
     bulk-converts the label arrays to native Python ints, so the
     per-node cost is a few C-level dict inserts rather than per-lane
-    numpy calls and scalar boxing.
+    numpy calls and scalar boxing.  Each distinct key decodes once:
+    labels with equal keys share one (immutable) weight object, which
+    saves decode calls and the memory of the chunk's trees.
     """
     np = _np
     nodes = compiled.nodes
@@ -451,15 +491,18 @@ def _emit_chunk(compiled, plan, dist, parent, touch, touch_inf, lanes_count,
     reached = reached.take(np.lexsort((touch.take(reached), lane_of)))
     touched_nodes = node_objs.take(reached % n).tolist()
     keys = dist.take(reached).tolist()
+    if not plan.identity_decode:
+        decoded = dict.fromkeys(keys)
+        for key in decoded:
+            decoded[key] = decode(key)
+        keys = list(map(decoded.__getitem__, keys))
     parent_nodes = node_objs.take(parent.take(reached)).tolist()
     splits = np.cumsum(np.bincount(lane_of, minlength=lanes_count)).tolist()
     runs: List[KernelRun] = []
     start = 0
     for stop in splits:
         node_list = touched_nodes[start:stop]
-        weight_map: Dict = dict(zip(node_list, keys[start:stop])
-                                if plan.identity_decode else
-                                zip(node_list, map(decode, keys[start:stop])))
+        weight_map: Dict = dict(zip(node_list, keys[start:stop]))
         parent_map: Dict = dict(zip(node_list, parent_nodes[start:stop]))
         runs.append(KernelRun(weight=weight_map, parent=parent_map,
                               stats=stats))
@@ -510,7 +553,7 @@ def export_shared(compiled: CompiledGraph, algebra: RoutingAlgebra) -> Tuple:
     except Exception:  # pragma: no cover - platform without shm
         return None, None
     handles = []
-    descriptor = {"length": plan.length, "arrays": {}}
+    descriptor = {"identity": plan.identity_decode, "arrays": {}}
     try:
         for name, array in (("indptr", plan.indptr),
                             ("indices", plan.indices),
@@ -535,12 +578,14 @@ def attach_shared(compiled: CompiledGraph, algebra: RoutingAlgebra,
 
     Maps each segment, wraps it in a numpy view, and seeds the batch
     plan cache of *compiled* for *algebra* — the worker's sweeps then
-    read the parent's arrays instead of re-materializing them.  The
-    handles are pinned in ``compiled.scratch`` so the buffers outlive
-    every view; the *parent* owns the segments' lifetime and unlinks
-    them after the pool's final round.  Returns False (and attaches
-    nothing) on any failure — the worker then builds its own arrays,
-    which is merely slower.
+    read the parent's arrays instead of re-materializing them.  The key
+    codec (combine, decode) and the window step are rebuilt from the
+    worker's own unpickled *algebra*: closures do not cross processes.
+    The handles are pinned in ``compiled.scratch`` so the buffers
+    outlive every view; the *parent* owns the segments' lifetime and
+    unlinks them after the pool's final round.  Returns False (and
+    attaches nothing) on any failure — the worker then builds its own
+    arrays, which is merely slower.
     """
     if _np is None or not descriptor:
         return False
@@ -549,9 +594,8 @@ def attach_shared(compiled: CompiledGraph, algebra: RoutingAlgebra,
     except Exception:  # pragma: no cover - platform without shm
         return False
     max_hops = max(1, len(compiled.nodes) - 1)
-    try:
-        decode = algebra.integer_key_weight_fn(max_hops)
-    except Exception:
+    codec = key_codec(algebra, max_hops)
+    if codec is None:
         return False
     handles = []
     arrays = {}
@@ -566,12 +610,14 @@ def attach_shared(compiled: CompiledGraph, algebra: RoutingAlgebra,
             handles.append(segment)
             arrays[name] = _np.ndarray(tuple(shape), dtype=_np.dtype(dtype),
                                        buffer=segment.buf)
+        plan = _plan(codec, max_hops, arrays["indptr"], arrays["indices"],
+                     arrays["edge_keys"], bool(descriptor.get("identity")))
     except Exception:
         close_shared(handles, unlink=False)
         return False
-    plan = BatchPlan(length=descriptor["length"], max_hops=max_hops,
-                     indptr=arrays["indptr"], indices=arrays["indices"],
-                     edge_keys=arrays["edge_keys"], decode=decode)
+    if plan is None:
+        close_shared(handles, unlink=False)
+        return False
     compiled.scratch[_SHARED_KEY] = handles
     compiled.scratch[(_PLAN_KEY, algebra)] = plan
     compiled.scratch[_CSR_KEY] = (plan.indptr, plan.indices)

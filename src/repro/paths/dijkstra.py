@@ -16,8 +16,9 @@ Three engines produce the (bit-identical) result:
 
 * the **batch** engine (:mod:`repro.paths.batch`, the default for
   multi-source builds) runs vectorized numpy sweeps over CSR-flattened
-  arrays for algebras whose integer key embedding is exactly additive,
-  and hands every other algebra (or an install without numpy) to the
+  arrays for monotone algebras with an integer key combine (shortest,
+  widest, widest-shortest and shortest-widest path among them), and
+  hands every other algebra (or an install without numpy) to the
   kernel;
 * the **compiled kernel** (:mod:`repro.paths.kernel`, the default for a
   single root) runs one Python sweep per source over the same arrays and

@@ -33,7 +33,8 @@ golden-trace harness enforces this under ``REPRO_PATH_ENGINE`` in CI.
 Engine selection is overridable with the ``REPRO_PATH_ENGINE``
 environment variable (mirroring ``REPRO_START_METHOD``): ``batch``
 (default; the vectorized multi-source engine of :mod:`repro.paths.batch`
-where the algebra admits a plan, this module's kernel otherwise — and
+where the algebra admits a plan — monotone, with an integer key combine
+— this module's kernel otherwise — and
 this module's kernel for a single root, which has no sweep to share),
 ``kernel`` (compiled arrays, buckets where eligible), ``kernel-heap``
 (compiled arrays, no buckets), ``reference`` (the seed engine).  All of

@@ -17,6 +17,7 @@ case                         scheme / header shape
 ``bgp-b2-coned``             Thm 7 cone scheme; ``(root, tree label)``
 ``cowen-er-shortest-path``   Thm 3 Cowen; ``(target, landmark, label)``
 ``tree-er-widest-path``      Lemma 1 tree routing; ``(dfs, light-ports)``
+``cowen-er-widest-shortest`` Thm 3 Cowen over ``S x W``; tuple weights
 ===========================  ==========================================
 
 Instances are intentionally small (n <= 16): the point is decision
@@ -36,6 +37,7 @@ from repro.algebra import (
     provider_customer_algebra,
     shortest_widest_path,
     valley_free_algebra,
+    widest_shortest_path,
 )
 from repro.graphs import (
     assign_random_weights,
@@ -109,6 +111,12 @@ def _tree_er(rng: random.Random):
     return graph, WidestPath()
 
 
+def _cowen_ws(rng: random.Random):
+    graph = erdos_renyi(16, rng=rng)
+    assign_random_weights(graph, widest_shortest_path(), rng=rng)
+    return graph, widest_shortest_path()
+
+
 GOLDEN_CASES: Tuple[GoldenCase, ...] = (
     GoldenCase(
         name="fig1c-shortest-path",
@@ -142,6 +150,12 @@ GOLDEN_CASES: Tuple[GoldenCase, ...] = (
         description="Seeded ER (n=14), widest path (selective), Lemma 1 "
                     "tree routing",
         seed=1106, mode="auto", build=_tree_er,
+    ),
+    GoldenCase(
+        name="cowen-er-widest-shortest",
+        description="Seeded ER (n=16), widest-shortest path (S x W), "
+                    "Theorem 3 Cowen stretch-3 landmarks",
+        seed=1107, mode="compact", build=_cowen_ws,
     ),
 )
 

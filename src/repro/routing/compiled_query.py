@@ -26,13 +26,20 @@ Compilation (:func:`compile_query`) produces, per scheme family:
   realized walk is a tree branch (resp. the installed path), so its hop
   count and weight key are known at compile time.
 
-Realized weights ride the PR 9 integer-key capability: for algebras whose
-keys are *exactly additive* (``integer_key_additive``) the key of a walk
-is the sum of its edge keys, so the walk accumulates one int64 per pair
-and decodes to a weight object only at emit.  Keys use the route loop's
-hop budget (``4n + 8``), not the tree builders' ``n - 1``, because a
-misrouted walk may take up to that many edges and the order-embedding
-contract must hold for every realized weight.
+Realized weights ride the integer-key capability
+(:func:`repro.algebra.base.key_codec`): the key of a walk is its edge
+keys folded with the algebra's key combine (a sum for shortest path, a
+maximum for widest path, one component at a time for a lexicographic
+product), so the walk accumulates one int64 per pair and decodes to a
+weight object only at emit.  Keys use the route loop's hop budget
+(``4n + 8``), not the tree builders' ``n - 1``, because a misrouted walk
+may take up to that many edges and the order-embedding contract must
+hold for every realized weight; an algebra whose keys at that budget
+could overflow int64 is not compiled.
+
+A shard is evaluated in blocks of :data:`BLOCK_PAIRS` pairs, so the
+walk's pair-sized temporaries live for one block, not for the whole
+shard.
 
 Bit-identity contract
 ---------------------
@@ -71,6 +78,7 @@ try:  # numpy is the repro[fast] optional extra
 except ImportError:  # pragma: no cover - exercised on minimal installs
     _np = None
 
+from repro.algebra.base import KeyCodec, is_phi, key_codec
 from repro.exceptions import ReproError
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
@@ -101,6 +109,10 @@ _HOP_LIMIT = 2
 _ANOMALY = 3     # replay through scheme.route for exact reference behavior
 _NO_ROUTE = 4    # table miss with a natively reproducible failure string
 
+#: Pairs evaluated per block of a shard: bounds the walk's ~30 pair-sized
+#: temporaries and the per-pair lists, whatever the shard size.
+BLOCK_PAIRS = 16384
+
 #: "No heavy child" sentinel: larger than any DFS number, so the heavy
 #: interval test ``hdfs <= target_dfs <= hend`` can never pass.
 _NO_DFS = 1 << 40
@@ -112,21 +124,20 @@ _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class CompiledQuery:
-    """Flat int arrays plus key codecs for one built scheme."""
+    """Flat int arrays plus the key codec for one built scheme."""
 
     __slots__ = ("kind", "n", "nodes", "node_index", "identity_decode",
-                 "key_fn", "decode", "arrays", "fingerprint", "shm_handles")
+                 "codec", "arrays", "fingerprint", "shm_handles")
 
     def __init__(self, kind: str, nodes: List, node_index: Dict,
-                 identity_decode: bool, key_fn, decode, arrays: Dict,
+                 identity_decode: bool, codec: KeyCodec, arrays: Dict,
                  fingerprint: int = 0, shm_handles=None):
         self.kind = kind
         self.n = len(nodes)
         self.nodes = nodes
         self.node_index = node_index
         self.identity_decode = identity_decode
-        self.key_fn = key_fn
-        self.decode = decode
+        self.codec = codec
         self.arrays = arrays
         #: Table-size fingerprint at compile time; a mismatch on a later
         #: shard means the scheme was mutated and the cache is stale.
@@ -144,9 +155,11 @@ class CompiledQuery:
 def compile_query(scheme) -> Optional["CompiledQuery"]:
     """Compile *scheme* for vectorized evaluation; ``None`` if ineligible.
 
-    Eligibility: numpy present, an undirected graph, an algebra with
-    exactly-additive integer keys at the route loop's hop budget whose
-    decode round-trips every edge weight, and one of the four supported
+    Eligibility: numpy present, an undirected graph, an algebra whose
+    key codec (:func:`~repro.algebra.base.key_codec`) exists at the route
+    loop's hop budget — a key bound, a key combine and a decode, with
+    keys inside int64 — and round-trips every edge weight, and one of
+    the four supported
     scheme families (exact type match — a subclass may override the
     routing function, and bit-identity trumps coverage).  Results are
     memoized per scheme instance.
@@ -200,14 +213,8 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     n = graph.number_of_nodes()
     if n == 0:
         return None
-    algebra = scheme.algebra
-    walk_hops = 4 * n + 8
-    bound = algebra.integer_key_bound(walk_hops)
-    if bound is None or not algebra.integer_key_additive(walk_hops):
-        return None
-    key_fn = algebra.integer_key_fn(walk_hops)
-    decode = algebra.integer_key_weight_fn(walk_hops)
-    if key_fn is None or decode is None:
+    codec = key_codec(scheme.algebra, 4 * n + 8)
+    if codec is None:
         return None
 
     nodes = list(graph.nodes())
@@ -217,25 +224,22 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     # ``adj_indptr[u] + port - 1`` is the neighbor behind ``port`` at u.
     adj_indptr = [0]
     adj_next: List[int] = []
-    adj_keys: List[int] = []
-    edge_key: Dict[Tuple[int, int], int] = {}
-    identity = True
+    arcs: List[Tuple[int, int]] = []
+    weights = []
     attr = scheme.attr
-    for u in nodes:
-        ui = node_index[u]
+    for ui, u in enumerate(nodes):
         for v in sorted(graph.neighbors(u)):
-            weight = graph[u][v][attr]
-            key = key_fn(weight)
-            if not isinstance(key, int) or isinstance(key, bool) or key < 0:
-                return None
-            if decode(key) != weight:
-                return None
-            identity = identity and key == weight
             vi = node_index[v]
-            edge_key[(ui, vi)] = key
+            arcs.append((ui, vi))
             adj_next.append(vi)
-            adj_keys.append(key)
+            weights.append(graph[u][v][attr])
         adj_indptr.append(len(adj_next))
+    adj_keys = codec.encode(weights)
+    if adj_keys is None:
+        return None
+    identity = all(type(weight) is int and weight == key
+                   for weight, key in zip(weights, adj_keys))
+    edge_key: Dict[Tuple[int, int], int] = dict(zip(arcs, adj_keys))
 
     arrays = {
         "adj_indptr": _np.asarray(adj_indptr, dtype=_np.int64),
@@ -248,9 +252,11 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     elif type(scheme) is TreeRoutingScheme:
         extra = _compile_tree(scheme, nodes, node_index, edge_key)
     elif type(scheme) is DestinationTableScheme:
-        extra = _compile_destination(scheme, nodes, node_index, edge_key)
+        extra = _compile_destination(scheme, nodes, node_index, edge_key,
+                                     codec.combine.combine)
     elif type(scheme) is PairTableScheme:
-        extra = _compile_pair(scheme, nodes, node_index, edge_key)
+        extra = _compile_pair(scheme, nodes, node_index, edge_key,
+                              codec.combine.combine)
     else:
         return None
     if extra is None:
@@ -258,8 +264,8 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     kind, kind_arrays = extra
     arrays.update(kind_arrays)
     return CompiledQuery(kind=kind, nodes=nodes, node_index=node_index,
-                         identity_decode=identity, key_fn=key_fn,
-                         decode=decode, arrays=arrays,
+                         identity_decode=identity, codec=codec,
+                         arrays=arrays,
                          fingerprint=_table_fingerprint(scheme))
 
 
@@ -419,14 +425,15 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key):
 
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
-                         edge_key):
+                         edge_key, combine):
     """Chain-walk ``_next_hop`` into per-(target, source) outcome tables.
 
     The *live* forwarding dicts are the source of truth (tests sabotage
     them post-build to exercise failure paths), so every walk outcome —
-    delivery with its summed edge key, the exact node a missing entry
-    strands the packet at, hop-limit loops — is resolved here with
-    per-target memoized chain walks, O(n) per destination tree.
+    delivery with its edge keys folded by *combine*, the exact node a
+    missing entry strands the packet at, hop-limit loops — is resolved
+    here with per-target memoized chain walks, O(n) per destination
+    tree.
     """
     n = len(nodes)
     status = _np.zeros(n * n, dtype=_np.int64)
@@ -483,7 +490,7 @@ def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
                 downstream = st[hop]
                 if downstream == _DELIVERED:
                     st[node] = _DELIVERED
-                    ky[node] = ekey[node] + ky[hop]
+                    ky[node] = combine(ekey[node], ky[hop])
                 elif downstream == _NO_ROUTE:
                     st[node] = _NO_ROUTE
                     fl[node] = fl[hop]
@@ -498,7 +505,8 @@ def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
                            "dt_fail": fail}
 
 
-def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key):
+def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key,
+                  combine):
     """Replay each installable pair through the *live* ``_entries`` dicts.
 
     Initiation only consults ``_entries[source]``, so the compiled
@@ -545,7 +553,7 @@ def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key):
                 if step is None:
                     state = _ANOMALY
                     break
-                key += step
+                key = combine(key, step)
                 cur = hop
             entries.append((si * n + ti, state, key, fail_at))
     entries.sort(key=lambda item: item[0])
@@ -570,7 +578,8 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
     loop in :func:`repro.core.simulate.route_shard` would produce them.
     The oracle is consulted once per pair in pair order (so lazy-oracle
     accounting matches the reference); pairs the vectorized walk cannot
-    replicate bit-for-bit are replayed through ``scheme.route``.
+    replicate bit-for-bit are replayed through ``scheme.route``.  The
+    pairs are walked in blocks of :data:`BLOCK_PAIRS`.
     """
     if _np is None:
         count_query_fallback("numpy-missing", pairs=len(pairs))
@@ -583,13 +592,28 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
         count_query_fallback("uncompilable", pairs=len(pairs))
         return None
 
-    node_index = tables.node_index
-    index_of = node_index.get
+    note_batch_shard(len(pairs))
+    routed = delivered = optimal = 0
+    failures: List[Tuple] = []
+    samples: List[Tuple] = []
+    for start in range(0, len(pairs), BLOCK_PAIRS):
+        block = _evaluate_block(algebra, scheme, tables, oracle,
+                                pairs[start:start + BLOCK_PAIRS])
+        routed += block[0]
+        delivered += block[1]
+        optimal += block[2]
+        failures.extend(block[3])
+        samples.extend(block[4])
+    return routed, delivered, optimal, failures, samples
+
+
+def _evaluate_block(algebra, scheme, tables, oracle, pairs):
+    """:func:`evaluate_shard` over one block of pairs."""
+    index_of = tables.node_index.get
     routed_pairs: List[Tuple] = []
     preferred: List = []
     src: List[int] = []
     dst: List[int] = []
-    from repro.algebra.base import is_phi
     for s, t in pairs:
         weight = oracle(s, t)
         if is_phi(weight):
@@ -600,7 +624,6 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
         dst.append(index_of(t, -1))
 
     routed = len(routed_pairs)
-    note_batch_shard(len(pairs))
     if routed == 0:
         return 0, 0, 0, [], []
 
@@ -688,6 +711,7 @@ def _walk(tables, s_arr, t_arr, status, rkey):
     direct_code = arrays["direct_code"]
     direct_next = arrays["direct_next"]
     direct_key = arrays["direct_key"]
+    combine = tables.codec.combine.combine
     hdr_base = arrays["hdr_base"]
     hdr_dfs_all = arrays["hdr_dfs"]
     lp_indptr = arrays["hdr_lp_indptr"]
@@ -781,22 +805,27 @@ def _walk(tables, s_arr, t_arr, status, rkey):
             if alive.size == 0:
                 return
         cur[alive] = nxt
-        rkey[alive] += key
+        rkey[alive] = combine(rkey[alive], key, _np.minimum)
     status[alive] = _HOP_LIMIT
 
 
 def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
               rkey, fail):
-    """Fold per-pair outcomes into reference-ordered counts and samples."""
+    """Fold per-pair outcomes into reference-ordered counts and samples.
+
+    Each distinct realized key decodes once per block; the samples share
+    the (immutable) weight objects.
+    """
     identity = tables.identity_decode
-    decode = tables.decode
-    key_fn = tables.key_fn
+    decode = tables.codec.decode
+    key_fn = tables.codec.key
     kind = tables.kind
     nodes = tables.nodes
     delivered = 0
     optimal = 0
     failures: List[Tuple] = []
     samples: List[Tuple] = []
+    decoded: Dict[int, object] = {}
     status_list = status.tolist()
     rkey_list = rkey.tolist()
     fail_list = fail.tolist()
@@ -811,7 +840,10 @@ def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
                 if pref == realized_key:
                     optimal += 1
             else:
-                samples.append((pref, decode(realized_key)))
+                realized = decoded.get(realized_key)
+                if realized is None:
+                    realized = decoded[realized_key] = decode(realized_key)
+                samples.append((pref, realized))
                 if key_fn(pref) == realized_key:
                     optimal += 1
         elif state == _HOP_LIMIT:
@@ -884,10 +916,10 @@ def export_shared_query(tables: "CompiledQuery"):
 def attach_shared_query(scheme, descriptor) -> bool:
     """Adopt exported query tables in a worker process, zero-copy.
 
-    Maps each segment, wraps it in a numpy view, rebuilds the key codecs
-    from the worker's own unpickled algebra, and seeds the compile cache
-    for *scheme* — this worker's shards then read the parent's arrays
-    instead of re-deriving them.  The handles are pinned on the
+    Maps each segment, wraps it in a numpy view, rebuilds the key codec
+    (key, decode, combine) from the worker's own unpickled algebra, and
+    seeds the compile cache for *scheme* — this worker's shards then
+    read the parent's arrays instead of re-deriving them.  The handles are pinned on the
     :class:`CompiledQuery` so the buffers outlive every view; the
     *parent* owns the segments' lifetime.  Returns False (attaching
     nothing) on any failure.
@@ -899,17 +931,8 @@ def attach_shared_query(scheme, descriptor) -> bool:
     except Exception:  # pragma: no cover - platform without shm
         return False
     graph = scheme.graph
-    algebra = scheme.algebra
-    walk_hops = 4 * graph.number_of_nodes() + 8
-    try:
-        bound = algebra.integer_key_bound(walk_hops)
-        if bound is None or not algebra.integer_key_additive(walk_hops):
-            return False
-        key_fn = algebra.integer_key_fn(walk_hops)
-        decode = algebra.integer_key_weight_fn(walk_hops)
-    except Exception:
-        return False
-    if key_fn is None or decode is None:
+    codec = key_codec(scheme.algebra, 4 * graph.number_of_nodes() + 8)
+    if codec is None:
         return False
     handles = []
     arrays = {}
@@ -932,8 +955,8 @@ def attach_shared_query(scheme, descriptor) -> bool:
     tables = CompiledQuery(
         kind=descriptor["kind"], nodes=nodes,
         node_index={node: i for i, node in enumerate(nodes)},
-        identity_decode=descriptor["identity"], key_fn=key_fn,
-        decode=decode, arrays=arrays, fingerprint=fingerprint,
+        identity_decode=descriptor["identity"], codec=codec,
+        arrays=arrays, fingerprint=fingerprint,
         shm_handles=handles,
     )
     try:

@@ -5,16 +5,18 @@ pairs.  Two engines produce bit-identical results:
 
 * ``"batch"`` (the default) — compile the built scheme's tables once into
   flat numpy int arrays (:mod:`repro.routing.compiled_query`) and walk an
-  entire shard of pairs per vectorized step, decoding realized weights
-  from additive integer keys only at emit time;
+  entire shard of pairs per vectorized step, folding each walk's integer
+  edge keys with the algebra's key combine and decoding realized weights
+  only at emit time;
 * ``"reference"`` — the seed per-pair loop: one
   :meth:`~repro.routing.model.RoutingScheme.route` call per pair, hop by
   hop through Python ``local_decision`` evaluations.
 
 The batch engine is a pure throughput play and silently steps aside
 whenever it cannot reproduce the reference bit-for-bit: no numpy (the
-``repro[fast]`` optional extra), an algebra without exactly-additive
-integer keys, an unsupported scheme family, or any run that needs
+``repro[fast]`` optional extra), an algebra without an integer key
+combine (or whose keys could overflow int64), an unsupported scheme
+family, or any run that needs
 hop-level fidelity — active packet-trace capture and telemetry-enabled
 runs always take the reference loop, so traces and per-pair histograms
 keep their exact per-hop semantics.  Every such step-down is counted on

@@ -4,10 +4,16 @@ import random
 
 import pytest
 
-from repro.algebra.base import PHI, is_phi
-from repro.algebra.catalog import ShortestPath, UsablePath, WidestPath
+from repro.algebra.base import PHI, is_phi, key_codec
+from repro.algebra.catalog import (
+    MostReliablePath,
+    ShortestPath,
+    UsablePath,
+    WidestPath,
+)
 from repro.algebra.lexicographic import (
     LexicographicProduct,
+    lexicographic_chain,
     proposition1_profile,
     shortest_widest_path,
     widest_shortest_path,
@@ -141,3 +147,63 @@ class TestProposition1:
             assert measured.isotone
         if derived.isotone is False:
             assert not measured.isotone
+
+
+class TestKeyCombine:
+    """The integer-key capability the vectorized engines run on.
+
+    Plain Python ints throughout: the capability must work (and be
+    checked) on installs without numpy.
+    """
+
+    ALGEBRAS = [
+        ShortestPath(9),
+        UsablePath(),
+        WidestPath(9),
+        widest_shortest_path(9, 9),
+        shortest_widest_path(9, 9),
+        LexicographicProduct(widest_shortest_path(9, 9), ShortestPath(3)),
+        lexicographic_chain(WidestPath(5), ShortestPath(4), WidestPath(3)),
+    ]
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.name)
+    def test_combine_is_a_homomorphism(self, algebra, rng):
+        codec = key_codec(algebra, 12)
+        assert codec is not None
+        combine = codec.combine
+        for _ in range(300):
+            weights = algebra.sample_weights(rng, rng.randint(1, 6))
+            weight, key = weights[0], codec.key(weights[0])
+            assert combine.combine(0, key) == key   # 0 is the identity
+            for edge in weights[1:]:
+                edge_key = codec.key(edge)
+                weight = algebra.combine(weight, edge)
+                raised = combine.combine(key, edge_key)
+                assert raised - key >= combine.step(edge_key) >= 0
+                key = raised
+                assert codec.key(weight) == key
+            assert codec.decode(key) == weight
+            assert codec.encode(weights) == [codec.key(w) for w in weights]
+
+    def test_parts_concatenate_in_flattening_order(self):
+        ws = widest_shortest_path(9, 9).integer_key_combine(12)
+        assert ws.parts == (("add", 12 * 9 + 1), ("max", 9))
+        # widest-shortest: the step is the shortest-path component times
+        # widest path's base; shortest-widest: the shortest-path component
+        assert ws.step(4 * 9 + 6) == 4 * 9
+        sw = shortest_widest_path(9, 9).integer_key_combine(12)
+        assert sw.step(4 * 109 + 6) == 6
+
+    def test_keyless_or_oversized_algebras_have_no_codec(self):
+        assert key_codec(MostReliablePath(), 12) is None
+        assert key_codec(LexicographicProduct(ShortestPath(9),
+                                              MostReliablePath()), 12) is None
+        # keys of a long chain outgrow int64 arithmetic
+        chain = lexicographic_chain(*[ShortestPath(100)] * 8)
+        assert chain.integer_key_bound(12) > (1 << 62)
+        assert key_codec(chain, 12) is None
+
+    def test_encode_rejects_keys_that_do_not_round_trip(self):
+        codec = key_codec(WidestPath(9), 12)
+        assert codec.encode([3, 9]) == [6, 0]
+        assert codec.encode([3, 12]) is None   # key -3 is out of range

@@ -5,8 +5,8 @@ same routed/delivered/optimal counts, the same failure tuples in the same
 order (message strings included), and the same stretch samples.  Hypothesis
 drives seeded graphs through every compiled scheme family under both
 engines; further tests pin the resolver semantics (env handling, warn-once,
-explicit errors), the fallback ladder (telemetry, non-additive algebras),
-and the spawn-path shared-memory attach.
+explicit errors), the fallback ladder (telemetry, algebras without an
+integer key, keys past int64), and the spawn-path shared-memory attach.
 """
 
 import gc
@@ -19,7 +19,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.algebra.catalog import MinHop, ShortestPath, UsablePath, WidestPath
+from repro.algebra.catalog import (
+    MinHop,
+    MostReliablePath,
+    ShortestPath,
+    UsablePath,
+    WidestPath,
+)
+from repro.algebra.lexicographic import (
+    lexicographic_chain,
+    shortest_widest_path,
+    widest_shortest_path,
+)
 from repro.core.parallel import START_METHOD_ENV
 from repro.core.simulate import (
     EvaluationOptions,
@@ -76,15 +87,25 @@ def _shard_key(result):
 
 FAMILIES = ("cowen", "destination", "tree", "pair")
 
+#: Per family, the algebras an instance draws from: additive keys, plus
+#: widest-shortest (add, then max), widest (max) and shortest-widest
+#: (max, then add) keys.
+ALGEBRAS = {
+    "cowen": (MinHop, lambda: ShortestPath(max_weight=9),
+              lambda: widest_shortest_path(max_weight=9, max_capacity=9)),
+    "destination": (MinHop, lambda: ShortestPath(max_weight=9),
+                    lambda: widest_shortest_path(max_weight=9,
+                                                 max_capacity=9)),
+    "tree": (UsablePath, lambda: WidestPath(max_capacity=9)),
+    "pair": (MinHop, lambda: ShortestPath(max_weight=9),
+             lambda: shortest_widest_path(max_weight=9, max_capacity=9)),
+}
+
 
 def _build_instance(family, seed, n):
     rng = random.Random(seed)
-    if family == "tree":
-        algebra = UsablePath()
-    elif seed % 2:
-        algebra = MinHop()
-    else:
-        algebra = ShortestPath(max_weight=9)
+    choices = ALGEBRAS[family]
+    algebra = choices[seed % len(choices)]()
     if family == "pair":
         n = min(n, 8)   # the enumeration oracle is exponential
     graph = erdos_renyi(n, rng=rng)
@@ -131,6 +152,29 @@ class TestBatchReferenceEquality:
         assert batch.failures == reference.failures
         assert batch.stretch == reference.stretch
         assert query_engine.query_stats()["batch_shards"] >= 1
+
+    @needs_numpy
+    def test_blocks_keep_pair_order(self, monkeypatch):
+        """A shard split into many blocks: failures and samples in order."""
+        monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", 7)
+        algebra = widest_shortest_path(max_weight=9, max_capacity=9)
+        graph = erdos_renyi(14, rng=random.Random(16))
+        assign_random_weights(graph, algebra, rng=random.Random(17))
+        scheme = DestinationTableScheme(graph, algebra)
+        scheme._next_hop[3] = {}
+        oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+        nodes = list(graph.nodes())
+        pairs = [(s, t) for s in nodes for t in nodes]
+        query_engine.reset_query_stats()
+        batch = _with_engine("batch", lambda: route_shard(
+            algebra, scheme, oracle, list(pairs)))
+        stats = query_engine.query_stats()
+        reference = _with_engine("reference", lambda: route_shard(
+            algebra, scheme, oracle, list(pairs)))
+        assert reference.failures
+        assert _shard_key(batch) == _shard_key(reference)
+        assert stats["batch_shards"] == 1
+        assert stats["batch_pairs"] == len(pairs)
 
     @needs_numpy
     def test_route_shard_failure_tuples_and_order(self):
@@ -208,9 +252,9 @@ class TestFallbackLadder:
             [p for p in pairs])  # the reference loop still evaluated
 
     @needs_numpy
-    def test_non_additive_algebra_falls_back_per_scheme(self):
-        """WidestPath keys are not additive: uncompilable, not wrong."""
-        algebra = WidestPath(max_capacity=9)
+    def test_keyless_algebra_falls_back_per_scheme(self):
+        """Fraction weights have no integer key: uncompilable, not wrong."""
+        algebra = MostReliablePath(denominator=9)
         graph = erdos_renyi(12, rng=random.Random(5))
         assign_random_weights(graph, algebra, rng=random.Random(6))
         scheme = DestinationTableScheme(graph, algebra)
@@ -222,6 +266,27 @@ class TestFallbackLadder:
             algebra, scheme, oracle, list(pairs)))
         reference = _with_engine("reference", lambda: route_shard(
             algebra, scheme, oracle, list(pairs)))
+        assert _shard_key(batch) == _shard_key(reference)
+        assert query_engine.query_stats()["fallbacks"].get("uncompilable") == 1
+
+    @needs_numpy
+    def test_keys_past_int64_fall_back_per_scheme(self):
+        """A long chain's keys at the 4n + 8 hop budget outgrow int64."""
+        algebra = lexicographic_chain(*[ShortestPath(100)] * 6)
+        graph = erdos_renyi(10, rng=random.Random(14))
+        assign_random_weights(graph, algebra, rng=random.Random(15))
+        scheme = DestinationTableScheme(graph, algebra)
+        assert compiled_query.compile_query(scheme) is None
+        oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+        nodes = list(graph.nodes())
+        pairs = [(s, t) for s in nodes[:4] for t in nodes]
+        query_engine.reset_query_stats()
+        batch = _with_engine("batch", lambda: route_shard(
+            algebra, scheme, oracle, list(pairs)))
+        reference = _with_engine("reference", lambda: route_shard(
+            algebra, scheme, oracle, list(pairs)))
+        # every pair but the 4 with s == t (no path weight) delivers
+        assert batch.delivered == len(pairs) - 4
         assert _shard_key(batch) == _shard_key(reference)
         assert query_engine.query_stats()["fallbacks"].get("uncompilable") == 1
 
@@ -250,9 +315,15 @@ class TestFallbackLadder:
 class TestSharedQueryTables:
     @needs_numpy
     def test_export_attach_roundtrip_is_zero_copy(self):
+        # Widest-shortest path has a max part: the worker must rebuild
+        # the key codec (combine included) from its own algebra.
+        for algebra in (ShortestPath(max_weight=9),
+                        widest_shortest_path(max_weight=9, max_capacity=9)):
+            self._round_trip(algebra)
+
+    def _round_trip(self, algebra):
         import numpy as np
 
-        algebra = ShortestPath(max_weight=9)
         graph = erdos_renyi(20, rng=random.Random(21))
         assign_random_weights(graph, algebra, rng=random.Random(22))
         scheme = CowenScheme(graph, algebra, rng=random.Random(23))
@@ -264,7 +335,7 @@ class TestSharedQueryTables:
         try:
             # A pickled clone stands in for the spawn worker's unpickled
             # payload (same node objects via pickle memoization).
-            _, _, worker_scheme = pickle.loads(
+            _, worker_algebra, worker_scheme = pickle.loads(
                 pickle.dumps((graph, algebra, scheme)))
             assert compiled_query.attach_shared_query(worker_scheme,
                                                       descriptor)
@@ -281,12 +352,16 @@ class TestSharedQueryTables:
                 assert np.shares_memory(attached.arrays[name], view)
             # and the attached tables evaluate identically
             oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+            worker_oracle = oracle_cache.get(graph, worker_algebra,
+                                             WEIGHT_ATTR)
             nodes = list(graph.nodes())
             pairs = [(s, t) for s in nodes[:5] for t in nodes]
             reference = _with_engine("reference", lambda: route_shard(
                 algebra, scheme, oracle, list(pairs)))
+            query_engine.reset_query_stats()
             batch = _with_engine("batch", lambda: route_shard(
-                algebra, worker_scheme, oracle, list(pairs)))
+                worker_algebra, worker_scheme, worker_oracle, list(pairs)))
+            assert query_engine.query_stats()["batch_shards"] == 1
             assert _shard_key(batch) == _shard_key(reference)
             compiled_query._CACHE.pop(worker_scheme, None)
             del attached, view

@@ -21,10 +21,19 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.base import PHI
-from repro.algebra.catalog import MinHop, ShortestPath, UsablePath, WidestPath
+from repro.algebra.base import PHI, key_codec
+from repro.algebra.catalog import (
+    MinHop,
+    MostReliablePath,
+    ShortestPath,
+    UsablePath,
+    WidestPath,
+)
 from repro.algebra.lexicographic import (
     LexicographicProduct,
+    flatten_weight,
+    lexicographic_chain,
+    shortest_widest_path,
     widest_shortest_path,
 )
 from repro.core.simulate import PreferredWeightOracle
@@ -48,12 +57,20 @@ needs_numpy = pytest.mark.skipif(
     reason="numpy not installed (the repro[fast] optional extra)",
 )
 
-# Exactly-additive algebras: eligible for the batch engine.
-ADDITIVE_ALGEBRAS = [
+# Algebras with a key combine: eligible for the batch engine.  Widest
+# and usable path have step 0 (one key per window, in waves); shortest
+# path and min-hop settle one key per window in one wave; the products
+# with a shortest-path head settle multi-key windows.
+KEYED_ALGEBRAS = [
     MinHop,
     lambda: ShortestPath(max_weight=9),
     UsablePath,
     lambda: LexicographicProduct(ShortestPath(max_weight=7), MinHop()),
+    lambda: WidestPath(max_capacity=9),
+    lambda: widest_shortest_path(max_weight=9, max_capacity=9),
+    lambda: shortest_widest_path(max_weight=9, max_capacity=9),
+    lambda: LexicographicProduct(
+        widest_shortest_path(max_weight=9, max_capacity=9), MinHop()),
 ]
 
 
@@ -80,14 +97,14 @@ def _assert_identical(run, reference):
     seed=st.integers(min_value=0, max_value=10**6),
     n=st.integers(min_value=2, max_value=16),
     p=st.floats(min_value=0.05, max_value=0.6),
-    algebra_index=st.integers(min_value=0, max_value=len(ADDITIVE_ALGEBRAS) - 1),
+    algebra_index=st.integers(min_value=0, max_value=len(KEYED_ALGEBRAS) - 1),
     batch_size=st.sampled_from([1, 3, 256]),
     phi_arcs=st.booleans(),
 )
 def test_batch_bit_identical_to_kernel_and_reference(
     seed, n, p, algebra_index, batch_size, phi_arcs
 ):
-    algebra = ADDITIVE_ALGEBRAS[algebra_index]()
+    algebra = KEYED_ALGEBRAS[algebra_index]()
     rng = random.Random(seed)
     graph = _mixed_keys(erdos_renyi(n, p=p, rng=rng))
     assign_random_weights(graph, algebra, rng=rng)
@@ -105,15 +122,17 @@ def test_batch_bit_identical_to_kernel_and_reference(
     assert len(runs) == len(roots)
     for root, run in zip(roots, runs):
         _assert_identical(run, kernel_tree(compiled, algebra, root))
+        # unsafe: the shortest-widest products are not isotone, but
+        # every engine still runs the same generalized Dijkstra.
         reference = preferred_path_tree(graph, algebra, root,
-                                        engine="reference")
+                                        engine="reference", unsafe=True)
         assert run.weight == reference.weight
         assert list(run.weight) == list(reference.weight)
         # decoded weights must be plain Python objects, not numpy scalars
         # (golden traces serialize them to JSON byte-for-byte)
         for value in run.weight.values():
-            flat = value if isinstance(value, tuple) else (value,)
-            assert all(type(part) is int for part in flat), value
+            assert all(type(part) is int
+                       for part in flatten_weight(value)), value
 
 
 class TestEligibility:
@@ -124,17 +143,34 @@ class TestEligibility:
         return graph, compile_graph(graph)
 
     @needs_numpy
-    def test_widest_path_is_ineligible(self):
-        # min-composition is not additive in key space: per-algebra fallback
-        algebra = WidestPath(max_capacity=9)
+    def test_keyless_algebra_is_ineligible(self):
+        # Fraction weights have no integer key: per-algebra fallback
+        algebra = MostReliablePath(denominator=9)
         _, compiled = self._compiled(algebra)
         assert batch.batch_plan(compiled, algebra) is None
 
     @needs_numpy
-    def test_widest_shortest_product_is_ineligible(self):
+    def test_keyless_product_is_ineligible(self):
+        # one keyless factor leaves the whole product without a combine
+        algebra = LexicographicProduct(ShortestPath(9), MostReliablePath(9))
+        _, compiled = self._compiled(algebra)
+        assert key_codec(algebra, 9) is None
+        assert batch.batch_plan(compiled, algebra) is None
+
+    @needs_numpy
+    def test_widest_shortest_window_spans_the_widest_base(self):
+        # S x W: an edge raises the flattened key by at least its
+        # shortest-path weight times W's key base, so one window settles
+        # up to that many distinct keys at once.
         algebra = widest_shortest_path(max_weight=9, max_capacity=9)
         _, compiled = self._compiled(algebra)
-        assert batch.batch_plan(compiled, algebra) is None
+        plan = batch.batch_plan(compiled, algebra)
+        assert plan is not None
+        least = min(weight[0] for weight in compiled.weights)
+        assert plan.step == least * 9 > 1
+        for other, step in ((MinHop(), 1), (WidestPath(9), 0)):
+            _, compiled = self._compiled(other)
+            assert batch.batch_plan(compiled, other).step == step
 
     @needs_numpy
     def test_plan_is_memoized(self):
@@ -153,7 +189,7 @@ class TestEligibility:
     def test_env_batch_falls_back_per_algebra(self, monkeypatch):
         # Ineligible algebra under REPRO_PATH_ENGINE=batch: identical
         # trees via the kernel, no error.
-        algebra = WidestPath(max_capacity=9)
+        algebra = MostReliablePath(denominator=9)
         graph, compiled = self._compiled(algebra)
         monkeypatch.setenv(ENGINE_ENV, "batch")
         tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
@@ -172,7 +208,7 @@ class TestEligibility:
 
     @needs_numpy
     def test_batch_trees_without_plan_raises(self):
-        algebra = WidestPath(max_capacity=9)
+        algebra = MostReliablePath(denominator=9)
         _, compiled = self._compiled(algebra)
         with pytest.raises(ValueError, match="no batch plan"):
             batch.batch_trees(compiled, algebra, [0])
@@ -184,6 +220,60 @@ class TestEligibility:
         assert resolve_engine("vectorized") == "batch"
         monkeypatch.setenv(ENGINE_ENV, "batch")
         assert resolve_engine() == "batch"
+
+
+@needs_numpy
+class TestOverflowGuards:
+    """Long lexicographic chains whose keys outgrow int64 arithmetic."""
+
+    def _instance(self, *algebras, n=10, seed=12):
+        algebra = lexicographic_chain(*algebras)
+        rng = random.Random(seed)
+        graph = erdos_renyi(n, p=0.4, rng=rng)
+        assign_random_weights(graph, algebra, rng=rng)
+        return graph, algebra
+
+    @pytest.mark.parametrize("components", [6, 8])
+    def test_chain_falls_back_to_the_kernel(self, components, monkeypatch):
+        # 6 components: the key bound (901^6) fits int64, but packed
+        # (key, event rank) pairs would not even for one lane.  8: the
+        # key bound itself is past int64 headroom, so no codec at all.
+        graph, algebra = self._instance(*[ShortestPath(100)] * components)
+        n = graph.number_of_nodes()
+        compiled = compile_graph(graph)
+        assert (key_codec(algebra, n - 1) is None) == (components == 8)
+        assert batch.batch_plan(compiled, algebra) is None
+        monkeypatch.setenv(ENGINE_ENV, "batch")
+        telemetry_enable()
+        telemetry_reset()
+        try:
+            trees = all_pairs_preferred_weights(graph, algebra)
+            counters = telemetry_metrics().snapshot()["counters"]
+        finally:
+            telemetry_reset()
+            telemetry_disable()
+        assert counters.get("path_engine.batch_fallbacks") == 1
+        assert "path_engine.batch_sweeps" not in counters
+        for root, tree in trees.items():
+            reference = preferred_path_tree(graph, algebra, root,
+                                            engine="reference")
+            assert tree.weight == reference.weight
+            assert tree.parent == reference.parent
+            assert list(tree.weight) == list(reference.weight)
+
+    def test_wide_chunks_narrow_to_the_plan_lanes(self):
+        # This chain's packed pairs fit a few lanes, not one per root:
+        # the sweep runs narrower chunks rather than overflow.
+        graph, algebra = self._instance(*[ShortestPath(100)] * 5,
+                                        WidestPath(100))
+        compiled = compile_graph(graph)
+        plan = batch.batch_plan(compiled, algebra)
+        assert plan is not None
+        assert plan.max_lanes < graph.number_of_nodes()
+        roots = list(graph.nodes())
+        runs = batch.batch_trees(compiled, algebra, roots, plan=plan)
+        for root, run in zip(roots, runs):
+            _assert_identical(run, kernel_tree(compiled, algebra, root))
 
 
 class TestInvalidation:
@@ -277,27 +367,35 @@ class TestAllPairsAndOracle:
 @needs_numpy
 class TestSharedMemory:
     def test_export_attach_round_trip(self):
-        algebra = ShortestPath(9)
-        rng = random.Random(9)
-        graph = erdos_renyi(12, p=0.4, rng=rng)
-        assign_random_weights(graph, algebra, rng=rng)
-        compiled = compile_graph(graph)
-        handles, descriptor = batch.export_shared(compiled, algebra)
-        assert handles and descriptor
-        try:
-            # a pickled copy simulates the spawn worker's fresh compiled graph
-            worker_copy = pickle.loads(pickle.dumps(compiled))
-            assert batch.attach_shared(worker_copy, algebra, descriptor)
-            for root in list(graph.nodes())[:4]:
-                _assert_identical(
-                    batch.batch_tree(worker_copy, algebra, root),
-                    kernel_tree(compiled, algebra, root),
-                )
-        finally:
-            batch.close_shared(handles, unlink=True)
+        # Widest-shortest path has a max part: the worker must rebuild
+        # the combine and the step from its own algebra.
+        for algebra in (ShortestPath(9),
+                        widest_shortest_path(max_weight=9, max_capacity=9)):
+            rng = random.Random(9)
+            graph = erdos_renyi(12, p=0.4, rng=rng)
+            assign_random_weights(graph, algebra, rng=rng)
+            compiled = compile_graph(graph)
+            handles, descriptor = batch.export_shared(compiled, algebra)
+            assert handles and descriptor
+            try:
+                # a pickled copy simulates the spawn worker's fresh
+                # compiled graph and algebra
+                worker_copy, worker_algebra = pickle.loads(
+                    pickle.dumps((compiled, algebra)))
+                assert batch.attach_shared(worker_copy, worker_algebra,
+                                           descriptor)
+                plan = batch.batch_plan(worker_copy, worker_algebra)
+                assert plan.step == batch.batch_plan(compiled, algebra).step
+                for root in list(graph.nodes())[:4]:
+                    _assert_identical(
+                        batch.batch_tree(worker_copy, worker_algebra, root),
+                        kernel_tree(compiled, algebra, root),
+                    )
+            finally:
+                batch.close_shared(handles, unlink=True)
 
     def test_export_ineligible_returns_none(self):
-        algebra = WidestPath(9)
+        algebra = MostReliablePath(9)
         rng = random.Random(10)
         graph = erdos_renyi(8, p=0.4, rng=rng)
         assign_random_weights(graph, algebra, rng=rng)
