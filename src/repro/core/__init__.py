@@ -35,7 +35,7 @@ from repro.core.simulate import (
     run_experiment,
     sample_pairs,
 )
-from repro.core.parallel import evaluate_sharded, shard_pairs, shard_pairs_by_source
+from repro.core.parallel import evaluate_sharded, shard_pairs_by_source
 
 __all__ = [
     "Classification",
@@ -78,6 +78,5 @@ __all__ = [
     "preferred_weight_oracle",
     "run_experiment",
     "sample_pairs",
-    "shard_pairs",
     "shard_pairs_by_source",
 ]

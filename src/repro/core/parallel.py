@@ -75,7 +75,6 @@ import pickle
 import queue as _queue_mod
 import threading
 import time
-import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import wait as _cf_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -84,6 +83,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import simulate as _simulate
 from repro.core.simulate import ShardResult, route_shard
+from repro.env import env_choice, env_number
 from repro.obs import events as _events
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import (
@@ -94,6 +94,9 @@ from repro.obs.metrics import (
     reset as _metrics_reset,
     swap_registry as _swap_registry,
 )
+from repro.paths.kernel import resolve_engine
+from repro.routing.query_engine import resolve_query_engine
+from repro.shared_arrays import close_arrays
 
 #: Shards per worker when ``shard_size`` is not pinned: a few per worker
 #: smooths out per-shard cost variance without drowning in task overhead.
@@ -118,30 +121,13 @@ _POLL_INTERVAL_S = 0.05
 
 def shard_retry_limit(environ: Optional[Dict[str, str]] = None) -> int:
     """Re-issues allowed per lost shard (``REPRO_SHARD_RETRIES``, >= 0)."""
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(SHARD_RETRIES_ENV, "")).strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_SHARD_RETRIES
-        if value >= 0:
-            return value
-    return DEFAULT_SHARD_RETRIES
+    return env_number(SHARD_RETRIES_ENV, DEFAULT_SHARD_RETRIES, kind=int,
+                      environ=environ)
 
 
 def shard_timeout(environ: Optional[Dict[str, str]] = None) -> Optional[float]:
     """The per-shard timeout in seconds, or None when disabled (default)."""
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(SHARD_TIMEOUT_ENV, "")).strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return None
-        if value > 0:
-            return value
-    return None
+    return env_number(SHARD_TIMEOUT_ENV, 0.0, environ=environ) or None
 
 
 @dataclass
@@ -198,22 +184,6 @@ def last_fallback() -> Optional[FallbackInfo]:
     return _LAST_RUN.fallback if _LAST_RUN is not None else None
 
 
-def shard_pairs(pairs: Sequence[Tuple], workers: int,
-                shard_size: Optional[int] = None) -> List[List[Tuple]]:
-    """Split *pairs* into contiguous shards (the pre-PR-4 strategy).
-
-    Kept for callers that need plain contiguous slicing; the evaluation
-    engine itself shards with :func:`shard_pairs_by_source` so workers
-    can slice oracle construction per shard.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    if shard_size is None:
-        shard_size = max(1, math.ceil(len(pairs) / max(1, workers * SHARDS_PER_WORKER)))
-    return [pairs[i:i + shard_size] for i in range(0, len(pairs), shard_size)]
-
-
 def shard_pairs_by_source(pairs: Sequence[Tuple], workers: int,
                           shard_size: Optional[int] = None
                           ) -> Tuple[List[List[Tuple]], List[List[int]]]:
@@ -260,66 +230,18 @@ def shard_pairs_by_source(pairs: Sequence[Tuple], workers: int,
     return shards, index_lists
 
 
-#: Environment values already warned about (one warning per value per process).
-_WARNED_START_METHODS: set = set()
-
-
 def _start_method() -> Optional[str]:
     """The pool start method: the env override when valid, else fork.
 
     An unrecognized ``REPRO_START_METHOD`` value applies the default
-    after a one-time ``RuntimeWarning`` naming the bad value and the
-    method actually used — a typo must not silently exercise the wrong
-    start path.
+    after a one-time ``RuntimeWarning`` (see
+    :func:`repro.env.env_choice`) — a typo must not silently exercise
+    the wrong start path.
     """
-    methods = multiprocessing.get_all_start_methods()
-    raw = os.environ.get(START_METHOD_ENV, "")
-    forced = raw.strip().lower()
-    if forced in methods:
-        return forced
-    default = "fork" if "fork" in methods else None
-    if forced and forced not in _WARNED_START_METHODS:
-        _WARNED_START_METHODS.add(forced)
-        applied = default if default is not None else "the platform default"
-        warnings.warn(
-            f"unrecognized {START_METHOD_ENV} value {raw.strip()!r}; "
-            f"using {applied} (recognized: {', '.join(methods)})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return default
-
-
-def _resolve_path_engine() -> str:
-    """The resolved ``REPRO_PATH_ENGINE`` choice (lazy import)."""
-    from repro.paths.kernel import resolve_engine
-
-    return resolve_engine()
-
-
-def _release_shared(handles) -> None:
-    """Close and unlink the parent's exported batch shared-memory segments."""
-    if not handles:
-        return
-    from repro.paths import batch as _batch
-
-    _batch.close_shared(handles, unlink=True)
-
-
-def _resolve_query_engine() -> str:
-    """The resolved ``REPRO_QUERY_ENGINE`` choice (lazy import)."""
-    from repro.routing.query_engine import resolve_query_engine
-
-    return resolve_query_engine()
-
-
-def _release_query_shared(handles) -> None:
-    """Close and unlink the parent's exported query-table segments."""
-    if not handles:
-        return
-    from repro.routing import compiled_query as _compiled_query
-
-    _compiled_query.close_shared_query(handles, unlink=True)
+    methods = {method: method
+               for method in multiprocessing.get_all_start_methods()}
+    methods[""] = "fork" if "fork" in methods else None
+    return env_choice(START_METHOD_ENV, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +832,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
             # of materializing its own.  The parent owns the segments and
             # unlinks them in the finally below, after the last round.
             shared_descriptor = None
-            if compiled is not None and _resolve_path_engine() == "batch":
+            if compiled is not None and resolve_engine() == "batch":
                 from repro.paths import batch as _batch
 
                 shared_handles, shared_descriptor = _batch.export_shared(
@@ -921,7 +843,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
             # worth it when the engine will actually run (telemetry
             # forces the reference loop for trace fidelity).
             query_descriptor = None
-            if not telemetry and _resolve_query_engine() == "batch":
+            if not telemetry and resolve_query_engine() == "batch":
                 from repro.routing import compiled_query as _compiled_query
 
                 query_tables = _compiled_query.compile_query(scheme)
@@ -933,10 +855,8 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
                  compiled, shared_descriptor, query_descriptor)
             )
         except Exception as exc:
-            _release_shared(shared_handles)
-            shared_handles = None
-            _release_query_shared(query_handles)
-            query_handles = None
+            close_arrays(shared_handles, unlink=True)
+            close_arrays(query_handles, unlink=True)
             stop_pump()
             return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
                                     trace_limit, reason="unpicklable",
@@ -969,8 +889,8 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
                                 cause=repr(exc))
     finally:
         stop_pump()
-        _release_shared(shared_handles)
-        _release_query_shared(query_handles)
+        close_arrays(shared_handles, unlink=True)
+        close_arrays(query_handles, unlink=True)
         if use_fork:
             _WORKER_STATE = None
 

@@ -5,17 +5,13 @@ it pushes packets between node pairs through the hop-by-hop model, compares
 each realized path weight to the true preferred weight (from an appropriate
 exact engine), and aggregates delivery, stretch and memory into one report.
 
-The public evaluation API (PR 2) is keyword-only behind
-:class:`EvaluationOptions`::
+Every evaluation knob travels in one :class:`EvaluationOptions`::
 
     options = EvaluationOptions(pair_count=2000, workers=4, rng=7)
     report = evaluate_scheme(graph, algebra, scheme, options=options)
 
 or through the one-call facade :func:`run_experiment`, which builds the
-prescribed scheme and evaluates it under a single seed.  The pre-PR-2
-signature (``pairs=``, ``oracle=``, ``max_k=``, ``trace_limit=`` passed
-directly) keeps working through a shim that emits ``DeprecationWarning``;
-see ``docs/EVALUATION_API.md`` for the timeline.
+prescribed scheme and evaluates it under a single seed.
 
 Exact oracles are **lazy** (PR 4): :class:`PreferredWeightOracle` builds
 one per-source preferred-path structure on first query, so a sampled
@@ -40,7 +36,6 @@ import os
 import random
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -1095,19 +1090,14 @@ def finalize_report(scheme: RoutingScheme, merged: ShardResult) -> EvaluationRep
 # the public evaluation entry points
 # ---------------------------------------------------------------------------
 
-_LEGACY_OPTION_NAMES = ("pairs", "oracle", "max_k", "trace_limit")
-
-
 def evaluate_scheme(graph, algebra: RoutingAlgebra, scheme: RoutingScheme,
-                    *legacy_args, options: Optional[EvaluationOptions] = None,
-                    **legacy_kwargs) -> EvaluationReport:
+                    options: Optional[EvaluationOptions] = None) -> EvaluationReport:
     """Route pairs through *scheme*, verify against the exact oracle, report.
 
-    All knobs travel in ``options`` (an :class:`EvaluationOptions`); with
-    ``options=None`` the defaults apply (all ordered pairs, cached oracle,
-    serial).  Passing the pre-PR-2 arguments (``pairs``, ``oracle``,
-    ``max_k``, ``trace_limit``) directly still works but emits a
-    ``DeprecationWarning`` — wrap them in ``EvaluationOptions`` instead.
+    All knobs travel in ``options`` (an :class:`EvaluationOptions`, passed
+    positionally or by keyword); with ``options=None`` the defaults apply
+    (all ordered pairs, cached oracle, serial).  Any other value raises
+    ``TypeError``.
 
     With telemetry enabled (:func:`repro.obs.enable`), the evaluation
     additionally records per-pair latency and hop-count histograms and
@@ -1116,40 +1106,11 @@ def evaluate_scheme(graph, algebra: RoutingAlgebra, scheme: RoutingScheme,
     evaluated across worker processes and merged exactly (including the
     workers' telemetry); the report is identical to a serial run.
     """
-    if legacy_args and isinstance(legacy_args[0], EvaluationOptions):
-        if options is not None:
-            raise TypeError("options passed both positionally and by keyword")
-        options = legacy_args[0]
-        legacy_args = legacy_args[1:]
-        if legacy_args:
-            raise TypeError("no further positional arguments allowed after options")
-    if legacy_args or legacy_kwargs:
-        if options is not None:
-            raise TypeError(
-                "pass either options=EvaluationOptions(...) or the deprecated "
-                "pairs/oracle/max_k/trace_limit arguments, not both"
-            )
-        if len(legacy_args) > len(_LEGACY_OPTION_NAMES):
-            raise TypeError(
-                f"evaluate_scheme takes at most {3 + len(_LEGACY_OPTION_NAMES)} "
-                f"positional arguments"
-            )
-        legacy = dict(zip(_LEGACY_OPTION_NAMES, legacy_args))
-        for name, value in legacy_kwargs.items():
-            if name not in _LEGACY_OPTION_NAMES:
-                raise TypeError(f"unexpected keyword argument {name!r}")
-            if name in legacy:
-                raise TypeError(f"got multiple values for argument {name!r}")
-            legacy[name] = value
-        warnings.warn(
-            "passing pairs/oracle/max_k/trace_limit to evaluate_scheme directly "
-            "is deprecated since 1.1.0 and will be removed in 2.0; wrap them in "
-            "EvaluationOptions and pass options=...",
-            DeprecationWarning, stacklevel=2,
-        )
-        options = EvaluationOptions(**legacy)
     if options is None:
         options = EvaluationOptions()
+    elif not isinstance(options, EvaluationOptions):
+        raise TypeError(f"options must be an EvaluationOptions, "
+                        f"not {type(options).__name__}")
 
     if options.pairs is not None:
         pairs = list(options.pairs)

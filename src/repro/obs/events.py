@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-_TRUE_VALUES = ("1", "true", "yes", "on")
+from repro.env import env_flag, env_number
 
 #: Environment variable that enables the event stream at import time.
 ENV_VAR = "REPRO_EVENTS"
@@ -93,8 +93,7 @@ EVENTS_FILE = "events.jsonl"
 
 def env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
     """Whether *environ* (default ``os.environ``) asks for run events."""
-    environ = os.environ if environ is None else environ
-    return str(environ.get(ENV_VAR, "")).strip().lower() in _TRUE_VALUES
+    return env_flag(ENV_VAR, environ)
 
 
 @dataclass(frozen=True)
@@ -282,30 +281,14 @@ def emit(kind: str, shard: Optional[int] = None, durable: bool = True,
 
 def straggler_factor(environ: Optional[Dict[str, str]] = None) -> float:
     """The configured straggler threshold factor (env override wins)."""
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(STRAGGLER_FACTOR_ENV, "")).strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return DEFAULT_STRAGGLER_FACTOR
-        if value >= 0:
-            return value
-    return DEFAULT_STRAGGLER_FACTOR
+    return env_number(STRAGGLER_FACTOR_ENV, DEFAULT_STRAGGLER_FACTOR,
+                      environ=environ)
 
 
 def straggler_min_duration(environ: Optional[Dict[str, str]] = None) -> float:
     """The minimum duration (seconds) a straggler must exceed (env wins)."""
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(STRAGGLER_MIN_ENV, "")).strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return DEFAULT_STRAGGLER_MIN_S
-        if value >= 0:
-            return value
-    return DEFAULT_STRAGGLER_MIN_S
+    return env_number(STRAGGLER_MIN_ENV, DEFAULT_STRAGGLER_MIN_S,
+                      environ=environ)
 
 
 def detect_stragglers(durations: Sequence[float],

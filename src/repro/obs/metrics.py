@@ -25,11 +25,10 @@ same (name, tags) pair always returns the same metric object.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import Dict, Optional, Tuple
 
-_TRUE_VALUES = ("1", "true", "yes", "on")
+from repro.env import env_flag
 
 #: Environment variable that enables telemetry at import time.
 ENV_VAR = "REPRO_TELEMETRY"
@@ -37,8 +36,7 @@ ENV_VAR = "REPRO_TELEMETRY"
 
 def env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
     """Whether *environ* (default ``os.environ``) asks for telemetry."""
-    environ = os.environ if environ is None else environ
-    return str(environ.get(ENV_VAR, "")).strip().lower() in _TRUE_VALUES
+    return env_flag(ENV_VAR, environ)
 
 
 class Counter:

@@ -19,14 +19,12 @@ Two consumers of :mod:`repro.obs.events` live here:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, List, Optional, TextIO
 
+from repro.env import env_flag
 from repro.obs import events as _events
-
-_TRUE_VALUES = ("1", "true", "yes", "on")
 
 #: Environment variable that unconditionally suppresses live progress.
 NO_PROGRESS_ENV = "REPRO_NO_PROGRESS"
@@ -47,8 +45,7 @@ def should_show_progress(progress: bool = False, quiet: bool = False,
     ``--json`` implies quiet; an explicit ``--progress`` then forces the
     renderer on; otherwise progress appears only on a real TTY.
     """
-    environ = os.environ if environ is None else environ
-    if str(environ.get(NO_PROGRESS_ENV, "")).strip().lower() in _TRUE_VALUES:
+    if env_flag(NO_PROGRESS_ENV, environ):
         return False
     if quiet or json_mode:
         return False

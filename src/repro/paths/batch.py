@@ -60,13 +60,10 @@ Shared memory
 
 :func:`export_shared` / :func:`attach_shared` move the plan's int arrays
 (``indptr``, ``indices``, ``edge_keys``) through
-``multiprocessing.shared_memory`` so spawn-path parallel workers map the
+:mod:`repro.shared_arrays`, so spawn-path parallel workers map the
 parent's arrays zero-copy instead of re-materializing them per process.
-The parent owns the segments (created in
-:func:`repro.core.parallel.evaluate_sharded`, unlinked when the pool —
-rebuilds included — is done); workers only attach, holding the handles
-alive for the process's lifetime, and share the parent's resource
-tracker so no cleanup races occur.  See ``docs/PERFORMANCE.md``.
+This module decides only what is shared and how a worker turns it back
+into a plan.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -83,6 +80,7 @@ from repro.algebra.base import KeyCodec, KeyCombine, RoutingAlgebra, key_codec
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
+from repro.shared_arrays import attach_arrays, export_arrays
 
 #: Lanes per vectorized sweep chunk; source lists longer than this are
 #: processed in chunks (the last one ragged), bounding the dense
@@ -100,9 +98,6 @@ _CSR_KEY = "batch-csr"
 
 #: ``compiled.scratch`` key prefix of per-algebra batch plans.
 _PLAN_KEY = "batch-plan"
-
-#: ``compiled.scratch`` key pinning attached shared-memory handles alive.
-_SHARED_KEY = "batch-shared-handles"
 
 
 def numpy_available() -> bool:
@@ -536,103 +531,45 @@ def _emit_batch_stats(stats: BatchStats) -> None:
 
 
 def export_shared(compiled: CompiledGraph, algebra: RoutingAlgebra) -> Tuple:
-    """Copy the batch plan's int arrays into shared-memory segments.
+    """Export the batch plan's int arrays to shared memory.
 
-    Returns ``(handles, descriptor)``.  The caller owns the handles and
-    must :func:`close_shared` them (with ``unlink=True``) once every
-    consumer is done — pool rebuilds may re-attach in between, so the
-    segments outlive any individual worker.  Returns ``(None, None)``
-    when the instance has no batch plan or shared memory is unavailable;
-    callers then fall back to the pickled payload alone.
+    Returns :func:`~repro.shared_arrays.export_arrays`'s ``(handles,
+    descriptor)``; the caller owns the handles.  ``(None, None)`` when the
+    instance has no batch plan or shared memory is unavailable; callers
+    then fall back to the pickled payload alone.
     """
     plan = batch_plan(compiled, algebra)
     if plan is None:
         return None, None
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
-        return None, None
-    handles = []
-    descriptor = {"identity": plan.identity_decode, "arrays": {}}
-    try:
-        for name, array in (("indptr", plan.indptr),
-                            ("indices", plan.indices),
-                            ("edge_keys", plan.edge_keys)):
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=max(1, array.nbytes))
-            view = _np.ndarray(array.shape, dtype=array.dtype,
-                               buffer=segment.buf)
-            view[:] = array
-            handles.append(segment)
-            descriptor["arrays"][name] = (segment.name, tuple(array.shape),
-                                          str(array.dtype))
-    except Exception:
-        close_shared(handles, unlink=True)
-        return None, None
-    return handles, descriptor
+    return export_arrays({"indptr": plan.indptr, "indices": plan.indices,
+                          "edge_keys": plan.edge_keys},
+                         {"identity": plan.identity_decode})
 
 
 def attach_shared(compiled: CompiledGraph, algebra: RoutingAlgebra,
                   descriptor) -> bool:
     """Adopt exported batch arrays in a worker process, zero-copy.
 
-    Maps each segment, wraps it in a numpy view, and seeds the batch
-    plan cache of *compiled* for *algebra* — the worker's sweeps then
-    read the parent's arrays instead of re-materializing them.  The key
-    codec (combine, decode) and the window step are rebuilt from the
-    worker's own unpickled *algebra*: closures do not cross processes.
-    The handles are pinned in ``compiled.scratch`` so the buffers
-    outlive every view; the *parent* owns the segments' lifetime and
-    unlinks them after the pool's final round.  Returns False (and
-    attaches nothing) on any failure — the worker then builds its own
-    arrays, which is merely slower.
+    Maps the parent's arrays and seeds the batch plan cache of *compiled*
+    for *algebra*, so the worker's sweeps read them instead of
+    re-materializing their own.  The key codec (combine, decode) and the
+    window step are rebuilt from the worker's own unpickled *algebra*:
+    closures do not cross processes.  Returns False (and seeds nothing)
+    on any failure — the worker then builds its own arrays, which is
+    merely slower.
     """
-    if _np is None or not descriptor:
-        return False
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
-        return False
     max_hops = max(1, len(compiled.nodes) - 1)
     codec = key_codec(algebra, max_hops)
     if codec is None:
         return False
-    handles = []
-    arrays = {}
-    try:
-        for name, (segment_name, shape, dtype) in descriptor["arrays"].items():
-            # CPython < 3.13 registers even plain attachments with the
-            # resource tracker; multiprocessing workers share the
-            # parent's tracker process, where re-registering a tracked
-            # name is a no-op and the parent's unlink clears the single
-            # entry — so no tracker surgery is needed here.
-            segment = shared_memory.SharedMemory(name=segment_name)
-            handles.append(segment)
-            arrays[name] = _np.ndarray(tuple(shape), dtype=_np.dtype(dtype),
-                                       buffer=segment.buf)
-        plan = _plan(codec, max_hops, arrays["indptr"], arrays["indices"],
-                     arrays["edge_keys"], bool(descriptor.get("identity")))
-    except Exception:
-        close_shared(handles, unlink=False)
+    attached = attach_arrays(descriptor)
+    if attached is None:
         return False
+    arrays, meta = attached
+    plan = _plan(codec, max_hops, arrays["indptr"], arrays["indices"],
+                 arrays["edge_keys"], meta["identity"])
     if plan is None:
-        close_shared(handles, unlink=False)
         return False
-    compiled.scratch[_SHARED_KEY] = handles
     compiled.scratch[(_PLAN_KEY, algebra)] = plan
     compiled.scratch[_CSR_KEY] = (plan.indptr, plan.indices)
     return True
-
-
-def close_shared(handles, unlink: bool) -> None:
-    """Close (and with *unlink*, destroy) exported shared-memory segments."""
-    for segment in handles or ():
-        try:
-            segment.close()
-        except Exception:
-            pass
-        if unlink:
-            try:
-                segment.unlink()
-            except Exception:
-                pass

@@ -21,9 +21,9 @@ Three engines produce the (bit-identical) result:
   hands every other algebra (or an install without numpy) to the
   kernel;
 * the **compiled kernel** (:mod:`repro.paths.kernel`, the default for a
-  single root) runs one Python sweep per source over the same arrays and
-  engages a Dial-style bucketed frontier when the algebra declares an
-  integer key embedding;
+  single root) runs one Python sweep per source over the same arrays,
+  with a Dial-style bucketed frontier when the algebra declares an
+  integer key embedding and the reference heap otherwise;
 * the **reference** engine below walks the networkx adjacency dicts with
   a ``_HeapEntry`` heap — the seed implementation, kept as the semantics
   referee and selectable with ``REPRO_PATH_ENGINE=reference``.
@@ -100,7 +100,7 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
     path-vector composition does not grow from the source side.
 
     *engine* forces a path engine (``batch``, ``kernel``,
-    ``kernel-heap``, ``reference``); by default the ``REPRO_PATH_ENGINE``
+    ``reference``); by default the ``REPRO_PATH_ENGINE``
     environment override applies, falling back to the kernel (one root
     leaves the batch engine no sweep to share).  Pass a
     pre-built *compiled* graph (from :func:`compile_graph`) to amortize
@@ -131,8 +131,7 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
         # Per-algebra fallback: ineligible instances run the (bit-identical)
         # PR 5 kernel instead.
         _batch.count_fallback()
-        resolved = "kernel"
-    run = kernel_tree(compiled, algebra, root, buckets=(resolved == "kernel"))
+    run = kernel_tree(compiled, algebra, root)
     emit_stats(run.stats)
     return PathTree(root, run.weight, run.parent)
 

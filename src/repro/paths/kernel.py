@@ -31,27 +31,26 @@ reproduces the heap's insertion-counter tie-break exactly, and the
 golden-trace harness enforces this under ``REPRO_PATH_ENGINE`` in CI.
 
 Engine selection is overridable with the ``REPRO_PATH_ENGINE``
-environment variable (mirroring ``REPRO_START_METHOD``): ``batch``
+environment variable, read by :func:`repro.env.env_choice`: ``batch``
 (default; the vectorized multi-source engine of :mod:`repro.paths.batch`
 where the algebra admits a plan — monotone, with an integer key combine
 — this module's kernel otherwise — and
 this module's kernel for a single root, which has no sweep to share),
-``kernel`` (compiled arrays, buckets where eligible), ``kernel-heap``
-(compiled arrays, no buckets), ``reference`` (the seed engine).  All of
-them build bit-identical trees.  Unrecognized environment values warn
-once and apply the default.  See ``docs/PERFORMANCE.md``.
+``kernel`` (compiled arrays, buckets where eligible, the heap
+otherwise), ``reference`` (the seed engine).  All of them build
+bit-identical trees.  Unrecognized environment values warn once and
+apply the default.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.algebra.base import RoutingAlgebra, is_phi
+from repro.env import env_choice
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
@@ -59,26 +58,19 @@ from repro.obs.metrics import metrics as _telemetry
 #: Environment variable forcing the path engine (see :func:`resolve_engine`).
 ENGINE_ENV = "REPRO_PATH_ENGINE"
 
-#: Recognized engine spellings -> canonical engine name.
+#: Recognized engine spellings -> engine; ``auto`` is the default, which
+#: :func:`resolve_engine` narrows to ``batch`` or, for one root, ``kernel``.
 _ENGINE_ALIASES = {
-    "": "batch",
-    "auto": "batch",
-    "default": "batch",
-    "kernel": "kernel",
-    "compiled": "kernel",
-    "kernel-heap": "kernel-heap",
-    "no-buckets": "kernel-heap",
-    "reference": "reference",
-    "seed": "reference",
+    "": "auto",
+    "auto": "auto",
+    "default": "auto",
     "batch": "batch",
     "vectorized": "batch",
+    "kernel": "kernel",
+    "compiled": "kernel",
+    "reference": "reference",
+    "seed": "reference",
 }
-
-#: Spellings that leave the choice to the library (the default engine).
-_DEFAULT_SPELLINGS = frozenset({"", "auto", "default"})
-
-#: Environment values already warned about (one warning per value per process).
-_WARNED_ENGINE_VALUES: set = set()
 
 #: Bucket arrays never exceed this many buckets, whatever the instance size.
 BUCKET_HARD_CAP = 1 << 22
@@ -97,40 +89,19 @@ def resolve_engine(engine: Optional[str] = None, *,
 
     Returns one of ``"batch"`` (the default: vectorized multi-source
     sweeps where eligible, kernel otherwise), ``"kernel"`` (compiled
-    arrays, buckets where eligible), ``"kernel-heap"`` (compiled arrays,
-    heap frontier only) or ``"reference"`` (the seed networkx-walking
-    engine).  The batch engine pays off by sharing one sweep among many
-    roots, so a *single_root* build under the default gets ``"kernel"``
-    instead; an explicit ``batch`` (argument or environment) still runs
-    a one-lane sweep.  An unrecognized *explicit* argument raises
-    ``ValueError``; an unrecognized environment value applies the default
-    after a one-time ``RuntimeWarning`` naming the bad value — a typo in
-    ``REPRO_PATH_ENGINE`` must not silently benchmark the wrong engine.
+    arrays, buckets where eligible, the heap otherwise) or
+    ``"reference"`` (the seed networkx-walking engine).  The batch
+    engine pays off by sharing one sweep among many roots, so a
+    *single_root* build under the default gets ``"kernel"`` instead; an
+    explicit ``batch`` (argument or environment) still runs a one-lane
+    sweep.  An unrecognized *explicit* argument raises ``ValueError``;
+    an unrecognized ``REPRO_PATH_ENGINE`` value applies the default after
+    a one-time ``RuntimeWarning`` (see :func:`repro.env.env_choice`).
     """
-    if engine is None:
-        raw = os.environ.get(ENGINE_ENV, "")
-        value = raw.strip().lower()
-        if value not in _ENGINE_ALIASES:
-            if value not in _WARNED_ENGINE_VALUES:
-                _WARNED_ENGINE_VALUES.add(value)
-                warnings.warn(
-                    f"unrecognized {ENGINE_ENV} value {raw.strip()!r}; "
-                    f"using the default engine 'batch' "
-                    f"(recognized: batch, kernel, kernel-heap, reference)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            value = ""
-    else:
-        value = engine.strip().lower()
-        if value not in _ENGINE_ALIASES:
-            raise ValueError(
-                f"unknown path engine {engine!r}; pick one of "
-                f"batch, kernel, kernel-heap, reference"
-            )
-    if single_root and value in _DEFAULT_SPELLINGS:
-        return "kernel"
-    return _ENGINE_ALIASES[value]
+    choice = env_choice(ENGINE_ENV, _ENGINE_ALIASES, engine)
+    if choice == "auto":
+        return "kernel" if single_root else "batch"
+    return choice
 
 
 def node_ranks(nodes) -> Dict[object, int]:
@@ -386,18 +357,18 @@ def compile_graph(graph, attr: str = WEIGHT_ATTR) -> CompiledGraph:
                          weights)
 
 
-def kernel_tree(compiled: CompiledGraph, algebra: RoutingAlgebra, root,
-                buckets: bool = True) -> KernelRun:
+def kernel_tree(compiled: CompiledGraph, algebra: RoutingAlgebra,
+                root) -> KernelRun:
     """Generalized Dijkstra from *root* over the compiled arrays.
 
-    Picks the bucketed frontier when *buckets* is allowed and
-    :meth:`CompiledGraph.bucket_plan` accepts the algebra; otherwise runs
-    the reference-heap algorithm over the compiled arrays.  Both paths
-    reproduce the reference engine's result exactly — weights, parents,
-    and the first-relaxation insertion order of both maps.
+    Picks the bucketed frontier when :meth:`CompiledGraph.bucket_plan`
+    accepts the algebra; otherwise runs the reference-heap algorithm over
+    the compiled arrays.  Both paths reproduce the reference engine's
+    result exactly — weights, parents, and the first-relaxation insertion
+    order of both maps.
     """
     root_index = compiled.node_index[root]
-    plan = compiled.bucket_plan(algebra) if buckets else None
+    plan = compiled.bucket_plan(algebra)
     if plan is not None:
         weight, parent, order, stats = _bucket_tree(compiled, algebra,
                                                     root_index, plan)

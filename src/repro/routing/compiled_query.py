@@ -64,8 +64,8 @@ active (:mod:`repro.routing.query_engine` gates this): traces and
 per-pair histograms need hop-level fidelity only the reference loop has.
 
 Spawn workers attach the parent's compiled tables zero-copy through
-``multiprocessing.shared_memory`` (:func:`export_shared_query` /
-:func:`attach_shared_query`), mirroring :mod:`repro.paths.batch`.
+:mod:`repro.shared_arrays` (:func:`export_shared_query` /
+:func:`attach_shared_query`), like :mod:`repro.paths.batch`'s plans.
 """
 
 from __future__ import annotations
@@ -85,11 +85,11 @@ from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.query_engine import count_query_fallback, note_batch_shard
 from repro.routing.tree_routing import TreeRoutingScheme
+from repro.shared_arrays import attach_arrays, export_arrays
 
 __all__ = [
     "CompiledQuery",
     "attach_shared_query",
-    "close_shared_query",
     "compile_query",
     "evaluate_shard",
     "export_shared_query",
@@ -127,11 +127,11 @@ class CompiledQuery:
     """Flat int arrays plus the key codec for one built scheme."""
 
     __slots__ = ("kind", "n", "nodes", "node_index", "identity_decode",
-                 "codec", "arrays", "fingerprint", "shm_handles")
+                 "codec", "arrays", "fingerprint")
 
     def __init__(self, kind: str, nodes: List, node_index: Dict,
                  identity_decode: bool, codec: KeyCodec, arrays: Dict,
-                 fingerprint: int = 0, shm_handles=None):
+                 fingerprint: int = 0):
         self.kind = kind
         self.n = len(nodes)
         self.nodes = nodes
@@ -142,9 +142,6 @@ class CompiledQuery:
         #: Table-size fingerprint at compile time; a mismatch on a later
         #: shard means the scheme was mutated and the cache is stale.
         self.fingerprint = fingerprint
-        #: Attached shared-memory segments pinned for the arrays' lifetime
-        #: (worker side only; the parent owns and unlinks the segments).
-        self.shm_handles = shm_handles
 
 
 # ---------------------------------------------------------------------------
@@ -880,102 +877,48 @@ def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
 
 
 def export_shared_query(tables: "CompiledQuery"):
-    """Copy the compiled query arrays into shared-memory segments.
+    """Export the compiled query arrays to shared memory.
 
-    Returns ``(handles, descriptor)``; the caller owns the handles and
-    must :func:`close_shared_query` them with ``unlink=True`` once every
-    consumer is done.  ``(None, None)`` when shared memory is
-    unavailable — workers then compile their own tables, merely slower.
-    Mirrors :func:`repro.paths.batch.export_shared`.
+    Returns :func:`~repro.shared_arrays.export_arrays`'s ``(handles,
+    descriptor)``; the caller owns the handles.  ``(None, None)`` when
+    shared memory is unavailable — workers then compile their own
+    tables, merely slower.
     """
-    if tables is None or _np is None:
-        return None, None
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
-        return None, None
-    handles = []
-    descriptor = {"kind": tables.kind, "identity": tables.identity_decode,
-                  "fingerprint": tables.fingerprint, "arrays": {}}
-    try:
-        for name, array in tables.arrays.items():
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=max(1, array.nbytes))
-            view = _np.ndarray(array.shape, dtype=array.dtype,
-                               buffer=segment.buf)
-            view[:] = array
-            handles.append(segment)
-            descriptor["arrays"][name] = (segment.name, tuple(array.shape),
-                                          str(array.dtype))
-    except Exception:
-        close_shared_query(handles, unlink=True)
-        return None, None
-    return handles, descriptor
+    return export_arrays(tables.arrays, {
+        "kind": tables.kind, "identity": tables.identity_decode,
+        "fingerprint": tables.fingerprint})
 
 
 def attach_shared_query(scheme, descriptor) -> bool:
     """Adopt exported query tables in a worker process, zero-copy.
 
-    Maps each segment, wraps it in a numpy view, rebuilds the key codec
-    (key, decode, combine) from the worker's own unpickled algebra, and
-    seeds the compile cache for *scheme* — this worker's shards then
-    read the parent's arrays instead of re-deriving them.  The handles are pinned on the
-    :class:`CompiledQuery` so the buffers outlive every view; the
-    *parent* owns the segments' lifetime.  Returns False (attaching
+    Maps the parent's arrays, rebuilds the key codec (key, decode,
+    combine) from the worker's own unpickled algebra, and seeds the
+    compile cache for *scheme* — this worker's shards then read the
+    parent's arrays instead of re-deriving them.  Returns False (seeding
     nothing) on any failure.
     """
-    if _np is None or not descriptor:
-        return False
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
-        return False
     graph = scheme.graph
     codec = key_codec(scheme.algebra, 4 * graph.number_of_nodes() + 8)
     if codec is None:
         return False
-    handles = []
-    arrays = {}
-    try:
-        for name, (segment_name, shape, dtype) in descriptor["arrays"].items():
-            segment = shared_memory.SharedMemory(name=segment_name)
-            handles.append(segment)
-            arrays[name] = _np.ndarray(tuple(shape), dtype=_np.dtype(dtype),
-                                       buffer=segment.buf)
-    except Exception:
-        close_shared_query(handles, unlink=False)
+    attached = attach_arrays(descriptor)
+    if attached is None:
         return False
-    fingerprint = descriptor.get("fingerprint", 0)
-    if fingerprint != _table_fingerprint(scheme):
+    arrays, meta = attached
+    if meta["fingerprint"] != _table_fingerprint(scheme):
         # The worker's unpickled scheme does not match the exported
         # tables (should not happen; compile locally instead).
-        close_shared_query(handles, unlink=False)
         return False
     nodes = list(graph.nodes())
     tables = CompiledQuery(
-        kind=descriptor["kind"], nodes=nodes,
+        kind=meta["kind"], nodes=nodes,
         node_index={node: i for i, node in enumerate(nodes)},
-        identity_decode=descriptor["identity"], codec=codec,
-        arrays=arrays, fingerprint=fingerprint,
-        shm_handles=handles,
+        identity_decode=meta["identity"], codec=codec,
+        arrays=arrays, fingerprint=meta["fingerprint"],
     )
     try:
         _CACHE[scheme] = tables
     except TypeError:  # pragma: no cover - unweakrefable scheme
-        close_shared_query(handles, unlink=False)
         return False
     return True
-
-
-def close_shared_query(handles, unlink: bool) -> None:
-    """Close (and with *unlink*, destroy) exported shared-memory segments."""
-    for segment in handles or ():
-        try:
-            segment.close()
-        except Exception:
-            pass
-        if unlink:
-            try:
-                segment.unlink()
-            except Exception:
-                pass

@@ -23,17 +23,17 @@ keep their exact per-hop semantics.  Every such step-down is counted on
 ``query_engine.batch_fallbacks`` (tagged with a reason) and on the
 process-local stats served to ``repro profile``'s ``query`` block.
 
-Mirrors :func:`repro.paths.kernel.resolve_engine`: explicit argument >
-``REPRO_QUERY_ENGINE`` environment > default, with a one-time
-``RuntimeWarning`` on unrecognized environment values.
+The choice is read like :func:`repro.paths.kernel.resolve_engine`'s, by
+:func:`repro.env.env_choice`: explicit argument > ``REPRO_QUERY_ENGINE``
+environment > default, with a one-time ``RuntimeWarning`` on
+unrecognized environment values.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, Optional
 
+from repro.env import env_choice
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 
@@ -50,9 +50,6 @@ _QUERY_ALIASES = {
     "loop": "reference",
     "seed": "reference",
 }
-
-#: Environment values already warned about (one warning per value per process).
-_WARNED_QUERY_VALUES: set = set()
 
 #: Process-local engine usage counters.  Unlike the telemetry registry these
 #: are always on (they cost one dict update per *shard*, not per pair) —
@@ -73,31 +70,9 @@ def resolve_query_engine(engine: Optional[str] = None) -> str:
     reference otherwise) or ``"reference"`` (the seed per-pair loop).  An
     unrecognized *explicit* argument raises ``ValueError``; an
     unrecognized environment value applies the default ``batch`` after a
-    one-time ``RuntimeWarning`` naming the bad value — a typo in
-    ``REPRO_QUERY_ENGINE`` must not silently benchmark the wrong engine.
+    one-time ``RuntimeWarning`` (see :func:`repro.env.env_choice`).
     """
-    if engine is None:
-        raw = os.environ.get(QUERY_ENGINE_ENV, "")
-        value = raw.strip().lower()
-        resolved = _QUERY_ALIASES.get(value)
-        if resolved is None:
-            if value not in _WARNED_QUERY_VALUES:
-                _WARNED_QUERY_VALUES.add(value)
-                warnings.warn(
-                    f"unrecognized {QUERY_ENGINE_ENV} value {raw.strip()!r}; "
-                    f"using the default engine 'batch' "
-                    f"(recognized: batch, reference)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return "batch"
-        return resolved
-    value = engine.strip().lower()
-    if value not in _QUERY_ALIASES:
-        raise ValueError(
-            f"unknown query engine {engine!r}; pick one of batch, reference"
-        )
-    return _QUERY_ALIASES[value]
+    return env_choice(QUERY_ENGINE_ENV, _QUERY_ALIASES, engine)
 
 
 def count_query_fallback(reason: str, pairs: int = 0) -> None:

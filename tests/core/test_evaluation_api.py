@@ -93,21 +93,19 @@ class TestEvaluationOptions:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn_and_match(self):
+    """The pre-PR-2 arguments are gone since 2.0: only ``options`` remains."""
+
+    def test_legacy_kwargs_rejected(self):
         graph, algebra, scheme = _instance()
         pairs = sample_pairs(graph)[:10]
-        with pytest.warns(DeprecationWarning, match="EvaluationOptions"):
-            legacy = evaluate_scheme(graph, algebra, scheme, pairs=pairs)
-        modern = evaluate_scheme(graph, algebra, scheme,
-                                 options=EvaluationOptions(pairs=pairs))
-        assert legacy == modern
+        with pytest.raises(TypeError):
+            evaluate_scheme(graph, algebra, scheme, pairs=pairs)
 
-    def test_legacy_positional_pairs_warn(self):
+    def test_legacy_positional_pairs_rejected(self):
         graph, algebra, scheme = _instance()
         pairs = sample_pairs(graph)[:4]
-        with pytest.warns(DeprecationWarning):
-            report = evaluate_scheme(graph, algebra, scheme, pairs)
-        assert report.pairs == len(pairs)
+        with pytest.raises(TypeError, match="EvaluationOptions"):
+            evaluate_scheme(graph, algebra, scheme, pairs)
 
     def test_options_accepted_positionally(self):
         graph, algebra, scheme = _instance()

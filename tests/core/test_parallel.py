@@ -8,10 +8,10 @@ from repro.algebra.bgp import valley_free_algebra
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
 from repro.core.parallel import (
-    SHARDS_PER_WORKER,
     evaluate_sharded,
-    shard_pairs,
     shard_pairs_by_source,
+    shard_retry_limit,
+    shard_timeout,
 )
 from repro.core.simulate import (
     EvaluationOptions,
@@ -47,28 +47,6 @@ def _golden_instances():
     instances.append(("bgp", graph, algebra, build_scheme(graph, algebra)))
 
     return instances
-
-
-class TestShardPairs:
-    def test_contiguous_and_complete(self):
-        pairs = [(i, i + 1) for i in range(10)]
-        shards = shard_pairs(pairs, workers=3, shard_size=4)
-        assert [len(s) for s in shards] == [4, 4, 2]
-        assert [p for shard in shards for p in shard] == pairs
-
-    def test_default_size_balances_over_workers(self):
-        pairs = [(i, 0) for i in range(100)]
-        shards = shard_pairs(pairs, workers=4)
-        # Roughly SHARDS_PER_WORKER shards per worker (ceil rounding may
-        # produce slightly fewer), so every worker has several tasks.
-        assert 4 < len(shards) <= 4 * SHARDS_PER_WORKER
-        assert [p for shard in shards for p in shard] == pairs
-
-    def test_empty(self):
-        assert shard_pairs([], workers=4) == []
-
-    def test_single_shard_when_fewer_pairs_than_size(self):
-        assert shard_pairs([(0, 1)], workers=4, shard_size=10) == [[(0, 1)]]
 
 
 class TestShardPairsBySource:
@@ -210,11 +188,11 @@ class TestStartMethodResolution:
         import multiprocessing
         import warnings
 
-        from repro.core import parallel as parallel_mod
+        from repro import env as env_mod
         from repro.core.parallel import START_METHOD_ENV, _start_method
 
         monkeypatch.setenv(START_METHOD_ENV, "hyperthread")
-        monkeypatch.setattr(parallel_mod, "_WARNED_START_METHODS", set())
+        monkeypatch.setattr(env_mod, "_WARNED", set())
         expected = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                     else None)
         with pytest.warns(RuntimeWarning, match="hyperthread"):
@@ -227,11 +205,39 @@ class TestStartMethodResolution:
     def test_valid_env_value_does_not_warn(self, monkeypatch):
         import warnings
 
-        from repro.core import parallel as parallel_mod
+        from repro import env as env_mod
         from repro.core.parallel import START_METHOD_ENV, _start_method
 
         monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        monkeypatch.setattr(parallel_mod, "_WARNED_START_METHODS", set())
+        monkeypatch.setattr(env_mod, "_WARNED", set())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _start_method() == "spawn"
+
+
+class TestShardRetryAndTimeout:
+    """``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` parse rules."""
+
+    def test_retry_limit(self):
+        assert shard_retry_limit({}) == 2
+        assert shard_retry_limit({"REPRO_SHARD_RETRIES": ""}) == 2
+        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "lots"}) == 2
+        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "1.5"}) == 2
+        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "-1"}) == 2
+        assert shard_retry_limit({"REPRO_SHARD_RETRIES": " 5 "}) == 5
+        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "0"}) == 0
+
+    def test_timeout(self):
+        assert shard_timeout({}) is None
+        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "soon"}) is None
+        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "-3"}) is None
+        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "2.5"}) == 2.5
+        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "7"}) == 7.0
+        # 0 means no timeout
+        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "0"}) is None
+
+    def test_default_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_RETRIES", "4")
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "1.25")
+        assert shard_retry_limit() == 4
+        assert shard_timeout() == 1.25

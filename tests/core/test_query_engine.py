@@ -48,6 +48,7 @@ from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.tree_routing import TreeRoutingScheme
+from repro.shared_arrays import close_arrays
 
 needs_numpy = pytest.mark.skipif(not compiled_query.numpy_available(),
                                  reason="numpy (repro[fast]) not installed")
@@ -219,8 +220,10 @@ class TestResolver:
             query_engine.resolve_query_engine("warp")
 
     def test_unknown_env_value_warns_once_then_defaults(self, monkeypatch):
+        from repro import env as env_mod
+
         monkeypatch.setenv(query_engine.QUERY_ENGINE_ENV, "warp-speed")
-        query_engine._WARNED_QUERY_VALUES.discard("warp-speed")
+        monkeypatch.setattr(env_mod, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="REPRO_QUERY_ENGINE"):
             assert query_engine.resolve_query_engine() == "batch"
         with warnings.catch_warnings():
@@ -341,15 +344,20 @@ class TestSharedQueryTables:
                                                       descriptor)
             attached = compiled_query.compile_query(worker_scheme)
             assert attached is not None
-            assert attached.shm_handles   # pinned segments = attached path
             assert attached.kind == tables.kind
-            for (name, (_, shape, dtype)), segment in zip(
-                    descriptor["arrays"].items(), attached.shm_handles):
-                view = np.ndarray(tuple(shape), dtype=np.dtype(dtype),
+            for name, segment in zip(descriptor["arrays"], handles):
+                array = attached.arrays[name]
+                assert np.array_equal(array, tables.arrays[name])
+                if not array.size:
+                    continue
+                # A write through the exporter's segment shows in the
+                # attached array: it maps the same memory, not a copy.
+                view = np.ndarray(array.shape, dtype=array.dtype,
                                   buffer=segment.buf)
-                assert np.array_equal(attached.arrays[name],
-                                      tables.arrays[name])
-                assert np.shares_memory(attached.arrays[name], view)
+                view[0] += 1
+                assert array[0] == tables.arrays[name][0] + 1
+                view[0] -= 1
+                del view
             # and the attached tables evaluate identically
             oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
             worker_oracle = oracle_cache.get(graph, worker_algebra,
@@ -364,10 +372,10 @@ class TestSharedQueryTables:
             assert query_engine.query_stats()["batch_shards"] == 1
             assert _shard_key(batch) == _shard_key(reference)
             compiled_query._CACHE.pop(worker_scheme, None)
-            del attached, view
+            del attached, array
             gc.collect()
         finally:
-            compiled_query.close_shared_query(handles, unlink=True)
+            close_arrays(handles, unlink=True)
 
     @needs_numpy
     def test_spawn_workers_match_serial_reference(self, monkeypatch):

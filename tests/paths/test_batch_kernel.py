@@ -51,6 +51,7 @@ from repro.paths.dijkstra import (
     preferred_path_tree,
 )
 from repro.paths.kernel import ENGINE_ENV, compile_graph, kernel_tree
+from repro.shared_arrays import close_arrays
 
 needs_numpy = pytest.mark.skipif(
     not batch.numpy_available(),
@@ -392,7 +393,7 @@ class TestSharedMemory:
                         kernel_tree(compiled, algebra, root),
                     )
             finally:
-                batch.close_shared(handles, unlink=True)
+                close_arrays(handles, unlink=True)
 
     def test_export_ineligible_returns_none(self):
         algebra = MostReliablePath(9)

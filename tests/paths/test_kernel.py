@@ -157,29 +157,35 @@ class TestEngineResolution:
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         calls = []
 
-        def counting_kernel_tree(*args, **kwargs):
-            calls.append(kwargs.get("buckets"))
-            return kernel_tree(*args, **kwargs)
+        def counting_kernel_tree(compiled, algebra, root):
+            calls.append(root)
+            return kernel_tree(compiled, algebra, root)
 
         monkeypatch.setattr(dijkstra_mod, "kernel_tree", counting_kernel_tree)
         algebra = ShortestPath(9)
         graph = _weighted_er(10, 6, algebra)
         tree = preferred_path_tree(graph, algebra, 0)
-        assert calls == [True]
+        assert calls == [0]
         reference = preferred_path_tree(graph, algebra, 0, engine="reference")
         assert tree.parent == reference.parent
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "reference")
         assert resolve_engine() == "reference"
-        monkeypatch.setenv(ENGINE_ENV, "kernel-heap")
-        assert resolve_engine() == "kernel-heap"
+        monkeypatch.setenv(ENGINE_ENV, "compiled")
+        assert resolve_engine() == "kernel"
+
+    def test_kernel_heap_is_no_longer_an_engine(self):
+        with pytest.raises(ValueError):
+            resolve_engine("kernel-heap")
+        with pytest.raises(ValueError):
+            resolve_engine("no-buckets")
 
     def test_invalid_env_value_warns_once_and_defaults(self, monkeypatch):
-        from repro.paths import kernel as kernel_mod
+        from repro import env as env_mod
 
         monkeypatch.setenv(ENGINE_ENV, "warp-drive")
-        monkeypatch.setattr(kernel_mod, "_WARNED_ENGINE_VALUES", set())
+        monkeypatch.setattr(env_mod, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="warp-drive"):
             assert resolve_engine() == "batch"
         # one warning per bad value per process: the repeat is silent
@@ -199,12 +205,11 @@ class TestEngineResolution:
         algebra = ShortestPath(9)
         graph = _weighted_er(10, 6, algebra)
         trees = {}
-        for engine in ("kernel", "kernel-heap", "reference"):
+        for engine in ("kernel", "reference"):
             monkeypatch.setenv(ENGINE_ENV, engine)
             trees[engine] = preferred_path_tree(graph, algebra, 0)
         assert trees["kernel"].weight == trees["reference"].weight
         assert trees["kernel"].parent == trees["reference"].parent
-        assert trees["kernel-heap"].parent == trees["reference"].parent
 
 
 class TestDispatchGuards:
@@ -244,15 +249,17 @@ class TestCounters:
             telemetry_reset()
 
     def test_relaxation_counts_agree_across_engines(self):
+        from repro.paths.kernel import _heap_tree
+
         algebra = ShortestPath(9)
         graph = _weighted_er(12, 8, algebra)
         compiled = compile_graph(graph, WEIGHT_ATTR)
-        bucket = kernel_tree(compiled, algebra, 0, buckets=True)
-        heap = kernel_tree(compiled, algebra, 0, buckets=False)
-        assert bucket.stats.bucket_engaged and not heap.stats.bucket_engaged
-        assert bucket.stats.relaxations == heap.stats.relaxations
-        assert bucket.stats.frontier_pushes == heap.stats.frontier_pushes
-        assert bucket.stats.stale_pops == heap.stats.stale_pops
+        bucket = kernel_tree(compiled, algebra, 0).stats
+        heap = _heap_tree(compiled, algebra, compiled.node_index[0])[3]
+        assert bucket.bucket_engaged and not heap.bucket_engaged
+        assert bucket.relaxations == heap.relaxations
+        assert bucket.frontier_pushes == heap.frontier_pushes
+        assert bucket.stale_pops == heap.stale_pops
 
 
 class TestNodeRanks:
@@ -269,9 +276,11 @@ class TestNodeRanks:
 
 
 class TestOracleAdoption:
-    def test_oracle_shares_one_compiled_graph(self):
+    def test_oracle_shares_one_compiled_graph(self, monkeypatch):
         from repro.core.simulate import PreferredWeightOracle
 
+        # The reference engine never compiles a graph: pin the default.
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
         algebra = ShortestPath(9)
         graph = _weighted_er(10, 9, algebra)
         oracle = PreferredWeightOracle(graph, algebra)

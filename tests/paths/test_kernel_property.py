@@ -1,17 +1,25 @@
-"""Property test: compiled kernel engines == reference engine, exactly.
+"""Property test: the compiled kernel == the reference engine, exactly.
 
 The compiled kernel's contract is *bit-identical* results — not just
 equal weights, but the same parent pointers and the same insertion order
 of the ``weight``/``parent`` dicts (the golden-trace harness depends on
-it).  Hypothesis drives random seeded graphs through every engine and
+it).  Hypothesis drives random seeded graphs through both engines and
 compares the full :class:`~repro.paths.dijkstra.PathTree` structure.
+The algebras cover both kernel frontiers: Dial buckets, and the heap for
+algebras without a bucket plan (Fraction weights, or a key range too wide
+to bucket).
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.catalog import MinHop, ShortestPath, WidestPath
+from repro.algebra.catalog import (
+    MinHop,
+    MostReliablePath,
+    ShortestPath,
+    WidestPath,
+)
 from repro.algebra.lexicographic import (
     shortest_widest_path,
     widest_shortest_path,
@@ -29,6 +37,9 @@ ALGEBRAS = [
     (lambda: WidestPath(max_capacity=9), False),
     (lambda: widest_shortest_path(max_weight=9, max_capacity=9), False),
     (lambda: shortest_widest_path(max_weight=9, max_capacity=9), True),
+    # no bucket plan: the kernel runs its heap frontier
+    (lambda: MostReliablePath(denominator=8), False),
+    (lambda: ShortestPath(max_weight=10**6), False),
 ]
 
 
@@ -48,13 +59,12 @@ def test_engines_produce_identical_path_trees(seed, n, algebra_index):
     for root in graph.nodes():
         reference = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
                                         engine="reference")
-        for engine in ("kernel", "kernel-heap"):
-            tree = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
-                                       engine=engine, compiled=compiled)
-            assert tree.root == reference.root
-            assert tree.weight == reference.weight, (engine, root)
-            assert tree.parent == reference.parent, (engine, root)
-            assert tree.reachable() == reference.reachable(), (engine, root)
-            # dict insertion order is part of the bit-identical contract
-            assert list(tree.weight) == list(reference.weight), (engine, root)
-            assert list(tree.parent) == list(reference.parent), (engine, root)
+        tree = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
+                                   engine="kernel", compiled=compiled)
+        assert tree.root == reference.root
+        assert tree.weight == reference.weight, root
+        assert tree.parent == reference.parent, root
+        assert tree.reachable() == reference.reachable(), root
+        # dict insertion order is part of the bit-identical contract
+        assert list(tree.weight) == list(reference.weight), root
+        assert list(tree.parent) == list(reference.parent), root

@@ -5,7 +5,10 @@ The fixture pair under ``tests/service/fixtures/`` pins the wire format:
 fail/restore cycle, one malformed op, shutdown) and
 ``serve_session.expected.jsonl`` the exact bytes the server must answer.
 CI pipes the same fixture through the installed CLI, so a wire-format
-change has to be made deliberately by re-recording the fixture.
+change has to be made deliberately by re-recording the fixture.  The
+fixture was recorded under the default path engine: the reference engine
+compiles no graph, so its weight update answers ``"compiled_patched":
+false``.  Both tests pin the default.
 """
 
 import io
@@ -26,6 +29,7 @@ def fixture_lines(name):
 
 def test_serve_cli_matches_recorded_fixture():
     env = dict(os.environ)
+    env.pop("REPRO_PATH_ENGINE", None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     result = subprocess.run(
         [sys.executable, "-m", "repro", *SERVE_ARGS],
@@ -57,11 +61,12 @@ def make_cli_equivalent_service(n=16, seed=0):
     return RoutingService(graph, algebra, ServiceOptions(seed=seed + 1))
 
 
-def test_serve_lines_matches_recorded_fixture():
+def test_serve_lines_matches_recorded_fixture(monkeypatch):
     # The same session in-process: serve_lines is what both the stdio and
     # socket front ends drain through.
     from repro.service import serve_lines
 
+    monkeypatch.delenv("REPRO_PATH_ENGINE", raising=False)
     service = make_cli_equivalent_service()
     out = io.StringIO()
     stopped = serve_lines(service, fixture_lines("serve_session.jsonl"), out)
