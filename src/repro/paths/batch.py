@@ -69,7 +69,7 @@ into a plan.  See ``docs/PERFORMANCE.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 try:  # numpy is an optional extra (`pip install repro[fast]`)
     import numpy as _np
@@ -77,6 +77,7 @@ except Exception:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
 from repro.algebra.base import KeyCodec, KeyCombine, RoutingAlgebra, key_codec
+from repro.frozen import FrozenTable
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
@@ -497,10 +498,10 @@ def _emit_chunk(compiled, plan, dist, parent, touch, touch_inf, lanes_count,
     start = 0
     for stop in splits:
         node_list = touched_nodes[start:stop]
-        weight_map: Dict = dict(zip(node_list, keys[start:stop]))
-        parent_map: Dict = dict(zip(node_list, parent_nodes[start:stop]))
-        runs.append(KernelRun(weight=weight_map, parent=parent_map,
-                              stats=stats))
+        runs.append(KernelRun(
+            weight=FrozenTable(zip(node_list, keys[start:stop])),
+            parent=FrozenTable(zip(node_list, parent_nodes[start:stop])),
+            stats=stats))
         start = stop
     return runs
 

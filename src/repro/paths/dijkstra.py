@@ -47,6 +47,7 @@ from typing import Dict, Optional
 
 from repro.algebra.base import PHI, RoutingAlgebra, Weight, is_phi
 from repro.exceptions import AlgebraError
+from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.paths.kernel import (  # noqa: F401  (re-exported for compat)
     CompiledGraph,
@@ -66,7 +67,8 @@ class PathTree:
     ``weight[v]`` is the preferred path weight (absent if unreachable;
     ``weight[root]`` is absent too, since the empty path has no weight in a
     semigroup), ``parent[v]`` is the penultimate node on the preferred
-    root→v path.
+    root→v path.  Every engine emits both maps read-only
+    (:class:`~repro.frozen.FrozenTable`): schemes forward by them.
     """
 
     root: object
@@ -205,7 +207,7 @@ def _reference_tree(graph, algebra: RoutingAlgebra, root, attr: str) -> PathTree
     emit_stats(KernelStats(engine="reference", relaxations=relaxations,
                            frontier_pushes=pushes, stale_pops=stale,
                            bucket_engaged=False))
-    return PathTree(root, weight, parent)
+    return PathTree(root, FrozenTable(weight), FrozenTable(parent))
 
 
 def all_pairs_preferred_weights(graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,

@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.algebra.base import RoutingAlgebra, is_phi
 from repro.env import env_choice
+from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
@@ -365,7 +366,7 @@ def kernel_tree(compiled: CompiledGraph, algebra: RoutingAlgebra,
     accepts the algebra; otherwise runs the reference-heap algorithm over
     the compiled arrays.  Both paths reproduce the reference engine's
     result exactly — weights, parents, and the first-relaxation insertion
-    order of both maps.
+    order of both (read-only) maps.
     """
     root_index = compiled.node_index[root]
     plan = compiled.bucket_plan(algebra)
@@ -376,12 +377,12 @@ def kernel_tree(compiled: CompiledGraph, algebra: RoutingAlgebra,
         weight, parent, order, stats = _heap_tree(compiled, algebra,
                                                   root_index)
     nodes = compiled.nodes
-    weight_map: Dict = {}
-    parent_map: Dict = {}
-    for index in order:
-        weight_map[nodes[index]] = weight[index]
-        parent_map[nodes[index]] = nodes[parent[index]]
-    return KernelRun(weight=weight_map, parent=parent_map, stats=stats)
+    reached = [nodes[index] for index in order]
+    return KernelRun(
+        weight=FrozenTable(zip(reached, map(weight.__getitem__, order))),
+        parent=FrozenTable(zip(reached, [nodes[parent[index]]
+                                         for index in order])),
+        stats=stats)
 
 
 def _bucket_tree(compiled, algebra, root, plan):

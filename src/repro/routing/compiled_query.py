@@ -1,18 +1,18 @@
 """Compiled query tables: evaluate a shard of pairs without the per-pair loop.
 
-The seed evaluation loop calls :meth:`RoutingScheme.route` once per
+The reference evaluation loop calls :meth:`RoutingScheme.route` once per
 (source, target) pair; every hop is a Python ``local_decision`` with dict
-lookups and header objects.  PRs 5 and 9 vectorized tree *construction*,
-which leaves this loop as the dominant cost of all-pairs sweeps.  This
-module compiles a **built** scheme once into flat numpy int arrays and
-then walks an entire shard of pairs per vectorized step.
+lookups and header objects.  This module compiles a **built** scheme once
+into flat numpy int arrays and then walks an entire shard of pairs, one
+vectorized step per packet decision.
 
-Compilation (:func:`compile_query`) produces, per scheme family:
+Compilation (:func:`compile_query`) produces a sorted-adjacency CSR over
+the scheme's graph (``adj_indptr`` / ``adj_next`` / ``adj_key``) — ports
+are 1-based ranks into each node's sorted neighbor list (exactly
+:class:`repro.routing.model.PortMap`), so ``adj_next[adj_indptr[u] +
+port - 1]`` resolves any forwarded port — plus what each family's
+per-decision step of the one walk (:func:`_walk`) reads:
 
-* a sorted-adjacency CSR over the scheme's graph (``adj_indptr`` /
-  ``adj_next`` / ``adj_key``) — ports are 1-based ranks into each node's
-  sorted neighbor list (exactly :class:`repro.routing.model.PortMap`), so
-  ``adj_next[adj_indptr[u] + port - 1]`` resolves any forwarded port;
 * **tree-routing** (:class:`TreeRoutingScheme`): the per-node DFS
   interval labels, parent/heavy hops pre-resolved to (next node, edge
   key), light depths, and each target's label (DFS number + light-port
@@ -22,9 +22,14 @@ Compilation (:func:`compile_query`) produces, per scheme family:
   the tree-routing columns of every landmark tree stacked into flat
   ``(|L|, n)`` arrays and each target's header (landmark slot, tree DFS,
   light ports);
-* **destination-table** / **pair-table**: walk-free gather tables — the
-  realized walk is a tree branch (resp. the installed path), so its hop
-  count and weight key are known at compile time.
+* **destination-table** (:class:`DestinationTableScheme`): dense
+  ``t*n + u`` next-hop and edge-key arrays, one gather per decision;
+* **pair-table** (:class:`PairTableScheme`): every node's entries as
+  sorted ``(u*n + s)*n + t`` codes, one ``searchsorted`` per decision.
+
+A built scheme's forwarding state is read-only
+(:class:`~repro.frozen.FrozenTable`), so compiled tables memoized per
+scheme instance cannot go stale: a changed table is a new scheme.
 
 Realized weights ride the integer-key capability
 (:func:`repro.algebra.base.key_codec`): the key of a walk is its edge
@@ -52,12 +57,14 @@ in pair order.  Three mechanisms make that safe:
 * optimality compares integer keys (``key(realized) == key(preferred)``),
   exact because the key map is an order embedding;
 * failure strings the vectorized walk can prove (``"hop limit
-  exceeded"``, the table schemes' missing-entry messages) are emitted
-  natively with the reference's exact f-strings;
+  exceeded"``, also for forwarding loops, and the table schemes'
+  missing-entry messages) are emitted natively with the reference's
+  exact f-strings;
 * any pair the walk cannot replicate bit-for-bit — a condition the
-  reference would raise on, an endpoint outside the compiled tables, a
-  premature tree delivery — is replayed through ``scheme.route`` one pair
-  at a time, reproducing even exotic exception behavior.
+  reference would raise on (an entry off every edge, a port that does
+  not exist), an endpoint outside the compiled tables, a premature tree
+  delivery — is replayed through ``scheme.route`` one pair at a time,
+  reproducing even exotic exception behavior.
 
 The engine only runs when telemetry is off and no packet-trace capture is
 active (:mod:`repro.routing.query_engine` gates this): traces and
@@ -79,7 +86,7 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     _np = None
 
 from repro.algebra.base import KeyCodec, is_phi, key_codec
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, RoutingError
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
@@ -109,6 +116,10 @@ _HOP_LIMIT = 2
 _ANOMALY = 3     # replay through scheme.route for exact reference behavior
 _NO_ROUTE = 4    # table miss with a natively reproducible failure string
 
+#: Step codes in place of a next node.
+_MISSING = -1    # no table entry: the packet strands where it is
+_REPLAY = -2     # an entry the walk cannot follow: replay the pair
+
 #: Pairs evaluated per block of a shard: bounds the walk's ~30 pair-sized
 #: temporaries and the per-pair lists, whatever the shard size.
 BLOCK_PAIRS = 16384
@@ -127,11 +138,10 @@ class CompiledQuery:
     """Flat int arrays plus the key codec for one built scheme."""
 
     __slots__ = ("kind", "n", "nodes", "node_index", "identity_decode",
-                 "codec", "arrays", "fingerprint")
+                 "codec", "arrays")
 
     def __init__(self, kind: str, nodes: List, node_index: Dict,
-                 identity_decode: bool, codec: KeyCodec, arrays: Dict,
-                 fingerprint: int = 0):
+                 identity_decode: bool, codec: KeyCodec, arrays: Dict):
         self.kind = kind
         self.n = len(nodes)
         self.nodes = nodes
@@ -139,9 +149,6 @@ class CompiledQuery:
         self.identity_decode = identity_decode
         self.codec = codec
         self.arrays = arrays
-        #: Table-size fingerprint at compile time; a mismatch on a later
-        #: shard means the scheme was mutated and the cache is stale.
-        self.fingerprint = fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +166,19 @@ def compile_query(scheme) -> Optional["CompiledQuery"]:
     the four supported
     scheme families (exact type match — a subclass may override the
     routing function, and bit-identity trumps coverage).  Results are
-    memoized per scheme instance.
+    memoized per scheme instance; a built scheme's tables are read-only,
+    so a memoized result never goes stale.
     """
     if _np is None:
         return None
     cached = _CACHE.get(scheme)
     if cached is not None:
-        if cached is False:
-            return None
-        if cached.fingerprint == _table_fingerprint(scheme):
-            return cached
-        # Table sizes changed since compile (tests sabotage forwarding
-        # state in place): recompile from the live tables.
+        return cached or None
     try:
         compiled = _compile(scheme)
     except Exception:
-        # Any structural surprise (mutated tables, exotic node types,
-        # key functions raising) means "fall back", never "crash".
+        # Any structural surprise (exotic node types or table keys, key
+        # functions raising) means "fall back", never "crash".
         compiled = None
     try:
         _CACHE[scheme] = compiled if compiled is not None else False
@@ -184,28 +187,10 @@ def compile_query(scheme) -> Optional["CompiledQuery"]:
     return compiled
 
 
-def _table_fingerprint(scheme) -> int:
-    """A cheap size signature of the scheme's mutable forwarding state.
-
-    Detects the realistic mutation pattern (entries dropped or added to a
-    built scheme); swapping values in place without changing dict sizes
-    still defeats the cache, so the contract is snapshot-at-compile for
-    such exotic edits.
-    """
-    if type(scheme) is DestinationTableScheme:
-        return sum(len(entries) for entries in scheme._next_hop.values())
-    if type(scheme) is PairTableScheme:
-        return sum(len(entries) for entries in scheme._entries.values())
-    if type(scheme) is TreeRoutingScheme:
-        return len(scheme._info) * 1000003 + len(scheme._labels)
-    if type(scheme) is CowenScheme:
-        return len(scheme.landmarks) * 1000003 + len(scheme.clusters)
-    return 0
-
-
 def _compile(scheme) -> Optional["CompiledQuery"]:
+    compile_kind = _COMPILERS.get(type(scheme))
     graph = scheme.graph
-    if graph.is_directed():
+    if compile_kind is None or graph.is_directed():
         return None
     n = graph.number_of_nodes()
     if n == 0:
@@ -244,30 +229,15 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
         "adj_key": _np.asarray(adj_keys, dtype=_np.int64),
     }
 
-    if type(scheme) is CowenScheme:
-        extra = _compile_cowen(scheme, nodes, node_index, edge_key)
-    elif type(scheme) is TreeRoutingScheme:
-        extra = _compile_tree(scheme, nodes, node_index, edge_key)
-    elif type(scheme) is DestinationTableScheme:
-        extra = _compile_destination(scheme, nodes, node_index, edge_key,
-                                     codec.combine.combine)
-    elif type(scheme) is PairTableScheme:
-        extra = _compile_pair(scheme, nodes, node_index, edge_key,
-                              codec.combine.combine)
-    else:
-        return None
-    if extra is None:
-        return None
-    kind, kind_arrays = extra
+    kind, kind_arrays = compile_kind(scheme, nodes, node_index, edge_key)
     arrays.update(kind_arrays)
     return CompiledQuery(kind=kind, nodes=nodes, node_index=node_index,
                          identity_decode=identity, codec=codec,
-                         arrays=arrays,
-                         fingerprint=_table_fingerprint(scheme))
+                         arrays=arrays)
 
 
 def _tree_columns(tree_scheme: TreeRoutingScheme, nodes, node_index,
-                  edge_key) -> Optional[Dict[str, "object"]]:
+                  edge_key) -> Dict[str, "object"]:
     """Per-node walk columns of one tree scheme, parent/heavy pre-resolved."""
     n = len(nodes)
     dfs = _np.full(n, -1, dtype=_np.int64)
@@ -281,9 +251,7 @@ def _tree_columns(tree_scheme: TreeRoutingScheme, nodes, node_index,
     ldepth = _np.zeros(n, dtype=_np.int64)
     ports = tree_scheme.ports
     for node, info in tree_scheme._info.items():
-        i = node_index.get(node)
-        if i is None:
-            return None
+        i = node_index[node]
         dfs[i] = info.dfs
         iend[i] = info.interval_end
         ldepth[i] = info.light_depth
@@ -307,44 +275,34 @@ def _label_csr(labels: Dict, node_index, n):
     hdr_dfs = _np.full(n, -1, dtype=_np.int64)
     seqs: List[Tuple[int, ...]] = [()] * n
     for node, (dfs_number, light_ports) in labels.items():
-        i = node_index.get(node)
-        if i is None:
-            return None
+        i = node_index[node]
         hdr_dfs[i] = dfs_number
-        seqs[i] = tuple(light_ports)
+        seqs[i] = light_ports
     indptr = _np.zeros(n + 1, dtype=_np.int64)
-    for i, seq in enumerate(seqs):
-        indptr[i + 1] = indptr[i] + len(seq)
-    flat = _np.zeros(int(indptr[-1]), dtype=_np.int64)
-    for i, seq in enumerate(seqs):
-        if seq:
-            flat[indptr[i]:indptr[i + 1]] = seq
+    _np.cumsum([len(seq) for seq in seqs], out=indptr[1:])
+    flat = _np.asarray([port for seq in seqs for port in seq],
+                       dtype=_np.int64)
     return hdr_dfs, indptr, flat
+
+
+def _entry_columns(prefix: str, entries) -> Dict[str, "object"]:
+    """Sorted ``(code, next node, edge key)`` entries as int64 columns."""
+    entries.sort()
+    return {f"{prefix}_{column}": _np.asarray([entry[i] for entry in entries],
+                                              dtype=_np.int64)
+            for i, column in enumerate(("code", "next", "key"))}
 
 
 _TREE_COLS = ("dfs", "iend", "hdfs", "hend", "pnext", "pkey", "hnext",
               "hkey", "ldepth")
 
 
-def _empty_direct():
-    return {
-        "direct_code": _np.zeros(0, dtype=_np.int64),
-        "direct_next": _np.zeros(0, dtype=_np.int64),
-        "direct_key": _np.zeros(0, dtype=_np.int64),
-    }
-
-
 def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, edge_key):
     n = len(nodes)
     cols = _tree_columns(scheme, nodes, node_index, edge_key)
-    if cols is None:
-        return None
-    labels = _label_csr(scheme._labels, node_index, n)
-    if labels is None:
-        return None
-    hdr_dfs, lp_indptr, lp_port = labels
+    hdr_dfs, lp_indptr, lp_port = _label_csr(scheme._labels, node_index, n)
     arrays = {f"t_{name}": cols[name] for name in _TREE_COLS}
-    arrays.update(_empty_direct())
+    arrays.update(_entry_columns("direct", []))
     arrays.update({
         "hdr_base": _np.zeros(n, dtype=_np.int64),
         "hdr_dfs": hdr_dfs,
@@ -359,13 +317,9 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key):
     landmarks = sorted(scheme.landmarks)
     slot = {landmark: k for k, landmark in enumerate(landmarks)}
 
-    per_tree = []
-    for landmark in landmarks:
-        cols = _tree_columns(scheme._tree_schemes[landmark], nodes,
-                             node_index, edge_key)
-        if cols is None:
-            return None
-        per_tree.append(cols)
+    per_tree = [_tree_columns(scheme._tree_schemes[landmark], nodes,
+                              node_index, edge_key)
+                for landmark in landmarks]
     arrays = {
         f"t_{name}": _np.concatenate([cols[name] for cols in per_tree])
         for name in _TREE_COLS
@@ -374,192 +328,80 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key):
     # Direct entries: one sorted u*n+t key per (node, cluster-or-landmark
     # target), the next hop pre-resolved along the target-rooted tree.
     entries = []
-    for u in nodes:
-        ui = node_index[u]
-        for t in set(scheme.clusters[u]) | scheme.landmarks:
-            if t == u:
-                continue
-            ti = node_index.get(t)
-            if ti is None:
-                return None
-            vi = node_index.get(scheme._trees[t].parent.get(u))
-            if vi is None:
-                return None
-            key = edge_key.get((ui, vi))
-            if key is None:
-                return None
-            entries.append((ui * n + ti, vi, key))
-    entries.sort()
-    arrays["direct_code"] = _np.asarray([c for c, _, _ in entries],
-                                        dtype=_np.int64)
-    arrays["direct_next"] = _np.asarray([v for _, v, _ in entries],
-                                        dtype=_np.int64)
-    arrays["direct_key"] = _np.asarray([k for _, _, k in entries],
-                                       dtype=_np.int64)
+    for ui, u in enumerate(nodes):
+        for t in scheme.clusters[u] | scheme.landmarks:
+            if t != u:
+                vi = node_index[scheme._trees[t].parent[u]]
+                entries.append((ui * n + node_index[t], vi,
+                                edge_key[(ui, vi)]))
+    arrays.update(_entry_columns("direct", entries))
 
     # Per-target header: which landmark tree to walk (as a flat-array
     # base offset) and the target's label in it.
     hdr_base = _np.zeros(n, dtype=_np.int64)
-    hdr_dfs = _np.full(n, -1, dtype=_np.int64)
-    seqs: List[Tuple[int, ...]] = [()] * n
+    labels = {}
     for t in nodes:
-        ti = node_index[t]
         landmark = scheme.landmark_of[t]
-        hdr_base[ti] = slot[landmark] * n
-        dfs_number, light_ports = scheme._tree_schemes[landmark]._labels[t]
-        hdr_dfs[ti] = dfs_number
-        seqs[ti] = tuple(light_ports)
-    lp_indptr = _np.zeros(n + 1, dtype=_np.int64)
-    for i, seq in enumerate(seqs):
-        lp_indptr[i + 1] = lp_indptr[i] + len(seq)
-    lp_port = _np.zeros(int(lp_indptr[-1]), dtype=_np.int64)
-    for i, seq in enumerate(seqs):
-        if seq:
-            lp_port[lp_indptr[i]:lp_indptr[i + 1]] = seq
+        hdr_base[node_index[t]] = slot[landmark] * n
+        labels[t] = scheme._tree_schemes[landmark]._labels[t]
+    hdr_dfs, lp_indptr, lp_port = _label_csr(labels, node_index, n)
     arrays.update({"hdr_base": hdr_base, "hdr_dfs": hdr_dfs,
                    "hdr_lp_indptr": lp_indptr, "hdr_lp_port": lp_port})
     return "cowen", arrays
 
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
-                         edge_key, combine):
-    """Chain-walk ``_next_hop`` into per-(target, source) outcome tables.
-
-    The *live* forwarding dicts are the source of truth (tests sabotage
-    them post-build to exercise failure paths), so every walk outcome —
-    delivery with its edge keys folded by *combine*, the exact node a
-    missing entry strands the packet at, hop-limit loops — is resolved
-    here with per-target memoized chain walks, O(n) per destination
-    tree.
-    """
+                         edge_key):
+    """``_next_hop`` as dense ``t*n + u`` next-hop and edge-key arrays."""
     n = len(nodes)
-    status = _np.zeros(n * n, dtype=_np.int64)
-    keys = _np.zeros(n * n, dtype=_np.int64)
-    fail = _np.full(n * n, -1, dtype=_np.int64)
-    next_hop = scheme._next_hop
-    for ti, t in enumerate(nodes):
-        base = ti * n
-        nxt = [-1] * n   # -1 = no entry, -2 = entry that is not a graph edge
-        ekey = [0] * n
-        for si, s in enumerate(nodes):
-            hop = next_hop[s].get(t)
-            if hop is None:
-                continue
-            vi = node_index.get(hop)
-            step = edge_key.get((si, vi)) if vi is not None else None
+    index = node_index.get
+    nxt = [_MISSING] * (n * n)
+    key = [0] * (n * n)
+    for ui, u in enumerate(nodes):
+        for t, hop in scheme._next_hop[u].items():
+            ti = index(t)
+            if ti is None:
+                continue   # an off-graph target is never asked for
+            vi = index(hop)
+            step = edge_key.get((ui, vi))
             if step is None:
-                nxt[si] = -2     # mutated table: replay those pairs
+                nxt[ti * n + ui] = _REPLAY   # not a graph edge
             else:
-                nxt[si] = vi
-                ekey[si] = step
-        st = [_PENDING] * n
-        ky = [0] * n
-        fl = [-1] * n
-        st[ti] = _DELIVERED
-        for s0 in range(n):
-            if st[s0] != _PENDING:
-                continue
-            chain: List[int] = []
-            seen: Dict[int, int] = {}
-            cur = s0
-            while st[cur] == _PENDING:
-                if cur in seen:
-                    # A forwarding loop: the reference walks it until the
-                    # 4n+8 decision budget runs out, then gives up.
-                    for node in chain[seen[cur]:]:
-                        st[node] = _HOP_LIMIT
-                    break
-                seen[cur] = len(chain)
-                chain.append(cur)
-                hop = nxt[cur]
-                if hop == -1:
-                    st[cur] = _NO_ROUTE
-                    fl[cur] = cur
-                    break
-                if hop == -2:
-                    st[cur] = _ANOMALY
-                    break
-                cur = hop
-            for node in reversed(chain):
-                if st[node] != _PENDING:
-                    continue
-                hop = nxt[node]
-                downstream = st[hop]
-                if downstream == _DELIVERED:
-                    st[node] = _DELIVERED
-                    ky[node] = combine(ekey[node], ky[hop])
-                elif downstream == _NO_ROUTE:
-                    st[node] = _NO_ROUTE
-                    fl[node] = fl[hop]
-                elif downstream == _HOP_LIMIT:
-                    st[node] = _HOP_LIMIT
-                else:
-                    st[node] = _ANOMALY
-        status[base:base + n] = st
-        keys[base:base + n] = ky
-        fail[base:base + n] = fl
-    return "destination", {"dt_status": status, "dt_key": keys,
-                           "dt_fail": fail}
+                nxt[ti * n + ui] = vi
+                key[ti * n + ui] = step
+    return "destination", {"dt_next": _np.asarray(nxt, dtype=_np.int64),
+                           "dt_key": _np.asarray(key, dtype=_np.int64)}
 
 
-def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key,
-                  combine):
-    """Replay each installable pair through the *live* ``_entries`` dicts.
+def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key):
+    """Every node's entries, sorted by ``(u*n + s)*n + t`` code.
 
-    Initiation only consults ``_entries[source]``, so the compiled
-    universe is exactly the (s, t) keys present at their own source; a
-    query outside it misses the sorted code table and strands at the
-    source, which the evaluator emits natively.  Each installed pair is
-    walked through the per-node entry dicts up to the route loop's 4n+8
-    decision budget, so post-build mutations (dropped entries, loops)
-    land on the same outcome the reference loop would reach.
+    Each entry's port resolves through the scheme's own
+    :class:`~repro.routing.model.PortMap`, as the route loop resolves
+    it; a port the map does not know is replayed.  A final sentinel code
+    ``n**3``, above every real one, keeps each lookup in range.
     """
     n = len(nodes)
-    max_hops = 4 * n + 8
     ports = scheme.ports
     entries = []
-    for si, s in enumerate(nodes):
-        for header in scheme._entries[s]:
-            if not isinstance(header, tuple) or len(header) != 2:
-                return None
-            hs, t = header
-            if hs != s or t == s:
+    for ui, u in enumerate(nodes):
+        for (s, t), port in scheme._entries[u].items():
+            code = (ui * n + node_index[s]) * n + node_index[t]
+            try:
+                hop = ports.neighbor(u, port)
+            except RoutingError:
+                entries.append((code, _REPLAY, 0))
                 continue
-            ti = node_index.get(t)
-            if ti is None:
-                return None
-            cur = s
-            key = 0
-            state = _HOP_LIMIT
-            fail_at = -1
-            for _ in range(max_hops):
-                if cur == t:
-                    state = _DELIVERED
-                    break
-                port = scheme._entries[cur].get(header)
-                if port is None:
-                    state = _NO_ROUTE
-                    fail_at = node_index[cur]
-                    break
-                try:
-                    hop = ports.neighbor(cur, port)
-                except Exception:
-                    state = _ANOMALY   # mutated port: replay for the message
-                    break
-                step = edge_key.get((node_index[cur], node_index[hop]))
-                if step is None:
-                    state = _ANOMALY
-                    break
-                key = combine(key, step)
-                cur = hop
-            entries.append((si * n + ti, state, key, fail_at))
-    entries.sort(key=lambda item: item[0])
-    return "pair", {
-        "pt_code": _np.asarray([e[0] for e in entries], dtype=_np.int64),
-        "pt_status": _np.asarray([e[1] for e in entries], dtype=_np.int64),
-        "pt_key": _np.asarray([e[2] for e in entries], dtype=_np.int64),
-        "pt_fail": _np.asarray([e[3] for e in entries], dtype=_np.int64),
-    }
+            vi = node_index[hop]
+            entries.append((code, vi, edge_key[(ui, vi)]))
+    entries.append((n ** 3, _MISSING, 0))
+    return "pair", _entry_columns("pt", entries)
+
+
+#: Per supported scheme type (exact match), its compiler.
+_COMPILERS = {CowenScheme: _compile_cowen, TreeRoutingScheme: _compile_tree,
+              DestinationTableScheme: _compile_destination,
+              PairTableScheme: _compile_pair}
 
 
 # ---------------------------------------------------------------------------
@@ -637,59 +479,75 @@ def _evaluate_block(algebra, scheme, tables, oracle, pairs):
     status[unknown] = _ANOMALY
 
     fail = _np.full(routed, -1, dtype=_np.int64)
-    if tables.kind == "destination":
-        _eval_destination(tables, s_arr, t_arr, status, rkey, fail)
-    elif tables.kind == "pair":
-        _eval_pair(tables, s_arr, t_arr, status, rkey, fail)
-    else:
-        _walk(tables, s_arr, t_arr, status, rkey)
+    _walk(tables, s_arr, t_arr, status, rkey, fail)
 
     return _assemble(algebra, scheme, tables, routed_pairs, preferred,
                      status, rkey, fail)
 
 
-def _eval_destination(tables, s_arr, t_arr, status, rkey, fail):
-    arrays = tables.arrays
-    alive = _np.nonzero(status == _PENDING)[0]
-    if alive.size == 0:
-        return
-    flat = t_arr[alive] * tables.n + s_arr[alive]
-    status[alive] = arrays["dt_status"][flat]
-    rkey[alive] = arrays["dt_key"][flat]
-    fail[alive] = arrays["dt_fail"][flat]
-
-
-def _eval_pair(tables, s_arr, t_arr, status, rkey, fail):
-    arrays = tables.arrays
-    codes = arrays["pt_code"]
-    alive = _np.nonzero(status == _PENDING)[0]
-    if alive.size == 0:
-        return
-    if codes.size == 0:
-        # No entry at the source: the first decision already raises.
-        status[alive] = _NO_ROUTE
-        fail[alive] = s_arr[alive]
-        return
-    want = s_arr[alive] * tables.n + t_arr[alive]
-    pos = _np.minimum(_np.searchsorted(codes, want), codes.size - 1)
-    hit = codes[pos] == want
-    status[alive[hit]] = arrays["pt_status"][pos[hit]]
-    rkey[alive[hit]] = arrays["pt_key"][pos[hit]]
-    fail[alive[hit]] = arrays["pt_fail"][pos[hit]]
-    status[alive[~hit]] = _NO_ROUTE
-    fail[alive[~hit]] = s_arr[alive[~hit]]
-
-
-def _walk(tables, s_arr, t_arr, status, rkey):
-    """The shared tree/cowen walk: one vectorized step per packet decision.
+def _walk(tables, s_arr, t_arr, status, rkey, fail):
+    """Walk every pending pair, one vectorized step per packet decision.
 
     Replicates ``RoutingScheme.route`` exactly: ``4n + 8`` decisions per
     pair, a delivery consuming one decision, pairs still in flight after
-    the budget marked ``hop limit exceeded``.  Per decision the cowen
-    direct table is consulted first (one ``searchsorted`` over the sorted
-    ``u*n + t`` keys), then the landmark/tree interval logic; any branch
-    the reference would raise on marks the pair as an anomaly for exact
-    per-pair replay.
+    the budget (forwarding loops too) marked ``hop limit exceeded``.  The
+    family's step (:data:`_STEPS`) gives each packet its next node and
+    edge key; a :data:`_MISSING` next node strands the packet where it is
+    (recorded in *fail*), a :data:`_REPLAY` one replays the pair.
+    """
+    n = tables.n
+    step = _STEPS[tables.kind](tables)
+    combine = tables.codec.combine.combine
+    hdr_dfs = tables.arrays.get("hdr_dfs")
+    with_source = tables.kind == "pair"
+
+    alive = _np.nonzero(status == _PENDING)[0]
+    if hdr_dfs is not None:
+        # An unlabeled target would crash the reference at initial_header —
+        # replay those pairs rather than guessing.
+        bad_header = hdr_dfs[t_arr[alive]] < 0
+        status[alive[bad_header]] = _ANOMALY
+        alive = alive[~bad_header]
+
+    cur = s_arr.copy()
+    for _ in range(4 * n + 8):
+        if alive.size == 0:
+            return
+        here = cur[alive]
+        tgt = t_arr[alive]
+        done = here == tgt
+        if done.any():
+            status[alive[done]] = _DELIVERED
+            keep = ~done
+            alive = alive[keep]
+            here = here[keep]
+            tgt = tgt[keep]
+            if alive.size == 0:
+                return
+        src = s_arr[alive] if with_source else None
+        nxt, key = step(here, tgt, src)
+        stop = nxt < 0
+        if stop.any():
+            stuck = alive[stop]
+            missing = nxt[stop] == _MISSING
+            status[stuck] = _ANOMALY
+            status[stuck[missing]] = _NO_ROUTE
+            fail[stuck[missing]] = here[stop][missing]
+            keep = ~stop
+            alive = alive[keep]
+            nxt = nxt[keep]
+            key = key[keep]
+        cur[alive] = nxt
+        rkey[alive] = combine(rkey[alive], key, _np.minimum)
+    status[alive] = _HOP_LIMIT
+
+
+def _tree_step(tables):
+    """The tree/Cowen decision, as ``step(here, tgt, src) -> (next, key)``.
+
+    The Cowen direct table is consulted first (one ``searchsorted`` over
+    the sorted ``u*n + t`` keys), then the landmark/tree interval logic;
+    any branch the reference would raise on is replayed.
     """
     arrays = tables.arrays
     n = tables.n
@@ -708,37 +566,12 @@ def _walk(tables, s_arr, t_arr, status, rkey):
     direct_code = arrays["direct_code"]
     direct_next = arrays["direct_next"]
     direct_key = arrays["direct_key"]
-    combine = tables.codec.combine.combine
     hdr_base = arrays["hdr_base"]
     hdr_dfs_all = arrays["hdr_dfs"]
     lp_indptr = arrays["hdr_lp_indptr"]
     lp_port = arrays["hdr_lp_port"]
 
-    alive = _np.nonzero(status == _PENDING)[0]
-    if alive.size == 0:
-        return
-    # An unlabeled target would crash the reference at initial_header —
-    # replay those pairs rather than guessing.
-    bad_header = hdr_dfs_all[t_arr[alive]] < 0
-    status[alive[bad_header]] = _ANOMALY
-    alive = alive[~bad_header]
-
-    cur = s_arr.copy()
-    for _ in range(4 * n + 8):
-        if alive.size == 0:
-            return
-        here = cur[alive]
-        tgt = t_arr[alive]
-        done = here == tgt
-        if done.any():
-            status[alive[done]] = _DELIVERED
-            keep = ~done
-            alive = alive[keep]
-            here = here[keep]
-            tgt = tgt[keep]
-            if alive.size == 0:
-                return
-
+    def step(here, tgt, src):
         if direct_code.size:
             want = here * n + tgt
             pos = _np.minimum(_np.searchsorted(direct_code, want),
@@ -794,16 +627,44 @@ def _walk(tables, s_arr, t_arr, status, rkey):
             nxt = tree_next
             key = tree_key
         if anomaly.any():
-            status[alive[anomaly]] = _ANOMALY
-            keep = ~anomaly
-            alive = alive[keep]
-            nxt = nxt[keep]
-            key = key[keep]
-            if alive.size == 0:
-                return
-        cur[alive] = nxt
-        rkey[alive] = combine(rkey[alive], key, _np.minimum)
-    status[alive] = _HOP_LIMIT
+            nxt = _np.where(anomaly, _REPLAY, nxt)
+        return nxt, key
+
+    return step
+
+
+def _destination_step(tables):
+    """One gather from the dense ``t*n + u`` next-hop and edge-key arrays."""
+    n = tables.n
+    dt_next = tables.arrays["dt_next"]
+    dt_key = tables.arrays["dt_key"]
+
+    def step(here, tgt, src):
+        flat = tgt * n + here
+        return dt_next[flat], dt_key[flat]
+
+    return step
+
+
+def _pair_step(tables):
+    """One ``searchsorted`` over the sorted ``(u*n + s)*n + t`` codes."""
+    n = tables.n
+    pt_code = tables.arrays["pt_code"]
+    pt_next = tables.arrays["pt_next"]
+    pt_key = tables.arrays["pt_key"]
+
+    def step(here, tgt, src):
+        want = (here * n + src) * n + tgt
+        pos = _np.searchsorted(pt_code, want)
+        nxt = _np.where(pt_code[pos] == want, pt_next[pos], _MISSING)
+        return nxt, pt_key[pos]
+
+    return step
+
+
+#: Per compiled kind, the factory of its per-decision step.
+_STEPS = {"tree": _tree_step, "cowen": _tree_step,
+          "destination": _destination_step, "pair": _pair_step}
 
 
 def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
@@ -885,8 +746,7 @@ def export_shared_query(tables: "CompiledQuery"):
     tables, merely slower.
     """
     return export_arrays(tables.arrays, {
-        "kind": tables.kind, "identity": tables.identity_decode,
-        "fingerprint": tables.fingerprint})
+        "kind": tables.kind, "identity": tables.identity_decode})
 
 
 def attach_shared_query(scheme, descriptor) -> bool:
@@ -906,16 +766,11 @@ def attach_shared_query(scheme, descriptor) -> bool:
     if attached is None:
         return False
     arrays, meta = attached
-    if meta["fingerprint"] != _table_fingerprint(scheme):
-        # The worker's unpickled scheme does not match the exported
-        # tables (should not happen; compile locally instead).
-        return False
     nodes = list(graph.nodes())
     tables = CompiledQuery(
         kind=meta["kind"], nodes=nodes,
         node_index={node: i for i, node in enumerate(nodes)},
-        identity_decode=meta["identity"], codec=codec,
-        arrays=arrays, fingerprint=meta["fingerprint"],
+        identity_decode=meta["identity"], codec=codec, arrays=arrays,
     )
     try:
         _CACHE[scheme] = tables

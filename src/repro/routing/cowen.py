@@ -49,6 +49,7 @@ import networkx as nx
 
 from repro.algebra.base import PHI, RoutingAlgebra
 from repro.exceptions import NotApplicableError, RoutingError
+from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
 # Not called here (the trees come from a tree store), but kept importable:
@@ -70,6 +71,11 @@ class CowenScheme(RoutingScheme):
     passes the one evaluation reads) or, without one, a private store.
     Either way the trees are built in batched sweeps over one compiled
     graph and the scheme holds the store's own maps.
+
+    The built state is read-only: ``landmarks`` is a ``frozenset``, and
+    ``clusters`` (of frozensets), ``landmark_of``, the landmark tree
+    schemes and the store trees (direct entries forward by their parent
+    maps) are :class:`~repro.frozen.FrozenTable` maps.
     """
 
     name = "cowen-stretch3"
@@ -102,7 +108,7 @@ class CowenScheme(RoutingScheme):
                 from repro.core.simulate import PreferredWeightOracle
 
                 oracle = PreferredWeightOracle(graph, algebra, attr=attr)
-            self._trees = oracle.trees(graph.nodes())
+            self._trees = FrozenTable(oracle.trees(graph.nodes()))
         n = graph.number_of_nodes()
         for node, tree in self._trees.items():
             if len(tree.reachable()) != n - 1:
@@ -112,23 +118,22 @@ class CowenScheme(RoutingScheme):
                 )
 
         with span("landmark_selection", scheme=self.name, strategy=strategy):
-            if landmarks is not None:
-                self.landmarks = set(landmarks)
-            else:
-                self.landmarks = self._select_landmarks(cluster_threshold)
+            if landmarks is None:
+                landmarks = self._select_landmarks(cluster_threshold)
+            self.landmarks = frozenset(landmarks)
         if not self.landmarks:
             raise NotApplicableError("the landmark set must be non-empty")
 
         with span("cluster_assignment", scheme=self.name):
             self._assign_clusters(self.landmarks)
         with span("table_encoding", scheme=self.name):
-            self._tree_schemes: Dict[object, TreeRoutingScheme] = {
-                l: TreeRoutingScheme(
+            self._tree_schemes: Dict[object, TreeRoutingScheme] = FrozenTable(
+                (l, TreeRoutingScheme(
                     self.graph, self.algebra, attr=self.attr,
                     tree=self._landmark_tree(l), check_properties=False,
-                )
+                ))
                 for l in self.landmarks
-            }
+            )
 
     # ------------------------------------------------------------------
     # construction
@@ -163,7 +168,10 @@ class CowenScheme(RoutingScheme):
         return landmark_of, clusters
 
     def _assign_clusters(self, landmarks: Set):
-        self.landmark_of, self.clusters = self._compute_clusters(landmarks)
+        landmark_of, clusters = self._compute_clusters(landmarks)
+        self.landmark_of = FrozenTable(landmark_of)
+        self.clusters = FrozenTable(
+            (u, frozenset(cluster)) for u, cluster in clusters.items())
 
     def _select_landmarks(self, cluster_threshold: Optional[int]) -> Set:
         n = self.graph.number_of_nodes()

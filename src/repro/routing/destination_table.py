@@ -24,6 +24,7 @@ from typing import Dict
 
 from repro.algebra.base import RoutingAlgebra
 from repro.exceptions import NotApplicableError
+from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
 from repro.paths.dijkstra import preferred_path_tree
@@ -32,7 +33,12 @@ from repro.routing.model import Decision, RoutingScheme
 
 
 class DestinationTableScheme(RoutingScheme):
-    """Per-destination routing tables; the header is the target's identifier."""
+    """Per-destination routing tables; the header is the target's identifier.
+
+    ``_next_hop[u][t]`` is the first hop of the preferred ``u -> t`` path.
+    Both levels are read-only (:class:`~repro.frozen.FrozenTable`): a
+    different table is a different scheme.
+    """
 
     name = "destination-table"
 
@@ -51,8 +57,7 @@ class DestinationTableScheme(RoutingScheme):
                 f"algebra; {algebra.name} declares monotone={declared.monotone}, "
                 f"isotone={declared.isotone}"
             )
-        # _next_hop[u][t] = first hop of the preferred u -> t path.
-        self._next_hop: Dict[object, Dict[object, object]] = {
+        next_hop: Dict[object, Dict[object, object]] = {
             node: {} for node in graph.nodes()
         }
         self._weight_to: Dict[object, Dict[object, object]] = {}
@@ -73,7 +78,9 @@ class DestinationTableScheme(RoutingScheme):
                 for node in tree.reachable():
                     # parent pointers walk toward the root (= destination), so
                     # the parent of u in the tree rooted at t IS u's next hop.
-                    self._next_hop[node][target] = tree.parent[node]
+                    next_hop[node][target] = tree.parent[node]
+        self._next_hop = FrozenTable(
+            (node, FrozenTable(row)) for node, row in next_hop.items())
 
     def initial_header(self, source, target):
         return target

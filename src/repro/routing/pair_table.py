@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterable, Tuple
 
 from repro.algebra.base import RoutingAlgebra
 from repro.exceptions import RoutingError
+from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
@@ -70,7 +71,13 @@ def enumeration_oracle(graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,
 
 
 class PairTableScheme(RoutingScheme):
-    """Per-(source, target) forwarding state; the header carries both ids."""
+    """Per-(source, target) forwarding state; the header carries both ids.
+
+    ``_entries[u][(s, t)]`` is the port toward the next hop of the
+    preferred ``s -> t`` path at ``u``.  Both levels are read-only
+    (:class:`~repro.frozen.FrozenTable`): a different table is a
+    different scheme.
+    """
 
     name = "pair-table"
 
@@ -79,9 +86,7 @@ class PairTableScheme(RoutingScheme):
         super().__init__(graph, algebra, attr)
         if oracle is None:
             oracle = enumeration_oracle(graph, algebra, attr=attr)
-        # _entries[u][(s, t)] = port toward the next hop of the preferred
-        # s->t path at u.
-        self._entries: Dict[object, Dict[Tuple, int]] = {
+        entries: Dict[object, Dict[Tuple, int]] = {
             node: {} for node in graph.nodes()
         }
         self._paths: Dict[Tuple, Tuple] = {}
@@ -91,7 +96,9 @@ class PairTableScheme(RoutingScheme):
                     path = tuple(path)
                     self._paths[(source, target)] = path
                     for u, v in zip(path, path[1:]):
-                        self._entries[u][(source, target)] = self.ports.port(u, v)
+                        entries[u][(source, target)] = self.ports.port(u, v)
+        self._entries = FrozenTable(
+            (node, FrozenTable(row)) for node, row in entries.items())
 
     def installed_path(self, source, target):
         """The preferred path the oracle installed for (source, target)."""

@@ -35,6 +35,7 @@ import networkx as nx
 
 from repro.algebra.base import RoutingAlgebra
 from repro.exceptions import NotApplicableError, RoutingError
+from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
 from repro.paths.spanning_tree import preferred_spanning_tree
@@ -60,7 +61,8 @@ class TreeRoutingScheme(RoutingScheme):
 
     *tree* must span the nodes of *graph* (it defaults to the Lemma 1
     preferred spanning tree of *graph* under *algebra*).  Forwarding only
-    ever uses tree edges.
+    ever uses tree edges.  The per-node state ``_info`` and the labels
+    ``_labels`` are read-only (:class:`~repro.frozen.FrozenTable`).
     """
 
     name = "tree-routing"
@@ -80,9 +82,6 @@ class TreeRoutingScheme(RoutingScheme):
         # Theorem 7 scheme); routing is then defined between tree nodes.
         self.tree = tree
         self.root = min(tree.nodes())
-        self._info: Dict[object, _NodeInfo] = {}
-        self._labels: Dict[object, Tuple[int, Tuple[int, ...]]] = {}
-        self._by_dfs: Dict[int, object] = {}
         with span("table_encoding", scheme=self.name):
             self._build()
 
@@ -143,9 +142,10 @@ class TreeRoutingScheme(RoutingScheme):
                     light_depth[kid] = light_depth[node] + 1
                     light_ports[kid] = light_ports[node] + (self.ports.port(node, kid),)
 
+        info: Dict[object, _NodeInfo] = {}
         for node in order:
             h = heavy[node]
-            self._info[node] = _NodeInfo(
+            info[node] = _NodeInfo(
                 dfs=dfs[node],
                 interval_end=interval_end[node],
                 parent_port=(
@@ -156,8 +156,9 @@ class TreeRoutingScheme(RoutingScheme):
                 heavy_end=interval_end[h] if h is not None else None,
                 light_depth=light_depth[node],
             )
-            self._labels[node] = (dfs[node], light_ports[node])
-            self._by_dfs[dfs[node]] = node
+        self._info = FrozenTable(info)
+        self._labels = FrozenTable(
+            (node, (dfs[node], light_ports[node])) for node in order)
 
     # -- the routing function -------------------------------------------
 

@@ -124,12 +124,12 @@ class TestShardMergeEquivalence:
         assert parallel.memory == serial.memory
         assert parallel.failures == serial.failures
 
-    def test_failures_merge_in_shard_order(self):
+    def test_failures_merge_in_shard_order(self, sabotaged):
         algebra = ShortestPath()
         graph = erdos_renyi(16, rng=random.Random(7))
         assign_random_weights(graph, algebra, rng=random.Random(8))
-        scheme = build_scheme(graph, algebra)
-        scheme._next_hop[3] = {}  # sabotage one node's table
+        # sabotage one node's table
+        scheme = sabotaged(build_scheme(graph, algebra), "_next_hop", {3: {}})
         serial = evaluate_scheme(graph, algebra, scheme)
         parallel = evaluate_scheme(
             graph, algebra, scheme,

@@ -99,9 +99,9 @@ class TestSpawnMergeExactness:
             graph, algebra, scheme, options=EvaluationOptions(workers=2))
         assert parallel == serial
 
-    def test_failures_keep_serial_order(self):
+    def test_failures_keep_serial_order(self, sabotaged):
         graph, algebra, scheme = _sp_instance(seed=7)
-        scheme._next_hop[3] = {}  # sabotage one node's table
+        scheme = sabotaged(scheme, "_next_hop", {3: {}})  # one node's table
         serial = evaluate_scheme(graph, algebra, scheme)
         parallel = evaluate_scheme(
             graph, algebra, scheme,

@@ -4,9 +4,11 @@ The batch engine's contract is *bit-identical* `EvaluationReport`s — the
 same routed/delivered/optimal counts, the same failure tuples in the same
 order (message strings included), and the same stretch samples.  Hypothesis
 drives seeded graphs through every compiled scheme family under both
-engines; further tests pin the resolver semantics (env handling, warn-once,
-explicit errors), the fallback ladder (telemetry, algebras without an
-integer key, keys past int64), and the spawn-path shared-memory attach.
+engines, sabotaged copies of the table schemes included; further tests pin
+the read-only tables that keep compiled queries from going stale, the
+resolver semantics (env handling, warn-once, explicit errors), the fallback
+ladder (telemetry, algebras without an integer key, keys past int64), and
+the spawn-path shared-memory attach.
 """
 
 import gc
@@ -16,7 +18,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.algebra.catalog import (
@@ -38,6 +40,7 @@ from repro.core.simulate import (
     oracle_cache,
     route_shard,
 )
+from repro.frozen import FrozenTable
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR, assign_random_weights
 from repro.obs.metrics import disable as telemetry_disable
@@ -122,6 +125,55 @@ def _build_instance(family, seed, n):
     return graph, algebra, scheme
 
 
+#: Sabotage cases for the table schemes, each built as a new scheme: one
+#: node's table emptied; a 2-cycle of next hops toward one target, which
+#: ends in the hop limit; an entry the walk cannot follow (a next hop that
+#: is not a neighbour, a port that does not exist), which forces a replay.
+#: Per (family, case), a failure message the reference must then report.
+SABOTAGES = {
+    ("destination", "empty-table"): "no route from",
+    ("pair", "empty-table"): "no pair entry",
+    ("destination", "two-cycle"): "hop limit exceeded",
+    ("pair", "two-cycle"): "hop limit exceeded",
+    ("destination", "off-edge"): "is not a neighbor",
+    ("pair", "off-edge"): "has no port",
+}
+
+
+def _sabotage(sabotaged, scheme, family, case, rng):
+    """A sabotaged copy of a destination- or pair-table *scheme*.
+
+    A packet from ``u`` to ``t`` always meets the sabotage: ``u``'s table
+    is emptied, or its entry for ``t`` (the ``(u, t)`` header in a pair
+    table) leads to the neighbour ``v`` and back, or off every edge.
+    """
+    graph = scheme.graph
+    nodes = sorted(graph.nodes())
+    u = rng.choice(nodes)
+    name = "_next_hop" if family == "destination" else "_entries"
+    table = getattr(scheme, name)
+    if case == "empty-table":
+        return sabotaged(scheme, name, {u: {}})
+    v = rng.choice(sorted(graph.neighbors(u)))
+    t = rng.choice([x for x in nodes if x not in (u, v)])
+    if family == "destination":
+        if case == "two-cycle":
+            rows = {u: {**table[u], t: v}, v: {**table[v], t: u}}
+        else:
+            # a node not adjacent to u, else one not in the graph at all
+            w = next((x for x in nodes
+                      if x != u and not graph.has_edge(u, x)), len(nodes))
+            rows = {u: {**table[u], t: w}}
+    else:
+        ports = scheme.ports
+        if case == "two-cycle":
+            rows = {u: {**table[u], (u, t): ports.port(u, v)},
+                    v: {**table[v], (u, t): ports.port(v, u)}}
+        else:
+            rows = {u: {**table[u], (u, t): ports.degree(u) + 1}}
+    return sabotaged(scheme, name, rows)
+
+
 class TestBatchReferenceEquality:
     """The headline property: both engines, same `EvaluationReport`."""
 
@@ -131,18 +183,25 @@ class TestBatchReferenceEquality:
         seed=st.integers(min_value=0, max_value=10**6),
         n=st.integers(min_value=4, max_value=12),
         family=st.sampled_from(FAMILIES),
-        sabotage=st.booleans(),
+        sabotage=st.sampled_from(("none", "empty-table", "two-cycle",
+                                  "off-edge")),
     )
-    def test_reports_are_bit_identical(self, seed, n, family, sabotage):
+    @example(seed=1, n=7, family="destination", sabotage="empty-table")
+    @example(seed=1, n=7, family="destination", sabotage="two-cycle")
+    @example(seed=1, n=7, family="destination", sabotage="off-edge")
+    @example(seed=1, n=7, family="pair", sabotage="empty-table")
+    @example(seed=1, n=7, family="pair", sabotage="two-cycle")
+    @example(seed=1, n=7, family="pair", sabotage="off-edge")
+    def test_reports_are_bit_identical(self, seed, n, family, sabotage,
+                                       sabotaged):
         graph, algebra, scheme = _build_instance(family, seed, n)
-        if sabotage:
-            # Break forwarding state *after* building, the way the fault
-            # tests do: the engines must also agree on every failure.
-            victim = random.Random(seed + 2).choice(list(graph.nodes()))
-            if family == "destination":
-                scheme._next_hop[victim] = {}
-            elif family == "pair":
-                scheme._entries[victim] = {}
+        expected = SABOTAGES.get((family, sabotage))
+        if expected is not None:
+            # Broken forwarding state: the engines must also agree on
+            # every failure.
+            scheme = _sabotage(sabotaged, scheme, family, sabotage,
+                               random.Random(seed + 2))
+        # Every ordered pair (n <= 12), so the sabotaged pair is routed.
         options = EvaluationOptions(pair_count=min(4 * n * n, 200), rng=seed)
         query_engine.reset_query_stats()
         reference = _with_engine("reference", lambda: evaluate_scheme(
@@ -152,17 +211,23 @@ class TestBatchReferenceEquality:
         assert batch == reference
         assert batch.failures == reference.failures
         assert batch.stretch == reference.stretch
-        assert query_engine.query_stats()["batch_shards"] >= 1
+        stats = query_engine.query_stats()
+        assert stats["batch_shards"] >= 1
+        if expected is not None:
+            assert any(expected in reason
+                       for _, _, reason in reference.failures)
+            if sabotage == "off-edge":
+                assert stats["fallbacks"].get("pair-replay")
 
     @needs_numpy
-    def test_blocks_keep_pair_order(self, monkeypatch):
+    def test_blocks_keep_pair_order(self, monkeypatch, sabotaged):
         """A shard split into many blocks: failures and samples in order."""
         monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", 7)
         algebra = widest_shortest_path(max_weight=9, max_capacity=9)
         graph = erdos_renyi(14, rng=random.Random(16))
         assign_random_weights(graph, algebra, rng=random.Random(17))
-        scheme = DestinationTableScheme(graph, algebra)
-        scheme._next_hop[3] = {}
+        scheme = sabotaged(DestinationTableScheme(graph, algebra),
+                           "_next_hop", {3: {}})
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes for t in nodes]
@@ -178,13 +243,14 @@ class TestBatchReferenceEquality:
         assert stats["batch_pairs"] == len(pairs)
 
     @needs_numpy
-    def test_route_shard_failure_tuples_and_order(self):
+    def test_route_shard_failure_tuples_and_order(self, sabotaged):
         """Sabotaged tables: native failure strings match the reference."""
         algebra = ShortestPath(max_weight=9)
         graph = erdos_renyi(18, rng=random.Random(3))
         assign_random_weights(graph, algebra, rng=random.Random(4))
-        scheme = DestinationTableScheme(graph, algebra)
-        scheme._next_hop[5] = {}   # strands packets routed *through* 5 too
+        # strands packets routed *through* 5 too
+        scheme = sabotaged(DestinationTableScheme(graph, algebra),
+                           "_next_hop", {5: {}})
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes for t in nodes]
@@ -294,8 +360,9 @@ class TestFallbackLadder:
         assert query_engine.query_stats()["fallbacks"].get("uncompilable") == 1
 
     @needs_numpy
-    def test_stale_cache_recompiles_after_mutation(self):
-        """Evaluate, sabotage, evaluate again: no stale compiled tables."""
+    def test_sabotaged_copy_compiles_afresh(self, sabotaged):
+        """Evaluate, then sabotage: in place it raises, and a sabotaged copy
+        is a new scheme with its own compiled tables."""
         algebra = ShortestPath(max_weight=9)
         graph = erdos_renyi(14, rng=random.Random(12))
         assign_random_weights(graph, algebra, rng=random.Random(13))
@@ -306,13 +373,94 @@ class TestFallbackLadder:
         before = _with_engine("batch", lambda: route_shard(
             algebra, scheme, oracle, list(pairs)))
         assert not before.failures
-        scheme._next_hop[nodes[2]] = {}
+        with pytest.raises(TypeError):
+            scheme._next_hop[nodes[2]] = {}
+        broken = sabotaged(scheme, "_next_hop", {nodes[2]: {}})
         reference = _with_engine("reference", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
+            algebra, broken, oracle, list(pairs)))
         batch = _with_engine("batch", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
+            algebra, broken, oracle, list(pairs)))
         assert reference.failures
         assert _shard_key(batch) == _shard_key(reference)
+        assert (compiled_query.compile_query(broken)
+                is not compiled_query.compile_query(scheme))
+        again = _with_engine("batch", lambda: route_shard(
+            algebra, scheme, oracle, list(pairs)))
+        assert _shard_key(again) == _shard_key(before)
+
+
+#: Per family, the read-only tables of a built scheme, and the store
+#: trees a Cowen scheme forwards by (its direct entries read their parent
+#: maps).
+READ_ONLY_TABLES = {
+    "destination-next-hop": ("destination", lambda s: s._next_hop),
+    "destination-row": ("destination", lambda s: s._next_hop[0]),
+    "pair-entries": ("pair", lambda s: s._entries),
+    "pair-row": ("pair", lambda s: s._entries[0]),
+    "tree-info": ("tree", lambda s: s._info),
+    "tree-labels": ("tree", lambda s: s._labels),
+    "cowen-clusters": ("cowen", lambda s: s.clusters),
+    "cowen-landmark-of": ("cowen", lambda s: s.landmark_of),
+    "cowen-tree-schemes": ("cowen", lambda s: s._tree_schemes),
+    "cowen-trees": ("cowen", lambda s: s._trees),
+    "store-tree-weight": ("cowen", lambda s: s._trees[0].weight),
+    "store-tree-parent": ("cowen", lambda s: s._trees[0].parent),
+}
+
+
+class TestReadOnlyTables:
+    """A built scheme's tables cannot change under its compiled query."""
+
+    @needs_numpy
+    def test_same_size_rewrite_raises(self):
+        """The stale-table probe: a same-size rewrite of one entry.
+
+        Were the edit allowed, pointing node 0's entry for one target at
+        another neighbour after an evaluation would leave the memoized
+        compile serving the old tables (870/870 optimal) while the
+        reference loop saw the edit (869).
+        """
+        algebra = ShortestPath(max_weight=9)
+        graph = erdos_renyi(30, rng=random.Random(3))
+        assign_random_weights(graph, algebra, rng=random.Random(3))
+        scheme = DestinationTableScheme(graph, algebra)
+        batch = _with_engine("batch", lambda: evaluate_scheme(
+            graph, algebra, scheme))
+        assert batch.optimal == batch.pairs == 870
+        row = scheme._next_hop[0]
+        target, hop = next(iter(row.items()))
+        other = next(v for v in sorted(graph.neighbors(0)) if v != hop)
+        with pytest.raises(TypeError):
+            row[target] = other
+        assert row[target] == hop
+        reference = _with_engine("reference", lambda: evaluate_scheme(
+            graph, algebra, scheme))
+        assert reference == batch
+
+    @pytest.mark.parametrize("name", sorted(READ_ONLY_TABLES))
+    def test_table_stays_read_only_through_pickle(self, name):
+        family, table_of = READ_ONLY_TABLES[name]
+        _, _, scheme = _build_instance(family, seed=11, n=8)
+        clone = pickle.loads(pickle.dumps(scheme))
+        for built in (scheme, clone):
+            table = table_of(built)
+            assert type(table) is FrozenTable
+            first, last = list(table)[0], list(table)[-1]
+            size = len(table)
+            with pytest.raises(TypeError):
+                table[first] = table[last]
+            with pytest.raises(TypeError):
+                table.update({first: table[last]})
+            with pytest.raises(TypeError):
+                del table[first]
+            assert len(table) == size
+        assert table_of(clone).keys() == table_of(scheme).keys()
+
+    def test_cowen_sets_are_frozen(self):
+        _, _, scheme = _build_instance("cowen", seed=11, n=8)
+        assert type(scheme.landmarks) is frozenset
+        assert all(type(cluster) is frozenset
+                   for cluster in scheme.clusters.values())
 
 
 class TestSharedQueryTables:

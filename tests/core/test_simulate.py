@@ -97,7 +97,7 @@ class TestEvaluateScheme:
             options=EvaluationOptions(pairs=[(0, 4), (2, 6)]))
         assert report.pairs == 2
 
-    def test_failures_surface(self):
+    def test_failures_surface(self, sabotaged):
         """A deliberately broken scheme shows up as failures, not silence."""
         algebra = ShortestPath()
         graph = ring(6)
@@ -106,7 +106,7 @@ class TestEvaluateScheme:
 
         # sabotage: truncate one node's table
         victim = 3
-        scheme._next_hop[victim] = {}
+        scheme = sabotaged(scheme, "_next_hop", {victim: {}})
         report = evaluate_scheme(graph, algebra, scheme)
         assert not report.all_delivered
         assert report.failures

@@ -99,11 +99,12 @@ class TestCorruptHeaders:
 
 
 class TestSabotagedState:
-    def test_truncated_destination_table_reported(self, shortest_setup):
+    def test_truncated_destination_table_reported(self, shortest_setup,
+                                                  sabotaged):
         graph, algebra = shortest_setup
-        scheme = DestinationTableScheme(graph, algebra)
         victim = 5
-        scheme._next_hop[victim] = {}
+        scheme = sabotaged(DestinationTableScheme(graph, algebra),
+                           "_next_hop", {victim: {}})
         result_or_error = None
         try:
             result_or_error = scheme.route(0, victim + 1 if victim + 1 in graph else 0)
