@@ -3,12 +3,13 @@
 The PR 2 acceptance experiment: route every ordered pair of a 400-node
 Waxman internetwork through the prescribed scheme, serially and with
 ``workers=4``, and check that (a) the parallel report is bit-identical to
-the serial one (contiguous shards + associative merges make the fold
-exact) and (b) the parallel pass is at least 2x faster in wall-clock
-time.  The speedup bar only binds where it is physically meaningful —
-process pools cannot beat serial on a single core, so on machines with
-fewer than 4 usable CPUs the run still verifies exactness and records the
-measured ratio, annotated with the core count, for trend tracking.
+the serial one (source-grouped shards, an order-restoring merge and
+associative merges make the fold exact) and (b) the parallel pass is at
+least 2x faster in wall-clock time.  The speedup bar only binds where it
+is physically meaningful — process pools cannot beat serial on a single
+core, so on machines with fewer than 4 usable CPUs the run still
+verifies exactness and records the measured ratio, annotated with the
+core count, for trend tracking.
 """
 
 import os

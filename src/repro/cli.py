@@ -403,9 +403,9 @@ def cmd_evaluate(args) -> int:
                 "n": graph.number_of_nodes(),
                 "m": graph.number_of_edges(),
             },
-            # Parent-process oracle lifecycle: with --workers on the fork
-            # path, tree builds happen in the workers and show up in
-            # `profile`'s merged telemetry instead.
+            # Parent-process oracle lifecycle: with --workers, a tree the
+            # parent's oracle lacks is built in a worker, under any start
+            # method, and shows up in `profile`'s merged telemetry instead.
             "oracle": oracle_cache.stats(),
             "report": obs.report_to_dict(report),
         }

@@ -27,20 +27,24 @@ explicitly instead of relying on shard contiguity:
 * worker :class:`~repro.obs.metrics.MetricsRegistry` objects merge into
   the parent registry, and worker span logs are appended to the parent's.
 
-Worker setup follows the platform's best start method (overridable with
-the ``REPRO_START_METHOD`` environment variable — CI uses it to exercise
-the spawn path on Linux):
+Every worker starts from the parent's state — the algebra, the scheme,
+the caller's oracle with every tree it has built, ``max_k`` and
+``trace_limit`` — installed by one pool initializer.  The start method is
+the platform's best, overridable with the ``REPRO_START_METHOD``
+environment variable (CI uses it to exercise spawn on Linux), and decides
+only how that state travels:
 
-* **fork** (Linux, the common case): workers inherit the parent's graph,
-  scheme and — crucially — the cached lazy oracle with every tree it has
-  accumulated, by copy-on-write; nothing heavyweight is pickled and each
-  worker builds only the trees its shards still miss;
-* **spawn** (fallback): the graph, algebra and scheme are pickled to each
-  worker once via the pool initializer; the worker's process-local
-  :data:`~repro.core.simulate.oracle_cache` then hands out a *lazy*
-  oracle, so startup runs **zero** Dijkstra sweeps and each worker builds
-  only its shards' source trees — ``O(sources_per_shard)`` instead of the
-  pre-PR-4 ``O(n)`` per worker.
+* **fork** (Linux, the common case): the child inherits the state
+  copy-on-write, and nothing is pickled;
+* **spawn** / **forkserver**: the parent pickles the state once, and each
+  worker unpickles it.  The graph rides inside the scheme and the oracle
+  and is stored once.
+
+Either way a worker answers from the caller's oracle and builds only the
+trees its shards need that the parent's oracle lacks — none for Cowen
+and destination-table schemes from ``build_scheme``, which are built from
+that oracle's tree store.  It compiles its query tables on its first
+shard.
 
 Shard execution is **fault-tolerant** (PR 8): each shard is submitted as
 its own future, so a worker death (an OOM kill, a crash, or a shard
@@ -60,10 +64,11 @@ injectable via ``REPRO_FAULT_SPEC`` (see
 :func:`repro.core.simulate.maybe_inject_fault`) for testing recovery on
 both start methods.
 
-Only when worker state cannot be pickled under spawn, a shard exhausts
-its retries, or the pool keeps breaking before any shard can run does
-the engine fall back to full serial evaluation (counted on the
-``parallel.fallback`` metric) rather than failing the experiment.
+Only when worker state cannot be pickled (under any start method but
+fork), a shard exhausts its retries, or the pool keeps breaking before
+any shard can run does the engine fall back to full serial evaluation
+(counted on the ``parallel.fallback`` metric) rather than failing the
+experiment.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import simulate as _simulate
 from repro.core.simulate import ShardResult, route_shard
 from repro.env import env_choice, env_number
 from repro.obs import events as _events
@@ -94,9 +98,6 @@ from repro.obs.metrics import (
     reset as _metrics_reset,
     swap_registry as _swap_registry,
 )
-from repro.paths.kernel import resolve_engine
-from repro.routing.query_engine import resolve_query_engine
-from repro.shared_arrays import close_arrays
 
 #: Shards per worker when ``shard_size`` is not pinned: a few per worker
 #: smooths out per-shard cost variance without drowning in task overhead.
@@ -248,9 +249,8 @@ def _start_method() -> Optional[str]:
 # worker side
 # ---------------------------------------------------------------------------
 
-#: (graph, algebra, scheme, oracle, attr, max_k, trace_limit) — set in the
-#: parent right before forking (inherited), or rebuilt by the spawn
-#: initializer from its pickled payload.
+#: The parent's ``(algebra, scheme, oracle, max_k, trace_limit)``,
+#: installed in each worker process by :func:`_init_worker`.
 _WORKER_STATE = None
 
 #: The worker's shard-start notification channel (a ``SimpleQueue`` whose
@@ -260,73 +260,30 @@ _WORKER_STATE = None
 _STARTED_QUEUE = None
 
 
-def _set_started_queue(queue) -> None:
-    global _STARTED_QUEUE
-    _STARTED_QUEUE = queue
+def _init_worker(state, telemetry_enabled: bool, events_enabled: bool,
+                 live_queue, started_queue) -> None:
+    """Install the parent's state in a new worker, with fresh telemetry.
 
-
-def _reset_worker_telemetry(live_queue=None) -> None:
-    """Fresh telemetry in a new worker: drop state inherited from the parent.
-
-    A forked child starts with a copy of the parent's registry, span log,
-    event log and any active trace capture; merging those back would
-    double-count, so the worker starts empty and captures traces into its
-    own buffer.  *live_queue*, when given, becomes the worker's live
-    event tee back to the parent's progress renderer.
+    *state* is the parent's ``(algebra, scheme, oracle, max_k,
+    trace_limit)``: the tuple itself under fork, whose children inherit
+    their initargs unpickled, and its pickle under every other start
+    method.  A forked child also inherits the parent's registry, span
+    log, event log and any active trace capture; merging those back
+    would double-count, so the worker starts them empty and captures
+    traces into its own buffer.  *live_queue*, when given, becomes the
+    worker's live event tee back to the parent's progress renderer.
     """
-    _metrics_reset()
-    _tracing.clear_spans()
-    _tracing._capture = None
-    _events.reset_worker(live_queue=live_queue)
-
-
-def _init_fork_worker(live_queue=None, started_queue=None) -> None:
-    _set_started_queue(started_queue)
-    _reset_worker_telemetry(live_queue=live_queue)
-
-
-def _init_spawn_worker(payload: bytes, telemetry_enabled: bool,
-                       events_enabled: bool = False, live_queue=None,
-                       started_queue=None) -> None:
-    global _WORKER_STATE
-    (graph, algebra, scheme, attr, max_k, trace_limit,
-     compiled, shared_batch, shared_query) = pickle.loads(payload)
+    global _WORKER_STATE, _STARTED_QUEUE
+    _WORKER_STATE = pickle.loads(state) if isinstance(state, bytes) else state
+    _STARTED_QUEUE = started_queue
     if telemetry_enabled:
         _telemetry_enable()
     if events_enabled:
         _events.enable()
-    # One *lazy* oracle per worker process, shared by every shard it runs:
-    # no trees are built here — each shard's route_shard bulk-builds only
-    # the sources that shard actually routes from.
-    oracle = _simulate.oracle_cache.get(graph, algebra, attr=attr,
-                                        scheme_name=scheme.name)
-    if compiled is not None and hasattr(oracle, "adopt_compiled"):
-        # The parent shipped its CompiledGraph (flattened from the very
-        # graph in this payload), so the worker's sweeps skip recompiling.
-        oracle.adopt_compiled(compiled)
-        if shared_batch is not None:
-            # Under the batch engine the parent also exported the plan's
-            # int arrays to shared memory: map them zero-copy instead of
-            # re-deriving per process.  Failure is harmless (the worker
-            # rebuilds its own arrays on first sweep).
-            from repro.paths import batch as _batch
-
-            _batch.attach_shared(compiled, algebra, shared_batch)
-    if shared_query is not None:
-        # The parent also exported the scheme's compiled *query* tables
-        # (the vectorized shard evaluator's flat arrays): map them
-        # zero-copy and seed this worker's compile cache.  Failure is
-        # harmless — the worker compiles its own tables on first shard.
-        from repro.routing import compiled_query as _compiled_query
-
-        _compiled_query.attach_shared_query(scheme, shared_query)
-    _WORKER_STATE = (graph, algebra, scheme, oracle, attr, max_k, trace_limit)
-    _set_started_queue(started_queue)
-    # Reset *after* the oracle setup: initializer-time telemetry (the lazy
-    # oracle's setup span) is per-worker and schedule-dependent — it would
-    # ride whichever shard this worker happens to run first and make the
-    # folded log nondeterministic.
-    _reset_worker_telemetry(live_queue=live_queue)
+    _metrics_reset()
+    _tracing.clear_spans()
+    _tracing._capture = None
+    _events.reset_worker(live_queue=live_queue)
 
 
 def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
@@ -338,7 +295,7 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
     run manifest's retry column.
     """
     shard_id, attempt, shard = task
-    _graph, algebra, scheme, oracle, _attr, max_k, trace_limit = _WORKER_STATE
+    algebra, scheme, oracle, max_k, trace_limit = _WORKER_STATE
     if _STARTED_QUEUE is not None:
         try:
             _STARTED_QUEUE.put((shard_id, attempt, os.getpid()))
@@ -422,9 +379,31 @@ def _kill_pool(executor) -> None:
             pass
 
 
+#: ``(queues, worker processes)`` of finished rounds; see
+#: :func:`_hold_queues`.
+_HELD_QUEUES: List[Tuple[Tuple, List]] = []
+
+
+def _hold_queues(executor, queues: Tuple) -> None:
+    """Keep *queues* referenced until *executor*'s workers have exited.
+
+    A spawn worker that is still starting opens each queue's lock by
+    name, and collecting a queue unlinks that name, so a round that
+    returns before its workers are up must not drop the queues it handed
+    them.  Each call prunes the entries whose workers have all exited
+    (by ``exitcode``: ``is_alive()`` raises in a forked child that
+    inherited this list).  At interpreter exit the executors join their
+    workers before multiprocessing unlinks any name.
+    """
+    _HELD_QUEUES[:] = [
+        (held, processes) for held, processes in _HELD_QUEUES
+        if any(process.exitcode is None for process in processes)]
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    _HELD_QUEUES.append((queues, processes))
+
+
 def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
-                    attempts: List[int], workers: int, context,
-                    initializer, initargs,
+                    attempts: List[int], workers: int, context, initargs,
                     timeout: Optional[float]
                     ) -> Tuple[Dict[int, ShardResult], List[int], List[int], str]:
     """Submit *todo* shards to one fresh pool and classify what came back.
@@ -449,7 +428,7 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
         (lost if shard_id in started else displaced).append(shard_id)
 
     executor = ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                                   initializer=initializer,
+                                   initializer=_init_worker,
                                    initargs=initargs + (started_queue,))
     try:
         futures = {}
@@ -503,13 +482,14 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
                         _classify(futures[future])
                     pending = set()
     finally:
+        # The run's live-event queue rides last in *initargs*.
+        _hold_queues(executor, (started_queue, initargs[-1]))
         executor.shutdown(wait=False, cancel_futures=True)
     return results, sorted(lost), sorted(displaced), cause
 
 
 def _execute_shards(shards: List[List[Tuple]], workers: int, context,
-                    initializer, initargs,
-                    run_info: ParallelRunInfo) -> List[ShardResult]:
+                    initargs, run_info: ParallelRunInfo) -> List[ShardResult]:
     """Run every shard to completion, salvaging results across pool failures.
 
     The fault-tolerance core: on a worker death or per-shard timeout the
@@ -537,7 +517,7 @@ def _execute_shards(shards: List[List[Tuple]], workers: int, context,
     while todo:
         round_results, lost, displaced, cause = _run_pool_round(
             shards, todo, attempts, min(workers, len(todo)), context,
-            initializer, initargs, timeout)
+            initargs, timeout)
         results.update(round_results)
         todo = sorted(lost + displaced)
         if not todo:
@@ -786,9 +766,10 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     ``finalize_report`` produces the same :class:`EvaluationReport` either
     way — even though shards are grouped by source rather than sliced
     contiguously, because the merge restores serial order from each
-    shard's origin-index map.
+    shard's origin-index map.  Workers read *graph* from the scheme and
+    the oracle, which both hold it.
     """
-    global _WORKER_STATE, _LAST_RUN
+    global _LAST_RUN
     _LAST_RUN = None
     pairs = list(pairs)
     shards, index_lists = shard_pairs_by_source(pairs, workers,
@@ -801,68 +782,23 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     telemetry = _telemetry_enabled()
     events_on = _events.enabled()
     method = _start_method()
-    use_fork = method == "fork"
     _LAST_RUN = run_info = ParallelRunInfo(start_method=method,
                                            workers=workers)
 
-    if use_fork:
-        context = multiprocessing.get_context("fork")
-    else:
-        context = multiprocessing.get_context(method)
-    live_queue, stop_pump = _live_event_pump(context)
-
-    shared_handles = None
-    query_handles = None
-    if use_fork:
-        initializer, initargs = _init_fork_worker, (live_queue,)
-        _WORKER_STATE = (graph, algebra, scheme, oracle, scheme.attr,
-                         max_k, trace_limit)
-    else:
+    # The graph rides inside the scheme and the oracle.  Pickling up front
+    # finds an unpicklable state (a caller's lambda oracle, say) before
+    # any pool starts; a forked child inherits the tuple as is.
+    state = (algebra, scheme, oracle, max_k, trace_limit)
+    if method != "fork":
         try:
-            # The oracle's compiled graph rides along (sharing the graph's
-            # node objects via pickle memoization), so workers adopt the
-            # parent's flattening instead of recompiling per process.
-            compiled = None
-            compiled_getter = getattr(oracle, "compiled_graph", None)
-            if compiled_getter is not None:
-                compiled = compiled_getter()
-            # Under the batch engine, additionally export the plan's int
-            # arrays through shared memory: every worker (pool rebuilds
-            # included — they reuse these initargs) maps one copy instead
-            # of materializing its own.  The parent owns the segments and
-            # unlinks them in the finally below, after the last round.
-            shared_descriptor = None
-            if compiled is not None and resolve_engine() == "batch":
-                from repro.paths import batch as _batch
-
-                shared_handles, shared_descriptor = _batch.export_shared(
-                    compiled, algebra)
-            # Same treatment for the vectorized query engine's compiled
-            # scheme tables: compile once in the parent, export the int
-            # arrays, and let every spawn worker attach zero-copy.  Only
-            # worth it when the engine will actually run (telemetry
-            # forces the reference loop for trace fidelity).
-            query_descriptor = None
-            if not telemetry and resolve_query_engine() == "batch":
-                from repro.routing import compiled_query as _compiled_query
-
-                query_tables = _compiled_query.compile_query(scheme)
-                if query_tables is not None:
-                    query_handles, query_descriptor = (
-                        _compiled_query.export_shared_query(query_tables))
-            payload = pickle.dumps(
-                (graph, algebra, scheme, scheme.attr, max_k, trace_limit,
-                 compiled, shared_descriptor, query_descriptor)
-            )
+            state = pickle.dumps(state)
         except Exception as exc:
-            close_arrays(shared_handles, unlink=True)
-            close_arrays(query_handles, unlink=True)
-            stop_pump()
             return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
                                     trace_limit, reason="unpicklable",
                                     cause=repr(exc))
-        initializer = _init_spawn_worker
-        initargs = (payload, telemetry, events_on, live_queue)
+    context = multiprocessing.get_context(method)
+    live_queue, stop_pump = _live_event_pump(context)
+    initargs = (state, telemetry, events_on, live_queue)
 
     if events_on:
         for shard_id, shard in enumerate(shards):
@@ -873,8 +809,8 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     try:
         with _tracing.span("route_pairs_parallel", scheme=scheme.name,
                            workers=str(workers), shards=str(len(shards))):
-            results = _execute_shards(shards, workers, context,
-                                      initializer, initargs, run_info)
+            results = _execute_shards(shards, workers, context, initargs,
+                                      run_info)
     except _RetriesExhausted as exc:
         return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
                                 trace_limit, reason="retry-exhausted",
@@ -889,10 +825,6 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
                                 cause=repr(exc))
     finally:
         stop_pump()
-        close_arrays(shared_handles, unlink=True)
-        close_arrays(query_handles, unlink=True)
-        if use_fork:
-            _WORKER_STATE = None
 
     # Restore order-sensitive fields from the origin-index maps *before*
     # the count merge (ShardResult.merge concatenates failures/traces in

@@ -241,8 +241,9 @@ class PreferredWeightOracle:
 
     Thread-safe: builds take the object's lock with a double-check, so
     two threads querying the same cached oracle build each structure
-    once.  Instances are picklable (the lock is dropped and recreated);
-    forked workers inherit already-built trees copy-on-write.
+    once.  Instances are picklable (the lock is dropped and recreated),
+    built trees and compiled graph included, so parallel workers start
+    with every tree the parent has built, whatever the start method.
     """
 
     def __init__(self, graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR):
@@ -298,31 +299,6 @@ class PreferredWeightOracle:
                 return None
             self._compiled = compile_graph(self.graph, self.attr)
         return self._compiled
-
-    def compiled_graph(self):
-        """The oracle's compiled graph for shipping to spawn workers.
-
-        Returns None when the engine never flattens the graph, or when
-        the reference path engine is forced.
-        """
-        if self.engine not in ("dijkstra", "shortest-widest"):
-            return None
-        with self._lock:
-            return self._ensure_compiled()
-
-    def adopt_compiled(self, compiled) -> None:
-        """Install a pre-built compiled graph (spawn workers call this).
-
-        The caller vouches that *compiled* was flattened from an
-        identical graph and the same weight attribute — the parallel
-        engine ships the parent oracle's own compiled graph alongside
-        the pickled graph it was compiled from.
-        """
-        if compiled is None or compiled.attr != self.attr:
-            return
-        with self._lock:
-            if self._compiled is None:
-                self._compiled = compiled
 
     def _build_table(self, source) -> Dict:
         """target -> preferred weight, from one per-source engine run."""
@@ -786,7 +762,9 @@ class EvaluationOptions:
       sample of ``pair_count`` of them);
     * ``pair_count`` — sample size when ``pairs`` is not given;
     * ``oracle`` — preferred-weight oracle override (default: the cached
-      exact oracle for the instance);
+      exact oracle for the instance); parallel workers read it as given,
+      so under a start method other than fork it must pickle, or the run
+      falls back to serial;
     * ``max_k`` — largest stretch exponent probed per pair;
     * ``trace_limit`` — packet traces captured when telemetry is on;
     * ``workers`` — process count for sharded parallel evaluation

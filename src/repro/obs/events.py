@@ -236,7 +236,7 @@ def reset_worker(live_queue=None) -> None:
     tag; none of those belong to the worker — the log would double-fold,
     and the consumer would render to the parent's terminal from the wrong
     process.  The enabled flag is deliberately kept (fork inherits it;
-    spawn initializers call :func:`enable` explicitly).
+    the parallel worker initializer calls :func:`enable` explicitly).
     """
     global _LIVE_CONSUMER
     _LOG.clear()

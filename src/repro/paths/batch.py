@@ -54,16 +54,6 @@ keys could overflow int64, or numpy is absent, callers run the
 per-source kernel instead (counted on ``path_engine.batch_fallbacks``)
 — results are bit-identical either way, which the golden-trace harness
 enforces in CI under ``REPRO_PATH_ENGINE=batch``.
-
-Shared memory
--------------
-
-:func:`export_shared` / :func:`attach_shared` move the plan's int arrays
-(``indptr``, ``indices``, ``edge_keys``) through
-:mod:`repro.shared_arrays`, so spawn-path parallel workers map the
-parent's arrays zero-copy instead of re-materializing them per process.
-This module decides only what is shared and how a worker turns it back
-into a plan.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -76,12 +66,11 @@ try:  # numpy is an optional extra (`pip install repro[fast]`)
 except Exception:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
-from repro.algebra.base import KeyCodec, KeyCombine, RoutingAlgebra, key_codec
+from repro.algebra.base import KeyCombine, RoutingAlgebra, key_codec
 from repro.frozen import FrozenTable
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
-from repro.shared_arrays import attach_arrays, export_arrays
 
 #: Lanes per vectorized sweep chunk; source lists longer than this are
 #: processed in chunks (the last one ragged), bounding the dense
@@ -197,25 +186,17 @@ def _make_batch_plan(compiled, algebra):
         csr = (_np.asarray(compiled.indptr, dtype=_np.int64),
                _np.asarray(compiled.indices, dtype=_np.int64))
         compiled.scratch[_CSR_KEY] = csr
-    return _plan(codec, max_hops, csr[0], csr[1],
-                 _np.asarray(keys, dtype=_np.int64), identity)
-
-
-def _plan(codec: KeyCodec, max_hops: int, indptr, indices, edge_keys,
-          identity: bool) -> Optional[BatchPlan]:
-    """The plan over int64 CSR arrays, or None when its keys could overflow.
-
-    A chunk's event ranks stay below ``lanes * (arcs + 1)`` and its keys
-    below the bound, so packing a (key, rank) pair into one int64 is
-    exact for up to ``max_lanes`` lanes; a plan that cannot run even one
-    lane is refused (the kernel computes on Python ints instead).
-    """
+    edge_keys = _np.asarray(keys, dtype=_np.int64)
+    # A chunk's event ranks stay below ``lanes * (arcs + 1)`` and its keys
+    # below the bound, so packing a (key, rank) pair into one int64 is
+    # exact for up to ``max_lanes`` lanes; a plan that cannot run even one
+    # lane is refused (the kernel computes on Python ints instead).
     max_lanes = ((1 << 63) - 1) // (codec.bound * (int(edge_keys.size) + 1))
     if max_lanes < 1:
         return None
     step = int(codec.combine.step(edge_keys).min()) if edge_keys.size else 0
     return BatchPlan(bound=codec.bound, step=step, max_lanes=max_lanes,
-                     max_hops=max_hops, indptr=indptr, indices=indices,
+                     max_hops=max_hops, indptr=csr[0], indices=csr[1],
                      edge_keys=edge_keys, combine=codec.combine,
                      decode=codec.decode, identity_decode=identity)
 
@@ -524,53 +505,3 @@ def _emit_batch_stats(stats: BatchStats) -> None:
     registry.counter("path_engine.batch_levels").inc(stats.levels)
     registry.counter("path_engine.batch_relaxations").inc(stats.relaxations)
     registry.counter("path_engine.batch_improvements").inc(stats.improvements)
-
-
-# ---------------------------------------------------------------------------
-# zero-copy sharing of the plan's int arrays across worker processes
-# ---------------------------------------------------------------------------
-
-
-def export_shared(compiled: CompiledGraph, algebra: RoutingAlgebra) -> Tuple:
-    """Export the batch plan's int arrays to shared memory.
-
-    Returns :func:`~repro.shared_arrays.export_arrays`'s ``(handles,
-    descriptor)``; the caller owns the handles.  ``(None, None)`` when the
-    instance has no batch plan or shared memory is unavailable; callers
-    then fall back to the pickled payload alone.
-    """
-    plan = batch_plan(compiled, algebra)
-    if plan is None:
-        return None, None
-    return export_arrays({"indptr": plan.indptr, "indices": plan.indices,
-                          "edge_keys": plan.edge_keys},
-                         {"identity": plan.identity_decode})
-
-
-def attach_shared(compiled: CompiledGraph, algebra: RoutingAlgebra,
-                  descriptor) -> bool:
-    """Adopt exported batch arrays in a worker process, zero-copy.
-
-    Maps the parent's arrays and seeds the batch plan cache of *compiled*
-    for *algebra*, so the worker's sweeps read them instead of
-    re-materializing their own.  The key codec (combine, decode) and the
-    window step are rebuilt from the worker's own unpickled *algebra*:
-    closures do not cross processes.  Returns False (and seeds nothing)
-    on any failure — the worker then builds its own arrays, which is
-    merely slower.
-    """
-    max_hops = max(1, len(compiled.nodes) - 1)
-    codec = key_codec(algebra, max_hops)
-    if codec is None:
-        return False
-    attached = attach_arrays(descriptor)
-    if attached is None:
-        return False
-    arrays, meta = attached
-    plan = _plan(codec, max_hops, arrays["indptr"], arrays["indices"],
-                 arrays["edge_keys"], meta["identity"])
-    if plan is None:
-        return False
-    compiled.scratch[(_PLAN_KEY, algebra)] = plan
-    compiled.scratch[_CSR_KEY] = (plan.indptr, plan.indices)
-    return True

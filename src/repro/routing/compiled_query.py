@@ -69,10 +69,6 @@ in pair order.  Three mechanisms make that safe:
 The engine only runs when telemetry is off and no packet-trace capture is
 active (:mod:`repro.routing.query_engine` gates this): traces and
 per-pair histograms need hop-level fidelity only the reference loop has.
-
-Spawn workers attach the parent's compiled tables zero-copy through
-:mod:`repro.shared_arrays` (:func:`export_shared_query` /
-:func:`attach_shared_query`), like :mod:`repro.paths.batch`'s plans.
 """
 
 from __future__ import annotations
@@ -92,14 +88,11 @@ from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.query_engine import count_query_fallback, note_batch_shard
 from repro.routing.tree_routing import TreeRoutingScheme
-from repro.shared_arrays import attach_arrays, export_arrays
 
 __all__ = [
     "CompiledQuery",
-    "attach_shared_query",
     "compile_query",
     "evaluate_shard",
-    "export_shared_query",
     "numpy_available",
 ]
 
@@ -730,50 +723,3 @@ def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
             if algebra.eq(realized, preferred[i]):
                 optimal += 1
     return len(routed_pairs), delivered, optimal, failures, samples
-
-
-# ---------------------------------------------------------------------------
-# zero-copy sharing of the query tables across worker processes
-# ---------------------------------------------------------------------------
-
-
-def export_shared_query(tables: "CompiledQuery"):
-    """Export the compiled query arrays to shared memory.
-
-    Returns :func:`~repro.shared_arrays.export_arrays`'s ``(handles,
-    descriptor)``; the caller owns the handles.  ``(None, None)`` when
-    shared memory is unavailable — workers then compile their own
-    tables, merely slower.
-    """
-    return export_arrays(tables.arrays, {
-        "kind": tables.kind, "identity": tables.identity_decode})
-
-
-def attach_shared_query(scheme, descriptor) -> bool:
-    """Adopt exported query tables in a worker process, zero-copy.
-
-    Maps the parent's arrays, rebuilds the key codec (key, decode,
-    combine) from the worker's own unpickled algebra, and seeds the
-    compile cache for *scheme* — this worker's shards then read the
-    parent's arrays instead of re-deriving them.  Returns False (seeding
-    nothing) on any failure.
-    """
-    graph = scheme.graph
-    codec = key_codec(scheme.algebra, 4 * graph.number_of_nodes() + 8)
-    if codec is None:
-        return False
-    attached = attach_arrays(descriptor)
-    if attached is None:
-        return False
-    arrays, meta = attached
-    nodes = list(graph.nodes())
-    tables = CompiledQuery(
-        kind=meta["kind"], nodes=nodes,
-        node_index={node: i for i, node in enumerate(nodes)},
-        identity_decode=meta["identity"], codec=codec, arrays=arrays,
-    )
-    try:
-        _CACHE[scheme] = tables
-    except TypeError:  # pragma: no cover - unweakrefable scheme
-        return False
-    return True

@@ -1,19 +1,23 @@
 """Parallel evaluation under a forced ``spawn`` start method.
 
 Linux defaults to ``fork``, so CI would otherwise never exercise the
-pickle-payload worker path: the spawn initializer, the process-local
-lazy oracle (zero builds at startup, per-shard ``ensure_sources``), and
-the fall-back to serial evaluation when worker state cannot be pickled.
-``REPRO_START_METHOD=spawn`` forces that path; CI runs this module under
-the same variable as a dedicated step.
+pickled worker state: the parent's scheme and the caller's oracle,
+unpickled by the worker initializer (workers answer from that oracle and
+build only the trees it lacks), and the fall-back to serial evaluation
+when that state cannot be pickled.  ``REPRO_START_METHOD=spawn`` forces
+that path; CI runs this module under the same variable as a dedicated
+step.
 """
 
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import repro
+from repro.algebra.base import PHI
 from repro.algebra.bgp import valley_free_algebra
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
@@ -40,6 +44,7 @@ from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
+from repro.routing.cowen import CowenScheme
 
 
 @pytest.fixture(autouse=True)
@@ -123,8 +128,78 @@ class TestSpawnOracleSlicing:
         assert merged.routed == len(pairs)
         built = telemetry_registry().counter("oracle.trees_built").value
         assert built == 3
-        # The parent's oracle is untouched: spawn workers rebuilt their own.
+        # The parent's oracle is untouched: workers build into their copies.
         assert oracle.trees_built == 0
+
+
+class SkipOddSources:
+    """A picklable caller oracle: no preferred route from an odd source."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def __call__(self, s, t):
+        return PHI if s % 2 else self.oracle(s, t)
+
+
+class TestSpawnWorkerState:
+    """Workers get the parent's scheme and the caller's oracle as given."""
+
+    def test_caller_oracle_reaches_workers(self):
+        graph, algebra, scheme = _sp_instance(n=24)
+        oracle = SkipOddSources(oracle_cache.get(graph, algebra))
+        serial = evaluate_scheme(graph, algebra, scheme,
+                                 options=EvaluationOptions(oracle=oracle))
+        parallel = evaluate_scheme(
+            graph, algebra, scheme,
+            options=EvaluationOptions(oracle=oracle, workers=2))
+        assert serial.pairs == 12 * 23  # even sources only, of 24
+        assert parallel == serial
+        assert last_run_info().fallback is None
+
+    def test_workers_build_no_tree_the_store_holds(self):
+        algebra = ShortestPath()
+        graph = erdos_renyi(16, rng=random.Random(3))
+        assign_random_weights(graph, algebra, rng=random.Random(4))
+        scheme = build_scheme(graph, algebra, mode="compact", rng=5)
+        assert isinstance(scheme, CowenScheme)
+        telemetry_enable()
+        evaluate_scheme(graph, algebra, scheme,
+                        options=EvaluationOptions(workers=2))
+        assert last_run_info().fallback is None
+        counters = telemetry_registry()
+        assert counters.counter("oracle.trees_requested").value > 0
+        assert counters.counter("oracle.trees_built").value == 0
+
+
+#: Four two-worker evaluations in one interpreter: a spawn worker still
+#: starting when its round returns must find the round's queues alive.
+_FOUR_EVALUATIONS = """
+import random
+from repro.algebra.catalog import ShortestPath
+from repro.core.compiler import build_scheme
+from repro.core.simulate import EvaluationOptions, evaluate_scheme
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.weighting import assign_random_weights
+
+algebra = ShortestPath()
+graph = erdos_renyi(24, rng=random.Random(1))
+assign_random_weights(graph, algebra, rng=random.Random(2))
+scheme = build_scheme(graph, algebra)
+for _ in range(4):
+    evaluate_scheme(graph, algebra, scheme,
+                    options=EvaluationOptions(workers=2))
+"""
+
+
+def test_spawn_runs_print_no_worker_traceback():
+    # The child inherits the fixture's environment: spawn, and repro on
+    # PYTHONPATH.
+    completed = subprocess.run(
+        [sys.executable, "-c", _FOUR_EVALUATIONS],
+        capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    assert "Traceback" not in completed.stderr
 
 
 class TestSpawnPickleFallback:

@@ -8,10 +8,9 @@ engines, sabotaged copies of the table schemes included; further tests pin
 the read-only tables that keep compiled queries from going stale, the
 resolver semantics (env handling, warn-once, explicit errors), the fallback
 ladder (telemetry, algebras without an integer key, keys past int64), and
-the spawn-path shared-memory attach.
+spawn workers that compile their own tables.
 """
 
-import gc
 import os
 import pickle
 import random
@@ -51,7 +50,6 @@ from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.tree_routing import TreeRoutingScheme
-from repro.shared_arrays import close_arrays
 
 needs_numpy = pytest.mark.skipif(not compiled_query.numpy_available(),
                                  reason="numpy (repro[fast]) not installed")
@@ -464,67 +462,6 @@ class TestReadOnlyTables:
 
 
 class TestSharedQueryTables:
-    @needs_numpy
-    def test_export_attach_roundtrip_is_zero_copy(self):
-        # Widest-shortest path has a max part: the worker must rebuild
-        # the key codec (combine included) from its own algebra.
-        for algebra in (ShortestPath(max_weight=9),
-                        widest_shortest_path(max_weight=9, max_capacity=9)):
-            self._round_trip(algebra)
-
-    def _round_trip(self, algebra):
-        import numpy as np
-
-        graph = erdos_renyi(20, rng=random.Random(21))
-        assign_random_weights(graph, algebra, rng=random.Random(22))
-        scheme = CowenScheme(graph, algebra, rng=random.Random(23))
-        tables = compiled_query.compile_query(scheme)
-        assert tables is not None
-        handles, descriptor = compiled_query.export_shared_query(tables)
-        if descriptor is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            # A pickled clone stands in for the spawn worker's unpickled
-            # payload (same node objects via pickle memoization).
-            _, worker_algebra, worker_scheme = pickle.loads(
-                pickle.dumps((graph, algebra, scheme)))
-            assert compiled_query.attach_shared_query(worker_scheme,
-                                                      descriptor)
-            attached = compiled_query.compile_query(worker_scheme)
-            assert attached is not None
-            assert attached.kind == tables.kind
-            for name, segment in zip(descriptor["arrays"], handles):
-                array = attached.arrays[name]
-                assert np.array_equal(array, tables.arrays[name])
-                if not array.size:
-                    continue
-                # A write through the exporter's segment shows in the
-                # attached array: it maps the same memory, not a copy.
-                view = np.ndarray(array.shape, dtype=array.dtype,
-                                  buffer=segment.buf)
-                view[0] += 1
-                assert array[0] == tables.arrays[name][0] + 1
-                view[0] -= 1
-                del view
-            # and the attached tables evaluate identically
-            oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
-            worker_oracle = oracle_cache.get(graph, worker_algebra,
-                                             WEIGHT_ATTR)
-            nodes = list(graph.nodes())
-            pairs = [(s, t) for s in nodes[:5] for t in nodes]
-            reference = _with_engine("reference", lambda: route_shard(
-                algebra, scheme, oracle, list(pairs)))
-            query_engine.reset_query_stats()
-            batch = _with_engine("batch", lambda: route_shard(
-                worker_algebra, worker_scheme, worker_oracle, list(pairs)))
-            assert query_engine.query_stats()["batch_shards"] == 1
-            assert _shard_key(batch) == _shard_key(reference)
-            compiled_query._CACHE.pop(worker_scheme, None)
-            del attached, array
-            gc.collect()
-        finally:
-            close_arrays(handles, unlink=True)
-
     @needs_numpy
     def test_spawn_workers_match_serial_reference(self, monkeypatch):
         monkeypatch.setenv(START_METHOD_ENV, "spawn")

@@ -6,15 +6,14 @@ dict insertion order — for every lane of every chunk, ragged tails
 included.  Hypothesis drives random seeded graphs (with unreachable
 regions, ``phi``-dropped arcs and heterogeneous node keys) through all
 three engines; unit tests cover eligibility fallbacks, cache
-invalidation after ``patch_weight``, the oracle's bulk build, telemetry
-counters and the shared-memory transport.
+invalidation after ``patch_weight``, the oracle's bulk build and
+telemetry counters.
 
 When numpy (the optional ``repro[fast]`` extra) is absent the
 batch-specific tests skip — and the fallback tests still assert that the
 engine quietly degrades to the kernel rather than failing.
 """
 
-import pickle
 import random
 import warnings
 
@@ -51,7 +50,6 @@ from repro.paths.dijkstra import (
     preferred_path_tree,
 )
 from repro.paths.kernel import ENGINE_ENV, compile_graph, kernel_tree
-from repro.shared_arrays import close_arrays
 
 needs_numpy = pytest.mark.skipif(
     not batch.numpy_available(),
@@ -363,55 +361,3 @@ class TestAllPairsAndOracle:
         assert counters.get("path_engine.batch_sources") == n
         assert counters.get("path_engine.runs{engine=batch}") == n
         assert counters.get("path_engine.batch_relaxations", 0) > 0
-
-
-@needs_numpy
-class TestSharedMemory:
-    def test_export_attach_round_trip(self):
-        # Widest-shortest path has a max part: the worker must rebuild
-        # the combine and the step from its own algebra.
-        for algebra in (ShortestPath(9),
-                        widest_shortest_path(max_weight=9, max_capacity=9)):
-            rng = random.Random(9)
-            graph = erdos_renyi(12, p=0.4, rng=rng)
-            assign_random_weights(graph, algebra, rng=rng)
-            compiled = compile_graph(graph)
-            handles, descriptor = batch.export_shared(compiled, algebra)
-            assert handles and descriptor
-            try:
-                # a pickled copy simulates the spawn worker's fresh
-                # compiled graph and algebra
-                worker_copy, worker_algebra = pickle.loads(
-                    pickle.dumps((compiled, algebra)))
-                assert batch.attach_shared(worker_copy, worker_algebra,
-                                           descriptor)
-                plan = batch.batch_plan(worker_copy, worker_algebra)
-                assert plan.step == batch.batch_plan(compiled, algebra).step
-                for root in list(graph.nodes())[:4]:
-                    _assert_identical(
-                        batch.batch_tree(worker_copy, worker_algebra, root),
-                        kernel_tree(compiled, algebra, root),
-                    )
-            finally:
-                close_arrays(handles, unlink=True)
-
-    def test_export_ineligible_returns_none(self):
-        algebra = MostReliablePath(9)
-        rng = random.Random(10)
-        graph = erdos_renyi(8, p=0.4, rng=rng)
-        assign_random_weights(graph, algebra, rng=rng)
-        compiled = compile_graph(graph)
-        handles, descriptor = batch.export_shared(compiled, algebra)
-        assert handles is None and descriptor is None
-
-    def test_attach_bogus_descriptor_fails_cleanly(self):
-        algebra = ShortestPath(9)
-        rng = random.Random(11)
-        graph = erdos_renyi(6, p=0.5, rng=rng)
-        assign_random_weights(graph, algebra, rng=rng)
-        compiled = compile_graph(graph)
-        bogus = {"length": 3, "arrays": {
-            "indptr": ("psm_does_not_exist_xyz", (7,), "int64"),
-        }}
-        assert batch.attach_shared(compiled, algebra, bogus) is False
-        assert batch.attach_shared(compiled, algebra, None) is False

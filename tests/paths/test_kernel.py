@@ -285,37 +285,10 @@ class TestOracleAdoption:
         graph = _weighted_er(10, 9, algebra)
         oracle = PreferredWeightOracle(graph, algebra)
         oracle(0, 1)
-        first = oracle.compiled_graph()
+        first = oracle._compiled
         assert first is not None
         oracle(3, 4)
-        assert oracle.compiled_graph() is first
-
-    def test_adopt_compiled_preempts_compilation(self):
-        from repro.core.simulate import PreferredWeightOracle
-
-        algebra = ShortestPath(9)
-        graph = _weighted_er(10, 10, algebra)
-        donor = compile_graph(graph, WEIGHT_ATTR)
-        oracle = PreferredWeightOracle(graph, algebra)
-        oracle.adopt_compiled(donor)
-        assert oracle.compiled_graph() is donor
-        reference = PreferredWeightOracle(graph, algebra)
-        for s in graph.nodes():
-            for t in graph.nodes():
-                if s != t:
-                    assert oracle(s, t) == reference(s, t)
-
-    def test_adopt_rejects_attr_mismatch(self):
-        from repro.core.simulate import PreferredWeightOracle
-
-        algebra = ShortestPath(9)
-        graph = _weighted_er(10, 11, algebra)
-        donor = compile_graph(graph, WEIGHT_ATTR)
-        donor_other = pickle.loads(pickle.dumps(donor))
-        donor_other.attr = "other"
-        oracle = PreferredWeightOracle(graph, algebra)
-        oracle.adopt_compiled(donor_other)
-        assert oracle.compiled_graph() is not donor_other
+        assert oracle._compiled is first
 
     def test_reference_engine_skips_compilation(self, monkeypatch):
         from repro.core.simulate import PreferredWeightOracle
@@ -325,7 +298,7 @@ class TestOracleAdoption:
         graph = _weighted_er(10, 12, algebra)
         oracle = PreferredWeightOracle(graph, algebra)
         oracle(0, 1)
-        assert oracle.compiled_graph() is None
+        assert oracle._compiled is None
         assert oracle.stats()["path_engine"] == "reference"
 
 

@@ -46,10 +46,8 @@ def test_warm_queries_touch_no_build_machinery(monkeypatch):
     compiled = service._oracle._compiled
     built = service.stats()["oracle"]["trees_built"]
 
-    # From here on, any attempt to compile, adopt or build must blow up.
+    # From here on, any attempt to compile or build must blow up.
     monkeypatch.setattr(kernel, "compile_graph", _boom)
-    monkeypatch.setattr(simulate.PreferredWeightOracle, "adopt_compiled",
-                        _boom)
     monkeypatch.setattr(simulate.PreferredWeightOracle, "_build_table", _boom)
 
     again = service.route(pairs)
