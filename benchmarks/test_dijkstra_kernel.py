@@ -5,7 +5,7 @@ instance at n = 1024, per-source preferred-path tree builds run through
 two engines:
 
 * **reference** — the seed implementation (networkx adjacency walk,
-  ``_HeapEntry`` heap);
+  ``_HeapEntry`` heap), called by name as ``_reference_tree``;
 * **kernel** — CSR arrays plus the Dial-style bucketed frontier, which
   the integer-key capability of ``ShortestPath`` unlocks.
 
@@ -25,7 +25,11 @@ from conftest import record
 from repro.algebra import ShortestPath
 from repro.graphs import assign_random_weights, erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR
-from repro.paths.dijkstra import compile_graph, preferred_path_tree
+from repro.paths.dijkstra import (
+    _reference_tree,
+    compile_graph,
+    preferred_path_tree,
+)
 
 N = 1024
 SOURCES = 48
@@ -52,13 +56,14 @@ def _measure(engine, graph, sources):
     algebra = CountingShortestPath(MAX_WEIGHT)
     compiled = None
     start = time.perf_counter()
-    if engine != "reference":
+    if engine == "reference":
+        trees = [_reference_tree(graph, algebra, source, WEIGHT_ATTR)
+                 for source in sources]
+    else:
         compiled = compile_graph(graph, WEIGHT_ATTR)
-    trees = [
-        preferred_path_tree(graph, algebra, source, engine=engine,
-                            compiled=compiled)
-        for source in sources
-    ]
+        trees = [preferred_path_tree(graph, algebra, source,
+                                     compiled=compiled)
+                 for source in sources]
     elapsed = time.perf_counter() - start
     return trees, algebra.leq_calls, elapsed, compiled
 

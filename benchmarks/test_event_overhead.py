@@ -85,8 +85,7 @@ def _tree_sweep_cost():
     for _ in range(REPEATS):
         start = time.perf_counter()
         for source in sources:
-            preferred_path_tree(graph, algebra, source, engine="kernel",
-                                compiled=compiled)
+            preferred_path_tree(graph, algebra, source, compiled=compiled)
         best = min(best, time.perf_counter() - start)
     return best / SOURCES
 

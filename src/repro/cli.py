@@ -295,7 +295,6 @@ class _RunTelemetry:
         if not self.active:
             return
         from repro.core import parallel as _parallel
-        from repro.paths.kernel import resolve_engine
 
         finished_at = time.time()
         data = {}
@@ -312,7 +311,7 @@ class _RunTelemetry:
             run_info = _parallel.last_run_info()
             engine = {
                 "start_method": run_info.start_method if run_info else "serial",
-                "path_engine": resolve_engine(),
+                "path_engine": oracle_cache.stats()["path_engine"],
                 "workers": run_info.workers if run_info else 0,
             }
             snapshot = obs.telemetry_snapshot(include_spans=True)
@@ -357,6 +356,23 @@ def _print_fallback_cause() -> None:
               f"{recovery.get('shards_lost', 0)} shard(s) lost, "
               f"{recovery.get('shards_retried', 0)} retried over "
               f"{recovery.get('pool_rebuilds', 0)} pool rebuild(s)")
+
+
+def _parallel_payload(workers) -> Optional[dict]:
+    """What the parallel engine did in this run, or None for a serial run."""
+    from repro.core import parallel as _parallel
+
+    run_info = _parallel.last_run_info() if (workers or 0) > 1 else None
+    if run_info is None:
+        return None
+    fallback = run_info.fallback
+    return {
+        "start_method": run_info.start_method,
+        "workers": run_info.workers,
+        "fallback": (None if fallback is None else
+                     {"reason": fallback.reason, "cause": fallback.cause}),
+        "recovery": run_info.recovery or None,
+    }
 
 
 def cmd_evaluate(args) -> int:
@@ -407,6 +423,7 @@ def cmd_evaluate(args) -> int:
             # parent's oracle lacks is built in a worker, under any start
             # method, and shows up in `profile`'s merged telemetry instead.
             "oracle": oracle_cache.stats(),
+            "parallel": _parallel_payload(args.workers),
             "report": obs.report_to_dict(report),
         }
         print(obs.to_json(payload))
@@ -480,11 +497,10 @@ def cmd_profile(args) -> int:
             run_ui.abort()
         if not was_enabled:
             obs.disable()
-    from repro.paths.kernel import resolve_engine
-
-    # The path-engine view: which engine resolved, plus its run counters
-    # (relaxations / heap_pushes / stale_pops / bucket_engaged) filtered
-    # out of the merged metric snapshot.  See docs/PERFORMANCE.md.
+    # The path-engine view: the engines the tree store's builds ran, plus
+    # their run counters (relaxations / heap_pushes / stale_pops /
+    # bucket_engaged) filtered out of the merged metric snapshot.  See
+    # docs/PERFORMANCE.md.
     path_counters = {
         name: value
         for name, value in snapshot["metrics"]["counters"].items()
@@ -514,6 +530,7 @@ def cmd_profile(args) -> int:
         for name, value in snapshot["metrics"]["counters"].items()
         if name.startswith("query_engine.")
     }
+    oracle_stats = oracle_cache.stats()
     payload = {
         "policy": args.policy,
         "scheme": scheme.name,
@@ -525,7 +542,7 @@ def cmd_profile(args) -> int:
         "phases": snapshot["spans"],
         "metrics": snapshot["metrics"],
         "path_engine": {
-            "engine": resolve_engine(),
+            "engine": oracle_stats["path_engine"],
             "counters": path_counters,
         },
         "batch": {
@@ -538,7 +555,7 @@ def cmd_profile(args) -> int:
             "counters": query_counters,
             "stats": _query_engine.query_stats(),
         },
-        "oracle": oracle_cache.stats(),
+        "oracle": oracle_stats,
         "protocols": protocols,
         "report": obs.report_to_dict(report),
     }

@@ -13,6 +13,11 @@ regular + delimited (compact)  generalized Cowen stretch-3 (Theorem 3)
 non-isotone                    source-destination pair tables
 B1/B2 under A1 + A2            the Theorem 6 / Theorem 7 tree schemes
 =============================  =======================================
+
+The destination-table, Cowen and pair-table schemes read their paths
+from the tree store
+(:class:`~repro.core.simulate.PreferredWeightOracle`), which picks the
+exact solver for the algebra.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from typing import Optional
 
 from repro.algebra.base import RoutingAlgebra
 from repro.algebra.bgp import PEER, BGPAlgebra
-from repro.algebra.catalog import ShortestPath, WidestPath
-from repro.algebra.lexicographic import LexicographicProduct
 from repro.exceptions import NotApplicableError
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
@@ -31,22 +34,10 @@ from repro.routing.bgp_schemes import B1TreeScheme, B2ConeScheme
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.model import RoutingScheme
-from repro.routing.pair_table import (
-    PairTableScheme,
-    enumeration_oracle,
-    shortest_widest_oracle,
-)
+from repro.routing.pair_table import PairTableScheme
 from repro.routing.tree_routing import TreeRoutingScheme
 
 MODES = ("auto", "exact", "compact")
-
-
-def _is_shortest_widest(algebra) -> bool:
-    return (
-        isinstance(algebra, LexicographicProduct)
-        and isinstance(algebra.first, WidestPath)
-        and isinstance(algebra.second, ShortestPath)
-    )
 
 
 def _build_bgp(graph, algebra, attr):
@@ -73,13 +64,14 @@ def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
     * ``"auto"`` — ``exact``, upgraded to the compact scheme when that
       is exact anyway (selective algebras).
 
-    The Cowen and destination-table schemes need a preferred-path tree
-    from every node.  They take them from a tree store, the
+    The Cowen, destination-table and pair-table schemes need preferred
+    paths from every node.  They take them from a tree store, the
     :class:`~repro.core.simulate.PreferredWeightOracle` *oracle*, which
-    builds them in batched sweeps over one compiled graph.  By default
-    that is the oracle :func:`~repro.core.simulate.evaluate_scheme` reads
-    (from :data:`~repro.core.simulate.oracle_cache`), so evaluation
-    finds every tree already built.  A caller that keeps its own oracle
+    picks the solver for the algebra and builds trees in batched sweeps
+    over one compiled graph.  By default that is the oracle
+    :func:`~repro.core.simulate.evaluate_scheme` reads (from
+    :data:`~repro.core.simulate.oracle_cache`), so evaluation finds every
+    tree and path already built.  A caller that keeps its own oracle
     (the routing service) passes it in, and a rebuild after an edge
     change reuses every tree its invalidation kept.
 
@@ -141,21 +133,16 @@ def _build_scheme(graph, algebra: RoutingAlgebra, mode: str, attr: str,
             scheme_class, options = CowenScheme, dict(rng=rng, **kwargs)
         else:
             scheme_class, options = DestinationTableScheme, {}
-        if oracle is None:
-            from repro.core.simulate import oracle_cache
+    elif declared.isotone is False:
+        scheme_class, options = PairTableScheme, {}
+    else:
+        raise NotApplicableError(
+            f"no scheme known for {algebra.name} with profile "
+            f"[{declared.summary()}]"
+        )
+    if oracle is None:
+        from repro.core.simulate import oracle_cache
 
-            oracle = oracle_cache.get(graph, algebra, attr=attr,
-                                      scheme_name=scheme_class.name)
-        return scheme_class(graph, algebra, attr=attr, oracle=oracle, **options)
-
-    if declared.isotone is False:
-        if _is_shortest_widest(algebra):
-            oracle = shortest_widest_oracle(graph, attr=attr)
-        else:
-            oracle = enumeration_oracle(graph, algebra, attr=attr)
-        return PairTableScheme(graph, algebra, oracle=oracle, attr=attr)
-
-    raise NotApplicableError(
-        f"no scheme known for {algebra.name} with profile "
-        f"[{declared.summary()}]"
-    )
+        oracle = oracle_cache.get(graph, algebra, attr=attr,
+                                  scheme_name=scheme_class.name)
+    return scheme_class(graph, algebra, attr=attr, oracle=oracle, **options)

@@ -20,13 +20,14 @@ process-wide in :data:`oracle_cache`, keyed on the graph's content
 signature, the algebra and the weight attribute, so repeated evaluations
 of the same instance (benchmarks, profiles, scale sweeps) accumulate
 trees instead of rebuilding them.  The oracle is also the one **tree
-store**: :func:`repro.core.compiler.build_scheme` builds the Cowen and
-destination-table schemes from the cached oracle's trees, so the trees a
-scheme is built from and the trees evaluation checks it against are
-computed once, together.  With ``workers > 1`` the pair set is
-split into source-grouped shards and evaluated in parallel by
-:mod:`repro.core.parallel`; shard merging is exact, so the report is
-bit-identical to a serial run.
+store**, and the only code that decides how preferred paths are
+computed: :func:`repro.core.compiler.build_scheme` builds the Cowen,
+destination-table and pair-table schemes from the cached oracle's trees
+and paths, so the paths a scheme is built from and the weights
+evaluation checks it against are computed once, together.  With
+``workers > 1`` the pair set is split into source-grouped shards and
+evaluated in parallel by :mod:`repro.core.parallel`; shard merging is
+exact, so the report is bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -227,7 +228,13 @@ class PreferredWeightOracle:
       startup cost is ``O(sources_per_shard)`` builds);
     * :meth:`trees` hands out the generalized-Dijkstra engine's trees as
       :class:`~repro.paths.dijkstra.PathTree` views — the tree store the
-      Cowen and destination-table schemes are built from;
+      Cowen and destination-table schemes are built from — and
+      :meth:`paths` one source's preferred paths, which pair tables
+      install;
+    * it picks the path engine: two or more missing trees build in the
+      vectorized sweeps of :mod:`repro.paths.batch` when the algebra has
+      a batch plan, every other tree on the per-source kernel;
+      ``stats()["path_engine"]`` names the engines its builds ran;
     * ``trees_requested`` / ``trees_built`` count lookups and actual
       builds (also emitted as the ``oracle.trees_requested`` /
       ``oracle.trees_built`` telemetry counters), so cache behavior is
@@ -235,9 +242,11 @@ class PreferredWeightOracle:
     * built structures are memoized for the life of the object — and the
       object itself lives in :data:`oracle_cache`, so trees accumulate
       across evaluations of the same instance;
+    * shortest-widest routes keep their paths, as trees keep their
+      parent maps, and invalidation drops both together;
     * algebras with no per-source engine (non-regular, non-tabular) fall
-      back to per-pair enumeration, memoized per ordered pair;
-      ``trees_built`` stays 0 for them.
+      back to per-pair enumeration, memoized per ordered pair with its
+      path; ``trees_built`` stays 0 for them.
 
     Thread-safe: builds take the object's lock with a double-check, so
     two threads querying the same cached oracle build each structure
@@ -254,8 +263,10 @@ class PreferredWeightOracle:
         self.trees_built = 0
         self._tables: Dict = {}
         self._parents: Dict = {}
+        self._paths: Dict = {}
         self._enum_memo: Optional[Dict] = None
         self._compiled = None
+        self._path_engines: set = set()
         self._lock = threading.Lock()
         self.engine = self._select_engine()
 
@@ -269,7 +280,7 @@ class PreferredWeightOracle:
         self._lock = threading.Lock()
 
     def _select_engine(self) -> str:
-        """The per-algebra engine name (mirrors the old eager dispatch)."""
+        """The per-algebra engine name: the one place that picks a solver."""
         if isinstance(self.algebra, BGPAlgebra):
             return "bgp"
         if (
@@ -285,18 +296,15 @@ class PreferredWeightOracle:
         return "enumeration"
 
     def _ensure_compiled(self):
-        """The shared :class:`~repro.paths.kernel.CompiledGraph`, or None.
+        """The shared :class:`~repro.paths.kernel.CompiledGraph`.
 
         Compiled once per oracle (under the build lock the callers hold)
-        and reused by every per-source sweep; stays None for engines that
-        don't flatten (bgp, enumeration) and under
-        ``REPRO_PATH_ENGINE=reference``.
+        and reused by every per-source sweep; engines that don't flatten
+        (bgp, enumeration) never ask for it.
         """
         if self._compiled is None:
-            from repro.paths.kernel import compile_graph, resolve_engine
+            from repro.paths.kernel import compile_graph
 
-            if resolve_engine() == "reference":
-                return None
             self._compiled = compile_graph(self.graph, self.attr)
         return self._compiled
 
@@ -312,12 +320,14 @@ class PreferredWeightOracle:
 
             routes = shortest_widest_routes(self.graph, source, attr=self.attr,
                                             compiled=self._ensure_compiled())
+            self._paths[source] = {t: route.path for t, route in routes.items()}
             return {t: route.weight for t, route in routes.items()}
         from repro.paths.dijkstra import preferred_path_tree
 
         tree = preferred_path_tree(self.graph, self.algebra, source,
                                    attr=self.attr,
                                    compiled=self._ensure_compiled())
+        self._path_engines.add("kernel")
         # The parent map is the raw material of surgical invalidation
         # (tree-edge tests in invalidate_edge); it costs nothing extra —
         # the engine already built it.
@@ -343,11 +353,10 @@ class PreferredWeightOracle:
 
         A no-op for the enumeration fallback, where no per-source
         structure exists and eager enumeration over all targets would
-        cost more than the queries it serves.  Under the default
-        ``batch`` path engine (with an eligible algebra) the missing
-        trees build in vectorized multi-source sweeps
-        (:mod:`repro.paths.batch`) instead of one Python run each; the
-        per-source loop below then only counts requests and serves
+        cost more than the queries it serves.  Two or more missing trees
+        of an algebra with a batch plan build in vectorized multi-source
+        sweeps (:mod:`repro.paths.batch`) instead of one kernel run each;
+        the per-source loop below then only counts requests and serves
         cache hits.
         """
         if self.engine == "enumeration":
@@ -386,19 +395,51 @@ class PreferredWeightOracle:
                                      self._parents[source])
                     for source in ordered}
 
-    def _batch_ensure(self, sources) -> None:
-        """Fill missing per-source tables with batched sweeps when eligible.
+    def paths(self, source) -> Dict:
+        """``target -> preferred path`` (a node tuple) from *source*.
 
-        Quietly does nothing unless the batch engine resolves AND the
-        algebra/instance admit a batch plan — per-source builds then
-        proceed exactly as before (the batch engine's documented
-        per-algebra fallback).  Sources absent from the graph are left
-        for :meth:`_build_table` to raise on, preserving error behavior.
+        The pair table's read side.  Trees yield their paths by walking
+        parent maps; shortest-widest routes and
+        enumeration results hand back the paths they were found with.
+        The valley-free engine keeps no paths and raises
+        :class:`~repro.exceptions.AlgebraError`.
         """
-        from repro.paths.kernel import resolve_engine
+        if self.engine == "bgp":
+            raise AlgebraError(
+                f"{self.algebra.name}: the bgp oracle engine keeps no paths")
+        if self.engine == "enumeration":
+            found = {target: self._enumerate(source, target)
+                     for target in self.graph.nodes() if target != source}
+            return {target: route.path for target, route in found.items()
+                    if route is not None}
+        self.ensure_sources([source])
+        with self._lock:
+            if self.engine == "shortest-widest":
+                return self._paths[source]
+            from repro.paths.dijkstra import PathTree
 
-        if resolve_engine() != "batch":
-            return
+            tree = PathTree(source, self._tables[source], self._parents[source])
+        return {target: tuple(tree.path_to(target)) for target in tree.weight}
+
+    def _enumerate(self, s, t):
+        """The memoized enumeration result for one ordered pair, or None."""
+        key = (s, t)
+        if key not in self._enum_memo:
+            from repro.paths.enumerate import preferred_by_enumeration
+
+            self._enum_memo[key] = preferred_by_enumeration(
+                self.graph, self.algebra, s, t, attr=self.attr)
+        return self._enum_memo[key]
+
+    def _batch_ensure(self, sources) -> None:
+        """Fill two or more missing per-source tables with batched sweeps.
+
+        When the algebra/instance admit no batch plan (or numpy is
+        absent) this counts one ``path_engine.batch_fallbacks`` and does
+        nothing else: per-source kernel builds then fill the tables, bit
+        for bit the same.  Sources absent from the graph are left for
+        :meth:`_build_table` to raise on, preserving error behavior.
+        """
         from repro.paths import batch as _batch
 
         with self._lock:
@@ -406,14 +447,14 @@ class PreferredWeightOracle:
             if len(missing) < 2:
                 return
             compiled = self._ensure_compiled()
-            if compiled is None:
-                return
             missing = [s for s in missing if s in compiled.node_index]
             if len(missing) < 2:
                 return
             plan = _batch.batch_plan(compiled, self.algebra)
             if plan is None:
+                _batch.count_fallback()
                 return
+            self._path_engines.add("batch")
             runs = _batch.batch_trees(compiled, self.algebra, missing,
                                       plan=plan)
             for source, run in zip(missing, runs):
@@ -428,14 +469,8 @@ class PreferredWeightOracle:
         if _telemetry_enabled():
             _telemetry().counter("oracle.trees_requested").inc()
         if self.engine == "enumeration":
-            key = (s, t)
-            if key not in self._enum_memo:
-                from repro.paths.enumerate import preferred_by_enumeration
-
-                found = preferred_by_enumeration(self.graph, self.algebra, s, t,
-                                                 attr=self.attr)
-                self._enum_memo[key] = found.weight if found else PHI
-            return self._enum_memo[key]
+            found = self._enumerate(s, t)
+            return found.weight if found is not None else PHI
         return self._table_for(s).get(t, PHI)
 
     # -- incremental invalidation (the service layer's churn path) --------
@@ -446,6 +481,7 @@ class PreferredWeightOracle:
             dropped = len(self._tables)
             self._tables = {}
             self._parents = {}
+            self._paths = {}
             if self._enum_memo is not None:
                 dropped += len(self._enum_memo)
                 self._enum_memo = {}
@@ -496,19 +532,17 @@ class PreferredWeightOracle:
                 return OracleInvalidation(change=change, kept=0,
                                           dropped=dropped, patched=patched)
             keep = self._keep_rule(u, v, new_weight, change)
-            kept_tables: Dict = {}
-            kept_parents: Dict = {}
-            dropped = 0
-            for source, table in self._tables.items():
-                if keep(source, table):
-                    kept_tables[source] = table
-                    parent = self._parents.get(source)
-                    if parent is not None:
-                        kept_parents[source] = parent
-                else:
-                    dropped += 1
+            kept_tables = {source: table
+                           for source, table in self._tables.items()
+                           if keep(source, table)}
+            dropped = len(self._tables) - len(kept_tables)
             self._tables = kept_tables
-            self._parents = kept_parents
+            self._parents = {source: parent
+                             for source, parent in self._parents.items()
+                             if source in kept_tables}
+            self._paths = {source: paths
+                           for source, paths in self._paths.items()
+                           if source in kept_tables}
         return OracleInvalidation(change=change, kept=len(kept_tables),
                                   dropped=dropped, patched=patched)
 
@@ -579,15 +613,19 @@ class PreferredWeightOracle:
         return keep
 
     def stats(self) -> dict:
-        from repro.paths.kernel import resolve_engine
-
         return {
             "engine": self.engine,
-            "path_engine": resolve_engine(),
+            "path_engine": _engine_names(self._path_engines),
             "sources_cached": len(self._tables),
             "trees_requested": self.trees_requested,
             "trees_built": self.trees_built,
         }
+
+
+def _engine_names(engines) -> Optional[str]:
+    """Path engine names, ``+``-joined (``batch``, ``kernel`` or
+    ``batch+kernel``); None while no generalized-Dijkstra tree was built."""
+    return "+".join(sorted(engines)) or None
 
 
 def preferred_weight_oracle(graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR
@@ -724,7 +762,8 @@ class OracleCache:
             self.misses = 0
 
     def stats(self) -> dict:
-        """Hit/miss/entry counts plus the cached oracles' tree totals."""
+        """Hit/miss/entry counts plus the cached oracles' tree totals
+        and the path engines their builds ran."""
         with self._lock:
             out = {"hits": self.hits, "misses": self.misses,
                    "entries": len(self._entries), "capacity": self.capacity}
@@ -738,6 +777,9 @@ class OracleCache:
         out["sources_cached"] = sum(
             len(o._tables) for o in oracles
             if isinstance(o, PreferredWeightOracle))
+        out["path_engine"] = _engine_names(set().union(
+            *(o._path_engines for o in oracles
+              if isinstance(o, PreferredWeightOracle))))
         return out
 
     def __len__(self) -> int:

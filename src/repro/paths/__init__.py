@@ -5,17 +5,14 @@ from repro.paths.batch import (
     BatchPlan,
     BatchStats,
     batch_plan,
-    batch_tree,
     batch_trees,
     numpy_available,
 )
 from repro.paths.dijkstra import (
     PathTree,
-    all_pairs_preferred_weights,
     preferred_path_tree,
 )
 from repro.paths.kernel import (
-    ENGINE_ENV,
     CompiledGraph,
     KernelStats,
     compile_graph,
@@ -53,13 +50,10 @@ __all__ = [
     "BatchPlan",
     "BatchStats",
     "batch_plan",
-    "batch_tree",
     "batch_trees",
     "numpy_available",
     "PathTree",
-    "all_pairs_preferred_weights",
     "preferred_path_tree",
-    "ENGINE_ENV",
     "CompiledGraph",
     "KernelStats",
     "compile_graph",

@@ -50,10 +50,10 @@ exactly, per lane:
 
 Eligibility falls back **per algebra**: when the algebra declares no key
 combine (:func:`~repro.algebra.base.key_codec`), is not monotone, its
-keys could overflow int64, or numpy is absent, callers run the
-per-source kernel instead (counted on ``path_engine.batch_fallbacks``)
-— results are bit-identical either way, which the golden-trace harness
-enforces in CI under ``REPRO_PATH_ENGINE=batch``.
+keys could overflow int64, or numpy is absent, the tree store — the only
+caller outside tests and benchmarks — runs the per-source kernel instead
+(counted on ``path_engine.batch_fallbacks``).  Results are bit-identical
+either way, which the batch-vs-reference Hypothesis suite enforces.
 """
 
 from __future__ import annotations
@@ -202,15 +202,10 @@ def _make_batch_plan(compiled, algebra):
 
 
 def count_fallback() -> None:
-    """Record one per-source fallback from the batch engine to the kernel."""
+    """Record one multi-source build that fell back from the batch engine
+    to the per-source kernel."""
     if _telemetry_enabled():
         _telemetry().counter("path_engine.batch_fallbacks").inc()
-
-
-def batch_tree(compiled: CompiledGraph, algebra: RoutingAlgebra, root,
-               plan: Optional[BatchPlan] = None) -> KernelRun:
-    """One-source convenience wrapper over :func:`batch_trees`."""
-    return batch_trees(compiled, algebra, [root], plan=plan)[0]
 
 
 def batch_trees(compiled: CompiledGraph, algebra: RoutingAlgebra,

@@ -10,9 +10,9 @@ the per-source loop:
   ``(graph, attr)`` into CSR-style index arrays — a node-index map,
   neighbor offsets (``indptr``), neighbor indices and edge-weight arrays —
   shared across all per-source runs.  It is pickle-safe (derived caches
-  are dropped and rebuilt lazily), so the lazy
-  :class:`~repro.core.simulate.PreferredWeightOracle` ships it to
-  spawn-path parallel shards instead of recompiling per worker.
+  are dropped and rebuilt lazily), so the tree store
+  (:class:`~repro.core.simulate.PreferredWeightOracle`) ships it to
+  spawn workers instead of recompiling per worker.
 * :func:`kernel_tree` runs generalized Dijkstra over the compiled arrays,
   with a **bucketed (Dial-style) frontier** fast path for algebras whose
   comparison keys are small non-negative integers — hop count, integer
@@ -23,23 +23,19 @@ the per-source loop:
   wide to bucket profitably) fall back to the reference ``_HeapEntry``
   heap, still over the compiled arrays.
 
-Results are **bit-identical** to the reference heap engine in
-:mod:`repro.paths.dijkstra`: within a bucket all weights are
-algebra-equal (integer keys are an order embedding), so FIFO pop order
-reproduces the heap's insertion-counter tie-break exactly, and the
+Results are **bit-identical** to the seed engine,
+:func:`repro.paths.dijkstra._reference_tree`: within a bucket all weights
+are algebra-equal (integer keys are an order embedding), so FIFO pop
+order reproduces the heap's insertion-counter tie-break exactly, and the
 ``weight``/``parent`` maps are rebuilt in first-relaxation order.  The
-golden-trace harness enforces this under ``REPRO_PATH_ENGINE`` in CI.
+kernel-vs-reference Hypothesis suite enforces this.
 
-Engine selection is overridable with the ``REPRO_PATH_ENGINE``
-environment variable, read by :func:`repro.env.env_choice`: ``batch``
-(default; the vectorized multi-source engine of :mod:`repro.paths.batch`
-where the algebra admits a plan — monotone, with an integer key combine
-— this module's kernel otherwise — and
-this module's kernel for a single root, which has no sweep to share),
-``kernel`` (compiled arrays, buckets where eligible, the heap
-otherwise), ``reference`` (the seed engine).  All of them build
-bit-identical trees.  Unrecognized environment values warn once and
-apply the default.  See ``docs/PERFORMANCE.md``.
+The kernel builds every single-root tree
+(:func:`~repro.paths.dijkstra.preferred_path_tree`) and every tree the
+store builds alone; the store's multi-source builds run the vectorized
+sweeps of :mod:`repro.paths.batch` where the algebra admits a plan.
+:func:`resolve_engine` reports which of the two those builds run.  See
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -50,28 +46,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.algebra.base import RoutingAlgebra, is_phi
-from repro.env import env_choice
 from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
-
-#: Environment variable forcing the path engine (see :func:`resolve_engine`).
-ENGINE_ENV = "REPRO_PATH_ENGINE"
-
-#: Recognized engine spellings -> engine; ``auto`` is the default, which
-#: :func:`resolve_engine` narrows to ``batch`` or, for one root, ``kernel``.
-_ENGINE_ALIASES = {
-    "": "auto",
-    "auto": "auto",
-    "default": "auto",
-    "batch": "batch",
-    "vectorized": "batch",
-    "kernel": "kernel",
-    "compiled": "kernel",
-    "reference": "reference",
-    "seed": "reference",
-}
 
 #: Bucket arrays never exceed this many buckets, whatever the instance size.
 BUCKET_HARD_CAP = 1 << 22
@@ -84,25 +62,19 @@ BUCKET_MIN_LIMIT = 4096
 BUCKET_EDGE_FACTOR = 32
 
 
-def resolve_engine(engine: Optional[str] = None, *,
-                   single_root: bool = False) -> str:
-    """The canonical path-engine choice: explicit arg > environment > default.
+def resolve_engine() -> str:
+    """The engine multi-source tree builds run: ``"batch"`` or ``"kernel"``.
 
-    Returns one of ``"batch"`` (the default: vectorized multi-source
-    sweeps where eligible, kernel otherwise), ``"kernel"`` (compiled
-    arrays, buckets where eligible, the heap otherwise) or
-    ``"reference"`` (the seed networkx-walking engine).  The batch
-    engine pays off by sharing one sweep among many roots, so a
-    *single_root* build under the default gets ``"kernel"`` instead; an
-    explicit ``batch`` (argument or environment) still runs a one-lane
-    sweep.  An unrecognized *explicit* argument raises ``ValueError``;
-    an unrecognized ``REPRO_PATH_ENGINE`` value applies the default after
-    a one-time ``RuntimeWarning`` (see :func:`repro.env.env_choice`).
+    The tree store builds two or more missing trees with the vectorized
+    sweeps of :mod:`repro.paths.batch` whenever numpy imported and the
+    algebra has a batch plan, and with this module's kernel otherwise.
+    So this reports ``"batch"`` where numpy imported, ``"kernel"`` where
+    it did not; a store's ``stats()["path_engine"]`` names the engines
+    its own builds ran.
     """
-    choice = env_choice(ENGINE_ENV, _ENGINE_ALIASES, engine)
-    if choice == "auto":
-        return "kernel" if single_root else "batch"
-    return choice
+    from repro.paths.batch import numpy_available
+
+    return "batch" if numpy_available() else "kernel"
 
 
 def node_ranks(nodes) -> Dict[object, int]:
@@ -203,9 +175,8 @@ class CompiledGraph:
     worker costs only the index arrays.
 
     The compiled view is a snapshot — mutating the source graph after
-    compilation is not reflected.  Holders that cache one (the lazy
-    oracle, ``all_pairs_preferred_weights``) already treat the instance
-    as immutable for the run's duration.
+    compilation is not reflected.  The tree store, which caches one,
+    patches it or drops it when an edge changes.
     """
 
     __slots__ = ("attr", "directed", "nodes", "node_index", "indptr",

@@ -13,15 +13,16 @@ are still computable exactly per pair:
 Edge weights are pairs ``(capacity, cost)`` — the weight domain of
 ``shortest_widest_path()`` from :mod:`repro.algebra.lexicographic`.
 
-Both sweeps run over a :class:`~repro.paths.kernel.CompiledGraph` by
-default (pass one explicitly to amortize flattening across sources, as
-:func:`all_pairs_shortest_widest` and the oracle do); the seed
-adjacency-dict implementation stays selectable with
-``REPRO_PATH_ENGINE=reference``.  Heap ties break on a deterministic node
-rank plus an insertion counter, so pop order never falls back to
-comparing raw node objects (heterogeneous node sets used to raise
-``TypeError``); for mutually comparable node sets the rank equals the
-nodes' sort order, preserving the historical pop order bit-for-bit.
+Both sweeps run over a :class:`~repro.paths.kernel.CompiledGraph` (pass
+one explicitly to amortize flattening across sources, as
+:func:`all_pairs_shortest_widest` and the tree store do).  The seed
+adjacency-dict sweeps, :func:`_reference_widest` and
+:func:`_reference_restricted`, stay as the referees tests call by name.
+Heap ties break on a deterministic node rank plus an insertion counter,
+so pop order never falls back to comparing raw node objects
+(heterogeneous node sets used to raise ``TypeError``); for mutually
+comparable node sets the rank equals the nodes' sort order, preserving
+the historical pop order bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.graphs.weighting import WEIGHT_ATTR
-from repro.paths.kernel import (
-    CompiledGraph,
-    compile_graph,
-    node_ranks,
-    resolve_engine,
-)
+from repro.paths.kernel import CompiledGraph, compile_graph, node_ranks
 
 
 @dataclass(frozen=True)
@@ -71,13 +67,12 @@ def widest_bottlenecks(graph, source, attr: str = WEIGHT_ATTR, *,
                        compiled: Optional[CompiledGraph] = None) -> Dict[object, int]:
     """Max-min Dijkstra: the widest achievable bottleneck to every node."""
     if compiled is None:
-        if resolve_engine() == "reference":
-            return _reference_widest(graph, source, attr)
         compiled = compile_graph(graph, attr)
     return _compiled_widest(compiled, source)
 
 
-def _reference_widest(graph, source, attr) -> Dict[object, int]:
+def _reference_widest(graph, source, attr: str = WEIGHT_ATTR) -> Dict[object, int]:
+    """The seed max-min sweep over the adjacency dicts (the referee)."""
     ranks = node_ranks(graph.nodes())
     best: Dict[object, int] = {}
     counter = itertools.count(1)
@@ -126,17 +121,9 @@ def _compiled_widest(compiled: CompiledGraph, source) -> Dict[object, int]:
     return best
 
 
-def _restricted_shortest(graph, source, min_capacity, attr, *,
-                         compiled: Optional[CompiledGraph] = None) -> Tuple[Dict, Dict]:
-    """Cost Dijkstra from *source* over edges with capacity >= *min_capacity*."""
-    if compiled is None:
-        if resolve_engine() == "reference":
-            return _reference_restricted(graph, source, min_capacity, attr)
-        compiled = compile_graph(graph, attr)
-    return _compiled_restricted(compiled, source, min_capacity)
-
-
-def _reference_restricted(graph, source, min_capacity, attr) -> Tuple[Dict, Dict]:
+def _reference_restricted(graph, source, min_capacity,
+                          attr: str = WEIGHT_ATTR) -> Tuple[Dict, Dict]:
+    """The seed cost sweep over edges of capacity >= *min_capacity* (the referee)."""
     ranks = node_ranks(graph.nodes())
     dist: Dict[object, int] = {source: 0}
     parent: Dict[object, Optional[object]] = {source: None}
@@ -163,6 +150,7 @@ def _reference_restricted(graph, source, min_capacity, attr) -> Tuple[Dict, Dict
 
 def _compiled_restricted(compiled: CompiledGraph, source,
                          min_capacity) -> Tuple[Dict, Dict]:
+    """Cost Dijkstra from *source* over edges with capacity >= *min_capacity*."""
     capacities, costs, ranks = _sw_layout(compiled)
     indptr, indices, nodes = compiled.indptr, compiled.indices, compiled.nodes
     root = compiled.node_index[source]
@@ -201,16 +189,15 @@ def shortest_widest_routes(graph, source, attr: str = WEIGHT_ATTR, *,
     O(#distinct bottlenecks * m log n).  Pass a pre-built *compiled*
     graph to share the flattening across sources.
     """
-    if compiled is None and resolve_engine() != "reference":
+    if compiled is None:
         compiled = compile_graph(graph, attr)
-    bottleneck = widest_bottlenecks(graph, source, attr=attr, compiled=compiled)
+    bottleneck = _compiled_widest(compiled, source)
     routes: Dict[object, SWRoute] = {}
     by_value: Dict[int, list] = {}
     for node, value in bottleneck.items():
         by_value.setdefault(value, []).append(node)
     for value, nodes in by_value.items():
-        dist, parent = _restricted_shortest(graph, source, value, attr,
-                                            compiled=compiled)
+        dist, parent = _compiled_restricted(compiled, source, value)
         for node in nodes:
             if node not in dist:
                 continue
@@ -225,9 +212,7 @@ def shortest_widest_routes(graph, source, attr: str = WEIGHT_ATTR, *,
 def all_pairs_shortest_widest(graph, attr: str = WEIGHT_ATTR
                               ) -> Dict[object, Dict[object, SWRoute]]:
     """Preferred SW routes between every ordered pair (one shared compile)."""
-    compiled = None
-    if resolve_engine() != "reference":
-        compiled = compile_graph(graph, attr)
+    compiled = compile_graph(graph, attr)
     return {
         source: shortest_widest_routes(graph, source, attr=attr, compiled=compiled)
         for source in graph.nodes()

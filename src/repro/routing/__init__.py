@@ -29,11 +29,7 @@ from repro.routing.model import (
     RouteResult,
     RoutingScheme,
 )
-from repro.routing.pair_table import (
-    PairTableScheme,
-    enumeration_oracle,
-    shortest_widest_oracle,
-)
+from repro.routing.pair_table import PairTableScheme
 from repro.routing.stretch import (
     StretchReport,
     measure_stretch,
@@ -69,8 +65,6 @@ __all__ = [
     "RouteResult",
     "RoutingScheme",
     "PairTableScheme",
-    "enumeration_oracle",
-    "shortest_widest_oracle",
     "StretchReport",
     "measure_stretch",
     "minimal_stretch",

@@ -416,7 +416,11 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
     if _np is None:
         count_query_fallback("numpy-missing", pairs=len(pairs))
         return None
-    if algebra is not getattr(scheme, "algebra", None):
+    # The scheme's tables encode its own algebra's keys: an equal algebra
+    # (the identity the oracle cache keys on) reads them the same way.
+    from repro.core.simulate import _algebra_key
+
+    if _algebra_key(algebra) != _algebra_key(scheme.algebra):
         count_query_fallback("algebra-mismatch", pairs=len(pairs))
         return None
     tables = compile_query(scheme)

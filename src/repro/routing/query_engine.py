@@ -23,10 +23,9 @@ keep their exact per-hop semantics.  Every such step-down is counted on
 ``query_engine.batch_fallbacks`` (tagged with a reason) and on the
 process-local stats served to ``repro profile``'s ``query`` block.
 
-The choice is read like :func:`repro.paths.kernel.resolve_engine`'s, by
-:func:`repro.env.env_choice`: explicit argument > ``REPRO_QUERY_ENGINE``
-environment > default, with a one-time ``RuntimeWarning`` on
-unrecognized environment values.
+The choice is read by :func:`repro.env.env_choice`: explicit argument >
+``REPRO_QUERY_ENGINE`` environment > default, with a one-time
+``RuntimeWarning`` on unrecognized environment values.
 """
 
 from __future__ import annotations

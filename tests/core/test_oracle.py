@@ -37,7 +37,7 @@ from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
-from repro.paths.dijkstra import preferred_path_tree
+from repro.paths.dijkstra import _reference_tree
 from repro.paths.enumerate import preferred_by_enumeration
 from repro.protocols.disputes import DisputeWheelAlgebra, bad_gadget
 from repro.routing.cowen import CowenScheme
@@ -339,8 +339,8 @@ class TestTreeStore:
         graph, algebra = _sp_instance()
         CowenScheme(graph, algebra, rng=random.Random(4))
         DestinationTableScheme(graph, algebra)
-        # At most one compiled graph per scheme (none under the reference
-        # engine), not one per node, and the process-wide cache is left alone.
+        # At most one compiled graph per scheme, not one per node, and the
+        # process-wide cache is left alone.
         assert len(compiles) <= 2
         assert len(oracle_cache) == 0
 
@@ -356,8 +356,7 @@ class TestTreeStore:
         oracle = oracle_cache.get(graph, algebra)
         sources = sorted(graph.nodes())[::5]
         for source, tree in oracle.trees(sources).items():
-            reference = preferred_path_tree(graph, algebra, source,
-                                            engine="reference")
+            reference = _reference_tree(graph, algebra, source)
             assert tree.weight == reference.weight
             assert tree.parent == reference.parent
             assert list(tree.weight) == list(reference.weight)

@@ -109,7 +109,7 @@ def _build_instance(family, seed, n):
     choices = ALGEBRAS[family]
     algebra = choices[seed % len(choices)]()
     if family == "pair":
-        n = min(n, 8)   # the enumeration oracle is exponential
+        n = min(n, 8)   # every node holds up to n^2 pair entries
     graph = erdos_renyi(n, rng=rng)
     assign_random_weights(graph, algebra, rng=rng)
     if family == "cowen":
@@ -317,6 +317,25 @@ class TestFallbackLadder:
         assert stats["fallbacks"].get("trace-fidelity") == 1
         assert result.routed == len(
             [p for p in pairs])  # the reference loop still evaluated
+
+    @needs_numpy
+    def test_equal_algebra_instance_keeps_the_batch_path(self):
+        """An equal algebra built apart from the scheme's (the identity the
+        oracle cache keys on) reads the compiled tables the same way."""
+        graph = erdos_renyi(24, rng=random.Random(21))
+        assign_random_weights(graph, ShortestPath(), rng=random.Random(22))
+        scheme = CowenScheme(graph, ShortestPath(), rng=random.Random(23))
+        algebra = ShortestPath()
+        assert algebra is not scheme.algebra
+        query_engine.reset_query_stats()
+        batch = _with_engine("batch", lambda: evaluate_scheme(
+            graph, algebra, scheme))
+        stats = query_engine.query_stats()
+        reference = _with_engine("reference", lambda: evaluate_scheme(
+            graph, algebra, scheme))
+        assert stats["batch_pairs"] == batch.pairs == 24 * 23
+        assert stats["fallbacks"] == {}
+        assert batch == reference
 
     @needs_numpy
     def test_keyless_algebra_falls_back_per_scheme(self):

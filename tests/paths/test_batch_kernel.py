@@ -6,8 +6,8 @@ dict insertion order — for every lane of every chunk, ragged tails
 included.  Hypothesis drives random seeded graphs (with unreachable
 regions, ``phi``-dropped arcs and heterogeneous node keys) through all
 three engines; unit tests cover eligibility fallbacks, cache
-invalidation after ``patch_weight``, the oracle's bulk build and
-telemetry counters.
+invalidation after ``patch_weight``, the tree store's engine choice and
+bulk build, and telemetry counters.
 
 When numpy (the optional ``repro[fast]`` extra) is absent the
 batch-specific tests skip — and the fallback tests still assert that the
@@ -45,11 +45,8 @@ from repro.obs.metrics import (
     reset as telemetry_reset,
 )
 from repro.paths import batch
-from repro.paths.dijkstra import (
-    all_pairs_preferred_weights,
-    preferred_path_tree,
-)
-from repro.paths.kernel import ENGINE_ENV, compile_graph, kernel_tree
+from repro.paths.dijkstra import _reference_tree
+from repro.paths.kernel import compile_graph, kernel_tree
 
 needs_numpy = pytest.mark.skipif(
     not batch.numpy_available(),
@@ -121,10 +118,9 @@ def test_batch_bit_identical_to_kernel_and_reference(
     assert len(runs) == len(roots)
     for root, run in zip(roots, runs):
         _assert_identical(run, kernel_tree(compiled, algebra, root))
-        # unsafe: the shortest-widest products are not isotone, but
-        # every engine still runs the same generalized Dijkstra.
-        reference = preferred_path_tree(graph, algebra, root,
-                                        engine="reference", unsafe=True)
+        # The shortest-widest products are not isotone, but every engine
+        # still runs the same generalized Dijkstra.
+        reference = _reference_tree(graph, algebra, root)
         assert run.weight == reference.weight
         assert list(run.weight) == list(reference.weight)
         # decoded weights must be plain Python objects, not numpy scalars
@@ -185,25 +181,39 @@ class TestEligibility:
         assert not batch.numpy_available()
         assert batch.batch_plan(compiled, algebra) is None
 
-    def test_env_batch_falls_back_per_algebra(self, monkeypatch):
-        # Ineligible algebra under REPRO_PATH_ENGINE=batch: identical
-        # trees via the kernel, no error.
+    def test_store_falls_back_per_algebra(self):
+        # Fraction weights have no batch plan: the store's bulk build
+        # counts one fallback and runs the kernel, with identical trees.
         algebra = MostReliablePath(denominator=9)
-        graph, compiled = self._compiled(algebra)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
-        tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
-        reference = preferred_path_tree(graph, algebra, 0, engine="reference")
-        assert tree.weight == reference.weight
-        assert list(tree.weight) == list(reference.weight)
+        graph, _ = self._compiled(algebra)
+        store = PreferredWeightOracle(graph, algebra)
+        telemetry_enable()
+        telemetry_reset()
+        try:
+            trees = store.trees(graph.nodes())
+            counters = telemetry_metrics().snapshot()["counters"]
+        finally:
+            telemetry_reset()
+            telemetry_disable()
+        assert counters.get("path_engine.batch_fallbacks") == 1
+        assert counters.get("path_engine.runs{engine=heap}") == len(trees)
+        assert store.stats()["path_engine"] == "kernel"
+        for root, tree in trees.items():
+            reference = _reference_tree(graph, algebra, root)
+            assert tree.weight == reference.weight
+            assert list(tree.weight) == list(reference.weight)
 
-    def test_env_batch_without_numpy_falls_back(self, monkeypatch):
+    def test_store_without_numpy_falls_back(self, monkeypatch):
         algebra = ShortestPath(9)
-        graph, compiled = self._compiled(algebra)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
+        graph, _ = self._compiled(algebra)
         monkeypatch.setattr(batch, "_np", None)
-        tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
-        reference = preferred_path_tree(graph, algebra, 0, engine="reference")
-        assert tree.weight == reference.weight
+        store = PreferredWeightOracle(graph, algebra)
+        trees = store.trees(graph.nodes())
+        assert store.stats()["path_engine"] == "kernel"
+        for root, tree in trees.items():
+            reference = _reference_tree(graph, algebra, root)
+            assert tree.weight == reference.weight
+            assert tree.parent == reference.parent
 
     @needs_numpy
     def test_batch_trees_without_plan_raises(self):
@@ -211,14 +221,6 @@ class TestEligibility:
         _, compiled = self._compiled(algebra)
         with pytest.raises(ValueError, match="no batch plan"):
             batch.batch_trees(compiled, algebra, [0])
-
-    def test_engine_aliases_resolve(self, monkeypatch):
-        from repro.paths.kernel import resolve_engine
-
-        assert resolve_engine("batch") == "batch"
-        assert resolve_engine("vectorized") == "batch"
-        monkeypatch.setenv(ENGINE_ENV, "batch")
-        assert resolve_engine() == "batch"
 
 
 @needs_numpy
@@ -233,7 +235,7 @@ class TestOverflowGuards:
         return graph, algebra
 
     @pytest.mark.parametrize("components", [6, 8])
-    def test_chain_falls_back_to_the_kernel(self, components, monkeypatch):
+    def test_chain_falls_back_to_the_kernel(self, components):
         # 6 components: the key bound (901^6) fits int64, but packed
         # (key, event rank) pairs would not even for one lane.  8: the
         # key bound itself is past int64 headroom, so no codec at all.
@@ -242,11 +244,10 @@ class TestOverflowGuards:
         compiled = compile_graph(graph)
         assert (key_codec(algebra, n - 1) is None) == (components == 8)
         assert batch.batch_plan(compiled, algebra) is None
-        monkeypatch.setenv(ENGINE_ENV, "batch")
         telemetry_enable()
         telemetry_reset()
         try:
-            trees = all_pairs_preferred_weights(graph, algebra)
+            trees = PreferredWeightOracle(graph, algebra).trees(graph.nodes())
             counters = telemetry_metrics().snapshot()["counters"]
         finally:
             telemetry_reset()
@@ -254,8 +255,7 @@ class TestOverflowGuards:
         assert counters.get("path_engine.batch_fallbacks") == 1
         assert "path_engine.batch_sweeps" not in counters
         for root, tree in trees.items():
-            reference = preferred_path_tree(graph, algebra, root,
-                                            engine="reference")
+            reference = _reference_tree(graph, algebra, root)
             assert tree.weight == reference.weight
             assert tree.parent == reference.parent
             assert list(tree.weight) == list(reference.weight)
@@ -286,12 +286,14 @@ class TestInvalidation:
             graph[u][v][WEIGHT_ATTR] = 2
         compiled = compile_graph(graph)
         plan_before = batch.batch_plan(compiled, algebra)
-        run_before = batch.batch_tree(compiled, algebra, 0, plan=plan_before)
+        run_before = batch.batch_trees(compiled, algebra, [0],
+                                       plan=plan_before)[0]
         assert run_before.weight[4] == 8
         assert compiled.patch_weight(2, 3, 9)
         plan_after = batch.batch_plan(compiled, algebra)
         assert plan_after is not plan_before
-        run_after = batch.batch_tree(compiled, algebra, 0, plan=plan_after)
+        run_after = batch.batch_trees(compiled, algebra, [0],
+                                      plan=plan_after)[0]
         _assert_identical(run_after, kernel_tree(compiled, algebra, 0))
         assert run_after.weight[4] == 15
 
@@ -305,28 +307,17 @@ class TestAllPairsAndOracle:
         assign_random_weights(graph, algebra, rng=rng)
         return graph, algebra
 
-    def test_all_pairs_matches_kernel_under_env(self, monkeypatch):
-        graph, algebra = self._instance()
-        monkeypatch.setenv(ENGINE_ENV, "kernel")
-        kernel_trees = all_pairs_preferred_weights(graph, algebra)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
-        batch_trees = all_pairs_preferred_weights(graph, algebra)
-        assert kernel_trees.keys() == batch_trees.keys()
-        for node in kernel_trees:
-            assert batch_trees[node].weight == kernel_trees[node].weight
-            assert batch_trees[node].parent == kernel_trees[node].parent
-            assert list(batch_trees[node].weight) == list(
-                kernel_trees[node].weight)
-
-    def test_oracle_bulk_build_matches_per_source(self, monkeypatch):
+    def test_oracle_bulk_build_matches_per_source(self):
         graph, algebra = self._instance(seed=6)
         sources = list(graph.nodes())[:8]
-        monkeypatch.setenv(ENGINE_ENV, "kernel")
+        # One missing source at a time: the store runs the kernel.
         serial = PreferredWeightOracle(graph, algebra)
-        serial.ensure_sources(sources)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
+        for source in sources:
+            serial.ensure_sources([source])
         bulk = PreferredWeightOracle(graph, algebra)
         bulk.ensure_sources(sources)
+        assert serial.stats()["path_engine"] == "kernel"
+        assert bulk.stats()["path_engine"] == "batch"
         assert bulk.trees_built == serial.trees_built == len(sources)
         assert bulk.trees_requested == serial.trees_requested == len(sources)
         for source in sources:
@@ -337,26 +328,28 @@ class TestAllPairsAndOracle:
         bulk.ensure_sources(sources)
         assert bulk.trees_built == len(sources)
 
-    def test_oracle_single_source_still_works(self, monkeypatch):
+    def test_oracle_single_source_still_works(self):
         graph, algebra = self._instance(seed=7)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
         oracle = PreferredWeightOracle(graph, algebra)
         source = next(iter(graph.nodes()))
         oracle.ensure_sources([source])
         assert oracle.trees_built == 1
+        assert oracle.stats()["path_engine"] == "kernel"
 
-    def test_batch_counters_emitted(self, monkeypatch):
+    def test_batch_counters_emitted(self):
         graph, algebra = self._instance(seed=8)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
+        store = PreferredWeightOracle(graph, algebra)
         telemetry_enable()
         telemetry_reset()
         try:
-            all_pairs_preferred_weights(graph, algebra)
+            store.trees(graph.nodes())
             counters = telemetry_metrics().snapshot()["counters"]
         finally:
             telemetry_reset()
             telemetry_disable()
         n = graph.number_of_nodes()
+        assert store.stats()["path_engine"] == "batch"
+        assert "path_engine.batch_fallbacks" not in counters
         assert counters.get("path_engine.batch_sweeps") == 1
         assert counters.get("path_engine.batch_sources") == n
         assert counters.get("path_engine.runs{engine=batch}") == n

@@ -12,7 +12,8 @@ from repro.algebra.bgp import provider_customer_algebra
 from repro.exceptions import AlgebraError
 from repro.graphs.generators import erdos_renyi, grid, ring
 from repro.graphs.weighting import assign_random_weights
-from repro.paths.dijkstra import all_pairs_preferred_weights, preferred_path_tree
+from repro.core.simulate import PreferredWeightOracle
+from repro.paths.dijkstra import preferred_path_tree
 from repro.paths.enumerate import preferred_by_enumeration
 
 
@@ -70,7 +71,7 @@ class TestPathTree:
     def test_all_pairs(self):
         graph = ring(6)
         assign_random_weights(graph, ShortestPath(), rng=random.Random(1))
-        trees = all_pairs_preferred_weights(graph, ShortestPath())
+        trees = PreferredWeightOracle(graph, ShortestPath()).trees(graph.nodes())
         assert len(trees) == 6
         # symmetry of weights on undirected graphs with commutative ⊕
         assert trees[0].weight[3] == trees[3].weight[0]

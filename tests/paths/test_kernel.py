@@ -2,7 +2,6 @@
 
 import pickle
 import random
-import warnings
 
 import networkx as nx
 import pytest
@@ -27,9 +26,9 @@ from repro.obs.metrics import (
     registry as telemetry_registry,
     reset as telemetry_reset,
 )
-from repro.paths.dijkstra import preferred_path_tree
+from repro.paths import batch
+from repro.paths.dijkstra import _reference_tree, preferred_path_tree
 from repro.paths.kernel import (
-    ENGINE_ENV,
     compile_graph,
     kernel_tree,
     node_ranks,
@@ -124,7 +123,7 @@ class TestBucketPlan:
         assert compiled.bucket_plan(algebra) is None
         # the heap fallback still answers correctly
         tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
-        ref = preferred_path_tree(graph, algebra, 0, engine="reference")
+        ref = _reference_tree(graph, algebra, 0)
         assert tree.weight == ref.weight
 
     def test_plan_decision_is_memoized(self):
@@ -136,25 +135,18 @@ class TestBucketPlan:
 
 class TestEngineResolution:
     def test_default_is_kernel(self, monkeypatch):
-        # A single root leaves the batch engine no sweep to share.
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine(single_root=True) == "kernel"
-        assert resolve_engine("auto", single_root=True) == "kernel"
+        # Without numpy no build can sweep in batches.
+        monkeypatch.setattr(batch, "_np", None)
+        assert resolve_engine() == "kernel"
 
-    def test_default_is_batch(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    @pytest.mark.skipif(not batch.numpy_available(),
+                        reason="numpy not installed")
+    def test_default_is_batch(self):
         assert resolve_engine() == "batch"
-
-    def test_forced_batch_applies_to_a_single_root(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "batch")
-        assert resolve_engine(single_root=True) == "batch"
-        monkeypatch.delenv(ENGINE_ENV)
-        assert resolve_engine("batch", single_root=True) == "batch"
 
     def test_default_single_root_tree_runs_the_kernel(self, monkeypatch):
         from repro.paths import dijkstra as dijkstra_mod
 
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
         calls = []
 
         def counting_kernel_tree(compiled, algebra, root):
@@ -166,50 +158,8 @@ class TestEngineResolution:
         graph = _weighted_er(10, 6, algebra)
         tree = preferred_path_tree(graph, algebra, 0)
         assert calls == [0]
-        reference = preferred_path_tree(graph, algebra, 0, engine="reference")
+        reference = _reference_tree(graph, algebra, 0)
         assert tree.parent == reference.parent
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        assert resolve_engine() == "reference"
-        monkeypatch.setenv(ENGINE_ENV, "compiled")
-        assert resolve_engine() == "kernel"
-
-    def test_kernel_heap_is_no_longer_an_engine(self):
-        with pytest.raises(ValueError):
-            resolve_engine("kernel-heap")
-        with pytest.raises(ValueError):
-            resolve_engine("no-buckets")
-
-    def test_invalid_env_value_warns_once_and_defaults(self, monkeypatch):
-        from repro import env as env_mod
-
-        monkeypatch.setenv(ENGINE_ENV, "warp-drive")
-        monkeypatch.setattr(env_mod, "_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="warp-drive"):
-            assert resolve_engine() == "batch"
-        # one warning per bad value per process: the repeat is silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_engine() == "batch"
-
-    def test_invalid_explicit_engine_raises(self):
-        with pytest.raises(ValueError):
-            resolve_engine("warp-drive")
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        assert resolve_engine("kernel") == "kernel"
-
-    def test_env_forces_engine_through_preferred_path_tree(self, monkeypatch):
-        algebra = ShortestPath(9)
-        graph = _weighted_er(10, 6, algebra)
-        trees = {}
-        for engine in ("kernel", "reference"):
-            monkeypatch.setenv(ENGINE_ENV, engine)
-            trees[engine] = preferred_path_tree(graph, algebra, 0)
-        assert trees["kernel"].weight == trees["reference"].weight
-        assert trees["kernel"].parent == trees["reference"].parent
 
 
 class TestDispatchGuards:
@@ -217,7 +167,7 @@ class TestDispatchGuards:
         graph = ring(4)
         assign_random_weights(graph, ShortestPath(), rng=random.Random(0))
         with pytest.raises(AlgebraError):
-            preferred_path_tree(graph, ShortestPath(), 99, engine="kernel")
+            preferred_path_tree(graph, ShortestPath(), 99)
 
     def test_compiled_attr_mismatch_raises(self):
         graph = ring(4)
@@ -235,13 +185,13 @@ class TestCounters:
         telemetry_enable()
         try:
             telemetry_reset()
-            preferred_path_tree(graph, algebra, 0, engine="kernel")
+            preferred_path_tree(graph, algebra, 0)
             registry = telemetry_registry()
             assert registry.counter("path_engine.runs", engine="bucket").value == 1
             assert registry.counter("path_engine.bucket_engaged").value == 1
             assert registry.counter(
                 "path_engine.relaxations", engine="bucket").value > 0
-            preferred_path_tree(graph, algebra, 0, engine="reference")
+            _reference_tree(graph, algebra, 0)
             assert registry.counter(
                 "path_engine.runs", engine="reference").value == 1
         finally:
@@ -276,11 +226,9 @@ class TestNodeRanks:
 
 
 class TestOracleAdoption:
-    def test_oracle_shares_one_compiled_graph(self, monkeypatch):
+    def test_oracle_shares_one_compiled_graph(self):
         from repro.core.simulate import PreferredWeightOracle
 
-        # The reference engine never compiles a graph: pin the default.
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
         algebra = ShortestPath(9)
         graph = _weighted_er(10, 9, algebra)
         oracle = PreferredWeightOracle(graph, algebra)
@@ -290,17 +238,6 @@ class TestOracleAdoption:
         oracle(3, 4)
         assert oracle._compiled is first
 
-    def test_reference_engine_skips_compilation(self, monkeypatch):
-        from repro.core.simulate import PreferredWeightOracle
-
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        algebra = ShortestPath(9)
-        graph = _weighted_er(10, 12, algebra)
-        oracle = PreferredWeightOracle(graph, algebra)
-        oracle(0, 1)
-        assert oracle._compiled is None
-        assert oracle.stats()["path_engine"] == "reference"
-
 
 class TestGridAndStringNodes:
     def test_grid_tuple_nodes(self):
@@ -308,17 +245,15 @@ class TestGridAndStringNodes:
         graph = grid(4, 4)
         assign_random_weights(graph, algebra, rng=random.Random(13))
         root = list(graph.nodes())[0]
-        kernel = preferred_path_tree(graph, algebra, root, engine="kernel")
-        reference = preferred_path_tree(graph, algebra, root, engine="reference")
+        kernel = preferred_path_tree(graph, algebra, root)
+        reference = _reference_tree(graph, algebra, root)
         assert kernel.weight == reference.weight
         assert kernel.parent == reference.parent
 
     def test_shortest_widest_unsafe_matches_reference(self):
         algebra = shortest_widest_path(9, 9)
         graph = _weighted_er(10, 14, algebra)
-        kernel = preferred_path_tree(graph, algebra, 0, unsafe=True,
-                                     engine="kernel")
-        reference = preferred_path_tree(graph, algebra, 0, unsafe=True,
-                                        engine="reference")
+        kernel = preferred_path_tree(graph, algebra, 0, unsafe=True)
+        reference = _reference_tree(graph, algebra, 0)
         assert kernel.weight == reference.weight
         assert kernel.parent == reference.parent

@@ -26,7 +26,11 @@ from repro.algebra.lexicographic import (
 )
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
-from repro.paths.dijkstra import compile_graph, preferred_path_tree
+from repro.paths.dijkstra import (
+    _reference_tree,
+    compile_graph,
+    preferred_path_tree,
+)
 
 # (factory, needs unsafe): shortest-widest is declared non-isotone — the
 # engines still must agree on whatever generalized Dijkstra computes for
@@ -57,10 +61,9 @@ def test_engines_produce_identical_path_trees(seed, n, algebra_index):
     assign_random_weights(graph, algebra, rng=rng)
     compiled = compile_graph(graph)
     for root in graph.nodes():
-        reference = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
-                                        engine="reference")
+        reference = _reference_tree(graph, algebra, root)
         tree = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
-                                   engine="kernel", compiled=compiled)
+                                   compiled=compiled)
         assert tree.root == reference.root
         assert tree.weight == reference.weight, root
         assert tree.parent == reference.parent, root

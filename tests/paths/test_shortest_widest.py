@@ -9,7 +9,12 @@ from repro.algebra.lexicographic import shortest_widest_path
 from repro.graphs.generators import erdos_renyi, ring
 from repro.graphs.weighting import assign_random_weights
 from repro.paths.enumerate import preferred_by_enumeration
+from repro.paths.kernel import compile_graph
 from repro.paths.shortest_widest import (
+    _compiled_restricted,
+    _compiled_widest,
+    _reference_restricted,
+    _reference_widest,
     all_pairs_shortest_widest,
     shortest_widest_routes,
     widest_bottlenecks,
@@ -94,63 +99,61 @@ class TestAllPairs:
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_compiled_matches_reference(self, algebra, seed, monkeypatch):
-        from repro.paths.kernel import ENGINE_ENV, compile_graph
+    """The compiled sweeps against the seed sweeps, called by name."""
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compiled_matches_reference(self, algebra, seed):
         rng = random.Random(seed)
         graph = erdos_renyi(10, p=0.4, rng=rng)
         assign_random_weights(graph, algebra, rng=rng)
         compiled = compile_graph(graph)
         for source in graph.nodes():
-            monkeypatch.setenv(ENGINE_ENV, "reference")
-            reference = shortest_widest_routes(graph, source)
-            monkeypatch.delenv(ENGINE_ENV)
-            via_compiled = shortest_widest_routes(graph, source,
-                                                  compiled=compiled)
+            reference = _reference_widest(graph, source)
+            via_compiled = _compiled_widest(compiled, source)
             assert reference == via_compiled
             assert list(reference) == list(via_compiled)  # insertion order
+            # One restricted sweep per distinct bottleneck, as the solver runs.
+            for value in set(reference.values()):
+                expected = _reference_restricted(graph, source, value)
+                got = _compiled_restricted(compiled, source, value)
+                assert got == expected
+                assert [list(part) for part in got] == [
+                    list(part) for part in expected]
 
-    def test_bottlenecks_identical_across_engines(self, algebra, monkeypatch):
-        from repro.paths.kernel import ENGINE_ENV
-
+    def test_bottlenecks_identical_across_engines(self, algebra):
         rng = random.Random(6)
         graph = erdos_renyi(12, p=0.35, rng=rng)
         assign_random_weights(graph, algebra, rng=rng)
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        reference = widest_bottlenecks(graph, 0)
-        monkeypatch.delenv(ENGINE_ENV)
+        reference = _reference_widest(graph, 0)
         compiled = widest_bottlenecks(graph, 0)
         assert reference == compiled
         assert list(reference) == list(compiled)
 
 
 class TestHeterogeneousNodes:
-    def test_mixed_node_types_do_not_raise(self, monkeypatch):
+    def test_mixed_node_types_do_not_raise(self):
         """Weight ties used to fall through to comparing raw node objects
         in the heap; int-vs-str nodes then raised TypeError."""
-        from repro.paths.kernel import ENGINE_ENV
-
         g = nx.Graph()
         # equal weights everywhere force heap ties between 1 and "b"
         g.add_edge(0, 1, weight=(5, 1))
         g.add_edge(0, "b", weight=(5, 1))
         g.add_edge(1, "target", weight=(5, 1))
         g.add_edge("b", "target", weight=(5, 1))
-        for engine in ("kernel", "reference"):
-            monkeypatch.setenv(ENGINE_ENV, engine)
-            routes = shortest_widest_routes(g, 0)
-            assert routes["target"].weight == (5, 2)
-            assert routes["target"].path in ((0, 1, "target"), (0, "b", "target"))
+        routes = shortest_widest_routes(g, 0)
+        assert routes["target"].weight == (5, 2)
+        assert routes["target"].path in ((0, 1, "target"), (0, "b", "target"))
+        # The seed sweeps break the same ties on the same node ranks.
+        assert _reference_widest(g, 0)["target"] == 5
+        dist, parent = _reference_restricted(g, 0, 5)
+        assert dist["target"] == 2
+        assert parent["target"] == routes["target"].path[1]
 
-    def test_mixed_node_types_are_deterministic(self, monkeypatch):
-        from repro.paths.kernel import ENGINE_ENV
-
+    def test_mixed_node_types_are_deterministic(self):
         g = nx.Graph()
         g.add_edge(0, 1, weight=(5, 1))
         g.add_edge(0, "b", weight=(5, 1))
         g.add_edge(1, "target", weight=(5, 1))
         g.add_edge("b", "target", weight=(5, 1))
-        monkeypatch.setenv(ENGINE_ENV, "kernel")
         first = shortest_widest_routes(g, 0)
         assert first == shortest_widest_routes(g, 0)

@@ -29,7 +29,6 @@ def fixture_lines(name):
 
 def test_serve_cli_matches_recorded_fixture():
     env = dict(os.environ)
-    env.pop("REPRO_PATH_ENGINE", None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     result = subprocess.run(
         [sys.executable, "-m", "repro", *SERVE_ARGS],
@@ -61,12 +60,11 @@ def make_cli_equivalent_service(n=16, seed=0):
     return RoutingService(graph, algebra, ServiceOptions(seed=seed + 1))
 
 
-def test_serve_lines_matches_recorded_fixture(monkeypatch):
+def test_serve_lines_matches_recorded_fixture():
     # The same session in-process: serve_lines is what both the stdio and
     # socket front ends drain through.
     from repro.service import serve_lines
 
-    monkeypatch.delenv("REPRO_PATH_ENGINE", raising=False)
     service = make_cli_equivalent_service()
     out = io.StringIO()
     stopped = serve_lines(service, fixture_lines("serve_session.jsonl"), out)

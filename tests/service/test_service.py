@@ -152,13 +152,10 @@ class TestMutations:
 
 
 class TestSurgicalInvalidation:
-    def test_weight_patch_keeps_unaffected_trees(self, monkeypatch):
+    def test_weight_patch_keeps_unaffected_trees(self):
         # A long path: 0-1-2-3-4-5, plus a heavy shortcut 0-5.  Worsening
         # the already-unused shortcut must keep every tree.
         import networkx as nx
-
-        # The reference engine compiles no graph to patch: pin the default.
-        monkeypatch.delenv("REPRO_PATH_ENGINE", raising=False)
 
         algebra = ShortestPath()
         graph = nx.path_graph(6)

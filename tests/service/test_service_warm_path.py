@@ -17,7 +17,7 @@ import repro.paths.kernel as kernel
 from repro.algebra.catalog import ShortestPath
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
-from repro.paths.dijkstra import preferred_path_tree
+from repro.paths.dijkstra import _reference_tree
 from repro.service import RoutingService, ServiceOptions
 
 
@@ -138,7 +138,6 @@ def test_scheme_rebuild_reuses_every_kept_tree(mode, op):
     # Kept and rebuilt trees alike equal the reference engine's on the
     # changed graph, parent pointers included.
     for source, tree in service._oracle.trees(service.graph.nodes()).items():
-        reference = preferred_path_tree(service.graph, service.algebra,
-                                        source, engine="reference")
+        reference = _reference_tree(service.graph, service.algebra, source)
         assert tree.weight == reference.weight
         assert tree.parent == reference.parent

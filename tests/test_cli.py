@@ -198,3 +198,50 @@ class TestRunTelemetryCommands:
                      "--record-run", str(tmp_path / "run")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["pairs"] == 12 * 11
+
+
+class TestEvaluateJson:
+    """``repro evaluate --json``: what the parallel engine and the tree
+    store did in this run."""
+
+    @pytest.fixture(autouse=True)
+    def no_live_progress(self, monkeypatch):
+        from repro.obs.progress import NO_PROGRESS_ENV
+
+        monkeypatch.setenv(NO_PROGRESS_ENV, "1")
+
+    def _evaluate(self, capsys, *extra):
+        import json
+
+        main(["evaluate", "shortest-path", "--n", "16", "--json", *extra])
+        return json.loads(capsys.readouterr().out)
+
+    def test_serial_run_has_no_parallel_object(self, capsys):
+        payload = self._evaluate(capsys)
+        assert payload["parallel"] is None
+        assert payload["oracle"]["path_engine"] in ("batch", "kernel")
+
+    def test_parallel_run_reports_start_method_and_workers(self, capsys):
+        payload = self._evaluate(capsys, "--workers", "2")
+        parallel = payload["parallel"]
+        assert parallel["workers"] == 2
+        assert parallel["start_method"]
+        assert parallel["fallback"] is None
+        assert parallel["recovery"] is None
+        assert payload["report"] == self._evaluate(capsys)["report"]
+
+    def test_exhausted_retries_report_the_serial_fallback(self, capsys,
+                                                          monkeypatch):
+        from repro.core.parallel import SHARD_RETRIES_ENV
+        from repro.core.simulate import FAULT_SPEC_ENV
+
+        serial = self._evaluate(capsys)
+        monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=0")
+        monkeypatch.setenv(SHARD_RETRIES_ENV, "0")
+        payload = self._evaluate(capsys, "--workers", "2")
+        parallel = payload["parallel"]
+        assert parallel["workers"] == 2
+        assert parallel["fallback"]["reason"] == "retry-exhausted"
+        assert parallel["fallback"]["cause"]
+        assert parallel["recovery"]["recovered"] is False
+        assert payload["report"] == serial["report"]

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.parallel import _start_method
-from repro.paths.kernel import resolve_engine
 from repro.routing.query_engine import resolve_query_engine
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -17,7 +16,6 @@ _NAME = re.compile(r"REPRO_[A-Z_]+")
 
 
 @pytest.mark.parametrize("name, resolve", [
-    ("REPRO_PATH_ENGINE", resolve_engine),
     ("REPRO_QUERY_ENGINE", resolve_query_engine),
     ("REPRO_START_METHOD", _start_method),
 ])

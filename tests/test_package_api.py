@@ -53,7 +53,7 @@ def test_documented_entry_points():
 def test_version_and_metadata():
     import repro
 
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
     assert "Compact Policy Routing" in (repro.__doc__ or "")
 
 
