@@ -29,9 +29,10 @@ metric regressed by more than the tolerance (default 20%):
   inverted and always enforced like ``batch_speedup`` — the committed
   baseline holds the benchmark's own acceptance bar (4x), so the gate
   trips when pair evaluation decays back toward per-pair Python speed;
-* telemetry overhead budgets (any key ending in ``_overhead_pct``, e.g.
-  the event-stream benchmark's disabled-path cost): higher means the
-  instrumentation eats more of the hot loop.  The baseline entry holds
+* telemetry overhead budgets (any key ending in ``_overhead_pct``: the
+  event-stream benchmark's disabled-path cost and the enabled-telemetry
+  cost of an all-pairs evaluation): higher means the instrumentation
+  eats more of the hot loop.  The baseline entry holds
   the *budget* (the benchmark's own assertion bar), not a measured
   sample, so the gate trips only when a measurement blows through the
   bar plus tolerance.

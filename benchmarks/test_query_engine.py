@@ -3,17 +3,18 @@
 The query-engine acceptance experiment.  A Cowen scheme is built once on
 an integer-weight Erdős–Rényi instance (n = 1024), the oracle's preferred
 trees are pre-built for every source, and then the **same all-pairs shard**
-(n·(n−1) ordered pairs) is evaluated twice through ``route_shard``:
+(n·(n−1) ordered pairs) is evaluated twice:
 
-* **reference** — the seed per-pair loop: one ``scheme.route(s, t)`` call
-  per pair, hop by hop through Python ``local_decision`` evaluations;
-* **batch** — the compiled query tables
-  (:mod:`repro.routing.compiled_query`): the whole shard walks the flat
-  int arrays one vectorized step at a time, realized weights decoded
-  from additive integer keys at emit.
+* **reference** — the referee, ``simulate._reference_shard``, called by
+  name: one ``scheme.route(s, t)`` call per pair, hop by hop through
+  Python ``local_decision`` evaluations, then the stretch report;
+* **batch** — ``route_shard``, which walks the compiled query tables
+  (:mod:`repro.routing.compiled_query`): the whole shard steps through
+  the flat int arrays one vectorized step at a time, realized weights
+  decoded from additive integer keys at emit.
 
-The batch timing includes its own table compile, so the ratio is
-end-to-end for a single shard.  Exactness comes first: both engines must
+The batch timing includes its own table compile and both include the
+stretch report, so the ratio is end-to-end for a single shard.  Exactness comes first: both engines must
 produce the same routed/delivered/optimal counts, failure tuples and
 stretch report, bit for bit.  The asserted bar is **>= 4x wall clock**;
 the ratio lands in the committed baseline as ``query_speedup`` so
@@ -31,11 +32,12 @@ import pytest
 
 from conftest import record
 from repro.algebra import ShortestPath
-from repro.core.simulate import oracle_cache, route_shard
+from repro.core.simulate import _reference_shard, oracle_cache, route_shard
 from repro.graphs import assign_random_weights, erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.routing import compiled_query
 from repro.routing.cowen import CowenScheme
+from repro.routing.stretch import measure_stretch
 
 N = 1024
 MAX_WEIGHT = 16
@@ -47,7 +49,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_query_all_pairs_speedup(monkeypatch):
+def test_query_all_pairs_speedup():
     algebra = ShortestPath(max_weight=MAX_WEIGHT)
     graph = erdos_renyi(N, rng=random.Random(61))
     assign_random_weights(graph, algebra, rng=random.Random(62))
@@ -59,22 +61,22 @@ def test_query_all_pairs_speedup(monkeypatch):
     # not oracle construction.
     oracle.ensure_sources(nodes)
 
-    monkeypatch.setenv("REPRO_QUERY_ENGINE", "reference")
     start = time.perf_counter()
-    reference = route_shard(algebra, scheme, oracle, list(pairs))
+    routed, delivered, optimal, failures, samples = _reference_shard(
+        algebra, scheme, oracle, list(pairs))
+    stretch = measure_stretch(algebra, samples, scheme_name=scheme.name)
     reference_s = time.perf_counter() - start
 
-    monkeypatch.setenv("REPRO_QUERY_ENGINE", "batch")
     start = time.perf_counter()
     batch = route_shard(algebra, scheme, oracle, list(pairs))
     batch_s = time.perf_counter() - start
 
     # Exactness first: speed without bit-identity would corrupt reports.
-    assert batch.routed == reference.routed
-    assert batch.delivered == reference.delivered
-    assert batch.optimal == reference.optimal
-    assert batch.failures == reference.failures
-    assert batch.stretch == reference.stretch
+    assert batch.routed == routed
+    assert batch.delivered == delivered
+    assert batch.optimal == optimal
+    assert batch.failures == failures
+    assert batch.stretch == stretch
 
     speedup = reference_s / batch_s if batch_s else float("inf")
     per_pair_reference = reference_s / len(pairs) * 1e6

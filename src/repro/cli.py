@@ -90,6 +90,7 @@ from repro.graphs import (
     provider_tree_topology,
 )
 from repro.routing import memory_report
+from repro.routing.query_engine import engines_ran
 
 #: name -> (factory, is_bgp)
 POLICIES = {
@@ -309,12 +310,13 @@ class _RunTelemetry:
             self.renderer = None
         if self.record_dir:
             run_info = _parallel.last_run_info()
+            snapshot = obs.telemetry_snapshot(include_spans=True)
             engine = {
                 "start_method": run_info.start_method if run_info else "serial",
                 "path_engine": oracle_cache.stats()["path_engine"],
+                "query_engine": engines_ran(snapshot["metrics"]["counters"]),
                 "workers": run_info.workers if run_info else 0,
             }
-            snapshot = obs.telemetry_snapshot(include_spans=True)
             manifest = obs_events.build_manifest(
                 command=self.command, config=self.config, engine=engine,
                 started_at=self.started_at, finished_at=finished_at,
@@ -353,8 +355,7 @@ def _print_fallback_cause() -> None:
     recovery = run_info.recovery if run_info else {}
     if recovery.get("recovered"):
         print(f"recovered from worker loss: "
-              f"{recovery.get('shards_lost', 0)} shard(s) lost, "
-              f"{recovery.get('shards_retried', 0)} retried over "
+              f"{recovery.get('shards_lost', 0)} shard(s) lost over "
               f"{recovery.get('pool_rebuilds', 0)} pool rebuild(s)")
 
 
@@ -517,13 +518,9 @@ def cmd_profile(args) -> int:
         for name, value in path_counters.items()
         if name.startswith("path_engine.batch_")
     }
-    # The query-engine view: the resolved pair-evaluation engine, its
-    # fallback counters from the metric snapshot, and the always-on
-    # process-local usage stats (profile runs route under telemetry, which
-    # itself forces the reference loop — the stats still show what any
-    # plain run of the same workload would have used).
+    # The query-engine view: the engines that evaluated pairs and their
+    # pair and fallback counters, merged from workers like every metric.
     from repro.routing import compiled_query as _compiled_query
-    from repro.routing import query_engine as _query_engine
 
     query_counters = {
         name: value
@@ -550,10 +547,9 @@ def cmd_profile(args) -> int:
             "counters": batch_counters,
         },
         "query": {
-            "engine": _query_engine.resolve_query_engine(),
+            "engine": engines_ran(query_counters),
             "numpy": _compiled_query.numpy_available(),
             "counters": query_counters,
-            "stats": _query_engine.query_stats(),
         },
         "oracle": oracle_stats,
         "protocols": protocols,

@@ -55,10 +55,11 @@ rebuilt, and only the lost shards are re-issued — with bounded retries
 (``REPRO_SHARD_RETRIES``, default 2) per shard.  Retried shards are
 deterministic and the origin-index merge is order-restoring, so a
 recovered run's merged report stays bit-identical to an unfaulted serial
-run.  Workers announce each shard start on a crash-safe pipe, so the
-parent attributes a pool breakage precisely: shards that had started are
-*lost* (they consume retry budget, ``shard_lost``/``shard_retried``
-events, the ``parallel.shard_retries`` counter); shards still queued are
+run.  Workers announce each shard start and their pid on a crash-safe
+pipe, so the parent charges a pool breakage precisely: a shard whose
+worker died or that overran its deadline is *lost* (it consumes retry
+budget, ``shard_lost``/``shard_retried`` events, the
+``parallel.shard_retries`` counter); every other unfinished shard is
 *displaced* and re-issued for free.  Deterministic worker faults are
 injectable via ``REPRO_FAULT_SPEC`` (see
 :func:`repro.core.simulate.maybe_inject_fault`) for testing recovery on
@@ -78,6 +79,7 @@ import multiprocessing
 import os
 import pickle
 import queue as _queue_mod
+import signal
 import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
@@ -349,17 +351,17 @@ class _PoolUnavailable(Exception):
     """The pool keeps breaking before any shard can run; retrying is futile."""
 
 
-def _drain_started(started_queue, started: Dict[int, float]) -> None:
-    """Fold shard-start notifications into *started* (id -> observed time).
+def _drain_started(started_queue, started: Dict[int, Tuple]) -> None:
+    """Fold shard-start notifications into *started* (id -> time, pid).
 
     The queue outlives its writers: a killed worker's notification is
     already in the pipe, so draining after a pool breakage still tells
-    the parent which shards had started.
+    the parent which shards had started, and in which worker.
     """
     try:
         while not started_queue.empty():
-            shard_id, _attempt, _pid = started_queue.get()
-            started.setdefault(shard_id, time.monotonic())
+            shard_id, _attempt, pid = started_queue.get()
+            started.setdefault(shard_id, (time.monotonic(), pid))
     except Exception:
         pass  # a torn notification must not fail the round
 
@@ -411,21 +413,19 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
     Returns ``(results, lost, displaced, cause)``: *results* maps shard
     id -> :class:`ShardResult` for every shard that completed — these are
     the salvaged results a pool failure can no longer discard; *lost*
-    holds shards that started in a worker but never completed (the worker
-    died, or the shard exceeded *timeout*) — they consume retry budget;
-    *displaced* holds shards the breakage caught still queued or not yet
-    submitted — they are re-issued for free.  *cause* describes the
-    triggering failure.
+    holds the shards whose worker died or that exceeded *timeout* — they
+    consume retry budget; *displaced* holds every other unfinished shard
+    (queued, unsubmitted, or torn down with the pool), re-issued for
+    free.  *cause* describes the triggering failure.
     """
     started_queue = context.SimpleQueue()
     results: Dict[int, ShardResult] = {}
-    lost: List[int] = []
+    unfinished: List[int] = []
     displaced: List[int] = []
     cause = ""
-    started: Dict[int, float] = {}
-
-    def _classify(shard_id: int) -> None:
-        (lost if shard_id in started else displaced).append(shard_id)
+    started: Dict[int, Tuple] = {}
+    overdue: set = set()
+    processes: Dict = {}
 
     executor = ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                    initializer=_init_worker,
@@ -448,6 +448,7 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
             futures[future] = shard_id
         pending = set(futures)
         while pending:
+            processes.update(getattr(executor, "_processes", None) or {})
             done, pending = _cf_wait(
                 pending, timeout=_POLL_INTERVAL_S if timeout else None)
             _drain_started(started_queue, started)
@@ -459,14 +460,13 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
                     displaced.append(shard_id)
                 except (BrokenProcessPool, OSError) as exc:
                     cause = cause or repr(exc)
-                    _classify(shard_id)
+                    unfinished.append(shard_id)
             if timeout and pending:
                 now = time.monotonic()
-                timed_out = any(
-                    futures[f] in started
-                    and now - started[futures[f]] > timeout
-                    for f in pending)
-                if timed_out:
+                overdue = {futures[f] for f in pending
+                           if futures[f] in started
+                           and now - started[futures[f]][0] > timeout}
+                if overdue:
                     cause = cause or f"shard timeout (>{timeout:g}s)"
                     _kill_pool(executor)
                     # Final harvest: a shard may have completed between
@@ -477,14 +477,24 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
                         try:
                             results[shard_id] = future.result()
                         except Exception:
-                            _classify(shard_id)
-                    for future in pending:
-                        _classify(futures[future])
+                            unfinished.append(shard_id)
+                    unfinished.extend(futures[f] for f in pending)
                     pending = set()
     finally:
         # The run's live-event queue rides last in *initargs*.
         _hold_queues(executor, (started_queue, initargs[-1]))
-        executor.shutdown(wait=False, cancel_futures=True)
+        # A broken pool's manager thread reaps its workers: waiting for
+        # it settles their exit codes.
+        executor.shutdown(wait=bool(unfinished), cancel_futures=True)
+    # Charged: the shards the pool was killed for, else those whose worker
+    # died — the executor terminates a broken pool's survivors (SIGTERM).
+    dead = {pid for pid, process in processes.items()
+            if process.exitcode not in (None, -signal.SIGTERM)
+            } if unfinished and not overdue else set()
+    lost = [shard_id for shard_id in unfinished if shard_id in overdue
+            or started.get(shard_id, (0.0, None))[1] in dead]
+    displaced.extend(shard_id for shard_id in unfinished
+                     if shard_id not in lost)
     return results, sorted(lost), sorted(displaced), cause
 
 
@@ -563,7 +573,6 @@ def _recovery_summary(lost: int, displaced: int, rebuilds: int,
                       recovered: bool) -> Dict:
     return {
         "shards_lost": lost,
-        "shards_retried": lost,
         "shards_displaced": displaced,
         "pool_rebuilds": rebuilds,
         "recovered": recovered,
@@ -674,14 +683,15 @@ def _record_shard_timings(shards: List[List[Tuple]],
     """Build the per-shard timing table and flag stragglers.
 
     Every shard duration feeds the ``parallel.shard_seconds`` histogram;
-    shards exceeding ``factor x median`` (``REPRO_STRAGGLER_FACTOR``,
-    default 4) are flagged in the run info and counted on the
-    ``parallel.stragglers`` metric — the signal the ROADMAP's multi-host
-    backend will act on by re-issuing slow shards.
+    shards exceeding ``factor x median`` (``DEFAULT_STRAGGLER_FACTOR``,
+    4) and the ``DEFAULT_STRAGGLER_MIN_S`` floor are flagged in the run
+    info and counted on the ``parallel.stragglers`` metric — the signal
+    the ROADMAP's multi-host backend will act on by re-issuing slow
+    shards.
     """
     durations = [result.duration_s or 0.0 for result in results]
-    factor = _events.straggler_factor()
-    min_duration = _events.straggler_min_duration()
+    factor = _events.DEFAULT_STRAGGLER_FACTOR
+    min_duration = _events.DEFAULT_STRAGGLER_MIN_S
     median, flagged = _events.detect_stragglers(durations, factor=factor,
                                                 min_duration=min_duration)
     flagged_set = set(flagged)

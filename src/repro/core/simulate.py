@@ -956,14 +956,19 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
     """Route *pairs* through *scheme*, verifying each against *oracle*.
 
     Unreachable pairs (preferred weight ``PHI``) are skipped — the model
-    only promises routes where a traversable path exists.  Traces are
-    captured only when telemetry is on and no caller capture is already
-    active, so an explicit ``with obs.capture_traces():`` keeps collecting
-    into the caller's buffer.
+    only promises routes where a traversable path exists.  A compilable
+    scheme is evaluated on the compiled walk
+    (:func:`repro.routing.compiled_query.evaluate_shard`) whether or not
+    anything is observing; every other shard, and every shard under
+    ``REPRO_QUERY_ENGINE=reference``, takes :func:`_reference_shard`.
+    Both fill the ``evaluate.hops`` histogram when telemetry is on.
+    Traces are captured when telemetry is on and no caller capture is
+    already active, so an explicit ``with obs.capture_traces():`` keeps
+    collecting into the caller's buffer.
 
     A lazy *oracle* has its per-source structures bulk-built up front for
     exactly this shard's sources (the ``oracle_trees`` span), so the
-    routing loop itself stays pure lookup and a shard touching ``k``
+    evaluation itself stays pure lookup and a shard touching ``k``
     sources costs ``k`` tree builds, not ``n``.
 
     *shard_id*/*attempt* identify this invocation to the deterministic
@@ -971,8 +976,6 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
     serial runs, which therefore never inject.
     """
     maybe_inject_fault(shard_id, attempt)
-    telemetry = _telemetry_enabled()
-    registry = _telemetry()
     events_on = _events.enabled()
     pairs = list(pairs)
     # The shard's distinct sources in first-appearance order — the same
@@ -992,98 +995,100 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
         # pair-count stride; wall-clock extras ride the live-only path so
         # the durable stream stays deterministic under any scheduling.
         _events.emit("shard_heartbeat", pairs_done=0, pairs_total=len(pairs))
-        heartbeat_stride = max(1, len(pairs) // HEARTBEATS_PER_SHARD)
-        last_live_heartbeat = time.monotonic()
-    if _query_engine.resolve_query_engine() == "batch":
-        # The vectorized engine cannot reproduce per-hop artifacts (packet
-        # traces, evaluate.hops/pair_seconds histograms), so any run that
-        # records them takes the reference loop; plain throughput runs go
-        # vectorized with per-scheme fallback inside evaluate_shard.
-        if telemetry or _obs_tracing.active_capture() is not None:
-            _query_engine.count_query_fallback("trace-fidelity",
-                                               pairs=len(pairs))
-        else:
-            from repro.routing import compiled_query as _compiled_query
-            batch = _compiled_query.evaluate_shard(algebra, scheme, oracle,
-                                                   pairs)
-            if batch is not None:
-                routed, delivered, optimal, failures, samples = batch
-                if events_on:
-                    # Replicate the reference loop's durable heartbeat
-                    # cadence so the shard's event stream is engine-proof.
-                    for done in range(heartbeat_stride, len(pairs) + 1,
-                                      heartbeat_stride):
-                        _events.emit("shard_heartbeat", pairs_done=done,
-                                     pairs_total=len(pairs))
-                stretch = measure_stretch(algebra, samples,
-                                          scheme_name=scheme.name,
-                                          max_k=max_k)
-                return ShardResult(
-                    routed=routed, delivered=delivered, optimal=optimal,
-                    stretch=stretch, failures=failures, traces=(),
-                    traces_dropped=0,
-                )
-    processed = 0
-    routed = 0
-    delivered = 0
-    optimal = 0
-    failures: List[Tuple] = []
-    samples = []
-    traces: Tuple = ()
-    own_capture = telemetry and _obs_tracing.active_capture() is None
+    own_capture = (_telemetry_enabled()
+                   and _obs_tracing.active_capture() is None)
     with _obs_tracing.span("route_pairs", scheme=scheme.name), \
             (_obs_tracing.capture_traces(limit=trace_limit) if own_capture else
              nullcontext()) as capture:
-        for s, t in pairs:
-            if events_on:
-                processed += 1
-                if processed % heartbeat_stride == 0:
-                    _events.emit("shard_heartbeat", pairs_done=processed,
-                                 pairs_total=len(pairs))
-                    last_live_heartbeat = time.monotonic()
-                elif (time.monotonic() - last_live_heartbeat
-                      >= LIVE_HEARTBEAT_INTERVAL_S):
-                    _events.emit("shard_heartbeat", durable=False,
-                                 pairs_done=processed, pairs_total=len(pairs))
-                    last_live_heartbeat = time.monotonic()
-            preferred = oracle(s, t)
-            if is_phi(preferred):
-                continue
-            routed += 1
-            try:
-                if telemetry:
-                    start = time.perf_counter()
-                    result = scheme.route(s, t)
-                    registry.histogram(
-                        "evaluate.pair_seconds", scheme=scheme.name
-                    ).observe(time.perf_counter() - start)
-                else:
-                    result = scheme.route(s, t)
-            except ReproError as exc:
-                failures.append((s, t, str(exc)))
-                continue
-            if telemetry:
-                registry.histogram(
-                    "evaluate.hops", scheme=scheme.name
-                ).observe(result.hops)
-            if not result.delivered:
-                failures.append((s, t, result.reason))
-                continue
-            delivered += 1
-            realized = scheme.realized_weight(result)
-            samples.append((preferred, realized))
-            if algebra.eq(realized, preferred):
-                optimal += 1
-        traces_dropped = 0
-        if capture is not None:
-            traces = tuple(capture.traces)
-            traces_dropped = capture.dropped
-    stretch = measure_stretch(algebra, samples, scheme_name=scheme.name, max_k=max_k)
+        walked = None
+        if _query_engine.resolve_query_engine() == "batch":
+            from repro.routing import compiled_query as _compiled_query
+
+            walked = _compiled_query.evaluate_shard(algebra, scheme, oracle,
+                                                    pairs)
+        if walked is None:
+            walked = _reference_shard(algebra, scheme, oracle, pairs)
+        elif events_on:
+            # The referee's durable heartbeat cadence, so the shard's
+            # event stream is engine-proof.
+            stride = max(1, len(pairs) // HEARTBEATS_PER_SHARD)
+            for done in range(stride, len(pairs) + 1, stride):
+                _events.emit("shard_heartbeat", pairs_done=done,
+                             pairs_total=len(pairs))
+    routed, delivered, optimal, failures, samples = walked
+    stretch = measure_stretch(algebra, samples, scheme_name=scheme.name,
+                              max_k=max_k)
     return ShardResult(
         routed=routed, delivered=delivered, optimal=optimal,
-        stretch=stretch, failures=failures, traces=traces,
-        traces_dropped=traces_dropped,
+        stretch=stretch, failures=failures,
+        traces=tuple(capture.traces) if capture else (),
+        traces_dropped=capture.dropped if capture else 0,
     )
+
+
+def _reference_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
+                     oracle: WeightOracle, pairs: Sequence[Tuple]) -> Tuple:
+    """The referee: route *pairs* one at a time through ``scheme.route``.
+
+    Returns what :func:`repro.routing.compiled_query.evaluate_shard`
+    returns, ``(routed, delivered, optimal, failures, samples)`` in pair
+    order, for every shard the walk cannot take (no numpy, an algebra
+    mismatch, an uncompilable scheme) and for the tests that hold the
+    walk to it.  Every route is traced into the active capture.
+    """
+    events_on = _events.enabled()
+    registry = _telemetry()
+    registry.counter("query_engine.reference_pairs").inc(len(pairs))
+    hops = registry.histogram("evaluate.hops", scheme=scheme.name)
+    stride = max(1, len(pairs) // HEARTBEATS_PER_SHARD)
+    last_live_heartbeat = time.monotonic()
+    routed = optimal = 0
+    failures: List[Tuple] = []
+    samples: List[Tuple] = []
+    for done, (s, t) in enumerate(pairs, 1):
+        if events_on:
+            if done % stride == 0:
+                _events.emit("shard_heartbeat", pairs_done=done,
+                             pairs_total=len(pairs))
+                last_live_heartbeat = time.monotonic()
+            elif (time.monotonic() - last_live_heartbeat
+                  >= LIVE_HEARTBEAT_INTERVAL_S):
+                _events.emit("shard_heartbeat", durable=False,
+                             pairs_done=done, pairs_total=len(pairs))
+                last_live_heartbeat = time.monotonic()
+        preferred = oracle(s, t)
+        if is_phi(preferred):
+            continue
+        routed += 1
+        pair_hops, pair_optimal = _verify_pair(algebra, scheme, s, t,
+                                               preferred, failures, samples)
+        optimal += pair_optimal
+        if pair_hops is not None:
+            hops.observe(pair_hops)
+    return routed, len(samples), optimal, failures, samples
+
+
+def _verify_pair(algebra: RoutingAlgebra, scheme: RoutingScheme, s, t,
+                 preferred, failures: List[Tuple], samples: List[Tuple]
+                 ) -> Tuple[Optional[int], bool]:
+    """Route one pair hop by hop onto *failures* or *samples*.
+
+    Returns ``(hops, optimal)``: the hop count (None when routing
+    raised) and whether the realized weight equals *preferred*.  The
+    referee calls it for every pair, the walk for each pair it cannot
+    replicate.
+    """
+    try:
+        result = scheme.route(s, t)
+    except ReproError as exc:
+        failures.append((s, t, str(exc)))
+        return None, False
+    if not result.delivered:
+        failures.append((s, t, result.reason))
+        return result.hops, False
+    realized = scheme.realized_weight(result)
+    samples.append((preferred, realized))
+    return result.hops, algebra.eq(realized, preferred)
 
 
 def finalize_report(scheme: RoutingScheme, merged: ShardResult) -> EvaluationReport:
@@ -1120,11 +1125,12 @@ def evaluate_scheme(graph, algebra: RoutingAlgebra, scheme: RoutingScheme,
     ``TypeError``.
 
     With telemetry enabled (:func:`repro.obs.enable`), the evaluation
-    additionally records per-pair latency and hop-count histograms and
-    captures up to ``options.trace_limit`` packet traces, surfaced on
-    ``EvaluationReport.traces``.  With ``options.workers > 1`` shards are
-    evaluated across worker processes and merged exactly (including the
-    workers' telemetry); the report is identical to a serial run.
+    runs the same engine and additionally records the ``evaluate.hops``
+    histogram and captures up to ``options.trace_limit`` packet traces,
+    surfaced on ``EvaluationReport.traces``.  With ``options.workers > 1``
+    shards are evaluated across worker processes and merged exactly
+    (including the workers' telemetry); the report is identical to a
+    serial run.
     """
     if options is None:
         options = EvaluationOptions()

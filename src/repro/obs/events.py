@@ -48,19 +48,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.env import env_flag, env_number
+from repro.env import env_flag
 
 #: Environment variable that enables the event stream at import time.
 ENV_VAR = "REPRO_EVENTS"
 
-#: Environment variable overriding the straggler threshold factor.
-STRAGGLER_FACTOR_ENV = "REPRO_STRAGGLER_FACTOR"
-
 #: A shard is a straggler when its duration exceeds factor x median.
 DEFAULT_STRAGGLER_FACTOR = 4.0
-
-#: Environment variable overriding the straggler minimum-duration floor.
-STRAGGLER_MIN_ENV = "REPRO_STRAGGLER_MIN_S"
 
 #: Shards faster than this are never stragglers: on a sub-millisecond
 #: smoke run the median is ~0, so ``factor x median`` would flag every
@@ -279,35 +273,18 @@ def emit(kind: str, shard: Optional[int] = None, durable: bool = True,
 # ---------------------------------------------------------------------------
 
 
-def straggler_factor(environ: Optional[Dict[str, str]] = None) -> float:
-    """The configured straggler threshold factor (env override wins)."""
-    return env_number(STRAGGLER_FACTOR_ENV, DEFAULT_STRAGGLER_FACTOR,
-                      environ=environ)
-
-
-def straggler_min_duration(environ: Optional[Dict[str, str]] = None) -> float:
-    """The minimum duration (seconds) a straggler must exceed (env wins)."""
-    return env_number(STRAGGLER_MIN_ENV, DEFAULT_STRAGGLER_MIN_S,
-                      environ=environ)
-
-
 def detect_stragglers(durations: Sequence[float],
-                      factor: Optional[float] = None,
-                      min_duration: Optional[float] = None
+                      factor: float = DEFAULT_STRAGGLER_FACTOR,
+                      min_duration: float = DEFAULT_STRAGGLER_MIN_S
                       ) -> Tuple[float, List[int]]:
     """``(median, straggler_indices)`` for per-shard *durations*.
 
     A shard straggles when its duration exceeds ``factor x median`` **and**
-    the absolute floor *min_duration* (``REPRO_STRAGGLER_MIN_S``, default
-    50ms) — without the floor a sub-millisecond smoke run has a near-zero
-    median and every shard gets flagged.  The median is the lower-middle
-    element (deterministic, no interpolation).  An empty duration list
-    yields ``(0.0, [])``.
+    the absolute floor *min_duration* (default 50ms) — without the floor
+    a sub-millisecond smoke run has a near-zero median and every shard
+    gets flagged.  The median is the lower-middle element (deterministic,
+    no interpolation).  An empty duration list yields ``(0.0, [])``.
     """
-    if factor is None:
-        factor = straggler_factor()
-    if min_duration is None:
-        min_duration = straggler_min_duration()
     values = [float(d) for d in durations]
     if not values:
         return 0.0, []

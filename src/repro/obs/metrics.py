@@ -114,15 +114,16 @@ class Histogram:
         self.max = None
         self.buckets: Dict[object, int] = {}
 
-    def observe(self, value) -> None:
-        self.count += 1
-        self.sum += value
+    def observe(self, value, times: int = 1) -> None:
+        """Record *value*, *times* times over."""
+        self.count += times
+        self.sum += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         key = _bucket(value)
-        self.buckets[key] = self.buckets.get(key, 0) + 1
+        self.buckets[key] = self.buckets.get(key, 0) + times
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram in: counts and buckets add, min/max combine."""
@@ -170,7 +171,7 @@ class NullGauge(Gauge):
 
 
 class NullHistogram(Histogram):
-    def observe(self, value) -> None:
+    def observe(self, value, times: int = 1) -> None:
         pass
 
     def merge(self, other: "Histogram") -> None:

@@ -292,7 +292,6 @@ def render_run_report(manifest: Dict,
         verb = "recovered" if recovery.get("recovered") else "gave up"
         lines.append(
             f"recovery: {verb} — lost {recovery.get('shards_lost', 0)}, "
-            f"retried {recovery.get('shards_retried', 0)}, "
             f"displaced {recovery.get('shards_displaced', 0)}, "
             f"pool rebuilds {recovery.get('pool_rebuilds', 0)}")
 

@@ -1,6 +1,6 @@
 """Compiled query tables: evaluate a shard of pairs without the per-pair loop.
 
-The reference evaluation loop calls :meth:`RoutingScheme.route` once per
+The per-pair referee calls :meth:`RoutingScheme.route` once per
 (source, target) pair; every hop is a Python ``local_decision`` with dict
 lookups and header objects.  This module compiles a **built** scheme once
 into flat numpy int arrays and then walks an entire shard of pairs, one
@@ -49,7 +49,8 @@ shard.
 Bit-identity contract
 ---------------------
 
-:func:`evaluate_shard` reproduces the reference loop exactly: the same
+:func:`evaluate_shard` reproduces the referee,
+:func:`repro.core.simulate._reference_shard`, exactly: the same
 routed/delivered/optimal counts, the same failure tuples in the same
 order (including exception message strings), and the same stretch samples
 in pair order.  Three mechanisms make that safe:
@@ -63,12 +64,15 @@ in pair order.  Three mechanisms make that safe:
 * any pair the walk cannot replicate bit-for-bit — a condition the
   reference would raise on (an entry off every edge, a port that does
   not exist), an endpoint outside the compiled tables, a premature tree
-  delivery — is replayed through ``scheme.route`` one pair at a time,
-  reproducing even exotic exception behavior.
+  delivery — goes through the referee's per-pair verifier
+  (:func:`repro.core.simulate._verify_pair`), reproducing even exotic
+  exception behavior.
 
-The engine only runs when telemetry is off and no packet-trace capture is
-active (:mod:`repro.routing.query_engine` gates this): traces and
-per-pair histograms need hop-level fidelity only the reference loop has.
+Observed runs take the same walk.  The step at which a pair finishes is
+its hop count, so the ``evaluate.hops`` histogram is a ``bincount`` away
+when telemetry is on; packet traces replay the first routed pairs a
+trace capture has room for through ``scheme.route``, exactly the pairs
+the referee would have traced, and count the rest as dropped.
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
 
 from repro.algebra.base import KeyCodec, is_phi, key_codec
 from repro.exceptions import ReproError, RoutingError
+from repro.obs import tracing as _obs_tracing
+from repro.obs.metrics import enabled as _telemetry_enabled
+from repro.obs.metrics import metrics as _telemetry
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
@@ -403,15 +410,16 @@ _COMPILERS = {CowenScheme: _compile_cowen, TreeRoutingScheme: _compile_tree,
 
 
 def evaluate_shard(algebra, scheme, oracle, pairs):
-    """Vectorized evaluation of *pairs*; ``None`` means "use the reference".
+    """The compiled walk over *pairs*; ``None`` means "use the referee".
 
     Returns ``(routed, delivered, optimal, failures, samples)`` with
-    failures and stretch samples in pair order, exactly as the reference
-    loop in :func:`repro.core.simulate.route_shard` would produce them.
-    The oracle is consulted once per pair in pair order (so lazy-oracle
-    accounting matches the reference); pairs the vectorized walk cannot
-    replicate bit-for-bit are replayed through ``scheme.route``.  The
-    pairs are walked in blocks of :data:`BLOCK_PAIRS`.
+    failures and stretch samples in pair order, exactly as the referee
+    produces them.  The oracle is consulted once per pair in pair order
+    (so lazy-oracle accounting matches the referee); pairs the walk
+    cannot replicate bit-for-bit go through the referee's per-pair
+    verifier.  The pairs are walked in blocks of :data:`BLOCK_PAIRS`;
+    each block fills ``evaluate.hops`` when telemetry is on, and an
+    active trace capture with its replayed sample.
     """
     if _np is None:
         count_query_fallback("numpy-missing", pairs=len(pairs))
@@ -429,22 +437,40 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
         return None
 
     note_batch_shard(len(pairs))
-    routed = delivered = optimal = 0
+    capture = _obs_tracing.active_capture()
+    hops = (_telemetry().histogram("evaluate.hops", scheme=scheme.name)
+            if _telemetry_enabled() else None)
+    routed = optimal = 0
     failures: List[Tuple] = []
     samples: List[Tuple] = []
     for start in range(0, len(pairs), BLOCK_PAIRS):
-        block = _evaluate_block(algebra, scheme, tables, oracle,
-                                pairs[start:start + BLOCK_PAIRS])
-        routed += block[0]
-        delivered += block[1]
-        optimal += block[2]
-        failures.extend(block[3])
-        samples.extend(block[4])
-    return routed, delivered, optimal, failures, samples
+        block_routed, block_optimal = _evaluate_block(
+            algebra, scheme, tables, oracle, pairs[start:start + BLOCK_PAIRS],
+            failures, samples, hops, capture)
+        routed += block_routed
+        optimal += block_optimal
+    return routed, len(samples), optimal, failures, samples
 
 
-def _evaluate_block(algebra, scheme, tables, oracle, pairs):
-    """:func:`evaluate_shard` over one block of pairs."""
+def _replay_traces(scheme, pairs, capture) -> None:
+    """Trace the first *pairs* *capture* has room for; drop the rest."""
+    for done, (s, t) in enumerate(pairs):
+        if capture.limit is not None and len(capture.traces) >= capture.limit:
+            capture.dropped += len(pairs) - done
+            return
+        try:
+            scheme.route(s, t)
+        except ReproError:
+            pass  # the partial trace stays, as the referee's does
+
+
+def _evaluate_block(algebra, scheme, tables, oracle, pairs, failures,
+                    samples, hops, capture):
+    """:func:`evaluate_shard` over one block, onto *failures*/*samples*.
+
+    Returns ``(routed, optimal)``.  The hop counts go to the *hops*
+    histogram and the replayed sample to *capture*, when given.
+    """
     index_of = tables.node_index.get
     routed_pairs: List[Tuple] = []
     preferred: List = []
@@ -461,28 +487,39 @@ def _evaluate_block(algebra, scheme, tables, oracle, pairs):
 
     routed = len(routed_pairs)
     if routed == 0:
-        return 0, 0, 0, [], []
+        return 0, 0
 
     s_arr = _np.asarray(src, dtype=_np.int64)
     t_arr = _np.asarray(dst, dtype=_np.int64)
     status = _np.zeros(routed, dtype=_np.int8)
     rkey = _np.zeros(routed, dtype=_np.int64)
+    steps = _np.full(routed, -1, dtype=_np.int64)   # -1: the route raised
 
     # route() short-circuits source == target before any table lookup, so
     # the pair delivers with the empty walk even off-graph.
     same = s_arr == t_arr
     status[same] = _DELIVERED
+    steps[same] = 0
     unknown = (~same) & ((s_arr < 0) | (t_arr < 0))
     status[unknown] = _ANOMALY
 
     fail = _np.full(routed, -1, dtype=_np.int64)
-    _walk(tables, s_arr, t_arr, status, rkey, fail)
+    _walk(tables, s_arr, t_arr, status, rkey, fail, steps)
 
-    return _assemble(algebra, scheme, tables, routed_pairs, preferred,
-                     status, rkey, fail)
+    # A zero-limit capture keeps replayed anomalies out of the sample.
+    with _obs_tracing.capture_traces(limit=0):
+        optimal = _assemble(algebra, scheme, tables, routed_pairs, preferred,
+                            status, rkey, fail, steps, failures, samples)
+    if hops is not None:
+        counts = _np.bincount(steps[steps >= 0])
+        for value in _np.flatnonzero(counts).tolist():
+            hops.observe(value, int(counts[value]))
+    if capture is not None:
+        _replay_traces(scheme, routed_pairs, capture)
+    return routed, optimal
 
 
-def _walk(tables, s_arr, t_arr, status, rkey, fail):
+def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
     """Walk every pending pair, one vectorized step per packet decision.
 
     Replicates ``RoutingScheme.route`` exactly: ``4n + 8`` decisions per
@@ -490,7 +527,8 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail):
     the budget (forwarding loops too) marked ``hop limit exceeded``.  The
     family's step (:data:`_STEPS`) gives each packet its next node and
     edge key; a :data:`_MISSING` next node strands the packet where it is
-    (recorded in *fail*), a :data:`_REPLAY` one replays the pair.
+    (recorded in *fail*), a :data:`_REPLAY` one replays the pair.  The
+    step at which a pair finishes is its hop count (*steps*).
     """
     n = tables.n
     step = _STEPS[tables.kind](tables)
@@ -507,14 +545,17 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail):
         alive = alive[~bad_header]
 
     cur = s_arr.copy()
-    for _ in range(4 * n + 8):
+    budget = 4 * n + 8
+    for hop in range(budget):
         if alive.size == 0:
             return
         here = cur[alive]
         tgt = t_arr[alive]
         done = here == tgt
         if done.any():
-            status[alive[done]] = _DELIVERED
+            finished = alive[done]
+            status[finished] = _DELIVERED
+            steps[finished] = hop
             keep = ~done
             alive = alive[keep]
             here = here[keep]
@@ -537,6 +578,7 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail):
         cur[alive] = nxt
         rkey[alive] = combine(rkey[alive], key, _np.minimum)
     status[alive] = _HOP_LIMIT
+    steps[alive] = budget
 
 
 def _tree_step(tables):
@@ -665,21 +707,21 @@ _STEPS = {"tree": _tree_step, "cowen": _tree_step,
 
 
 def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
-              rkey, fail):
-    """Fold per-pair outcomes into reference-ordered counts and samples.
+              rkey, fail, steps, failures, samples):
+    """Fold per-pair outcomes into reference-ordered failures and samples.
 
+    Appends to *failures* and *samples* and returns the optimal count.
     Each distinct realized key decodes once per block; the samples share
     the (immutable) weight objects.
     """
+    from repro.core.simulate import _verify_pair
+
     identity = tables.identity_decode
     decode = tables.codec.decode
     key_fn = tables.codec.key
     kind = tables.kind
     nodes = tables.nodes
-    delivered = 0
     optimal = 0
-    failures: List[Tuple] = []
-    samples: List[Tuple] = []
     decoded: Dict[int, object] = {}
     status_list = status.tolist()
     rkey_list = rkey.tolist()
@@ -689,7 +731,6 @@ def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
         if state == _DELIVERED:
             realized_key = rkey_list[i]
             pref = preferred[i]
-            delivered += 1
             if identity:
                 samples.append((pref, realized_key))
                 if pref == realized_key:
@@ -711,19 +752,11 @@ def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
                 failures.append(
                     (s, t,
                      f"no pair entry for {(s, t)!r} at node {stuck!r}"))
-        else:  # _ANOMALY: replay the one pair for exact reference behavior
+        else:  # _ANOMALY: the referee's verifier, one pair
             count_query_fallback("pair-replay", pairs=1)
-            try:
-                result = scheme.route(s, t)
-            except ReproError as exc:
-                failures.append((s, t, str(exc)))
-                continue
-            if not result.delivered:
-                failures.append((s, t, result.reason))
-                continue
-            delivered += 1
-            realized = scheme.realized_weight(result)
-            samples.append((preferred[i], realized))
-            if algebra.eq(realized, preferred[i]):
-                optimal += 1
-    return len(routed_pairs), delivered, optimal, failures, samples
+            pair_hops, pair_optimal = _verify_pair(
+                algebra, scheme, s, t, preferred[i], failures, samples)
+            optimal += pair_optimal
+            if pair_hops is not None:
+                steps[i] = pair_hops
+    return optimal

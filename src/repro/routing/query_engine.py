@@ -1,4 +1,4 @@
-"""Query-engine selection: the vectorized pair evaluator vs the seed loop.
+"""Query-engine selection: the compiled walk vs the per-pair referee.
 
 `repro.core.simulate.route_shard` evaluates a shard of (source, target)
 pairs.  Two engines produce bit-identical results:
@@ -8,24 +8,25 @@ pairs.  Two engines produce bit-identical results:
   entire shard of pairs per vectorized step, folding each walk's integer
   edge keys with the algebra's key combine and decoding realized weights
   only at emit time;
-* ``"reference"`` — the seed per-pair loop: one
-  :meth:`~repro.routing.model.RoutingScheme.route` call per pair, hop by
-  hop through Python ``local_decision`` evaluations.
+* ``"reference"`` — the referee, :func:`repro.core.simulate._reference_shard`:
+  one :meth:`~repro.routing.model.RoutingScheme.route` call per pair,
+  hop by hop through Python ``local_decision`` evaluations.
 
-The batch engine is a pure throughput play and silently steps aside
-whenever it cannot reproduce the reference bit-for-bit: no numpy (the
-``repro[fast]`` optional extra), an algebra without an integer key
-combine (or whose keys could overflow int64), an unsupported scheme
-family, or any run that needs
-hop-level fidelity — active packet-trace capture and telemetry-enabled
-runs always take the reference loop, so traces and per-pair histograms
-keep their exact per-hop semantics.  Every such step-down is counted on
-``query_engine.batch_fallbacks`` (tagged with a reason) and on the
-process-local stats served to ``repro profile``'s ``query`` block.
+The walk runs whether or not telemetry, run events or a trace capture is
+on, and steps aside only when it cannot reproduce the referee
+bit-for-bit: no numpy (the ``repro[fast]`` optional extra), an algebra
+other than the scheme's, an algebra without an integer key combine (or
+whose keys could overflow int64), or an unsupported scheme family.
+Every such step-down is counted on ``query_engine.batch_fallbacks``
+(tagged with a reason) and on the process-local :func:`query_stats`;
+the ``query_engine.*_pairs`` counters, which merge from workers, tell
+:func:`engines_ran` which engines a run used.
 
-The choice is read by :func:`repro.env.env_choice`: explicit argument >
-``REPRO_QUERY_ENGINE`` environment > default, with a one-time
-``RuntimeWarning`` on unrecognized environment values.
+``REPRO_QUERY_ENGINE=reference`` only selects the referee for every
+shard (perfbench's reference replay does); it is read by
+:func:`repro.env.env_choice`: explicit argument > environment >
+default, with a one-time ``RuntimeWarning`` on unrecognized
+environment values.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ _QUERY_ALIASES = {
     "seed": "reference",
 }
 
-#: Process-local engine usage counters.  Unlike the telemetry registry these
-#: are always on (they cost one dict update per *shard*, not per pair) —
-#: the batch engine only runs with telemetry disabled, so a metric-only
-#: account would never see its successes.
+#: Process-local engine usage counters, always on (one dict update per
+#: *shard*, not per pair).  Workers never send them back; the telemetry
+#: counters :func:`engines_ran` reads do merge.
 _STATS: Dict[str, object] = {
     "batch_shards": 0,
     "batch_pairs": 0,
@@ -66,7 +66,7 @@ def resolve_query_engine(engine: Optional[str] = None) -> str:
     """The canonical query-engine choice: explicit arg > environment > default.
 
     Returns ``"batch"`` (vectorized shard evaluation where eligible,
-    reference otherwise) or ``"reference"`` (the seed per-pair loop).  An
+    the referee otherwise) or ``"reference"`` (the referee).  An
     unrecognized *explicit* argument raises ``ValueError``; an
     unrecognized environment value applies the default ``batch`` after a
     one-time ``RuntimeWarning`` (see :func:`repro.env.env_choice`).
@@ -75,7 +75,7 @@ def resolve_query_engine(engine: Optional[str] = None) -> str:
 
 
 def count_query_fallback(reason: str, pairs: int = 0) -> None:
-    """One shard (or pair) stepped down to the reference loop, and why."""
+    """One shard (or pair) stepped down to the referee, and why."""
     fallbacks = _STATS["fallbacks"]
     fallbacks[reason] = fallbacks.get(reason, 0) + 1
     if pairs:
@@ -89,6 +89,14 @@ def note_batch_shard(pairs: int) -> None:
     """One shard ran through the vectorized engine end to end."""
     _STATS["batch_shards"] += 1
     _STATS["batch_pairs"] += int(pairs)
+    _telemetry().counter("query_engine.batch_pairs").inc(int(pairs))
+
+
+def engines_ran(counters: Dict[str, object]) -> Optional[str]:
+    """The query engines a telemetry snapshot's *counters* saw run:
+    ``batch``, ``reference`` or ``batch+reference``; None for neither."""
+    return "+".join(engine for engine in ("batch", "reference")
+                    if counters.get(f"query_engine.{engine}_pairs")) or None
 
 
 def query_stats() -> Dict[str, object]:

@@ -136,11 +136,11 @@ class TestDurableEventLog:
 
 class TestStragglerMetric:
     def test_zero_factor_flags_all_shards(self, monkeypatch):
-        monkeypatch.setenv(obs_events.STRAGGLER_FACTOR_ENV, "0")
+        monkeypatch.setattr(obs_events, "DEFAULT_STRAGGLER_FACTOR", 0.0)
         # Zero the minimum-duration floor too: this tiny run's shards all
         # finish in well under the default 50ms, and the floor exists
         # precisely so such runs are NOT flagged by default.
-        monkeypatch.setenv(obs_events.STRAGGLER_MIN_ENV, "0")
+        monkeypatch.setattr(obs_events, "DEFAULT_STRAGGLER_MIN_S", 0.0)
         graph, algebra, scheme = _instance()
         telemetry_enable()
         obs_events.enable()
@@ -158,8 +158,7 @@ class TestStragglerMetric:
         """The regression the floor fixes: factor 0 (everything over the
         median flagged) on a sub-millisecond run flags nothing, because
         no shard clears the 50ms minimum-duration floor."""
-        monkeypatch.setenv(obs_events.STRAGGLER_FACTOR_ENV, "0")
-        monkeypatch.delenv(obs_events.STRAGGLER_MIN_ENV, raising=False)
+        monkeypatch.setattr(obs_events, "DEFAULT_STRAGGLER_FACTOR", 0.0)
         graph, algebra, scheme = _instance()
         telemetry_enable()
         obs_events.enable()

@@ -137,8 +137,8 @@ class TestKillRecovery:
         assert run.fallback is None
         assert run.recovery["recovered"] is True
         assert run.recovery["shards_lost"] == 1
-        assert run.recovery["shards_retried"] == 1
         assert run.recovery["pool_rebuilds"] == 1
+        assert "shards_retried" not in run.recovery
 
         log = obs_events.events()
         assert [e.shard for e in log if e.kind == "shard_lost"] == [2]
@@ -162,6 +162,46 @@ class TestKillRecovery:
         assert retries == 1
         rebuilds = telemetry_registry().counter("parallel.pool_rebuilds").value
         assert rebuilds == 1
+
+
+def _run_two_workers(graph, algebra, scheme):
+    oracle = preferred_weight_oracle(graph, algebra)
+    pairs = [(s, t) for s in graph.nodes() for t in graph.nodes() if s != t]
+    merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
+                              workers=2, shard_size=60)
+    return finalize_report(scheme, merged)
+
+
+class TestTwoWorkerCharging:
+    """A kill breaks the pool under the survivor's shard too: only the
+    shard whose worker died is charged, the survivor's is displaced."""
+
+    def test_one_kill_charges_one_shard(self, monkeypatch):
+        graph, algebra, scheme = _instance(n=32)
+        serial = evaluate_scheme(graph, algebra, scheme)
+        monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=1:once")
+        telemetry_enable()
+        obs_events.enable()
+        assert _run_two_workers(graph, algebra, scheme) == serial
+        run = last_run_info()
+        assert run.fallback is None
+        assert run.recovery["shards_lost"] == 1
+        assert run.recovery["recovered"] is True
+        log = obs_events.events()
+        assert [e.shard for e in log if e.kind == "shard_lost"] == [1]
+        retries = telemetry_registry().counter("parallel.shard_retries").value
+        assert retries == 1
+
+    def test_exhausted_run_names_the_killed_shard(self, monkeypatch):
+        graph, algebra, scheme = _instance(n=32)
+        serial = evaluate_scheme(graph, algebra, scheme)
+        monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=1")
+        monkeypatch.setenv(SHARD_RETRIES_ENV, "1")
+        assert _run_two_workers(graph, algebra, scheme) == serial
+        run = last_run_info()
+        assert run.fallback.reason == "retry-exhausted"
+        assert run.fallback.cause.startswith("shard 1 lost 2 time(s)")
+        assert run.recovery["shards_lost"] == 2
 
 
 class TestTimeoutRecovery:
@@ -246,7 +286,7 @@ class TestSubmitTimeBreakage:
         assert run.fallback is None
         # Six shards, one completes per round: five rebuilds, and the
         # shards never submitted cost no retry budget.
-        assert run.recovery == {"shards_lost": 0, "shards_retried": 0,
+        assert run.recovery == {"shards_lost": 0,
                                 "shards_displaced": 5 + 4 + 3 + 2 + 1,
                                 "pool_rebuilds": 5, "recovered": True}
         assert [info["retries"] for info in run.shards] == [0] * 6

@@ -244,7 +244,7 @@ class TestSpawnWorkerLossRecovery:
 
         run = last_run_info()
         assert run.fallback is None
-        assert run.recovery == {"shards_lost": 1, "shards_retried": 1,
+        assert run.recovery == {"shards_lost": 1,
                                 "shards_displaced": len(run.shards) - 3,
                                 "pool_rebuilds": 1, "recovered": True}
 

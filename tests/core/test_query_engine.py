@@ -1,14 +1,18 @@
-"""Vectorized query engine vs the reference per-pair loop: exact equality.
+"""The compiled walk vs the per-pair referee: exact equality.
 
-The batch engine's contract is *bit-identical* `EvaluationReport`s — the
-same routed/delivered/optimal counts, the same failure tuples in the same
-order (message strings included), and the same stretch samples.  Hypothesis
-drives seeded graphs through every compiled scheme family under both
-engines, sabotaged copies of the table schemes included; further tests pin
-the read-only tables that keep compiled queries from going stale, the
-resolver semantics (env handling, warn-once, explicit errors), the fallback
-ladder (telemetry, algebras without an integer key, keys past int64), and
-spawn workers that compile their own tables.
+The walk's contract is *bit-identical* shard outcomes — the same
+routed/delivered/optimal counts, the same failure tuples in the same
+order (message strings included), and the same stretch samples.
+Hypothesis drives seeded graphs through every compiled scheme family,
+sabotaged copies of the table schemes included, and holds
+:func:`repro.routing.compiled_query.evaluate_shard` to the referee,
+:func:`repro.core.simulate._reference_shard`, called by name; observed
+runs (telemetry on, a trace capture active) must match the referee's
+hop histogram and packet traces too.  Further tests pin the read-only
+tables that keep compiled queries from going stale, the resolver
+semantics (env handling, warn-once, explicit errors), the fallback
+ladder (algebras without an integer key, keys past int64), and spawn
+workers that compile their own tables.
 """
 
 import os
@@ -32,23 +36,29 @@ from repro.algebra.lexicographic import (
     shortest_widest_path,
     widest_shortest_path,
 )
-from repro.core.parallel import START_METHOD_ENV
+from repro.core.parallel import START_METHOD_ENV, last_run_info
 from repro.core.simulate import (
+    MAX_REPORTED_FAILURES,
     EvaluationOptions,
+    _reference_shard,
     evaluate_scheme,
     oracle_cache,
     route_shard,
+    sample_pairs,
 )
 from repro.frozen import FrozenTable
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR, assign_random_weights
 from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
+from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
+from repro.obs.tracing import capture_traces
 from repro.routing import compiled_query, query_engine
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
+from repro.routing.stretch import measure_stretch
 from repro.routing.tree_routing import TreeRoutingScheme
 
 needs_numpy = pytest.mark.skipif(not compiled_query.numpy_available(),
@@ -69,22 +79,34 @@ def clean_engine_state(monkeypatch):
     query_engine.reset_query_stats()
 
 
-def _with_engine(engine, fn):
-    """Run *fn* with REPRO_QUERY_ENGINE pinned, restoring the old value."""
-    old = os.environ.get(query_engine.QUERY_ENGINE_ENV)
-    os.environ[query_engine.QUERY_ENGINE_ENV] = engine
-    try:
-        return fn()
-    finally:
-        if old is None:
-            os.environ.pop(query_engine.QUERY_ENGINE_ENV, None)
-        else:
-            os.environ[query_engine.QUERY_ENGINE_ENV] = old
-
-
 def _shard_key(result):
     return (result.routed, result.delivered, result.optimal,
             result.failures, result.stretch)
+
+
+def _referee_key(algebra, scheme, oracle, pairs):
+    """The referee's outcome over *pairs*, keyed like :func:`_shard_key`."""
+    routed, delivered, optimal, failures, samples = _reference_shard(
+        algebra, scheme, oracle, list(pairs))
+    return (routed, delivered, optimal, failures,
+            measure_stretch(algebra, samples, scheme_name=scheme.name))
+
+
+def _report_key(report):
+    return (report.pairs, report.delivered, report.optimal,
+            list(report.failures), report.stretch)
+
+
+def _referee_report_key(graph, algebra, scheme, options=None):
+    """What :func:`evaluate_scheme` must report: the referee's outcome
+    over the same pairs, failures cut at the report's limit."""
+    options = options or EvaluationOptions()
+    pairs = sample_pairs(graph, count=options.pair_count, rng=options.rng)
+    oracle = oracle_cache.get(graph, algebra, scheme.attr)
+    routed, delivered, optimal, failures, stretch = _referee_key(
+        algebra, scheme, oracle, pairs)
+    return (routed, delivered, optimal, failures[:MAX_REPORTED_FAILURES],
+            stretch)
 
 
 FAMILIES = ("cowen", "destination", "tree", "pair")
@@ -172,8 +194,52 @@ def _sabotage(sabotaged, scheme, family, case, rng):
     return sabotaged(scheme, name, rows)
 
 
+def _instance_under_test(sabotaged, family, seed, n, sabotage):
+    """``(graph, algebra, scheme, expected failure text or None)``."""
+    graph, algebra, scheme = _build_instance(family, seed, n)
+    expected = SABOTAGES.get((family, sabotage))
+    if expected is not None:
+        # Broken forwarding state: the walk must also agree with the
+        # referee on every failure.
+        scheme = _sabotage(sabotaged, scheme, family, sabotage,
+                           random.Random(seed + 2))
+    return graph, algebra, scheme, expected
+
+
+#: The trace limit observed runs pass to ``route_shard``; caller captures
+#: in the observed suite sit below and above it.
+TRACE_LIMIT = 8
+CALLER_LIMITS = {"own": None, "caller-below": 3, "caller-above": 40}
+
+
+def _observed(run, limit):
+    """Run *run* with telemetry on, from an empty registry.
+
+    Returns ``(result, evaluate.hops histograms, traces, dropped,
+    counters)``: the traces and drop count are the result's own when
+    *limit* is None, else those of a caller capture of *limit*.
+    """
+    telemetry_reset()
+    telemetry_enable()
+    try:
+        if limit is None:
+            result = run()
+            traces, dropped = result.traces, result.traces_dropped
+        else:
+            with capture_traces(limit=limit) as capture:
+                result = run()
+            traces, dropped = tuple(capture.traces), capture.dropped
+    finally:
+        telemetry_disable()
+    snapshot = telemetry_registry().snapshot()
+    hops = {name: histogram
+            for name, histogram in snapshot["histograms"].items()
+            if name.startswith("evaluate.hops")}
+    return result, hops, traces, dropped, snapshot["counters"]
+
+
 class TestBatchReferenceEquality:
-    """The headline property: both engines, same `EvaluationReport`."""
+    """The headline property: the walk and the referee, same outcome."""
 
     @needs_numpy
     @settings(max_examples=40, deadline=None)
@@ -192,34 +258,81 @@ class TestBatchReferenceEquality:
     @example(seed=1, n=7, family="pair", sabotage="off-edge")
     def test_reports_are_bit_identical(self, seed, n, family, sabotage,
                                        sabotaged):
-        graph, algebra, scheme = _build_instance(family, seed, n)
-        expected = SABOTAGES.get((family, sabotage))
-        if expected is not None:
-            # Broken forwarding state: the engines must also agree on
-            # every failure.
-            scheme = _sabotage(sabotaged, scheme, family, sabotage,
-                               random.Random(seed + 2))
+        graph, algebra, scheme, expected = _instance_under_test(
+            sabotaged, family, seed, n, sabotage)
         # Every ordered pair (n <= 12), so the sabotaged pair is routed.
         options = EvaluationOptions(pair_count=min(4 * n * n, 200), rng=seed)
+        pairs = sample_pairs(graph, count=options.pair_count, rng=seed)
+        oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+        reference = _reference_shard(algebra, scheme, oracle, list(pairs))
         query_engine.reset_query_stats()
-        reference = _with_engine("reference", lambda: evaluate_scheme(
-            graph, algebra, scheme, options=options))
-        batch = _with_engine("batch", lambda: evaluate_scheme(
-            graph, algebra, scheme, options=options))
-        assert batch == reference
-        assert batch.failures == reference.failures
-        assert batch.stretch == reference.stretch
+        walked = compiled_query.evaluate_shard(algebra, scheme, oracle,
+                                               list(pairs))
+        # counts, failure tuples and stretch samples, in pair order
+        assert walked == reference
+        report = evaluate_scheme(graph, algebra, scheme, options=options)
+        assert _report_key(report) == _referee_report_key(
+            graph, algebra, scheme, options)
         stats = query_engine.query_stats()
-        assert stats["batch_shards"] >= 1
+        assert stats["batch_shards"] >= 2
         if expected is not None:
             assert any(expected in reason
-                       for _, _, reason in reference.failures)
+                       for _, _, reason in reference[3])
             if sabotage == "off-edge":
                 assert stats["fallbacks"].get("pair-replay")
 
     @needs_numpy
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n=st.integers(min_value=4, max_value=12),
+        family=st.sampled_from(FAMILIES),
+        sabotage=st.sampled_from(("none", "empty-table", "two-cycle",
+                                  "off-edge")),
+        capture=st.sampled_from(sorted(CALLER_LIMITS)),
+    )
+    @example(seed=1, n=7, family="destination", sabotage="off-edge",
+             capture="own")
+    @example(seed=1, n=7, family="pair", sabotage="two-cycle",
+             capture="caller-below")
+    @example(seed=1, n=7, family="cowen", sabotage="none",
+             capture="caller-above")
+    def test_observed_walk_matches_referee(self, seed, n, family, sabotage,
+                                           capture, sabotaged):
+        """Telemetry on: every pair takes the walk, and its hop histogram,
+        packet traces (every hop event) and drop count are the referee's —
+        under route_shard's own capture and under a caller's, whose limit
+        sits below or above the trace limit."""
+        graph, algebra, scheme, _expected = _instance_under_test(
+            sabotaged, family, seed, n, sabotage)
+        pairs = sample_pairs(graph, count=min(4 * n * n, 200), rng=seed)
+        oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+        limit = CALLER_LIMITS[capture]
+        walked, hops, traces, dropped, counters = _observed(
+            lambda: route_shard(algebra, scheme, oracle, list(pairs),
+                                trace_limit=TRACE_LIMIT), limit)
+        reference, ref_hops, ref_traces, ref_dropped, ref_counters = \
+            _observed(lambda: _reference_shard(algebra, scheme, oracle,
+                                               list(pairs)),
+                      TRACE_LIMIT if limit is None else limit)
+        routed, delivered, optimal, failures, samples = reference
+        assert _shard_key(walked) == (
+            routed, delivered, optimal, failures,
+            measure_stretch(algebra, samples, scheme_name=scheme.name))
+        assert hops == ref_hops
+        assert traces == ref_traces
+        assert dropped == ref_dropped
+        assert len(traces) + dropped == routed
+        if limit is not None:   # the caller's capture took the traces
+            assert walked.traces == () and walked.traces_dropped == 0
+        assert counters.get("query_engine.batch_pairs") == len(pairs)
+        assert "query_engine.reference_pairs" not in counters
+        assert ref_counters["query_engine.reference_pairs"] == len(pairs)
+
+    @needs_numpy
     def test_blocks_keep_pair_order(self, monkeypatch, sabotaged):
-        """A shard split into many blocks: failures and samples in order."""
+        """A shard split into many blocks: failures, samples, hop counts
+        and a traced sample spanning blocks, all in order."""
         monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", 7)
         algebra = widest_shortest_path(max_weight=9, max_capacity=9)
         graph = erdos_renyi(14, rng=random.Random(16))
@@ -230,13 +343,15 @@ class TestBatchReferenceEquality:
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes for t in nodes]
         query_engine.reset_query_stats()
-        batch = _with_engine("batch", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
+        batch, hops, traces, dropped, _counters = _observed(
+            lambda: route_shard(algebra, scheme, oracle, list(pairs)), 40)
         stats = query_engine.query_stats()
-        reference = _with_engine("reference", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
-        assert reference.failures
-        assert _shard_key(batch) == _shard_key(reference)
+        _reference, ref_hops, ref_traces, ref_dropped, _counters = _observed(
+            lambda: _reference_shard(algebra, scheme, oracle, list(pairs)), 40)
+        assert (hops, traces, dropped) == (ref_hops, ref_traces, ref_dropped)
+        reference = _referee_key(algebra, scheme, oracle, pairs)
+        assert reference[3]
+        assert _shard_key(batch) == reference
         assert stats["batch_shards"] == 1
         assert stats["batch_pairs"] == len(pairs)
 
@@ -252,12 +367,10 @@ class TestBatchReferenceEquality:
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes for t in nodes]
-        reference = _with_engine("reference", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
-        batch = _with_engine("batch", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
-        assert reference.failures   # the sabotage is visible
-        assert _shard_key(batch) == _shard_key(reference)
+        reference = _referee_key(algebra, scheme, oracle, pairs)
+        batch = route_shard(algebra, scheme, oracle, list(pairs))
+        assert reference[3]   # the sabotage is visible
+        assert _shard_key(batch) == reference
 
 
 class TestResolver:
@@ -297,26 +410,25 @@ class TestResolver:
 
 class TestFallbackLadder:
     @needs_numpy
-    def test_telemetry_forces_reference_and_counts_fallback(self):
+    def test_telemetry_keeps_the_walk(self):
+        """Observing is no fallback: a telemetry run walks every pair."""
         algebra = ShortestPath(max_weight=9)
         graph = erdos_renyi(12, rng=random.Random(8))
         assign_random_weights(graph, algebra, rng=random.Random(9))
         scheme = DestinationTableScheme(graph, algebra)
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         pairs = [(0, 5), (1, 6), (2, 7)]
-        telemetry_enable()
-        try:
-            query_engine.reset_query_stats()
-            result = _with_engine("batch", lambda: route_shard(
-                algebra, scheme, oracle, list(pairs)))
-        finally:
-            telemetry_disable()
-            telemetry_reset()
+        query_engine.reset_query_stats()
+        result, _hops, traces, _dropped, counters = _observed(
+            lambda: route_shard(algebra, scheme, oracle, list(pairs)), None)
         stats = query_engine.query_stats()
-        assert stats["batch_shards"] == 0
-        assert stats["fallbacks"].get("trace-fidelity") == 1
-        assert result.routed == len(
-            [p for p in pairs])  # the reference loop still evaluated
+        assert stats["batch_shards"] == 1
+        assert stats["fallbacks"] == {}
+        assert counters["query_engine.batch_pairs"] == len(pairs)
+        assert query_engine.engines_ran(counters) == "batch"
+        assert len(traces) == result.routed == len(pairs)
+        assert _shard_key(result) == _referee_key(algebra, scheme, oracle,
+                                                  pairs)
 
     @needs_numpy
     def test_equal_algebra_instance_keeps_the_batch_path(self):
@@ -328,14 +440,12 @@ class TestFallbackLadder:
         algebra = ShortestPath()
         assert algebra is not scheme.algebra
         query_engine.reset_query_stats()
-        batch = _with_engine("batch", lambda: evaluate_scheme(
-            graph, algebra, scheme))
+        batch = evaluate_scheme(graph, algebra, scheme)
         stats = query_engine.query_stats()
-        reference = _with_engine("reference", lambda: evaluate_scheme(
-            graph, algebra, scheme))
         assert stats["batch_pairs"] == batch.pairs == 24 * 23
         assert stats["fallbacks"] == {}
-        assert batch == reference
+        assert _report_key(batch) == _referee_report_key(graph, algebra,
+                                                         scheme)
 
     @needs_numpy
     def test_keyless_algebra_falls_back_per_scheme(self):
@@ -348,11 +458,9 @@ class TestFallbackLadder:
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         pairs = [(0, 4), (1, 5), (2, 6)]
         query_engine.reset_query_stats()
-        batch = _with_engine("batch", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
-        reference = _with_engine("reference", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
-        assert _shard_key(batch) == _shard_key(reference)
+        batch = route_shard(algebra, scheme, oracle, list(pairs))
+        assert _shard_key(batch) == _referee_key(algebra, scheme, oracle,
+                                                 pairs)
         assert query_engine.query_stats()["fallbacks"].get("uncompilable") == 1
 
     @needs_numpy
@@ -367,13 +475,11 @@ class TestFallbackLadder:
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes[:4] for t in nodes]
         query_engine.reset_query_stats()
-        batch = _with_engine("batch", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
-        reference = _with_engine("reference", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
+        batch = route_shard(algebra, scheme, oracle, list(pairs))
         # every pair but the 4 with s == t (no path weight) delivers
         assert batch.delivered == len(pairs) - 4
-        assert _shard_key(batch) == _shard_key(reference)
+        assert _shard_key(batch) == _referee_key(algebra, scheme, oracle,
+                                                 pairs)
         assert query_engine.query_stats()["fallbacks"].get("uncompilable") == 1
 
     @needs_numpy
@@ -387,22 +493,18 @@ class TestFallbackLadder:
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes[:6] for t in nodes]
-        before = _with_engine("batch", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
+        before = route_shard(algebra, scheme, oracle, list(pairs))
         assert not before.failures
         with pytest.raises(TypeError):
             scheme._next_hop[nodes[2]] = {}
         broken = sabotaged(scheme, "_next_hop", {nodes[2]: {}})
-        reference = _with_engine("reference", lambda: route_shard(
-            algebra, broken, oracle, list(pairs)))
-        batch = _with_engine("batch", lambda: route_shard(
-            algebra, broken, oracle, list(pairs)))
-        assert reference.failures
-        assert _shard_key(batch) == _shard_key(reference)
+        reference = _referee_key(algebra, broken, oracle, pairs)
+        batch = route_shard(algebra, broken, oracle, list(pairs))
+        assert reference[3]
+        assert _shard_key(batch) == reference
         assert (compiled_query.compile_query(broken)
                 is not compiled_query.compile_query(scheme))
-        again = _with_engine("batch", lambda: route_shard(
-            algebra, scheme, oracle, list(pairs)))
+        again = route_shard(algebra, scheme, oracle, list(pairs))
         assert _shard_key(again) == _shard_key(before)
 
 
@@ -441,8 +543,7 @@ class TestReadOnlyTables:
         graph = erdos_renyi(30, rng=random.Random(3))
         assign_random_weights(graph, algebra, rng=random.Random(3))
         scheme = DestinationTableScheme(graph, algebra)
-        batch = _with_engine("batch", lambda: evaluate_scheme(
-            graph, algebra, scheme))
+        batch = evaluate_scheme(graph, algebra, scheme)
         assert batch.optimal == batch.pairs == 870
         row = scheme._next_hop[0]
         target, hop = next(iter(row.items()))
@@ -450,9 +551,8 @@ class TestReadOnlyTables:
         with pytest.raises(TypeError):
             row[target] = other
         assert row[target] == hop
-        reference = _with_engine("reference", lambda: evaluate_scheme(
-            graph, algebra, scheme))
-        assert reference == batch
+        assert _report_key(batch) == _referee_report_key(graph, algebra,
+                                                         scheme)
 
     @pytest.mark.parametrize("name", sorted(READ_ONLY_TABLES))
     def test_table_stays_read_only_through_pickle(self, name):
@@ -496,9 +596,34 @@ class TestSharedQueryTables:
         options = EvaluationOptions(pair_count=400, rng=34, workers=2,
                                     shard_size=100)
         serial_options = EvaluationOptions(pair_count=400, rng=34)
-        parallel = _with_engine("batch", lambda: evaluate_scheme(
-            graph, algebra, scheme, options=options))
-        serial = _with_engine("reference", lambda: evaluate_scheme(
-            graph, algebra, scheme, options=serial_options))
-        assert parallel == serial
-        assert parallel.failures == serial.failures
+        parallel = evaluate_scheme(graph, algebra, scheme, options=options)
+        assert _report_key(parallel) == _referee_report_key(
+            graph, algebra, scheme, serial_options)
+
+    @needs_numpy
+    def test_observed_workers_match_serial_referee(self):
+        """workers=2 with telemetry on: the merged report, traces, hop
+        histogram and engine counters match one serial referee run."""
+        algebra = ShortestPath(max_weight=9)
+        graph = erdos_renyi(30, rng=random.Random(41))
+        assign_random_weights(graph, algebra, rng=random.Random(42))
+        scheme = CowenScheme(graph, algebra, rng=random.Random(43))
+        options = EvaluationOptions(workers=2, shard_size=200,
+                                    trace_limit=TRACE_LIMIT)
+        report, hops, traces, dropped, counters = _observed(
+            lambda: evaluate_scheme(graph, algebra, scheme, options=options),
+            None)
+        run = last_run_info()
+        assert run.fallback is None and len(run.shards) > 1
+        pairs = sample_pairs(graph)
+        oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+        _reference, ref_hops, ref_traces, ref_dropped, _counters = _observed(
+            lambda: _reference_shard(algebra, scheme, oracle, pairs),
+            TRACE_LIMIT)
+        assert _report_key(report) == _referee_report_key(graph, algebra,
+                                                          scheme)
+        assert hops == ref_hops
+        assert traces == ref_traces
+        assert dropped == ref_dropped
+        assert counters["query_engine.batch_pairs"] == len(pairs)
+        assert query_engine.engines_ran(counters) == "batch"

@@ -131,19 +131,6 @@ class TestStragglers:
         _median, flagged = events.detect_stragglers([0.5, 0.7], factor=0.0)
         assert flagged == [0, 1]
 
-    def test_factor_env_override(self):
-        assert events.straggler_factor({}) == events.DEFAULT_STRAGGLER_FACTOR
-        assert events.straggler_factor(
-            {events.STRAGGLER_FACTOR_ENV: "2.5"}) == 2.5
-        assert events.straggler_factor(
-            {events.STRAGGLER_FACTOR_ENV: "0"}) == 0.0
-        assert events.straggler_factor(
-            {events.STRAGGLER_FACTOR_ENV: "junk"}
-        ) == events.DEFAULT_STRAGGLER_FACTOR
-        assert events.straggler_factor(
-            {events.STRAGGLER_FACTOR_ENV: "-1"}
-        ) == events.DEFAULT_STRAGGLER_FACTOR
-
 
 class TestCodecAndPersistence:
     def test_event_dict_roundtrip(self):

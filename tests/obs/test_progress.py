@@ -191,16 +191,15 @@ class TestRenderRunReport:
     def test_retry_column_and_recovery_line(self):
         manifest = self._manifest()
         manifest["shards"][1]["retries"] = 1
-        manifest["recovery"] = {"shards_lost": 1, "shards_retried": 1,
-                                "shards_displaced": 0, "pool_rebuilds": 1,
-                                "recovered": True}
+        manifest["recovery"] = {"shards_lost": 1, "shards_displaced": 0,
+                                "pool_rebuilds": 1, "recovered": True}
         text = progress.render_run_report(manifest, [])
         shard_lines = [line for line in text.splitlines()
                        if line.strip().startswith(("0 ", "1 "))]
         # Column order: id pid pairs srcs hb rt start dur.
         assert shard_lines[0].split()[5] == "0"
         assert shard_lines[1].split()[5] == "1"
-        assert "recovery: recovered — lost 1, retried 1, displaced 0, " \
+        assert "recovery: recovered — lost 1, displaced 0, " \
                "pool rebuilds 1" in text
 
     def test_renderer_rolls_back_lost_shard(self):

@@ -4,6 +4,10 @@ import pytest
 
 from repro.cli import POLICIES, _print_trace, build_parser, main
 from repro.obs.tracing import PacketTrace
+from repro.routing.compiled_query import numpy_available
+
+#: The query engine an observed run of a compilable scheme must name.
+_WALK_OR_REFEREE = "batch" if numpy_available() else "reference"
 
 
 class TestParser:
@@ -162,6 +166,7 @@ class TestRunTelemetryCommands:
         assert manifest["command"] == "evaluate"
         assert manifest["config"]["policy"] == "widest-path"
         assert manifest["report"]["pairs"] == 12 * 11
+        assert manifest["engine"]["query_engine"] == _WALK_OR_REFEREE
         assert "metrics" in manifest
         assert "python" in manifest["env"]
 
@@ -187,7 +192,11 @@ class TestRunTelemetryCommands:
         assert "recorded run ->" in captured.err
         import json
 
-        json.loads(captured.out)  # profile output stays valid JSON
+        profile = json.loads(captured.out)  # stays valid JSON
+        query = profile["query"]
+        assert query["engine"] == _WALK_OR_REFEREE
+        assert (query["counters"][f"query_engine.{_WALK_OR_REFEREE}_pairs"]
+                == profile["report"]["pairs"] == 12 * 11)
         assert main(["report", str(run_dir)]) == 0
         assert "run: profile" in capsys.readouterr().out
 
