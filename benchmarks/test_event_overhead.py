@@ -24,10 +24,14 @@ prices the per-shard bracket events, which are O(shards), not O(pairs).
 The enabled side is priced end to end: an all-pairs ``evaluate_scheme``
 on a compilable Cowen instance runs with telemetry on and off in
 alternating reps.  Observed runs take the same compiled walk as plain
-ones, so the difference is what observing costs — the per-pair oracle
-counter, the ``evaluate.hops`` histogram, spans and the replay of the
-sampled packet traces.  The best-of-reps overhead lands in the baseline
-as ``telemetry_overhead_pct`` against a budget set from measured runs.
+ones, so the difference is what observing costs — the
+``evaluate.hops`` histogram, spans, the replay of the sampled packet
+traces, and one ``oracle.trees_requested`` bump per source run (the
+walk reads each source's preferred weights in one store call, so no
+registry lookup is left per pair).  The best-of-reps overhead lands in
+the baseline as ``telemetry_overhead_pct`` against a budget set from
+measured runs: 5.6-11.5 % in seven runs on a shared 2-CPU host, against
+19.6-29.2 % when the walk still called the oracle once per pair.
 """
 
 import random
@@ -157,7 +161,7 @@ def test_disabled_events_are_free():
 #: Enabled-telemetry experiment: instance size, alternating reps, budget.
 TELEMETRY_N = 256
 TELEMETRY_REPS = 7
-MAX_TELEMETRY_OVERHEAD_PCT = 50.0
+MAX_TELEMETRY_OVERHEAD_PCT = 20.0
 
 
 @pytest.mark.skipif(not compiled_query.numpy_available(),

@@ -10,8 +10,8 @@ trees are pre-built for every source, and then the **same all-pairs shard**
   Python ``local_decision`` evaluations, then the stretch report;
 * **batch** — ``route_shard``, which walks the compiled query tables
   (:mod:`repro.routing.compiled_query`): the whole shard steps through
-  the flat int arrays one vectorized step at a time, realized weights
-  decoded from additive integer keys at emit.
+  the flat int arrays one vectorized step at a time, and optimality and
+  stretch are decided on the integer keys.
 
 The batch timing includes its own table compile and both include the
 stretch report, so the ratio is end-to-end for a single shard.  Exactness comes first: both engines must

@@ -28,11 +28,11 @@ explicitly instead of relying on shard contiguity:
   the parent registry, and worker span logs are appended to the parent's.
 
 Every worker starts from the parent's state — the algebra, the scheme,
-the caller's oracle with every tree it has built, ``max_k`` and
-``trace_limit`` — installed by one pool initializer.  The start method is
-the platform's best, overridable with the ``REPRO_START_METHOD``
-environment variable (CI uses it to exercise spawn on Linux), and decides
-only how that state travels:
+the caller's oracle with every tree it has built, ``max_k`` and the room
+of the trace capture that will receive its traces — installed by one
+pool initializer.  The start method is the platform's best, overridable
+with the ``REPRO_START_METHOD`` environment variable (CI uses it to
+exercise spawn on Linux), and decides only how that state travels:
 
 * **fork** (Linux, the common case): the child inherits the state
   copy-on-write, and nothing is pickled;
@@ -85,6 +85,7 @@ import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import wait as _cf_wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -251,8 +252,9 @@ def _start_method() -> Optional[str]:
 # worker side
 # ---------------------------------------------------------------------------
 
-#: The parent's ``(algebra, scheme, oracle, max_k, trace_limit)``,
-#: installed in each worker process by :func:`_init_worker`.
+#: The parent's ``(algebra, scheme, oracle, max_k, trace_room)``,
+#: installed in each worker process by :func:`_init_worker`; see
+#: :func:`_trace_room`.
 _WORKER_STATE = None
 
 #: The worker's shard-start notification channel (a ``SimpleQueue`` whose
@@ -267,13 +269,14 @@ def _init_worker(state, telemetry_enabled: bool, events_enabled: bool,
     """Install the parent's state in a new worker, with fresh telemetry.
 
     *state* is the parent's ``(algebra, scheme, oracle, max_k,
-    trace_limit)``: the tuple itself under fork, whose children inherit
+    trace_room)``: the tuple itself under fork, whose children inherit
     their initargs unpickled, and its pickle under every other start
     method.  A forked child also inherits the parent's registry, span
     log, event log and any active trace capture; merging those back
     would double-count, so the worker starts them empty and captures
-    traces into its own buffer.  *live_queue*, when given, becomes the
-    worker's live event tee back to the parent's progress renderer.
+    each shard's traces into a buffer of its own (:func:`_run_shard`).
+    *live_queue*, when given, becomes the worker's live event tee back to
+    the parent's progress renderer.
     """
     global _WORKER_STATE, _STARTED_QUEUE
     _WORKER_STATE = pickle.loads(state) if isinstance(state, bytes) else state
@@ -297,7 +300,7 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
     run manifest's retry column.
     """
     shard_id, attempt, shard = task
-    algebra, scheme, oracle, max_k, trace_limit = _WORKER_STATE
+    algebra, scheme, oracle, max_k, trace_room = _WORKER_STATE
     if _STARTED_QUEUE is not None:
         try:
             _STARTED_QUEUE.put((shard_id, attempt, os.getpid()))
@@ -308,9 +311,14 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
         _events.set_current_shard(shard_id)
     started_at = time.time()
     start = time.perf_counter()
-    result = route_shard(algebra, scheme, oracle, shard,
-                         max_k=max_k, trace_limit=trace_limit,
-                         shard_id=shard_id, attempt=attempt)
+    # An active capture keeps route_shard from opening its own.
+    with (nullcontext() if trace_room is None
+          else _tracing.capture_traces(limit=trace_room)) as capture:
+        result = route_shard(algebra, scheme, oracle, shard, max_k=max_k,
+                             shard_id=shard_id, attempt=attempt)
+    if capture is not None:
+        result.traces = tuple(capture.traces)
+        result.traces_dropped = capture.dropped
     result.shard_id = shard_id
     result.pid = os.getpid()
     result.started_at = started_at
@@ -613,18 +621,33 @@ def _ordered_failures(shards: List[List[Tuple]], index_lists: List[List[int]],
     return [item for _, item in tagged]
 
 
+def _trace_room(pairs: Sequence[Tuple], trace_limit: int) -> Optional[int]:
+    """How many traces a worker keeps per shard; None when nothing traces.
+
+    The limit of the capture that will receive the traces, as a serial
+    run fills it: a caller's active capture (one without a limit can
+    take every pair), else, with telemetry on, ``route_shard``'s own
+    capture of *trace_limit*.
+    """
+    caller = _tracing.active_capture()
+    if caller is not None:
+        return len(pairs) if caller.limit is None else caller.limit
+    return trace_limit if _telemetry_enabled() else None
+
+
 def _fold_traces(shards: List[List[Tuple]], index_lists: List[List[int]],
                  results: List[ShardResult], trace_limit: int) -> Tuple:
     """Fold worker traces into ``(traces, dropped)`` matching a serial run.
 
-    The serial capture keeps the first ``trace_limit`` attempted traces
-    in pair order.  Each worker keeps its shard's first ``trace_limit``
-    in the same order (shards are sorted by original position), which is
-    a superset of the serially-kept traces from that shard — so sorting
-    the union by original position and truncating reproduces the serial
-    capture's content *and* order exactly.  Everything else, worker-side
-    drops included, is accounted as dropped, keeping
-    ``kept + dropped == attempted`` just like one serial capture.
+    The serial capture keeps its first attempted traces in pair order, up
+    to its limit.  Each worker keeps its shard's first traces up to the
+    same limit (:func:`_trace_room`) in the same order (shards are sorted
+    by original position), which is a superset of the serially-kept
+    traces from that shard — so sorting the union by original position
+    and truncating reproduces the serial capture's content *and* order
+    exactly.  Everything else, worker-side drops included, is accounted
+    as dropped, keeping ``kept + dropped == attempted`` just like one
+    serial capture.
 
     With a caller capture active, traces land there instead (up to its
     own limit) and the report carries none — the serial semantics.
@@ -791,6 +814,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     workers = min(workers, len(shards))
     telemetry = _telemetry_enabled()
     events_on = _events.enabled()
+    trace_room = _trace_room(pairs, trace_limit)
     method = _start_method()
     _LAST_RUN = run_info = ParallelRunInfo(start_method=method,
                                            workers=workers)
@@ -798,7 +822,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     # The graph rides inside the scheme and the oracle.  Pickling up front
     # finds an unpicklable state (a caller's lambda oracle, say) before
     # any pool starts; a forked child inherits the tuple as is.
-    state = (algebra, scheme, oracle, max_k, trace_limit)
+    state = (algebra, scheme, oracle, max_k, trace_room)
     if method != "fork":
         try:
             state = pickle.dumps(state)
@@ -842,10 +866,10 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     failures = _ordered_failures(shards, index_lists, results)
     if telemetry:
         _fold_worker_telemetry(results)
+    traces, dropped = (), 0
+    if trace_room is not None:
         traces, dropped = _fold_traces(shards, index_lists, results,
                                        trace_limit)
-    else:
-        traces, dropped = (), 0
     _record_shard_timings(shards, results, run_info)
     if events_on:
         _fold_worker_events(results)

@@ -473,6 +473,24 @@ class PreferredWeightOracle:
             return found.weight if found is not None else PHI
         return self._table_for(s).get(t, PHI)
 
+    def weights_from(self, source, targets: Sequence) -> List:
+        """The preferred weights from *source* to *targets*, in order.
+
+        ``PHI`` marks an unreachable target, as a single-pair call
+        returns it.  One call serves a run of pairs: ``trees_requested``
+        and the ``oracle.trees_requested`` counter advance by
+        ``len(targets)`` in one step, as that many single-pair calls
+        would advance them.
+        """
+        self.trees_requested += len(targets)
+        if _telemetry_enabled():
+            _telemetry().counter("oracle.trees_requested").inc(len(targets))
+        if self.engine == "enumeration":
+            found = [self._enumerate(source, t) for t in targets]
+            return [PHI if route is None else route.weight for route in found]
+        return list(map(self._table_for(source).get, targets,
+                        itertools.repeat(PHI)))
+
     # -- incremental invalidation (the service layer's churn path) --------
 
     def invalidate_all(self) -> OracleInvalidation:
@@ -961,7 +979,11 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
     (:func:`repro.routing.compiled_query.evaluate_shard`) whether or not
     anything is observing; every other shard, and every shard under
     ``REPRO_QUERY_ENGINE=reference``, takes :func:`_reference_shard`.
-    Both fill the ``evaluate.hops`` histogram when telemetry is on.
+    Both fill the ``evaluate.hops`` histogram when telemetry is on.  The
+    stretch report folds the walk's per-k counts with *max_k*
+    (:meth:`StretchReport.from_counts`) and measures its weight samples,
+    or the referee's, with :func:`measure_stretch`: the same report
+    either way.
     Traces are captured when telemetry is on and no caller capture is
     already active, so an explicit ``with obs.capture_traces():`` keeps
     collecting into the caller's buffer.
@@ -1007,17 +1029,21 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
             walked = _compiled_query.evaluate_shard(algebra, scheme, oracle,
                                                     pairs)
         if walked is None:
-            walked = _reference_shard(algebra, scheme, oracle, pairs)
-        elif events_on:
-            # The referee's durable heartbeat cadence, so the shard's
-            # event stream is engine-proof.
-            stride = max(1, len(pairs) // HEARTBEATS_PER_SHARD)
-            for done in range(stride, len(pairs) + 1, stride):
-                _events.emit("shard_heartbeat", pairs_done=done,
-                             pairs_total=len(pairs))
-    routed, delivered, optimal, failures, samples = walked
-    stretch = measure_stretch(algebra, samples, scheme_name=scheme.name,
-                              max_k=max_k)
+            routed, delivered, optimal, failures, samples = _reference_shard(
+                algebra, scheme, oracle, pairs)
+            counts = ()
+        else:
+            routed, delivered, optimal, failures, counts, samples = walked
+            if events_on:
+                # The referee's durable heartbeat cadence, so the shard's
+                # event stream is engine-proof.
+                stride = max(1, len(pairs) // HEARTBEATS_PER_SHARD)
+                for done in range(stride, len(pairs) + 1, stride):
+                    _events.emit("shard_heartbeat", pairs_done=done,
+                                 pairs_total=len(pairs))
+    stretch = StretchReport.from_counts(scheme.name, counts, max_k).merge(
+        measure_stretch(algebra, samples, scheme_name=scheme.name,
+                        max_k=max_k))
     return ShardResult(
         routed=routed, delivered=delivered, optimal=optimal,
         stretch=stretch, failures=failures,
@@ -1030,11 +1056,12 @@ def _reference_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
                      oracle: WeightOracle, pairs: Sequence[Tuple]) -> Tuple:
     """The referee: route *pairs* one at a time through ``scheme.route``.
 
-    Returns what :func:`repro.routing.compiled_query.evaluate_shard`
-    returns, ``(routed, delivered, optimal, failures, samples)`` in pair
-    order, for every shard the walk cannot take (no numpy, an algebra
-    mismatch, an uncompilable scheme) and for the tests that hold the
-    walk to it.  Every route is traced into the active capture.
+    Returns ``(routed, delivered, optimal, failures, samples)``, with
+    failures and one ``(preferred, realized)`` weight sample per
+    delivered pair in pair order, for every shard the walk cannot take
+    (no numpy, an algebra mismatch, an uncompilable scheme) and for the
+    tests that hold the walk to it.  Every route is traced into the
+    active capture.
     """
     events_on = _events.enabled()
     registry = _telemetry()

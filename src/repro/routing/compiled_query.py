@@ -35,16 +35,19 @@ Realized weights ride the integer-key capability
 (:func:`repro.algebra.base.key_codec`): the key of a walk is its edge
 keys folded with the algebra's key combine (a sum for shortest path, a
 maximum for widest path, one component at a time for a lexicographic
-product), so the walk accumulates one int64 per pair and decodes to a
-weight object only at emit.  Keys use the route loop's hop budget
-(``4n + 8``), not the tree builders' ``n - 1``, because a misrouted walk
-may take up to that many edges and the order-embedding contract must
-hold for every realized weight; an algebra whose keys at that budget
-could overflow int64 is not compiled.
+product), so the walk accumulates one int64 per pair.  Keys use the
+route loop's hop budget (``4n + 8``), not the tree builders' ``n - 1``,
+because a misrouted walk may take up to that many edges and the
+order-embedding contract must hold for every realized weight; an algebra
+whose keys at that budget could overflow int64 is not compiled.
 
-A shard is evaluated in blocks of :data:`BLOCK_PAIRS` pairs, so the
-walk's pair-sized temporaries live for one block, not for the whole
-shard.
+The preferred side stays in key space too.  A shard is evaluated in
+blocks of :data:`BLOCK_PAIRS` pairs, so the walk's pair-sized
+temporaries live for one block, not for the whole shard.  Per block, the
+tree store serves each source's run of pairs in one call, and each
+distinct preferred weight is keyed once; the block then decides
+optimality and stretch (Definition 3) with int64 array operations, and
+decodes a weight object only for the few pairs it cannot settle there.
 
 Bit-identity contract
 ---------------------
@@ -52,11 +55,19 @@ Bit-identity contract
 :func:`evaluate_shard` reproduces the referee,
 :func:`repro.core.simulate._reference_shard`, exactly: the same
 routed/delivered/optimal counts, the same failure tuples in the same
-order (including exception message strings), and the same stretch samples
-in pair order.  Three mechanisms make that safe:
+order (including exception message strings), and, folded with
+``max_k`` by :func:`repro.core.simulate.route_shard`, the same
+:class:`~repro.routing.stretch.StretchReport`.  Four mechanisms make
+that safe:
 
 * optimality compares integer keys (``key(realized) == key(preferred)``),
   exact because the key map is an order embedding;
+* stretch is the first k with ``key(realized) <= key(preferred^k)``,
+  where the power's key is the key combine folded k times — exact for
+  k <= :data:`KEY_STRETCH`, because the k-th power of a simple
+  preferred path weighs as a walk of k(n - 1) <= 4n + 8 edges.  Pairs
+  still unresolved there come back as ``(preferred, realized)`` weights
+  for :func:`~repro.routing.stretch.measure_stretch`;
 * failure strings the vectorized walk can prove (``"hop limit
   exceeded"``, also for forwarding loops, and the table schemes'
   missing-entry messages) are emitted natively with the reference's
@@ -64,9 +75,13 @@ in pair order.  Three mechanisms make that safe:
 * any pair the walk cannot replicate bit-for-bit — a condition the
   reference would raise on (an entry off every edge, a port that does
   not exist), an endpoint outside the compiled tables, a premature tree
-  delivery — goes through the referee's per-pair verifier
+  delivery, a caller's preferred weight off the key range — goes
+  through the referee's per-pair verifier
   (:func:`repro.core.simulate._verify_pair`), reproducing even exotic
   exception behavior.
+
+``tests/core/test_query_engine.py`` holds the walk to the referee pair
+by pair: every pair the walk delivers has the referee's realized weight.
 
 Observed runs take the same walk.  The step at which a pair finishes is
 its hop count, so the ``evaluate.hops`` histogram is a ``bincount`` away
@@ -78,6 +93,8 @@ the referee would have traced, and count the rest as dropped.
 from __future__ import annotations
 
 import weakref
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 try:  # numpy is the repro[fast] optional extra
@@ -85,7 +102,7 @@ try:  # numpy is the repro[fast] optional extra
 except ImportError:  # pragma: no cover - exercised on minimal installs
     _np = None
 
-from repro.algebra.base import KeyCodec, is_phi, key_codec
+from repro.algebra.base import PHI, KeyCodec, is_phi, key_codec
 from repro.exceptions import ReproError, RoutingError
 from repro.obs import tracing as _obs_tracing
 from repro.obs.metrics import enabled as _telemetry_enabled
@@ -116,6 +133,10 @@ _HOP_LIMIT = 2
 _ANOMALY = 3     # replay through scheme.route for exact reference behavior
 _NO_ROUTE = 4    # table miss with a natively reproducible failure string
 
+#: Order-key codes of a preferred weight without a key.
+_UNREACHABLE = -1   # PHI: the pair is not routed
+_UNKEYED = -2       # off the codec's key range: replay the pair
+
 #: Step codes in place of a next node.
 _MISSING = -1    # no table entry: the packet strands where it is
 _REPLAY = -2     # an entry the walk cannot follow: replay the pair
@@ -123,6 +144,12 @@ _REPLAY = -2     # an entry the walk cannot follow: replay the pair
 #: Pairs evaluated per block of a shard: bounds the walk's ~30 pair-sized
 #: temporaries and the per-pair lists, whatever the shard size.
 BLOCK_PAIRS = 16384
+
+#: Stretches decided in key space.  A preferred path is simple, so its
+#: k-th power weighs as a walk of k(n - 1) <= 4n + 8 edges for k <= 4:
+#: within the codec's hop budget, where keys embed the order and combine
+#: exactly.
+KEY_STRETCH = 4
 
 #: "No heavy child" sentinel: larger than any DFS number, so the heavy
 #: interval test ``hdfs <= target_dfs <= hend`` can never pass.
@@ -137,16 +164,14 @@ _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 class CompiledQuery:
     """Flat int arrays plus the key codec for one built scheme."""
 
-    __slots__ = ("kind", "n", "nodes", "node_index", "identity_decode",
-                 "codec", "arrays")
+    __slots__ = ("kind", "n", "nodes", "node_index", "codec", "arrays")
 
     def __init__(self, kind: str, nodes: List, node_index: Dict,
-                 identity_decode: bool, codec: KeyCodec, arrays: Dict):
+                 codec: KeyCodec, arrays: Dict):
         self.kind = kind
         self.n = len(nodes)
         self.nodes = nodes
         self.node_index = node_index
-        self.identity_decode = identity_decode
         self.codec = codec
         self.arrays = arrays
 
@@ -219,8 +244,6 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     adj_keys = codec.encode(weights)
     if adj_keys is None:
         return None
-    identity = all(type(weight) is int and weight == key
-                   for weight, key in zip(weights, adj_keys))
     edge_key: Dict[Tuple[int, int], int] = dict(zip(arcs, adj_keys))
 
     arrays = {
@@ -232,8 +255,7 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     kind, kind_arrays = compile_kind(scheme, nodes, node_index, edge_key)
     arrays.update(kind_arrays)
     return CompiledQuery(kind=kind, nodes=nodes, node_index=node_index,
-                         identity_decode=identity, codec=codec,
-                         arrays=arrays)
+                         codec=codec, arrays=arrays)
 
 
 def _tree_columns(tree_scheme: TreeRoutingScheme, nodes, node_index,
@@ -412,10 +434,19 @@ _COMPILERS = {CowenScheme: _compile_cowen, TreeRoutingScheme: _compile_tree,
 def evaluate_shard(algebra, scheme, oracle, pairs):
     """The compiled walk over *pairs*; ``None`` means "use the referee".
 
-    Returns ``(routed, delivered, optimal, failures, samples)`` with
-    failures and stretch samples in pair order, exactly as the referee
-    produces them.  The oracle is consulted once per pair in pair order
-    (so lazy-oracle accounting matches the referee); pairs the walk
+    Returns ``(routed, delivered, optimal, failures, stretch_counts,
+    samples)``.  The counts and the failure tuples, in pair order, are
+    the referee's.  The stretch (Definition 3) of the delivered pairs
+    comes in two parts: ``stretch_counts[k - 1]`` pairs have a minimal
+    stretch of exactly k, for k = 1 .. :data:`KEY_STRETCH`, decided in
+    key space; ``samples`` holds ``(preferred, realized)`` weights for
+    the rest, the pairs unresolved at :data:`KEY_STRETCH` and the walk's
+    anomaly replays, for :func:`~repro.routing.stretch.measure_stretch`.
+
+    A tree-store oracle serves each source's run of pairs in one
+    :meth:`~repro.core.simulate.PreferredWeightOracle.weights_from` call,
+    which advances its lazy-oracle accounting by the pairs served; any
+    other oracle is called once per pair, in pair order.  Pairs the walk
     cannot replicate bit-for-bit go through the referee's per-pair
     verifier.  The pairs are walked in blocks of :data:`BLOCK_PAIRS`;
     each block fills ``evaluate.hops`` when telemetry is on, and an
@@ -440,16 +471,94 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
     capture = _obs_tracing.active_capture()
     hops = (_telemetry().histogram("evaluate.hops", scheme=scheme.name)
             if _telemetry_enabled() else None)
-    routed = optimal = 0
+    totals = _np.zeros(3 + KEY_STRETCH, dtype=_np.int64)
     failures: List[Tuple] = []
     samples: List[Tuple] = []
     for start in range(0, len(pairs), BLOCK_PAIRS):
-        block_routed, block_optimal = _evaluate_block(
+        totals += _evaluate_block(
             algebra, scheme, tables, oracle, pairs[start:start + BLOCK_PAIRS],
             failures, samples, hops, capture)
-        routed += block_routed
-        optimal += block_optimal
-    return routed, len(samples), optimal, failures, samples
+    routed, delivered, optimal, *counts = totals.tolist()
+    return routed, delivered, optimal, failures, tuple(counts), samples
+
+
+def _preferred_weights(oracle, sources, targets) -> List:
+    """The preferred weight of every pair, in pair order."""
+    from repro.core.simulate import PreferredWeightOracle
+
+    if not isinstance(oracle, PreferredWeightOracle):
+        return list(map(oracle, sources, targets))
+    weights: List = []
+    start = 0
+    for source, run in groupby(sources):
+        stop = start + len(tuple(run))
+        weights += oracle.weights_from(source, targets[start:stop])
+        start = stop
+    return weights
+
+
+def _order_keys(codec: KeyCodec, weights) -> "object":
+    """The int64 order keys of *weights*, one lookup per distinct weight.
+
+    A PHI weight keys as :data:`_UNREACHABLE`, and one outside the
+    codec's key range (no int in ``[0, bound)``) as :data:`_UNKEYED`.
+    """
+    keys = {PHI: _UNREACHABLE}
+    for weight in set(weights):
+        if not is_phi(weight):
+            key = codec.key(weight)
+            keys[weight] = (key if type(key) is int and 0 <= key < codec.bound
+                            else _UNKEYED)
+    return _np.fromiter(map(keys.__getitem__, weights), dtype=_np.int64,
+                        count=len(weights))
+
+
+def _node_indexes(tables, nodes) -> "object":
+    """The compiled index of every node in *nodes*, ``-1`` off the tables."""
+    return _np.fromiter(map(tables.node_index.get, nodes, repeat(-1)),
+                        dtype=_np.int64, count=len(nodes))
+
+
+def _walk_pairs(tables, s_arr, t_arr):
+    """Walk the index pairs ``(s_arr, t_arr)``, ``-1`` marking an endpoint
+    off the compiled tables.
+
+    Returns per-pair ``(status, realized key, stranding node, hops)``
+    arrays; the hop count is ``-1`` where the route would raise.
+    """
+    routed = s_arr.size
+    status = _np.zeros(routed, dtype=_np.int8)
+    rkey = _np.zeros(routed, dtype=_np.int64)
+    steps = _np.full(routed, -1, dtype=_np.int64)
+    fail = _np.full(routed, -1, dtype=_np.int64)
+    # route() short-circuits source == target before any table lookup, so
+    # the pair delivers with the empty walk even off-graph.
+    same = s_arr == t_arr
+    status[same] = _DELIVERED
+    steps[same] = 0
+    status[(~same) & ((s_arr < 0) | (t_arr < 0))] = _ANOMALY
+    _walk(tables, s_arr, t_arr, status, rkey, fail, steps)
+    return status, rkey, fail, steps
+
+
+def _key_stretch(combine, pref, realized):
+    """Definition 3 in key space, for pairs with preferred keys *pref*.
+
+    Returns the per-k counts of pairs whose minimal stretch is exactly k,
+    k = 1 .. :data:`KEY_STRETCH`, and the mask of pairs unresolved there:
+    the first k with ``realized <= pref^k``, where ``pref^1 = pref`` and
+    ``pref^k = combine(pref^(k-1), pref)``.
+    """
+    pending = _np.ones(pref.size, dtype=bool)
+    power = pref
+    counts = []
+    for k in range(1, KEY_STRETCH + 1):
+        if k > 1:
+            power = combine.combine(power, pref, _np.minimum)
+        within = pending & (realized <= power)
+        counts.append(int(_np.count_nonzero(within)))
+        pending &= ~within
+    return counts, pending
 
 
 def _replay_traces(scheme, pairs, capture) -> None:
@@ -468,55 +577,75 @@ def _evaluate_block(algebra, scheme, tables, oracle, pairs, failures,
                     samples, hops, capture):
     """:func:`evaluate_shard` over one block, onto *failures*/*samples*.
 
-    Returns ``(routed, optimal)``.  The hop counts go to the *hops*
-    histogram and the replayed sample to *capture*, when given.
+    Returns ``[routed, delivered, optimal]`` followed by the per-k stretch
+    counts.  The hop counts go to the *hops* histogram and the replayed
+    sample to *capture*, when given.
     """
-    index_of = tables.node_index.get
-    routed_pairs: List[Tuple] = []
-    preferred: List = []
-    src: List[int] = []
-    dst: List[int] = []
-    for s, t in pairs:
-        weight = oracle(s, t)
-        if is_phi(weight):
-            continue
-        routed_pairs.append((s, t))
-        preferred.append(weight)
-        src.append(index_of(s, -1))
-        dst.append(index_of(t, -1))
+    from repro.core.simulate import _verify_pair
 
-    routed = len(routed_pairs)
-    if routed == 0:
-        return 0, 0
+    sources = list(map(itemgetter(0), pairs))
+    targets = list(map(itemgetter(1), pairs))
+    preferred = _preferred_weights(oracle, sources, targets)
+    pref_all = _order_keys(tables.codec, preferred)
+    routed_idx = _np.flatnonzero(pref_all != _UNREACHABLE)
+    if routed_idx.size == 0:
+        return [0] * (3 + KEY_STRETCH)
+    pref = pref_all[routed_idx]
+    status, rkey, fail, steps = _walk_pairs(
+        tables, _node_indexes(tables, sources)[routed_idx],
+        _node_indexes(tables, targets)[routed_idx])
+    unkeyed = pref == _UNKEYED
+    if unkeyed.any():   # a caller's oracle off the key range
+        status[unkeyed] = _ANOMALY
+        steps[unkeyed] = -1
 
-    s_arr = _np.asarray(src, dtype=_np.int64)
-    t_arr = _np.asarray(dst, dtype=_np.int64)
-    status = _np.zeros(routed, dtype=_np.int8)
-    rkey = _np.zeros(routed, dtype=_np.int64)
-    steps = _np.full(routed, -1, dtype=_np.int64)   # -1: the route raised
+    delivered = status == _DELIVERED
+    realized = rkey[delivered]
+    optimal = int(_np.count_nonzero(realized == pref[delivered]))
+    counts, unresolved = _key_stretch(tables.codec.combine, pref[delivered],
+                                      realized)
+    decode = tables.codec.decode
+    for i, key in zip(routed_idx[delivered][unresolved].tolist(),
+                      realized[unresolved].tolist()):
+        samples.append((preferred[i], decode(key)))
 
-    # route() short-circuits source == target before any table lookup, so
-    # the pair delivers with the empty walk even off-graph.
-    same = s_arr == t_arr
-    status[same] = _DELIVERED
-    steps[same] = 0
-    unknown = (~same) & ((s_arr < 0) | (t_arr < 0))
-    status[unknown] = _ANOMALY
-
-    fail = _np.full(routed, -1, dtype=_np.int64)
-    _walk(tables, s_arr, t_arr, status, rkey, fail, steps)
-
-    # A zero-limit capture keeps replayed anomalies out of the sample.
+    # Failures and replays, in pair order.  A zero-limit capture keeps
+    # replayed anomalies out of the sample.
+    nodes = tables.nodes
+    kind = tables.kind
+    sampled = len(samples)
     with _obs_tracing.capture_traces(limit=0):
-        optimal = _assemble(algebra, scheme, tables, routed_pairs, preferred,
-                            status, rkey, fail, steps, failures, samples)
+        for j in _np.flatnonzero(~delivered).tolist():
+            i = int(routed_idx[j])
+            s, t = pairs[i]
+            state = status[j]
+            if state == _HOP_LIMIT:
+                failures.append((s, t, "hop limit exceeded"))
+            elif state == _NO_ROUTE:
+                stuck = nodes[fail[j]]
+                if kind == "destination":
+                    failures.append((s, t, f"no route from {stuck!r} to {t!r}"))
+                else:
+                    failures.append(
+                        (s, t,
+                         f"no pair entry for {(s, t)!r} at node {stuck!r}"))
+            else:  # _ANOMALY: the referee's verifier, one pair
+                count_query_fallback("pair-replay", pairs=1)
+                pair_hops, pair_optimal = _verify_pair(
+                    algebra, scheme, s, t, preferred[i], failures, samples)
+                optimal += pair_optimal
+                if pair_hops is not None:
+                    steps[j] = pair_hops
+    replayed = len(samples) - sampled   # the replays that delivered
+
     if hops is not None:
-        counts = _np.bincount(steps[steps >= 0])
-        for value in _np.flatnonzero(counts).tolist():
-            hops.observe(value, int(counts[value]))
+        counts_by_hop = _np.bincount(steps[steps >= 0])
+        for value in _np.flatnonzero(counts_by_hop).tolist():
+            hops.observe(value, int(counts_by_hop[value]))
     if capture is not None:
-        _replay_traces(scheme, routed_pairs, capture)
-    return routed, optimal
+        _replay_traces(scheme, [pairs[i] for i in routed_idx.tolist()],
+                       capture)
+    return [routed_idx.size, realized.size + replayed, optimal] + counts
 
 
 def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
@@ -704,59 +833,3 @@ def _pair_step(tables):
 #: Per compiled kind, the factory of its per-decision step.
 _STEPS = {"tree": _tree_step, "cowen": _tree_step,
           "destination": _destination_step, "pair": _pair_step}
-
-
-def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
-              rkey, fail, steps, failures, samples):
-    """Fold per-pair outcomes into reference-ordered failures and samples.
-
-    Appends to *failures* and *samples* and returns the optimal count.
-    Each distinct realized key decodes once per block; the samples share
-    the (immutable) weight objects.
-    """
-    from repro.core.simulate import _verify_pair
-
-    identity = tables.identity_decode
-    decode = tables.codec.decode
-    key_fn = tables.codec.key
-    kind = tables.kind
-    nodes = tables.nodes
-    optimal = 0
-    decoded: Dict[int, object] = {}
-    status_list = status.tolist()
-    rkey_list = rkey.tolist()
-    fail_list = fail.tolist()
-    for i, (s, t) in enumerate(routed_pairs):
-        state = status_list[i]
-        if state == _DELIVERED:
-            realized_key = rkey_list[i]
-            pref = preferred[i]
-            if identity:
-                samples.append((pref, realized_key))
-                if pref == realized_key:
-                    optimal += 1
-            else:
-                realized = decoded.get(realized_key)
-                if realized is None:
-                    realized = decoded[realized_key] = decode(realized_key)
-                samples.append((pref, realized))
-                if key_fn(pref) == realized_key:
-                    optimal += 1
-        elif state == _HOP_LIMIT:
-            failures.append((s, t, "hop limit exceeded"))
-        elif state == _NO_ROUTE:
-            stuck = nodes[fail_list[i]]
-            if kind == "destination":
-                failures.append((s, t, f"no route from {stuck!r} to {t!r}"))
-            else:
-                failures.append(
-                    (s, t,
-                     f"no pair entry for {(s, t)!r} at node {stuck!r}"))
-        else:  # _ANOMALY: the referee's verifier, one pair
-            count_query_fallback("pair-replay", pairs=1)
-            pair_hops, pair_optimal = _verify_pair(
-                algebra, scheme, s, t, preferred[i], failures, samples)
-            optimal += pair_optimal
-            if pair_hops is not None:
-                steps[i] = pair_hops
-    return optimal

@@ -6,8 +6,8 @@ pairs.  Two engines produce bit-identical results:
 * ``"batch"`` (the default) — compile the built scheme's tables once into
   flat numpy int arrays (:mod:`repro.routing.compiled_query`) and walk an
   entire shard of pairs per vectorized step, folding each walk's integer
-  edge keys with the algebra's key combine and decoding realized weights
-  only at emit time;
+  edge keys with the algebra's key combine and deciding optimality and
+  stretch on those keys;
 * ``"reference"`` — the referee, :func:`repro.core.simulate._reference_shard`:
   one :meth:`~repro.routing.model.RoutingScheme.route` call per pair,
   hop by hop through Python ``local_decision`` evaluations.

@@ -59,6 +59,23 @@ class StretchReport:
     unbounded: int
     max_stretch: Optional[int]
 
+    @classmethod
+    def from_counts(cls, scheme_name: str, counts,
+                    max_k: int = 16) -> "StretchReport":
+        """The report of pairs whose minimal stretch is known exactly.
+
+        ``counts[k - 1]`` pairs have a minimal stretch of k.  A pair with
+        ``k > max_k`` is unbounded, as :func:`measure_stretch` counts it.
+        """
+        bounded = counts[:max_k]
+        pairs = sum(counts)
+        return cls(scheme_name, pairs,
+                   within_1=sum(bounded[:1]),
+                   within_3=sum(bounded[:3]),
+                   unbounded=pairs - sum(bounded),
+                   max_stretch=max((k for k, count in enumerate(bounded, 1)
+                                    if count), default=None))
+
     @property
     def stretch3_holds(self) -> bool:
         """True iff every measured pair met the Theorem 3 stretch-3 bound."""

@@ -170,6 +170,46 @@ class TestTracesDroppedMerge:
         assert parallel.traces_dropped == serial.traces_dropped
         assert len(parallel.traces) == len(serial.traces) == 3
 
+    @pytest.mark.parametrize("telemetry", [False, True])
+    @pytest.mark.parametrize("caller_limit", [None, 5, 40])
+    def test_parallel_traces_match_serial(self, telemetry, caller_limit):
+        """workers=2 keeps the serial run's traces (pairs and order) and
+        drop count: in the report under telemetry, and in a caller's
+        capture whose limit sits below or above ``trace_limit`` (16),
+        telemetry on or off."""
+        from repro.obs.metrics import disable, enable, reset
+        from repro.obs.tracing import capture_traces, clear_spans
+
+        _, graph, algebra, scheme = _golden_instances()[0]
+
+        def traced(workers):
+            options = EvaluationOptions(workers=workers)
+            if caller_limit is None:
+                report = evaluate_scheme(graph, algebra, scheme,
+                                         options=options)
+                traces, dropped = report.traces, report.traces_dropped
+            else:
+                with capture_traces(limit=caller_limit) as capture:
+                    report = evaluate_scheme(graph, algebra, scheme,
+                                             options=options)
+                assert report.traces == () and report.traces_dropped == 0
+                traces, dropped = capture.traces, capture.dropped
+            return [(trace.source, trace.target) for trace in traces], dropped
+
+        if telemetry:
+            enable()
+        try:
+            serial = traced(None)
+            parallel = traced(2)
+        finally:
+            disable()
+            reset()
+            clear_spans()
+        kept = (caller_limit if caller_limit is not None
+                else 16 if telemetry else 0)
+        assert len(serial[0]) == kept
+        assert parallel == serial
+
 
 class TestEvaluateShardedDirect:
     def test_single_shard_short_circuits_serially(self):

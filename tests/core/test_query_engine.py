@@ -2,7 +2,9 @@
 
 The walk's contract is *bit-identical* shard outcomes — the same
 routed/delivered/optimal counts, the same failure tuples in the same
-order (message strings included), and the same stretch samples.
+order (message strings included), and the same stretch report, the
+walk's per-k counts folded with its weight samples; pair by pair, every
+pair the walk delivers has the referee's realized weight.
 Hypothesis drives seeded graphs through every compiled scheme family,
 sabotaged copies of the table schemes included, and holds
 :func:`repro.routing.compiled_query.evaluate_shard` to the referee,
@@ -11,8 +13,9 @@ runs (telemetry on, a trace capture active) must match the referee's
 hop histogram and packet traces too.  Further tests pin the read-only
 tables that keep compiled queries from going stale, the resolver
 semantics (env handling, warn-once, explicit errors), the fallback
-ladder (algebras without an integer key, keys past int64), and spawn
-workers that compile their own tables.
+ladder (algebras without an integer key, keys past int64), stretches
+above 3 and small ``max_k`` on tree routing over weighted cycles, and
+spawn workers that compile their own tables.
 """
 
 import os
@@ -23,7 +26,13 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - the walk's tests skip without it
+    np = None
+
 import repro
+from repro.algebra.base import is_phi
 from repro.algebra.catalog import (
     MinHop,
     MostReliablePath,
@@ -41,13 +50,14 @@ from repro.core.simulate import (
     MAX_REPORTED_FAILURES,
     EvaluationOptions,
     _reference_shard,
+    _verify_pair,
     evaluate_scheme,
     oracle_cache,
     route_shard,
     sample_pairs,
 )
 from repro.frozen import FrozenTable
-from repro.graphs.generators import erdos_renyi
+from repro.graphs.generators import erdos_renyi, ring
 from repro.graphs.weighting import WEIGHT_ATTR, assign_random_weights
 from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
@@ -58,7 +68,7 @@ from repro.routing import compiled_query, query_engine
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
-from repro.routing.stretch import measure_stretch
+from repro.routing.stretch import StretchReport, measure_stretch
 from repro.routing.tree_routing import TreeRoutingScheme
 
 needs_numpy = pytest.mark.skipif(not compiled_query.numpy_available(),
@@ -90,6 +100,43 @@ def _referee_key(algebra, scheme, oracle, pairs):
         algebra, scheme, oracle, list(pairs))
     return (routed, delivered, optimal, failures,
             measure_stretch(algebra, samples, scheme_name=scheme.name))
+
+
+def _walk_stretch(algebra, scheme, walked, max_k=16):
+    """The stretch report of an ``evaluate_shard`` outcome: its per-k
+    counts folded with its weight samples."""
+    counts, samples = walked[4], walked[5]
+    return StretchReport.from_counts(scheme.name, counts, max_k).merge(
+        measure_stretch(algebra, samples, scheme_name=scheme.name,
+                        max_k=max_k))
+
+
+def _walk_realized(scheme, oracle, pairs):
+    """``((s, t), realized weight)`` of each routed pair the walk delivers
+    itself (not through a replay), in pair order."""
+    tables = compiled_query.compile_query(scheme)
+    routed = [(s, t) for s, t in pairs if not is_phi(oracle(s, t))]
+    index = tables.node_index
+    status, rkey, _fail, _steps = compiled_query._walk_pairs(
+        tables, np.array([index.get(s, -1) for s, _ in routed], dtype=np.int64),
+        np.array([index.get(t, -1) for _, t in routed], dtype=np.int64))
+    return [(pair, tables.codec.decode(key))
+            for pair, state, key in zip(routed, status.tolist(), rkey.tolist())
+            if state == compiled_query._DELIVERED]
+
+
+def _referee_realized(algebra, scheme, oracle, pairs):
+    """``((s, t), realized weight)`` of each pair the referee's per-pair
+    verifier delivers, in pair order."""
+    delivered = []
+    for s, t in pairs:
+        preferred = oracle(s, t)
+        if is_phi(preferred):
+            continue
+        samples = []
+        _verify_pair(algebra, scheme, s, t, preferred, [], samples)
+        delivered += [((s, t), realized) for _, realized in samples]
+    return delivered
 
 
 def _report_key(report):
@@ -268,8 +315,18 @@ class TestBatchReferenceEquality:
         query_engine.reset_query_stats()
         walked = compiled_query.evaluate_shard(algebra, scheme, oracle,
                                                list(pairs))
-        # counts, failure tuples and stretch samples, in pair order
-        assert walked == reference
+        # counts and failure tuples, in pair order, and the stretch report
+        assert walked[:4] == reference[:4]
+        assert _walk_stretch(algebra, scheme, walked) == measure_stretch(
+            algebra, reference[4], scheme_name=scheme.name)
+        # pair by pair: each pair the walk delivers, in pair order, has
+        # the referee's realized weight
+        walk_realized = _walk_realized(scheme, oracle, pairs)
+        delivered = {pair for pair, _ in walk_realized}
+        assert walk_realized == [
+            (pair, realized) for pair, realized
+            in _referee_realized(algebra, scheme, oracle, pairs)
+            if pair in delivered]
         report = evaluate_scheme(graph, algebra, scheme, options=options)
         assert _report_key(report) == _referee_report_key(
             graph, algebra, scheme, options)
@@ -331,7 +388,7 @@ class TestBatchReferenceEquality:
 
     @needs_numpy
     def test_blocks_keep_pair_order(self, monkeypatch, sabotaged):
-        """A shard split into many blocks: failures, samples, hop counts
+        """A shard split into many blocks: failures, stretch, hop counts
         and a traced sample spanning blocks, all in order."""
         monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", 7)
         algebra = widest_shortest_path(max_weight=9, max_capacity=9)
@@ -371,6 +428,45 @@ class TestBatchReferenceEquality:
         batch = route_shard(algebra, scheme, oracle, list(pairs))
         assert reference[3]   # the sabotage is visible
         assert _shard_key(batch) == reference
+
+
+class TestStretchBeyondThree:
+    """Tree routing over a weighted cycle routes many pairs the long way
+    round: stretches above the walk's key-space range (4), some past 16,
+    under every ``max_k`` cut-off."""
+
+    ALGEBRAS = {
+        "shortest-path": lambda: ShortestPath(max_weight=9),
+        "widest-shortest-path": lambda: widest_shortest_path(
+            max_weight=9, max_capacity=9),
+    }
+
+    @needs_numpy
+    @pytest.mark.parametrize("n", [12, 20, 64])
+    @pytest.mark.parametrize("policy", sorted(ALGEBRAS))
+    def test_max_k_matches_referee(self, policy, n):
+        algebra = self.ALGEBRAS[policy]()
+        graph = ring(n)
+        assign_random_weights(graph, algebra, rng=random.Random(n))
+        scheme = TreeRoutingScheme(graph, algebra, check_properties=False)
+        oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+        pairs = sample_pairs(graph)
+        routed, delivered, optimal, failures, samples = _reference_shard(
+            algebra, scheme, oracle, list(pairs))
+        query_engine.reset_query_stats()
+        reports = {}
+        for max_k in (1, 2, 3, 4, 5, 16):
+            walked = route_shard(algebra, scheme, oracle, list(pairs),
+                                 max_k=max_k)
+            reports[max_k] = measure_stretch(
+                algebra, samples, scheme_name=scheme.name, max_k=max_k)
+            assert _shard_key(walked) == (routed, delivered, optimal,
+                                          failures, reports[max_k])
+        assert query_engine.query_stats()["batch_pairs"] == 6 * len(pairs)
+        # the cases reach past the key-space range, and past max_k
+        assert reports[16].max_stretch > compiled_query.KEY_STRETCH
+        assert reports[3].unbounded > 0
+        assert (reports[16].unbounded > 0) == (n == 64)
 
 
 class TestResolver:
