@@ -322,7 +322,6 @@ class _RunTelemetry:
                 started_at=self.started_at, finished_at=finished_at,
                 shards=run_info.shards if run_info else [],
                 stragglers=run_info.stragglers if run_info else {},
-                recovery=run_info.recovery if run_info else {},
                 counters=snapshot["metrics"],
                 spans=snapshot["spans"],
                 report=obs.report_to_dict(report) if report is not None else None,
@@ -340,23 +339,12 @@ class _RunTelemetry:
 
 
 def _print_fallback_cause() -> None:
-    """One line on why the parallel engine reverted to serial, if it did.
-
-    A recovered run (shards were lost but retries salvaged them without
-    a serial fallback) also gets one line, so worker loss never passes
-    silently.
-    """
+    """One line on why the parallel engine reverted to serial, if it did."""
     from repro.core import parallel as _parallel
 
     fallback = _parallel.last_fallback()
     if fallback is not None:
         print(fallback.summary())
-    run_info = _parallel.last_run_info()
-    recovery = run_info.recovery if run_info else {}
-    if recovery.get("recovered"):
-        print(f"recovered from worker loss: "
-              f"{recovery.get('shards_lost', 0)} shard(s) lost over "
-              f"{recovery.get('pool_rebuilds', 0)} pool rebuild(s)")
 
 
 def _parallel_payload(workers) -> Optional[dict]:
@@ -372,7 +360,6 @@ def _parallel_payload(workers) -> Optional[dict]:
         "workers": run_info.workers,
         "fallback": (None if fallback is None else
                      {"reason": fallback.reason, "cause": fallback.cause}),
-        "recovery": run_info.recovery or None,
     }
 
 

@@ -30,9 +30,9 @@ explicitly instead of relying on shard contiguity:
 Every worker starts from the parent's state — the algebra, the scheme,
 the caller's oracle with every tree it has built, ``max_k`` and the room
 of the trace capture that will receive its traces — installed by one
-pool initializer.  The start method is the platform's best, overridable
-with the ``REPRO_START_METHOD`` environment variable (CI uses it to
-exercise spawn on Linux), and decides only how that state travels:
+pool initializer.  The start method is fork where the platform offers
+it, else the platform default (:func:`_start_method`), and decides only
+how that state travels:
 
 * **fork** (Linux, the common case): the child inherits the state
   copy-on-write, and nothing is pickled;
@@ -46,30 +46,12 @@ and destination-table schemes from ``build_scheme``, which are built from
 that oracle's tree store.  It compiles its query tables on its first
 shard.
 
-Shard execution is **fault-tolerant** (PR 8): each shard is submitted as
-its own future, so a worker death (an OOM kill, a crash, or a shard
-exceeding the per-shard ``REPRO_SHARD_TIMEOUT`` deadline) costs only the
-shards that were actually in flight.  Every already-completed
-:class:`~repro.core.simulate.ShardResult` is salvaged, the pool is
-rebuilt, and only the lost shards are re-issued — with bounded retries
-(``REPRO_SHARD_RETRIES``, default 2) per shard.  Retried shards are
-deterministic and the origin-index merge is order-restoring, so a
-recovered run's merged report stays bit-identical to an unfaulted serial
-run.  Workers announce each shard start and their pid on a crash-safe
-pipe, so the parent charges a pool breakage precisely: a shard whose
-worker died or that overran its deadline is *lost* (it consumes retry
-budget, ``shard_lost``/``shard_retried`` events, the
-``parallel.shard_retries`` counter); every other unfinished shard is
-*displaced* and re-issued for free.  Deterministic worker faults are
-injectable via ``REPRO_FAULT_SPEC`` (see
-:func:`repro.core.simulate.maybe_inject_fault`) for testing recovery on
-both start methods.
-
-Only when worker state cannot be pickled (under any start method but
-fork), a shard exhausts its retries, or the pool keeps breaking before
-any shard can run does the engine fall back to full serial evaluation
-(counted on the ``parallel.fallback`` metric) rather than failing the
-experiment.
+One ``ProcessPoolExecutor`` maps the shards in order.  An exception
+raised inside a worker propagates, as it would from a serial run.  When
+worker state cannot be pickled (under any start method but fork), or
+the pool itself fails (a worker killed mid-shard breaks it), the engine
+falls back to full serial evaluation, counted on the
+``parallel.fallback`` metric, rather than failing the experiment.
 """
 
 from __future__ import annotations
@@ -79,18 +61,15 @@ import multiprocessing
 import os
 import pickle
 import queue as _queue_mod
-import signal
 import threading
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import wait as _cf_wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.simulate import ShardResult, route_shard
-from repro.env import env_choice, env_number
 from repro.obs import events as _events
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import (
@@ -106,48 +85,17 @@ from repro.obs.metrics import (
 #: smooths out per-shard cost variance without drowning in task overhead.
 SHARDS_PER_WORKER = 4
 
-#: Environment variable forcing the pool start method (fork/spawn/forkserver).
-START_METHOD_ENV = "REPRO_START_METHOD"
-
-#: Environment variable bounding re-issues per lost shard.
-SHARD_RETRIES_ENV = "REPRO_SHARD_RETRIES"
-
-#: Re-issues granted to each lost shard before the serial fallback fires.
-DEFAULT_SHARD_RETRIES = 2
-
-#: Environment variable setting the per-shard timeout in seconds
-#: (unset/0 = no timeout, the default).
-SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
-
-#: How often the parent polls in-flight futures when a timeout is set.
-_POLL_INTERVAL_S = 0.05
-
-
-def shard_retry_limit(environ: Optional[Dict[str, str]] = None) -> int:
-    """Re-issues allowed per lost shard (``REPRO_SHARD_RETRIES``, >= 0)."""
-    return env_number(SHARD_RETRIES_ENV, DEFAULT_SHARD_RETRIES, kind=int,
-                      environ=environ)
-
-
-def shard_timeout(environ: Optional[Dict[str, str]] = None) -> Optional[float]:
-    """The per-shard timeout in seconds, or None when disabled (default)."""
-    return env_number(SHARD_TIMEOUT_ENV, 0.0, environ=environ) or None
-
 
 @dataclass
 class FallbackInfo:
     """Why the parallel engine reverted to serial, with the actual cause.
 
-    ``reason`` distinguishes the ways recovery can end: ``unpicklable``
-    (spawn payload never shipped), ``pool-failure`` (the pool broke
-    before any shard could run, rebuilding included), and
-    ``retry-exhausted`` (per-shard recovery ran and *gave up* — some
-    shard kept dying past ``REPRO_SHARD_RETRIES``).  A run that lost
-    shards but recovered has **no** fallback; its story lives in
-    :attr:`ParallelRunInfo.recovery` instead.
+    ``reason`` is ``unpicklable`` (the spawn payload never shipped) or
+    ``pool-failure`` (the pool broke: a worker died, or the pool could
+    not start or take a shard).
     """
 
-    reason: str        # "unpicklable" | "pool-failure" | "retry-exhausted"
+    reason: str        # "unpicklable" | "pool-failure"
     cause: str         # repr of the triggering exception
 
     def summary(self) -> str:
@@ -159,19 +107,16 @@ class ParallelRunInfo:
     """What the last ``evaluate_sharded`` call did, for manifests/reports.
 
     ``shards`` holds one JSON-ready dict per shard (id, pid, pairs,
-    sources, wall-clock start, duration, routed count, retry count,
-    straggler flag); ``stragglers`` the detection outcome over those
-    durations; ``recovery`` the fault-tolerance outcome (how many shards
-    were lost/re-issued across how many pool rebuilds, and whether the
-    run recovered or gave up).  Reset at the start of every parallel run,
-    so the CLI reads the state of the run it just performed.
+    sources, wall-clock start, duration, routed count, a retry count that
+    is always 0, straggler flag); ``stragglers`` the detection outcome
+    over those durations.  Reset at the start of every parallel run, so
+    the CLI reads the state of the run it just performed.
     """
 
     start_method: Optional[str] = None
     workers: int = 0
     shards: List[Dict] = field(default_factory=list)
     stragglers: Dict = field(default_factory=dict)
-    recovery: Dict = field(default_factory=dict)
     fallback: Optional[FallbackInfo] = None
 
 
@@ -235,17 +180,8 @@ def shard_pairs_by_source(pairs: Sequence[Tuple], workers: int,
 
 
 def _start_method() -> Optional[str]:
-    """The pool start method: the env override when valid, else fork.
-
-    An unrecognized ``REPRO_START_METHOD`` value applies the default
-    after a one-time ``RuntimeWarning`` (see
-    :func:`repro.env.env_choice`) — a typo must not silently exercise
-    the wrong start path.
-    """
-    methods = {method: method
-               for method in multiprocessing.get_all_start_methods()}
-    methods[""] = "fork" if "fork" in methods else None
-    return env_choice(START_METHOD_ENV, methods)
+    """The pool start method: fork where offered, else None (the default)."""
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +193,9 @@ def _start_method() -> Optional[str]:
 #: :func:`_trace_room`.
 _WORKER_STATE = None
 
-#: The worker's shard-start notification channel (a ``SimpleQueue`` whose
-#: synchronous pipe write survives the worker being killed right after):
-#: the parent uses it to attribute a pool breakage to the shards that had
-#: actually started.
-_STARTED_QUEUE = None
-
 
 def _init_worker(state, telemetry_enabled: bool, events_enabled: bool,
-                 live_queue, started_queue) -> None:
+                 live_queue) -> None:
     """Install the parent's state in a new worker, with fresh telemetry.
 
     *state* is the parent's ``(algebra, scheme, oracle, max_k,
@@ -278,9 +208,8 @@ def _init_worker(state, telemetry_enabled: bool, events_enabled: bool,
     *live_queue*, when given, becomes the worker's live event tee back to
     the parent's progress renderer.
     """
-    global _WORKER_STATE, _STARTED_QUEUE
+    global _WORKER_STATE
     _WORKER_STATE = pickle.loads(state) if isinstance(state, bytes) else state
-    _STARTED_QUEUE = started_queue
     if telemetry_enabled:
         _telemetry_enable()
     if events_enabled:
@@ -291,21 +220,13 @@ def _init_worker(state, telemetry_enabled: bool, events_enabled: bool,
     _events.reset_worker(live_queue=live_queue)
 
 
-def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
-    """Evaluate one shard attempt in a worker; ship back results + telemetry.
+def _run_shard(task: Tuple[int, List[Tuple]]) -> ShardResult:
+    """Evaluate one shard in a worker; ship back results + telemetry.
 
-    *task* is ``(shard_id, attempt, pairs)``; the attempt number feeds the
-    deterministic fault hook (a ``:once`` clause fires only on attempt 0,
-    so re-issued shards complete) and is stamped on the result for the
-    run manifest's retry column.
+    *task* is ``(shard_id, pairs)``.
     """
-    shard_id, attempt, shard = task
+    shard_id, shard = task
     algebra, scheme, oracle, max_k, trace_room = _WORKER_STATE
-    if _STARTED_QUEUE is not None:
-        try:
-            _STARTED_QUEUE.put((shard_id, attempt, os.getpid()))
-        except Exception:
-            pass  # a torn notification must never fail the shard
     events_on = _events.enabled()
     if events_on:
         _events.set_current_shard(shard_id)
@@ -314,8 +235,7 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
     # An active capture keeps route_shard from opening its own.
     with (nullcontext() if trace_room is None
           else _tracing.capture_traces(limit=trace_room)) as capture:
-        result = route_shard(algebra, scheme, oracle, shard, max_k=max_k,
-                             shard_id=shard_id, attempt=attempt)
+        result = route_shard(algebra, scheme, oracle, shard, max_k=max_k)
     if capture is not None:
         result.traces = tuple(capture.traces)
         result.traces_dropped = capture.dropped
@@ -323,7 +243,6 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
     result.pid = os.getpid()
     result.started_at = started_at
     result.duration_s = time.perf_counter() - start
-    result.attempt = attempt
     if _telemetry_enabled():
         # Hand each shard's telemetry over exactly once: detach the live
         # registry (kept intact for pickling) and start the next shard empty.
@@ -333,258 +252,33 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
     if events_on:
         _events.emit("shard_completed", shard=shard_id, pairs=len(shard),
                      routed=result.routed, delivered=result.delivered,
-                     duration_s=result.duration_s, attempt=attempt)
+                     duration_s=result.duration_s)
         result.events = _events.swap_log().events
         _events.set_current_shard(None)
     return result
 
 
 # ---------------------------------------------------------------------------
-# parent side: fault-tolerant shard execution
+# parent side
 # ---------------------------------------------------------------------------
 
 
-class _RetriesExhausted(Exception):
-    """A shard kept dying past its retry budget; serial fallback required."""
+def _map_shards(shards: List[List[Tuple]], workers: int, context,
+                initargs) -> List[ShardResult]:
+    """Evaluate *shards* on one pool; return their results in shard order.
 
-    def __init__(self, shard_id: int, attempts: int, cause: str):
-        super().__init__(
-            f"shard {shard_id} lost {attempts} time(s); last cause: {cause}")
-        self.shard_id = shard_id
-        self.attempts = attempts
-        self.cause = cause
-
-
-class _PoolUnavailable(Exception):
-    """The pool keeps breaking before any shard can run; retrying is futile."""
-
-
-def _drain_started(started_queue, started: Dict[int, Tuple]) -> None:
-    """Fold shard-start notifications into *started* (id -> time, pid).
-
-    The queue outlives its writers: a killed worker's notification is
-    already in the pipe, so draining after a pool breakage still tells
-    the parent which shards had started, and in which worker.
+    The pool shuts down without waiting for its workers to exit, so their
+    exit stays off the caller's clock, unless a live event queue rides
+    last in *initargs*: a spawn worker that is still starting opens that
+    queue's lock by name, so the queue must outlive every worker.
     """
-    try:
-        while not started_queue.empty():
-            shard_id, _attempt, pid = started_queue.get()
-            started.setdefault(shard_id, (time.monotonic(), pid))
-    except Exception:
-        pass  # a torn notification must not fail the round
-
-
-def _kill_pool(executor) -> None:
-    """Hard-stop a pool with a stuck worker.
-
-    ``shutdown(cancel_futures=True)`` alone cannot reclaim a worker stuck
-    inside a shard — it never returns to read the next work item — so the
-    workers are killed outright; the pool then marks itself broken, which
-    the caller handles like any other worker loss.
-    """
-    for process in list((getattr(executor, "_processes", None) or {}).values()):
-        try:
-            process.kill()
-        except Exception:
-            pass
-
-
-#: ``(queues, worker processes)`` of finished rounds; see
-#: :func:`_hold_queues`.
-_HELD_QUEUES: List[Tuple[Tuple, List]] = []
-
-
-def _hold_queues(executor, queues: Tuple) -> None:
-    """Keep *queues* referenced until *executor*'s workers have exited.
-
-    A spawn worker that is still starting opens each queue's lock by
-    name, and collecting a queue unlinks that name, so a round that
-    returns before its workers are up must not drop the queues it handed
-    them.  Each call prunes the entries whose workers have all exited
-    (by ``exitcode``: ``is_alive()`` raises in a forked child that
-    inherited this list).  At interpreter exit the executors join their
-    workers before multiprocessing unlinks any name.
-    """
-    _HELD_QUEUES[:] = [
-        (held, processes) for held, processes in _HELD_QUEUES
-        if any(process.exitcode is None for process in processes)]
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    _HELD_QUEUES.append((queues, processes))
-
-
-def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
-                    attempts: List[int], workers: int, context, initargs,
-                    timeout: Optional[float]
-                    ) -> Tuple[Dict[int, ShardResult], List[int], List[int], str]:
-    """Submit *todo* shards to one fresh pool and classify what came back.
-
-    Returns ``(results, lost, displaced, cause)``: *results* maps shard
-    id -> :class:`ShardResult` for every shard that completed — these are
-    the salvaged results a pool failure can no longer discard; *lost*
-    holds the shards whose worker died or that exceeded *timeout* — they
-    consume retry budget; *displaced* holds every other unfinished shard
-    (queued, unsubmitted, or torn down with the pool), re-issued for
-    free.  *cause* describes the triggering failure.
-    """
-    started_queue = context.SimpleQueue()
-    results: Dict[int, ShardResult] = {}
-    unfinished: List[int] = []
-    displaced: List[int] = []
-    cause = ""
-    started: Dict[int, Tuple] = {}
-    overdue: set = set()
-    processes: Dict = {}
-
     executor = ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                    initializer=_init_worker,
-                                   initargs=initargs + (started_queue,))
+                                   initargs=initargs)
     try:
-        futures = {}
-        for position, shard_id in enumerate(todo):
-            try:
-                future = executor.submit(
-                    _run_shard,
-                    (shard_id, attempts[shard_id], shards[shard_id]))
-            except BrokenProcessPool as exc:
-                # A worker died before every shard was submitted: this
-                # round broke at submit time.  The unsubmitted shards
-                # never reached a worker; the submitted ones are
-                # harvested and classified below like any breakage.
-                cause = repr(exc)
-                displaced.extend(todo[position:])
-                break
-            futures[future] = shard_id
-        pending = set(futures)
-        while pending:
-            processes.update(getattr(executor, "_processes", None) or {})
-            done, pending = _cf_wait(
-                pending, timeout=_POLL_INTERVAL_S if timeout else None)
-            _drain_started(started_queue, started)
-            for future in done:
-                shard_id = futures[future]
-                try:
-                    results[shard_id] = future.result()
-                except CancelledError:
-                    displaced.append(shard_id)
-                except (BrokenProcessPool, OSError) as exc:
-                    cause = cause or repr(exc)
-                    unfinished.append(shard_id)
-            if timeout and pending:
-                now = time.monotonic()
-                overdue = {futures[f] for f in pending
-                           if futures[f] in started
-                           and now - started[futures[f]][0] > timeout}
-                if overdue:
-                    cause = cause or f"shard timeout (>{timeout:g}s)"
-                    _kill_pool(executor)
-                    # Final harvest: a shard may have completed between
-                    # the wait and the kill — salvage it, don't re-run it.
-                    done, pending = _cf_wait(pending, timeout=0)
-                    for future in done:
-                        shard_id = futures[future]
-                        try:
-                            results[shard_id] = future.result()
-                        except Exception:
-                            unfinished.append(shard_id)
-                    unfinished.extend(futures[f] for f in pending)
-                    pending = set()
+        return list(executor.map(_run_shard, enumerate(shards)))
     finally:
-        # The run's live-event queue rides last in *initargs*.
-        _hold_queues(executor, (started_queue, initargs[-1]))
-        # A broken pool's manager thread reaps its workers: waiting for
-        # it settles their exit codes.
-        executor.shutdown(wait=bool(unfinished), cancel_futures=True)
-    # Charged: the shards the pool was killed for, else those whose worker
-    # died — the executor terminates a broken pool's survivors (SIGTERM).
-    dead = {pid for pid, process in processes.items()
-            if process.exitcode not in (None, -signal.SIGTERM)
-            } if unfinished and not overdue else set()
-    lost = [shard_id for shard_id in unfinished if shard_id in overdue
-            or started.get(shard_id, (0.0, None))[1] in dead]
-    displaced.extend(shard_id for shard_id in unfinished
-                     if shard_id not in lost)
-    return results, sorted(lost), sorted(displaced), cause
-
-
-def _execute_shards(shards: List[List[Tuple]], workers: int, context,
-                    initargs, run_info: ParallelRunInfo) -> List[ShardResult]:
-    """Run every shard to completion, salvaging results across pool failures.
-
-    The fault-tolerance core: on a worker death or per-shard timeout the
-    already-completed results are kept, the pool is rebuilt, and only the
-    lost shards are re-issued with their attempt number bumped (bounded
-    by ``REPRO_SHARD_RETRIES``).  Emits ``shard_lost`` / ``pool_rebuilt``
-    / ``shard_retried`` events and the ``parallel.shard_retries`` /
-    ``parallel.pool_rebuilds`` counters; the aggregate lands on
-    ``run_info.recovery``.  Raises :class:`_RetriesExhausted` when a
-    shard keeps dying, :class:`_PoolUnavailable` when the pool breaks
-    twice in a row before any shard runs — the caller maps both onto the
-    full-serial last-resort fallback.
-    """
-    retries = shard_retry_limit()
-    timeout = shard_timeout()
-    events_on = _events.enabled()
-    telemetry = _telemetry()
-    results: Dict[int, ShardResult] = {}
-    attempts = [0] * len(shards)
-    todo = list(range(len(shards)))
-    barren_rounds = 0
-    lost_total = 0
-    displaced_total = 0
-    rebuilds = 0
-    while todo:
-        round_results, lost, displaced, cause = _run_pool_round(
-            shards, todo, attempts, min(workers, len(todo)), context,
-            initargs, timeout)
-        results.update(round_results)
-        todo = sorted(lost + displaced)
-        if not todo:
-            break
-        if not round_results and not lost:
-            # Nothing completed and nothing even started: the pool broke
-            # before any shard ran (e.g. the initializer keeps dying), so
-            # rebuilding cannot converge.
-            barren_rounds += 1
-            if barren_rounds >= 2:
-                raise _PoolUnavailable(
-                    cause or "pool broke before any shard ran")
-        else:
-            barren_rounds = 0
-        rebuilds += 1
-        lost_total += len(lost)
-        displaced_total += len(displaced)
-        for shard_id in lost:
-            if events_on:
-                _events.emit("shard_lost", shard=shard_id, cause=cause,
-                             attempt=attempts[shard_id])
-            attempts[shard_id] += 1
-            if attempts[shard_id] > retries:
-                run_info.recovery = _recovery_summary(
-                    lost_total, displaced_total, rebuilds, recovered=False)
-                raise _RetriesExhausted(shard_id, attempts[shard_id], cause)
-        if lost:
-            telemetry.counter("parallel.shard_retries").inc(len(lost))
-        telemetry.counter("parallel.pool_rebuilds").inc()
-        if events_on:
-            _events.emit("pool_rebuilt", round=rebuilds, lost=len(lost),
-                         displaced=len(displaced), cause=cause)
-            for shard_id in lost:
-                _events.emit("shard_retried", shard=shard_id,
-                             attempt=attempts[shard_id], cause=cause)
-    if rebuilds:
-        run_info.recovery = _recovery_summary(
-            lost_total, displaced_total, rebuilds, recovered=True)
-    return [results[shard_id] for shard_id in range(len(shards))]
-
-
-def _recovery_summary(lost: int, displaced: int, rebuilds: int,
-                      recovered: bool) -> Dict:
-    return {
-        "shards_lost": lost,
-        "shards_displaced": displaced,
-        "pool_rebuilds": rebuilds,
-        "recovered": recovered,
-    }
+        executor.shutdown(wait=initargs[-1] is not None, cancel_futures=True)
 
 
 def _match_indices(shard: List[Tuple], index_list: List[int],
@@ -675,12 +369,9 @@ def _fold_traces(shards: List[List[Tuple]], index_lists: List[List[int]],
 def _fold_worker_telemetry(results: List[ShardResult]) -> None:
     """Merge worker registries and span logs into this process's.
 
-    :func:`_execute_shards` returns results ordered by shard id (whatever
-    pool a shard's final attempt ran in), so the folded span log (and the
-    event fold below) is deterministic in **shard order** no matter which
-    worker ran which shard when — and each shard's telemetry folds
-    exactly once: a killed attempt's partial telemetry died with its
-    worker, and only the completing attempt ships a registry.
+    :func:`_map_shards` returns results in shard order, so the folded
+    span log (and the event fold below) is deterministic in **shard
+    order** no matter which worker ran which shard when.
     """
     live = _live_registry()
     for result in results:
@@ -730,7 +421,8 @@ def _record_shard_timings(shards: List[List[Tuple]],
             "started_at": result.started_at,
             "duration_s": result.duration_s,
             "routed": result.routed,
-            "retries": result.attempt or 0,
+            # No shard is retried; perfbench's shard-table reader sums this.
+            "retries": 0,
             "straggler": result.shard_id in flagged_set,
         })
     if flagged:
@@ -843,16 +535,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     try:
         with _tracing.span("route_pairs_parallel", scheme=scheme.name,
                            workers=str(workers), shards=str(len(shards))):
-            results = _execute_shards(shards, workers, context, initargs,
-                                      run_info)
-    except _RetriesExhausted as exc:
-        return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
-                                trace_limit, reason="retry-exhausted",
-                                cause=str(exc))
-    except _PoolUnavailable as exc:
-        return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
-                                trace_limit, reason="pool-failure",
-                                cause=str(exc))
+            results = _map_shards(shards, workers, context, initargs)
     except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
         return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
                                 trace_limit, reason="pool-failure",
@@ -886,5 +569,4 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     merged.pid = None
     merged.started_at = None
     merged.duration_s = None
-    merged.attempt = None
     return merged

@@ -33,7 +33,6 @@ exact, so the report is bit-identical to a serial run.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import threading
 import time
@@ -72,119 +71,6 @@ HEARTBEATS_PER_SHARD = 4
 
 #: Seconds between live-only heartbeats on long quiet stretches.
 LIVE_HEARTBEAT_INTERVAL_S = 0.5
-
-#: Environment variable holding the deterministic fault-injection spec.
-FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
-
-#: Default sleep of a ``hang`` fault clause without an explicit duration —
-#: long enough that any configured shard timeout fires first.
-DEFAULT_HANG_SECONDS = 60.0
-
-
-# ---------------------------------------------------------------------------
-# deterministic fault injection (the parallel engine's test hook)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultClause:
-    """One parsed clause of ``REPRO_FAULT_SPEC``.
-
-    ``action`` is ``kill`` (SIGKILL the worker process — indistinguishable
-    from an OOM kill), ``hang`` (sleep, for exercising the per-shard
-    timeout) or ``raise`` (raise :class:`InjectedFault`, which propagates
-    like any worker bug).  ``once`` restricts the clause to a shard's
-    first attempt, so a retried shard completes — that is what makes
-    recovery testable without external coordination: attempt numbers are
-    threaded from the parent, so "fire once" needs no cross-process state.
-    """
-
-    action: str
-    shard: int
-    once: bool = False
-    seconds: float = DEFAULT_HANG_SECONDS
-
-
-class InjectedFault(RuntimeError):
-    """The exception a ``raise`` fault clause throws inside a worker."""
-
-
-_FAULT_ACTIONS = ("kill", "hang", "raise")
-_FAULT_SPEC_CACHE: Dict[str, Tuple[FaultClause, ...]] = {}
-
-
-def parse_fault_spec(spec: str) -> Tuple[FaultClause, ...]:
-    """Parse a fault spec: ``;``-separated ``action:shard=N[:once]`` clauses.
-
-    ``action`` is ``kill``, ``raise``, ``hang`` or ``hang=SECONDS``.
-    Examples: ``kill:shard=3:once``, ``hang=2.5:shard=0:once``,
-    ``kill:shard=1:once;raise:shard=4``.  Malformed specs raise
-    ``ValueError`` — a typo'd fault must fail loudly, never silently
-    inject nothing.
-    """
-    clauses = []
-    for raw in spec.split(";"):
-        raw = raw.strip()
-        if not raw:
-            continue
-        fields = [f.strip() for f in raw.split(":")]
-        action, _, arg = fields[0].partition("=")
-        if action not in _FAULT_ACTIONS:
-            raise ValueError(f"unknown fault action {fields[0]!r} in {spec!r}")
-        seconds = DEFAULT_HANG_SECONDS
-        if arg:
-            if action != "hang":
-                raise ValueError(f"only 'hang' takes a duration: {raw!r}")
-            seconds = float(arg)
-        shard = None
-        once = False
-        for field_ in fields[1:]:
-            if field_ == "once":
-                once = True
-            elif field_.startswith("shard="):
-                shard = int(field_[len("shard="):])
-            else:
-                raise ValueError(f"unknown fault field {field_!r} in {spec!r}")
-        if shard is None:
-            raise ValueError(f"fault clause {raw!r} needs shard=N")
-        clauses.append(FaultClause(action=action, shard=shard, once=once,
-                                   seconds=seconds))
-    return tuple(clauses)
-
-
-def maybe_inject_fault(shard_id: Optional[int], attempt: int = 0) -> None:
-    """Fire any ``REPRO_FAULT_SPEC`` clause matching this shard attempt.
-
-    A no-op unless the environment carries a spec **and** *shard_id* is
-    set — serial evaluation (and the serial fallback) never injects, so a
-    stray spec cannot kill the parent process.  Workers read the spec
-    from their own environment, which both fork and spawn children
-    inherit, so the hook behaves identically under either start method.
-    """
-    if shard_id is None:
-        return
-    spec = os.environ.get(FAULT_SPEC_ENV, "").strip()
-    if not spec:
-        return
-    clauses = _FAULT_SPEC_CACHE.get(spec)
-    if clauses is None:
-        clauses = parse_fault_spec(spec)
-        _FAULT_SPEC_CACHE[spec] = clauses
-    for clause in clauses:
-        if clause.shard != shard_id:
-            continue
-        if clause.once and attempt != 0:
-            continue
-        if clause.action == "kill":
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif clause.action == "hang":
-            time.sleep(clause.seconds)
-        else:
-            raise InjectedFault(
-                f"injected fault on shard {shard_id} attempt {attempt}")
-
 
 def as_rng(rng: Union[int, random.Random, None]) -> Optional[random.Random]:
     """Normalize a seed to a ``random.Random`` (``None`` passes through)."""
@@ -952,9 +838,6 @@ class ShardResult:
     pid: Optional[int] = None
     started_at: Optional[float] = None
     duration_s: Optional[float] = None
-    #: Which attempt produced this result (0 = first issue); >0 means the
-    #: shard was re-issued after a worker loss or timeout.
-    attempt: Optional[int] = None
 
     def merge(self, other: "ShardResult") -> None:
         self.routed += other.routed
@@ -968,9 +851,7 @@ class ShardResult:
 
 def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
                 oracle: WeightOracle, pairs: Iterable[Tuple],
-                max_k: int = 16, trace_limit: int = 16,
-                shard_id: Optional[int] = None,
-                attempt: int = 0) -> ShardResult:
+                max_k: int = 16, trace_limit: int = 16) -> ShardResult:
     """Route *pairs* through *scheme*, verifying each against *oracle*.
 
     Unreachable pairs (preferred weight ``PHI``) are skipped — the model
@@ -992,12 +873,7 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
     exactly this shard's sources (the ``oracle_trees`` span), so the
     evaluation itself stays pure lookup and a shard touching ``k``
     sources costs ``k`` tree builds, not ``n``.
-
-    *shard_id*/*attempt* identify this invocation to the deterministic
-    fault-injection hook (:func:`maybe_inject_fault`); both are None/0 on
-    serial runs, which therefore never inject.
     """
-    maybe_inject_fault(shard_id, attempt)
     events_on = _events.enabled()
     pairs = list(pairs)
     # The shard's distinct sources in first-appearance order — the same

@@ -1,7 +1,7 @@
 """The one reader of the ``REPRO_*`` environment overrides.
 
-Flags, non-negative numbers and choices each follow one parse rule,
-given below; ``docs/EVALUATION_API.md`` lists every variable.
+Flags and choices each follow one parse rule, given below;
+``docs/EVALUATION_API.md`` lists every variable.
 """
 
 from __future__ import annotations
@@ -26,24 +26,6 @@ def env_flag(name: str, environ: Optional[Mapping[str, str]] = None) -> bool:
     """
     environ = os.environ if environ is None else environ
     return str(environ.get(name, "")).strip().lower() in _TRUE_VALUES
-
-
-def env_number(name: str, default, kind=float,
-               environ: Optional[Mapping[str, str]] = None):
-    """The non-negative ``kind`` value of *name*, or *default*.
-
-    *default* applies when the variable is unset, does not parse as
-    *kind* (``int`` or ``float``), or is negative.
-    """
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(name, "")).strip()
-    if not raw:
-        return default
-    try:
-        value = kind(raw)
-    except ValueError:
-        return default
-    return value if value >= 0 else default
 
 
 def env_choice(name: str, aliases: Dict[str, Optional[str]],
@@ -72,8 +54,7 @@ def env_choice(name: str, aliases: Dict[str, Optional[str]],
     default = aliases[""]
     if (name, raw.lower()) not in _WARNED:
         _WARNED.add((name, raw.lower()))
-        applied = repr(default) if default is not None else "the platform default"
-        warnings.warn(f"unrecognized {name} value {raw!r}; using {applied} "
+        warnings.warn(f"unrecognized {name} value {raw!r}; using {default!r} "
                       f"(recognized: {_recognized(aliases)})",
                       RuntimeWarning, stacklevel=3)
     return default

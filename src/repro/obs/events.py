@@ -68,9 +68,6 @@ EVENT_KINDS = frozenset({
     "shard_dispatched",
     "shard_heartbeat",
     "shard_completed",
-    "shard_lost",
-    "shard_retried",
-    "pool_rebuilt",
     "oracle_trees_built",
     "phase_entered",
     "phase_exited",
@@ -344,7 +341,6 @@ def build_manifest(*, command: str, config: Dict, engine: Dict,
                    started_at: float, finished_at: float,
                    shards: Optional[List[Dict]] = None,
                    stragglers: Optional[Dict] = None,
-                   recovery: Optional[Dict] = None,
                    counters: Optional[Dict] = None,
                    spans: Optional[List[Dict]] = None,
                    report: Optional[Dict] = None) -> Dict:
@@ -353,10 +349,9 @@ def build_manifest(*, command: str, config: Dict, engine: Dict,
     *config* is the experiment recipe (policy, topology, n, seed, workers
     ...), *engine* the resolved execution strategy (start method, path
     engine), *shards* the per-shard timing/dispatch table the parallel
-    engine collected, *recovery* its fault-tolerance outcome (shards
-    lost/re-issued, pool rebuilds), *counters* the final metric snapshot
-    and *spans* the phase-span log — everything ``repro report`` needs to
-    rebuild the run without re-running it.
+    engine collected, *counters* the final metric snapshot and *spans*
+    the phase-span log — everything ``repro report`` needs to rebuild the
+    run without re-running it.
     """
     manifest = {
         "version": 1,
@@ -369,7 +364,6 @@ def build_manifest(*, command: str, config: Dict, engine: Dict,
         "duration_s": max(0.0, finished_at - started_at),
         "shards": list(shards or []),
         "stragglers": dict(stragglers or {}),
-        "recovery": dict(recovery or {}),
     }
     if counters is not None:
         manifest["metrics"] = counters

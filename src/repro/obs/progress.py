@@ -103,14 +103,6 @@ class ProgressRenderer:
                 if isinstance(pairs, int):
                     self._pairs_done[event.shard] = pairs
                 self._workers[event.pid] = None
-            elif kind == "shard_lost":
-                # The shard will be re-issued from scratch: roll back its
-                # partial pair count and retire the dead worker's slot so
-                # the active count reflects the rebuilt pool.
-                self._pairs_done.pop(event.shard, None)
-                for pid, shard in list(self._workers.items()):
-                    if shard == event.shard:
-                        self._workers[pid] = None
             else:
                 return
             self._dirty = True
@@ -264,7 +256,7 @@ def render_run_report(manifest: Dict,
         max_duration = max(((s.get("duration_s") or 0.0) for s in shards),
                            default=0.0)
         lines.append(f"  {'id':>4s} {'pid':>7s} {'pairs':>6s} {'srcs':>5s} "
-                     f"{'hb':>4s} {'rt':>3s} {'start':>8s} {'dur':>8s}")
+                     f"{'hb':>4s} {'start':>8s} {'dur':>8s}")
         for info in shards:
             shard_id = info.get("shard")
             duration = info.get("duration_s") or 0.0
@@ -273,8 +265,7 @@ def render_run_report(manifest: Dict,
             lines.append(
                 f"  {shard_id!s:>4s} {info.get('pid')!s:>7s} "
                 f"{info.get('pairs')!s:>6s} {info.get('sources')!s:>5s} "
-                f"{heartbeats.get(shard_id, 0):>4d} "
-                f"{info.get('retries') or 0:>3d} {offset:>+7.3f}s "
+                f"{heartbeats.get(shard_id, 0):>4d} {offset:>+7.3f}s "
                 f"{duration:>7.3f}s  {_shard_bar(duration, max_duration)}{flag}")
 
         stragglers = manifest.get("stragglers") or {}
@@ -286,14 +277,6 @@ def render_run_report(manifest: Dict,
             + (f" — shards {flagged}" if flagged else ""))
     else:
         lines.append("  none (serial run)")
-
-    recovery = manifest.get("recovery") or {}
-    if recovery:
-        verb = "recovered" if recovery.get("recovered") else "gave up"
-        lines.append(
-            f"recovery: {verb} — lost {recovery.get('shards_lost', 0)}, "
-            f"displaced {recovery.get('shards_displaced', 0)}, "
-            f"pool rebuilds {recovery.get('pool_rebuilds', 0)}")
 
     fallbacks = [event for event in events if event.kind == "fallback_triggered"]
     for event in fallbacks:

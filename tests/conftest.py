@@ -26,3 +26,34 @@ def _sabotaged(scheme, table: str, rows: dict):
 def sabotaged():
     """``sabotaged(scheme, table, rows)``: a broken copy of a built scheme."""
     return _sabotaged
+
+
+@pytest.fixture
+def in_workers(monkeypatch):
+    """``in_workers(fault)``: run *fault* before every shard a worker routes.
+
+    Patches ``parallel.route_shard`` with a wrapper that acts only outside
+    the test's own process: forked workers inherit the patch, while the
+    parent's own calls (the serial fallback) pass straight through.
+    Spawned workers import the module afresh, so tests using this
+    fixture skip where the platform offers no fork.
+    """
+    import multiprocessing
+    import os
+
+    from repro.core import parallel
+    from repro.core.simulate import route_shard
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("workers inherit a patched route_shard only under fork")
+    parent = os.getpid()
+
+    def patch(fault):
+        def faulty_route_shard(*args, **kwargs):
+            if os.getpid() != parent:
+                fault()
+            return route_shard(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "route_shard", faulty_route_shard)
+
+    return patch

@@ -7,12 +7,7 @@ import pytest
 from repro.algebra.bgp import valley_free_algebra
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
-from repro.core.parallel import (
-    evaluate_sharded,
-    shard_pairs_by_source,
-    shard_retry_limit,
-    shard_timeout,
-)
+from repro.core.parallel import evaluate_sharded, shard_pairs_by_source
 from repro.core.simulate import (
     EvaluationOptions,
     evaluate_scheme,
@@ -221,63 +216,3 @@ class TestEvaluateShardedDirect:
         direct = route_shard(algebra, scheme, oracle, pairs)
         assert merged.routed == direct.routed
         assert merged.stretch == direct.stretch
-
-
-class TestStartMethodResolution:
-    def test_invalid_env_value_warns_once_and_defaults(self, monkeypatch):
-        import multiprocessing
-        import warnings
-
-        from repro import env as env_mod
-        from repro.core.parallel import START_METHOD_ENV, _start_method
-
-        monkeypatch.setenv(START_METHOD_ENV, "hyperthread")
-        monkeypatch.setattr(env_mod, "_WARNED", set())
-        expected = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                    else None)
-        with pytest.warns(RuntimeWarning, match="hyperthread"):
-            assert _start_method() == expected
-        # one warning per bad value per process: the repeat is silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _start_method() == expected
-
-    def test_valid_env_value_does_not_warn(self, monkeypatch):
-        import warnings
-
-        from repro import env as env_mod
-        from repro.core.parallel import START_METHOD_ENV, _start_method
-
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        monkeypatch.setattr(env_mod, "_WARNED", set())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _start_method() == "spawn"
-
-
-class TestShardRetryAndTimeout:
-    """``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` parse rules."""
-
-    def test_retry_limit(self):
-        assert shard_retry_limit({}) == 2
-        assert shard_retry_limit({"REPRO_SHARD_RETRIES": ""}) == 2
-        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "lots"}) == 2
-        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "1.5"}) == 2
-        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "-1"}) == 2
-        assert shard_retry_limit({"REPRO_SHARD_RETRIES": " 5 "}) == 5
-        assert shard_retry_limit({"REPRO_SHARD_RETRIES": "0"}) == 0
-
-    def test_timeout(self):
-        assert shard_timeout({}) is None
-        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "soon"}) is None
-        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "-3"}) is None
-        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "2.5"}) == 2.5
-        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "7"}) == 7.0
-        # 0 means no timeout
-        assert shard_timeout({"REPRO_SHARD_TIMEOUT": "0"}) is None
-
-    def test_default_reads_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_RETRIES", "4")
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "1.25")
-        assert shard_retry_limit() == 4
-        assert shard_timeout() == 1.25

@@ -14,8 +14,8 @@ import pytest
 
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
+from repro.core import parallel as parallel_engine
 from repro.core.parallel import (
-    START_METHOD_ENV,
     evaluate_sharded,
     last_fallback,
     last_run_info,
@@ -188,7 +188,7 @@ class TestFallbackCause:
 
     @pytest.fixture(autouse=True)
     def force_spawn(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
+        monkeypatch.setattr(parallel_engine, "_start_method", lambda: "spawn")
 
     def test_unpicklable_scheme_reports_cause(self):
         graph, algebra, scheme = _instance(seed=9)

@@ -1,12 +1,12 @@
 """Parallel evaluation under a forced ``spawn`` start method.
 
-Linux defaults to ``fork``, so CI would otherwise never exercise the
-pickled worker state: the parent's scheme and the caller's oracle,
-unpickled by the worker initializer (workers answer from that oracle and
-build only the trees it lacks), and the fall-back to serial evaluation
-when that state cannot be pickled.  ``REPRO_START_METHOD=spawn`` forces
-that path; CI runs this module under the same variable as a dedicated
-step.
+The engine forks wherever the platform offers it, so Linux would
+otherwise never exercise the pickled worker state: the parent's scheme
+and the caller's oracle, unpickled by the worker initializer (workers
+answer from that oracle and build only the trees it lacks), the trace
+room that rides with them, and the fall-back to serial evaluation when
+that state cannot be pickled.  Each test forces that path by patching
+``parallel._start_method``.
 """
 
 import os
@@ -20,18 +20,12 @@ import repro
 from repro.algebra.base import PHI
 from repro.algebra.bgp import valley_free_algebra
 from repro.algebra.catalog import ShortestPath
+from repro.core import parallel as parallel_engine
 from repro.core.compiler import build_scheme
-from repro.core.parallel import (
-    START_METHOD_ENV,
-    _start_method,
-    evaluate_sharded,
-    last_run_info,
-)
+from repro.core.parallel import evaluate_sharded, last_run_info
 from repro.core.simulate import (
-    FAULT_SPEC_ENV,
     EvaluationOptions,
     evaluate_scheme,
-    finalize_report,
     oracle_cache,
     preferred_weight_oracle,
 )
@@ -55,7 +49,7 @@ def force_spawn(monkeypatch):
     belt-and-braces ``PYTHONPATH`` keeps the suite robust when it is run
     from an installed checkout or an unusual launcher.
     """
-    monkeypatch.setenv(START_METHOD_ENV, "spawn")
+    monkeypatch.setattr(parallel_engine, "_start_method", lambda: "spawn")
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     existing = os.environ.get("PYTHONPATH")
     monkeypatch.setenv("PYTHONPATH", src_dir + (
@@ -82,10 +76,6 @@ def _sp_instance(n=16, seed=1):
     return graph, algebra, build_scheme(graph, algebra)
 
 
-def test_env_override_selects_spawn():
-    assert _start_method() == "spawn"
-
-
 class TestSpawnMergeExactness:
     def test_identical_report_shortest_path(self):
         graph, algebra, scheme = _sp_instance()
@@ -94,6 +84,7 @@ class TestSpawnMergeExactness:
             graph, algebra, scheme, options=EvaluationOptions(workers=2))
         assert parallel == serial
         assert parallel.failures == serial.failures
+        assert last_run_info().start_method == "spawn"
 
     def test_identical_report_bgp(self):
         algebra = valley_free_algebra()
@@ -113,6 +104,25 @@ class TestSpawnMergeExactness:
             options=EvaluationOptions(workers=2, shard_size=20))
         assert serial.failures
         assert parallel.failures == serial.failures
+
+    def test_caller_capture_keeps_serial_traces(self):
+        """A caller's capture above ``trace_limit`` (16), telemetry off:
+        the pickled trace room still brings back the serial run's traces,
+        in order, and its drop count."""
+        graph, algebra, scheme = _sp_instance(n=24)
+
+        def traced(workers):
+            with obs_tracing.capture_traces(limit=40) as capture:
+                evaluate_scheme(graph, algebra, scheme,
+                                options=EvaluationOptions(workers=workers))
+            return ([(trace.source, trace.target) for trace in capture.traces],
+                    capture.dropped)
+
+        serial = traced(None)
+        parallel = traced(2)
+        assert len(serial[0]) == 40
+        assert parallel == serial
+        assert last_run_info().fallback is None
 
 
 class TestSpawnOracleSlicing:
@@ -172,16 +182,22 @@ class TestSpawnWorkerState:
         assert counters.counter("oracle.trees_built").value == 0
 
 
-#: Four two-worker evaluations in one interpreter: a spawn worker still
-#: starting when its round returns must find the round's queues alive.
+#: Four two-worker evaluations in one interpreter, each feeding a live
+#: event consumer: a spawn worker still starting when its run returns
+#: must find the run's live event queue alive.
 _FOUR_EVALUATIONS = """
 import random
+from repro.core import parallel
+parallel._start_method = lambda: "spawn"
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
 from repro.core.simulate import EvaluationOptions, evaluate_scheme
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
+from repro.obs import events
 
+events.enable()
+events.set_live_consumer(lambda event: None)
 algebra = ShortestPath()
 graph = erdos_renyi(24, rng=random.Random(1))
 assign_random_weights(graph, algebra, rng=random.Random(2))
@@ -193,7 +209,7 @@ for _ in range(4):
 
 
 def test_spawn_runs_print_no_worker_traceback():
-    # The child inherits the fixture's environment: spawn, and repro on
+    # The script forces spawn itself; the child inherits the fixture's
     # PYTHONPATH.
     completed = subprocess.run(
         [sys.executable, "-c", _FOUR_EVALUATIONS],
@@ -218,61 +234,6 @@ class TestSpawnPickleFallback:
         obs_tracing.clear_spans()
         again = evaluate_scheme(graph, algebra, scheme)
         assert parallel == again == serial
-
-
-class TestSpawnWorkerLossRecovery:
-    """SIGKILL a spawn worker mid-shard and recover without fallback.
-
-    The spawn twin of ``test_parallel_faults.py``: a single worker makes
-    the shard start order deterministic, so ``kill:shard=2:once`` loses
-    exactly one shard — the engine must salvage completed results,
-    rebuild the pool, re-issue the lost shard, and merge bit-identically.
-    """
-
-    def test_killed_worker_recovers_bit_identical(self, monkeypatch):
-        graph, algebra, scheme = _sp_instance()
-        serial = evaluate_scheme(graph, algebra, scheme)
-        monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=2:once")
-        oracle = preferred_weight_oracle(graph, algebra)
-        pairs = [(s, t) for s in graph.nodes() for t in graph.nodes()
-                 if s != t]
-        telemetry_enable()
-        obs_events.enable()
-        merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
-                                  workers=1, shard_size=40)
-        assert finalize_report(scheme, merged) == serial
-
-        run = last_run_info()
-        assert run.fallback is None
-        assert run.recovery == {"shards_lost": 1,
-                                "shards_displaced": len(run.shards) - 3,
-                                "pool_rebuilds": 1, "recovered": True}
-
-        # Retry events land in the durable log, exactly once each.
-        log = obs_events.events()
-        assert [e.shard for e in log if e.kind == "shard_lost"] == [2]
-        retried = [e for e in log if e.kind == "shard_retried"]
-        assert [(e.shard, e.data["attempt"]) for e in retried] == [(2, 1)]
-        assert len([e for e in log if e.kind == "pool_rebuilt"]) == 1
-
-        # Telemetry from salvaged shards folds exactly once: the killed
-        # attempt died before its fold, so the per-shard histogram has
-        # one sample per shard, completions cover each shard once, and
-        # the folded pair total equals the request — any double fold
-        # would overshoot all three.
-        shard_seconds = telemetry_registry().histogram(
-            "parallel.shard_seconds")
-        assert shard_seconds.count == len(run.shards)
-        completions = [e for e in log if e.kind == "shard_completed"]
-        assert len(completions) == len(run.shards)
-        assert sum(e.data["pairs"] for e in completions) == len(pairs)
-        # Tree builds stay bounded by per-shard needs: the rebuilt
-        # worker re-ensures only the retried shard's sources (a source
-        # whose pair block spans the kill boundary is rebuilt once by
-        # the fresh worker, never the whole graph again).
-        built = telemetry_registry().counter("oracle.trees_built").value
-        per_shard_sources = sum(info["sources"] for info in run.shards)
-        assert graph.number_of_nodes() <= built <= per_shard_sources
 
 
 class TestSpawnEventFoldDeterminism:

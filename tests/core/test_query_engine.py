@@ -45,7 +45,8 @@ from repro.algebra.lexicographic import (
     shortest_widest_path,
     widest_shortest_path,
 )
-from repro.core.parallel import START_METHOD_ENV, last_run_info
+from repro.core import parallel as parallel_engine
+from repro.core.parallel import last_run_info
 from repro.core.simulate import (
     MAX_REPORTED_FAILURES,
     EvaluationOptions,
@@ -679,7 +680,7 @@ class TestReadOnlyTables:
 class TestSharedQueryTables:
     @needs_numpy
     def test_spawn_workers_match_serial_reference(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
+        monkeypatch.setattr(parallel_engine, "_start_method", lambda: "spawn")
         src_dir = os.path.dirname(
             os.path.dirname(os.path.abspath(repro.__file__)))
         existing = os.environ.get("PYTHONPATH")

@@ -188,30 +188,12 @@ class TestRenderRunReport:
         text = progress.render_run_report(manifest, [])
         assert "shards:" in text
 
-    def test_retry_column_and_recovery_line(self):
-        manifest = self._manifest()
-        manifest["shards"][1]["retries"] = 1
-        manifest["recovery"] = {"shards_lost": 1, "shards_displaced": 0,
-                                "pool_rebuilds": 1, "recovered": True}
-        text = progress.render_run_report(manifest, [])
-        shard_lines = [line for line in text.splitlines()
-                       if line.strip().startswith(("0 ", "1 "))]
-        # Column order: id pid pairs srcs hb rt start dur.
-        assert shard_lines[0].split()[5] == "0"
-        assert shard_lines[1].split()[5] == "1"
-        assert "recovery: recovered — lost 1, displaced 0, " \
-               "pool rebuilds 1" in text
-
-    def test_renderer_rolls_back_lost_shard(self):
-        renderer = progress.ProgressRenderer(io.StringIO(), total_pairs=8)
-        renderer.handle(_event("shard_dispatched", shard=0, pairs=4))
-        renderer.handle(_event("shard_heartbeat", shard=0, pid=50,
-                               pairs_done=3, pairs_total=4))
-        assert "pairs 3/8" in renderer._status_line()
-        assert "active 1/1" in renderer._status_line()
-        renderer.handle(_event("shard_lost", shard=0, pid=50, attempt=0))
-        assert "pairs 0/8" in renderer._status_line()
-        assert "active 0/1" in renderer._status_line()
+    def test_shard_table_columns(self):
+        text = progress.render_run_report(self._manifest(), [])
+        header = next(line for line in text.splitlines()
+                      if line.split()[:1] == ["id"])
+        assert header.split() == ["id", "pid", "pairs", "srcs", "hb",
+                                  "start", "dur"]
 
     def test_span_tree_orders_parents_first(self):
         lines = progress._format_span_tree([

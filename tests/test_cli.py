@@ -236,21 +236,19 @@ class TestEvaluateJson:
         assert parallel["workers"] == 2
         assert parallel["start_method"]
         assert parallel["fallback"] is None
-        assert parallel["recovery"] is None
+        assert "recovery" not in parallel
         assert payload["report"] == self._evaluate(capsys)["report"]
 
-    def test_exhausted_retries_report_the_serial_fallback(self, capsys,
-                                                          monkeypatch):
-        from repro.core.parallel import SHARD_RETRIES_ENV
-        from repro.core.simulate import FAULT_SPEC_ENV
+    def test_killed_worker_reports_the_serial_fallback(self, capsys,
+                                                       in_workers):
+        import os
+        import signal
 
         serial = self._evaluate(capsys)
-        monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=0")
-        monkeypatch.setenv(SHARD_RETRIES_ENV, "0")
+        in_workers(lambda: os.kill(os.getpid(), signal.SIGKILL))
         payload = self._evaluate(capsys, "--workers", "2")
         parallel = payload["parallel"]
         assert parallel["workers"] == 2
-        assert parallel["fallback"]["reason"] == "retry-exhausted"
+        assert parallel["fallback"]["reason"] == "pool-failure"
         assert parallel["fallback"]["cause"]
-        assert parallel["recovery"]["recovered"] is False
         assert payload["report"] == serial["report"]

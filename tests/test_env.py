@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.parallel import _start_method
 from repro.routing.query_engine import resolve_query_engine
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -17,7 +16,6 @@ _NAME = re.compile(r"REPRO_[A-Z_]+")
 
 @pytest.mark.parametrize("name, resolve", [
     ("REPRO_QUERY_ENGINE", resolve_query_engine),
-    ("REPRO_START_METHOD", _start_method),
 ])
 def test_bad_choice_warns_once_and_applies_the_default(monkeypatch, name,
                                                        resolve):
