@@ -46,7 +46,7 @@ from repro.obs import tracing as _obs_tracing
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 
-from repro.algebra.base import PHI, RoutingAlgebra, is_phi
+from repro.algebra.base import PHI, RoutingAlgebra, is_phi, key_codec
 from repro.algebra.bgp import BGPAlgebra
 from repro.algebra.lexicographic import LexicographicProduct
 from repro.algebra.catalog import ShortestPath, WidestPath
@@ -117,6 +117,8 @@ class PreferredWeightOracle:
       Cowen and destination-table schemes are built from — and
       :meth:`paths` one source's preferred paths, which pair tables
       install;
+    * :meth:`key_rows` and :meth:`parent_rows`, its row read side, hand
+      out the same trees over node indexes (built from the maps for now);
     * it picks the path engine: two or more missing trees build in the
       vectorized sweeps of :mod:`repro.paths.batch` when the algebra has
       a batch plan, every other tree on the per-source kernel;
@@ -280,6 +282,50 @@ class PreferredWeightOracle:
             return {source: PathTree(source, self._tables[source],
                                      self._parents[source])
                     for source in ordered}
+
+    def key_rows(self, nodes: Sequence) -> List[list]:
+        """The trees of *nodes* as order-key rows over *nodes*.
+
+        ``rows[i][j]`` keys the preferred weight from ``nodes[i]`` to
+        ``nodes[j]``: a lower key is a strictly preferred weight, and
+        equally preferred weights key equal.  The keys are the algebra's
+        integer keys (:func:`~repro.algebra.base.key_codec` at ``n - 1``
+        hops) where every weight has one, else ``comparison_key()``
+        objects.  A node's own column and its unreachable ones hold the
+        key of ``PHI``, above every weight.
+        """
+        tables = [self._tree_maps(source)[0] for source in nodes]
+        distinct = list(set().union(*(table.values() for table in tables)))
+        codec = key_codec(self.algebra, max(1, len(nodes) - 1))
+        keys = codec.encode(distinct) if codec is not None else None
+        if keys is not None:
+            key_of = dict(zip(distinct, keys))
+            key_of[PHI] = codec.bound
+        else:
+            key = self.algebra.comparison_key()
+            key_of = {weight: key(weight) for weight in distinct + [PHI]}
+        get = key_of.__getitem__
+        return [list(map(get, map(table.get, nodes, itertools.repeat(PHI))))
+                for table in tables]
+
+    def parent_rows(self, sources: Sequence, nodes: Sequence) -> List[List[int]]:
+        """The trees of *sources* as parent-index rows over *nodes*: -1 at
+        the source and at unreachable nodes."""
+        index = {node: i for i, node in enumerate(nodes)}.get
+        return [list(map(index, map(self._tree_maps(source)[1].get, nodes),
+                         itertools.repeat(-1)))
+                for source in sources]
+
+    def _tree_maps(self, source) -> Tuple[Dict, Dict]:
+        """One source's weight and parent maps for the row read side.
+
+        A source missing from the store is built, and requested, through
+        :meth:`trees`; a built tree's rows are read without a request.
+        """
+        if source not in self._parents:
+            self.trees([source])
+        with self._lock:
+            return self._tables[source], self._parents[source]
 
     def paths(self, source) -> Dict:
         """``target -> preferred path`` (a node tuple) from *source*.

@@ -93,7 +93,7 @@ the referee would have traced, and count the rest as dropped.
 from __future__ import annotations
 
 import weakref
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -252,59 +252,57 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
         "adj_key": _np.asarray(adj_keys, dtype=_np.int64),
     }
 
-    kind, kind_arrays = compile_kind(scheme, nodes, node_index, edge_key)
+    compiled = compile_kind(scheme, nodes, node_index, edge_key, arrays)
+    if compiled is None:
+        return None
+    kind, kind_arrays = compiled
     arrays.update(kind_arrays)
     return CompiledQuery(kind=kind, nodes=nodes, node_index=node_index,
                          codec=codec, arrays=arrays)
 
 
-def _tree_columns(tree_scheme: TreeRoutingScheme, nodes, node_index,
-                  edge_key) -> Dict[str, "object"]:
-    """Per-node walk columns of one tree scheme, parent/heavy pre-resolved."""
-    n = len(nodes)
-    dfs = _np.full(n, -1, dtype=_np.int64)
-    iend = _np.full(n, -2, dtype=_np.int64)       # (dfs<=x<=iend) never holds
-    hdfs = _np.full(n, _NO_DFS, dtype=_np.int64)
-    hend = _np.full(n, -1, dtype=_np.int64)
-    pnext = _np.full(n, -1, dtype=_np.int64)
-    pkey = _np.zeros(n, dtype=_np.int64)
-    hnext = _np.full(n, -1, dtype=_np.int64)
-    hkey = _np.zeros(n, dtype=_np.int64)
-    ldepth = _np.zeros(n, dtype=_np.int64)
-    ports = tree_scheme.ports
-    for node, info in tree_scheme._info.items():
-        i = node_index[node]
-        dfs[i] = info.dfs
-        iend[i] = info.interval_end
-        ldepth[i] = info.light_depth
-        if info.parent_port is not None:
-            j = node_index[ports.neighbor(node, info.parent_port)]
-            pnext[i] = j
-            pkey[i] = edge_key[(i, j)]
-        if info.heavy_port is not None:
-            j = node_index[ports.neighbor(node, info.heavy_port)]
-            hnext[i] = j
-            hkey[i] = edge_key[(i, j)]
-            hdfs[i] = info.heavy_dfs
-            hend[i] = info.heavy_end
-    return {"dfs": dfs, "iend": iend, "hdfs": hdfs, "hend": hend,
-            "pnext": pnext, "pkey": pkey, "hnext": hnext, "hkey": hkey,
-            "ldepth": ldepth}
+def _port_hops(ports, base, adjacency):
+    """The (next node, edge key) behind each port; port 0 is none
+    (-1, 0).  *base* holds each port's node's ``adj_indptr`` entry."""
+    adj_next = adjacency["adj_next"]
+    has = ports > 0
+    if not adj_next.size:
+        return _np.full(ports.size, -1, dtype=_np.int64), _np.zeros_like(ports)
+    pos = _np.where(has, base + ports - 1, 0)
+    return (_np.where(has, adj_next[pos], -1),
+            _np.where(has, adjacency["adj_key"][pos], 0))
 
 
-def _label_csr(labels: Dict, node_index, n):
-    """Target labels as (dfs array, light-port CSR); dfs -1 = unlabeled."""
-    hdr_dfs = _np.full(n, -1, dtype=_np.int64)
-    seqs: List[Tuple[int, ...]] = [()] * n
-    for node, (dfs_number, light_ports) in labels.items():
-        i = node_index[node]
-        hdr_dfs[i] = dfs_number
-        seqs[i] = light_ports
-    indptr = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum([len(seq) for seq in seqs], out=indptr[1:])
-    flat = _np.asarray([port for seq in seqs for port in seq],
-                       dtype=_np.int64)
-    return hdr_dfs, indptr, flat
+def _tree_columns(trees, adjacency) -> Dict[str, "object"]:
+    """The walk's columns of heavy-path trees, stacked: entry ``k*n + i``
+    is node ``i`` in ``trees[k]`` (a
+    :class:`~repro.routing.tree_routing.HeavyPathTree`), its parent and
+    heavy hops resolved through the sorted adjacency."""
+    def column(name):
+        return _np.array([getattr(tree, name) for tree in trees],
+                         dtype=_np.int64).ravel()
+
+    dfs = column("dfs")
+    heavy_port = column("heavy_port")
+    base = _np.tile(adjacency["adj_indptr"][:-1], len(trees))
+    pnext, pkey = _port_hops(column("parent_port"), base, adjacency)
+    hnext, hkey = _port_hops(heavy_port, base, adjacency)
+    ldepth = _np.fromiter(
+        map(len, chain.from_iterable(tree.labels for tree in trees)),
+        dtype=_np.int64, count=dfs.size)
+    return {"t_dfs": dfs, "t_iend": column("end"),
+            "t_hdfs": _np.where(heavy_port > 0, dfs + 1, _NO_DFS),
+            "t_hend": column("heavy_end"), "t_pnext": pnext, "t_pkey": pkey,
+            "t_hnext": hnext, "t_hkey": hkey, "t_ldepth": ldepth}
+
+
+def _label_csr(seqs):
+    """Per-target light-port sequences as a CSR ``(indptr, ports)``."""
+    indptr = _np.zeros(len(seqs) + 1, dtype=_np.int64)
+    _np.cumsum(list(map(len, seqs)), out=indptr[1:])
+    flat = _np.fromiter(chain.from_iterable(seqs), dtype=_np.int64,
+                        count=int(indptr[-1]))
+    return indptr, flat
 
 
 def _entry_columns(prefix: str, entries) -> Dict[str, "object"]:
@@ -315,37 +313,31 @@ def _entry_columns(prefix: str, entries) -> Dict[str, "object"]:
             for i, column in enumerate(("code", "next", "key"))}
 
 
-_TREE_COLS = ("dfs", "iend", "hdfs", "hend", "pnext", "pkey", "hnext",
-              "hkey", "ldepth")
-
-
-def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, edge_key):
-    n = len(nodes)
-    cols = _tree_columns(scheme, nodes, node_index, edge_key)
-    hdr_dfs, lp_indptr, lp_port = _label_csr(scheme._labels, node_index, n)
-    arrays = {f"t_{name}": cols[name] for name in _TREE_COLS}
+def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, edge_key,
+                  adjacency):
+    tree = scheme._heavy_paths
+    if tree.index != node_index:
+        return None
+    arrays = _tree_columns([tree], adjacency)
+    lp_indptr, lp_port = _label_csr(tree.labels)
     arrays.update(_entry_columns("direct", []))
     arrays.update({
-        "hdr_base": _np.zeros(n, dtype=_np.int64),
-        "hdr_dfs": hdr_dfs,
+        "hdr_base": _np.zeros(len(nodes), dtype=_np.int64),
+        "hdr_dfs": arrays["t_dfs"],   # -1 marks a node off the tree
         "hdr_lp_indptr": lp_indptr,
         "hdr_lp_port": lp_port,
     })
     return "tree", arrays
 
 
-def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key):
+def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key,
+                   adjacency):
     n = len(nodes)
     landmarks = sorted(scheme.landmarks)
-    slot = {landmark: k for k, landmark in enumerate(landmarks)}
-
-    per_tree = [_tree_columns(scheme._tree_schemes[landmark], nodes,
-                              node_index, edge_key)
-                for landmark in landmarks]
-    arrays = {
-        f"t_{name}": _np.concatenate([cols[name] for cols in per_tree])
-        for name in _TREE_COLS
-    }
+    trees = [scheme._landmark_trees[landmark] for landmark in landmarks]
+    if trees[0].index != node_index:   # one index, shared by every tree
+        return None
+    arrays = _tree_columns(trees, adjacency)
 
     # Direct entries: one sorted u*n+t key per (node, cluster-or-landmark
     # target), the next hop pre-resolved along the target-rooted tree.
@@ -360,20 +352,19 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key):
 
     # Per-target header: which landmark tree to walk (as a flat-array
     # base offset) and the target's label in it.
-    hdr_base = _np.zeros(n, dtype=_np.int64)
-    labels = {}
-    for t in nodes:
-        landmark = scheme.landmark_of[t]
-        hdr_base[node_index[t]] = slot[landmark] * n
-        labels[t] = scheme._tree_schemes[landmark]._labels[t]
-    hdr_dfs, lp_indptr, lp_port = _label_csr(labels, node_index, n)
-    arrays.update({"hdr_base": hdr_base, "hdr_dfs": hdr_dfs,
+    slot = {landmark: k for k, landmark in enumerate(landmarks)}
+    slots = [slot[scheme.landmark_of[t]] for t in nodes]
+    hdr_base = _np.asarray(slots, dtype=_np.int64) * n
+    lp_indptr, lp_port = _label_csr(
+        [trees[k].labels[i] for i, k in enumerate(slots)])
+    arrays.update({"hdr_base": hdr_base,
+                   "hdr_dfs": arrays["t_dfs"][hdr_base + _np.arange(n)],
                    "hdr_lp_indptr": lp_indptr, "hdr_lp_port": lp_port})
     return "cowen", arrays
 
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
-                         edge_key):
+                         edge_key, adjacency):
     """``_next_hop`` as dense ``t*n + u`` next-hop and edge-key arrays."""
     n = len(nodes)
     index = node_index.get
@@ -395,7 +386,8 @@ def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
                            "dt_key": _np.asarray(key, dtype=_np.int64)}
 
 
-def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key):
+def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key,
+                  adjacency):
     """Every node's entries, sorted by ``(u*n + s)*n + t`` code.
 
     Each entry's port resolves through the scheme's own

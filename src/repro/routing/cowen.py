@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional, Set
-
-import networkx as nx
+from itertools import compress, repeat
+from operator import lt
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.base import PHI, RoutingAlgebra
 from repro.exceptions import NotApplicableError, RoutingError
@@ -56,10 +56,42 @@ from repro.obs.tracing import span
 # perfbench/spans.py wraps this name to count scheme-side tree builds.
 from repro.paths.dijkstra import preferred_path_tree  # noqa: F401
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
-from repro.routing.model import Action, Decision, RoutingScheme
-from repro.routing.tree_routing import TreeRoutingScheme
+from repro.routing.model import Decision, RoutingScheme
+# TreeRoutingScheme is not called here either (landmark trees are labelled
+# straight from the store's parent rows), but perfbench/spans.py wraps it.
+from repro.routing.tree_routing import (  # noqa: F401
+    TreeRoutingScheme,
+    heavy_path_tree,
+    node_state_bits,
+    tree_label_bits,
+)
 
 STRATEGIES = ("random", "cowen", "degree")
+
+
+def _balls(keys: Sequence[Sequence], landmarks: Sequence[int]
+           ) -> Tuple[List[int], List[List[int]]]:
+    """Every node's landmark and ball, from the tree store's key rows.
+
+    Nodes are indexes, and *landmarks* come in node-rank order.  ``l_v``
+    is the first minimum of ``keys[v]`` over the landmarks, so ties go to
+    the least landmark; the ball ``B(v)`` lists the nodes ``u`` with
+    ``keys[v][u] < keys[v][l_v]``, and is empty for a landmark, its own
+    ``l_v``.
+    """
+    chosen = set(landmarks)
+    everyone = range(len(keys))
+    landmark_of: List[int] = []
+    balls: List[List[int]] = []
+    for v, row in enumerate(keys):
+        if v in chosen:
+            landmark_of.append(v)
+            balls.append([])
+            continue
+        l = min(landmarks, key=row.__getitem__)
+        landmark_of.append(l)
+        balls.append(list(compress(everyone, map(lt, row, repeat(row[l])))))
+    return landmark_of, balls
 
 
 class CowenScheme(RoutingScheme):
@@ -70,12 +102,17 @@ class CowenScheme(RoutingScheme):
     :class:`~repro.core.simulate.PreferredWeightOracle`; ``build_scheme``
     passes the one evaluation reads) or, without one, a private store.
     Either way the trees are built in batched sweeps over one compiled
-    graph and the scheme holds the store's own maps.
+    graph and the scheme holds the store's own maps.  Landmarks, balls
+    and clusters are comparisons within the store's order-key rows
+    (:meth:`~repro.core.simulate.PreferredWeightOracle.key_rows`), and
+    every landmark's tree is labelled from its parent-index row with the
+    scheme's one port map.
 
     The built state is read-only: ``landmarks`` is a ``frozenset``, and
-    ``clusters`` (of frozensets), ``landmark_of``, the landmark tree
-    schemes and the store trees (direct entries forward by their parent
-    maps) are :class:`~repro.frozen.FrozenTable` maps.
+    ``clusters`` (of frozensets), ``landmark_of``, the landmark trees (of
+    :class:`~repro.routing.tree_routing.HeavyPathTree` states) and the
+    store trees (direct entries forward by their parent maps) are
+    :class:`~repro.frozen.FrozenTable` maps.
     """
 
     name = "cowen-stretch3"
@@ -103,77 +140,57 @@ class CowenScheme(RoutingScheme):
         self.rng = rng or random.Random(0)
         self.strategy = strategy
 
+        nodes = list(graph.nodes())
+        n = len(nodes)
         with span("preferred_trees", scheme=self.name):
             if oracle is None:
                 from repro.core.simulate import PreferredWeightOracle
 
                 oracle = PreferredWeightOracle(graph, algebra, attr=attr)
-            self._trees = FrozenTable(oracle.trees(graph.nodes()))
-        n = graph.number_of_nodes()
-        for node, tree in self._trees.items():
-            if len(tree.reachable()) != n - 1:
-                raise NotApplicableError(
-                    f"node {node!r} cannot reach every other node; the Cowen "
-                    f"construction needs a connected traversable graph"
-                )
+            self._trees = FrozenTable(oracle.trees(nodes))
+            for node, tree in self._trees.items():
+                if len(tree.weight) != n - 1:
+                    raise NotApplicableError(
+                        f"node {node!r} cannot reach every other node; the Cowen "
+                        f"construction needs a connected traversable graph"
+                    )
+            keys = oracle.key_rows(nodes)
+        index = FrozenTable((node, i) for i, node in enumerate(nodes))
 
         with span("landmark_selection", scheme=self.name, strategy=strategy):
             if landmarks is None:
-                landmarks = self._select_landmarks(cluster_threshold)
+                landmarks = self._select_landmarks(cluster_threshold, keys, index)
             self.landmarks = frozenset(landmarks)
         if not self.landmarks:
             raise NotApplicableError("the landmark set must be non-empty")
+        ranked = sorted(self.landmarks)
 
         with span("cluster_assignment", scheme=self.name):
-            self._assign_clusters(self.landmarks)
+            landmark_of, balls = _balls(keys, [index[l] for l in ranked])
+            clusters: List[List] = [[] for _ in nodes]
+            for v, ball in enumerate(balls):
+                for u in ball:
+                    clusters[u].append(nodes[v])  # u ∈ B(v)  =>  v ∈ C(u)
+            self.landmark_of = FrozenTable(
+                zip(nodes, map(nodes.__getitem__, landmark_of)))
+            self.clusters = FrozenTable(zip(nodes, map(frozenset, clusters)))
         with span("table_encoding", scheme=self.name):
-            self._tree_schemes: Dict[object, TreeRoutingScheme] = FrozenTable(
-                (l, TreeRoutingScheme(
-                    self.graph, self.algebra, attr=self.attr,
-                    tree=self._landmark_tree(l), check_properties=False,
-                ))
-                for l in self.landmarks
-            )
+            # Every landmark tree is rooted at the least node and read
+            # through the scheme's one port map.
+            by_rank = sorted(range(n), key=nodes.__getitem__)
+            port_rows = self.ports.index_rows(index)
+            self._landmark_trees = FrozenTable(
+                (l, heavy_path_tree(parent, by_rank[0], by_rank, port_rows,
+                                    index))
+                for l, parent in zip(ranked, oracle.parent_rows(ranked, nodes)))
+        self._light_port_bits = port_bits(self.ports.max_degree())
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _preferred_weight(self, u, v):
-        if u == v:
-            return None
-        return self._trees[u].weight.get(v, PHI)
-
-    def _compute_clusters(self, landmarks: Set):
-        """Landmark assignment, balls and clusters for a landmark set."""
-        key = self.algebra.comparison_key()
-        landmark_of = {}
-        for u in self.graph.nodes():
-            if u in landmarks:
-                landmark_of[u] = u
-                continue
-            landmark_of[u] = min(
-                landmarks, key=lambda l: (key(self._preferred_weight(u, l)), l)
-            )
-        clusters = {u: set() for u in self.graph.nodes()}
-        for v in self.graph.nodes():
-            if v in landmarks:
-                continue  # B(v) is empty for landmarks
-            radius = self._preferred_weight(v, landmark_of[v])
-            for u in self.graph.nodes():
-                if u == v:
-                    continue
-                if self.algebra.lt(self._preferred_weight(v, u), radius):
-                    clusters[u].add(v)  # u ∈ B(v)  =>  v ∈ C(u)
-        return landmark_of, clusters
-
-    def _assign_clusters(self, landmarks: Set):
-        landmark_of, clusters = self._compute_clusters(landmarks)
-        self.landmark_of = FrozenTable(landmark_of)
-        self.clusters = FrozenTable(
-            (u, frozenset(cluster)) for u, cluster in clusters.items())
-
-    def _select_landmarks(self, cluster_threshold: Optional[int]) -> Set:
+    def _select_landmarks(self, cluster_threshold: Optional[int], keys,
+                          index) -> Set:
         n = self.graph.number_of_nodes()
         if self.strategy == "random":
             size = min(n, max(1, math.ceil(math.sqrt(n * max(1.0, math.log(n))))))
@@ -187,34 +204,32 @@ class CowenScheme(RoutingScheme):
         threshold = cluster_threshold or max(4, int(round(n ** (2.0 / 3.0))))
         landmarks = {min(self.graph.nodes(), key=lambda v: (-self.graph.degree(v), v))}
         for _ in range(64):
-            _, clusters = self._compute_clusters(landmarks)
+            _, balls = _balls(keys, [index[l] for l in sorted(landmarks)])
+            size = [0] * n
+            for ball in balls:
+                for u in ball:
+                    size[u] += 1
             overfull = sorted(
-                (u for u in clusters if len(clusters[u]) > threshold and u not in landmarks),
-                key=lambda u: (-len(clusters[u]), u),
+                (u for u in index if size[index[u]] > threshold and u not in landmarks),
+                key=lambda u: (-size[index[u]], u),
             )
             if not overfull:
                 break
             landmarks.update(overfull[:8])
         return landmarks
 
-    def _landmark_tree(self, landmark) -> nx.Graph:
-        """The preferred-path tree of a landmark, as an undirected tree."""
-        tree = nx.Graph()
-        tree.add_nodes_from(self.graph.nodes())
-        ptree = self._trees[landmark]
-        for node, parent in ptree.parent.items():
-            tree.add_edge(node, parent,
-                          **{self.attr: self.graph[node][parent][self.attr]})
-        return tree
-
     # ------------------------------------------------------------------
     # the routing function
     # ------------------------------------------------------------------
 
+    def landmark_label(self, landmark, node):
+        """The tree-routing label of *node* in *landmark*'s tree."""
+        return self._landmark_trees[landmark].label(node)
+
     def label(self, node):
         """``(id, landmark id, tree-routing label of node in its landmark's tree)``."""
         l = self.landmark_of[node]
-        return (node, l, self._tree_schemes[l].label(node))
+        return (node, l, self.landmark_label(l, node))
 
     def initial_header(self, source, target):
         return self.label(target)
@@ -231,10 +246,10 @@ class CowenScheme(RoutingScheme):
             next_hop = self._trees[target].parent[node]
             return Decision.forward(self.ports.port(node, next_hop), header)
         # Landmark leg: heavy-path tree routing over the landmark's tree.
-        inner = self._tree_schemes[landmark].local_decision(node, tree_label)
-        if inner.action is Action.DELIVER:
+        port = self._landmark_trees[landmark].next_port(node, tree_label)
+        if port is None:
             raise RoutingError(f"tree routing delivered {header!r} prematurely at {node!r}")
-        return Decision.forward(inner.port, header)
+        return Decision.forward(port, header)
 
     # ------------------------------------------------------------------
     # memory accounting
@@ -242,26 +257,20 @@ class CowenScheme(RoutingScheme):
 
     def table_bits(self, node) -> int:
         n = self.graph.number_of_nodes()
-        node_bits = label_bits_for_nodes(n)
-        p_bits = port_bits(self.ports.degree(node))
+        degree = self.ports.degree(node)
         direct_entries = len(self.clusters[node]) + len(self.landmarks)
-        bits = table_bits(direct_entries, node_bits, p_bits)
+        bits = table_bits(direct_entries, label_bits_for_nodes(n), port_bits(degree))
         # Per-landmark heavy-path tree state (O(log n) bits each).
-        for scheme in self._tree_schemes.values():
-            bits += scheme.table_bits(node)
-        return bits
+        return bits + len(self.landmarks) * node_state_bits(n, degree)
 
     def label_bits(self, node) -> int:
-        n = self.graph.number_of_nodes()
-        l = self.landmark_of[node]
-        return 2 * label_bits_for_nodes(n) + self._tree_schemes[l].label_bits(node)
+        return self.header_bits(self.label(node))
 
     def header_bits(self, header) -> int:
         """Headers are target labels: target id + landmark id + tree label."""
-        _, landmark, tree_label = header
         n = self.graph.number_of_nodes()
         return 2 * label_bits_for_nodes(n) + \
-            self._tree_schemes[landmark].header_bits(tree_label)
+            tree_label_bits(n, header[2], self._light_port_bits)
 
     # ------------------------------------------------------------------
     # analysis helpers
@@ -269,7 +278,9 @@ class CowenScheme(RoutingScheme):
 
     def preferred_weight(self, source, target):
         """The true preferred weight (for stretch measurement)."""
-        return self._preferred_weight(source, target)
+        if source == target:
+            return None
+        return self._trees[source].weight.get(target, PHI)
 
     def max_cluster_size(self) -> int:
         return max((len(c) for c in self.clusters.values()), default=0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import DeliveryError, RoutingError
 from repro.graphs.weighting import WEIGHT_ATTR
@@ -87,6 +87,17 @@ class PortMap:
 
     def degree(self, node) -> int:
         return len(self._ports[node])
+
+    def max_degree(self) -> int:
+        """The largest degree of the graph (1 when it has no nodes)."""
+        return max(map(len, self._ports.values()), default=1)
+
+    def index_rows(self, index: Dict) -> List[Dict[int, int]]:
+        """The ports by node index, *index* numbering the nodes 0..n-1 in
+        its own order: row ``index[u]`` maps ``index[v]`` to
+        :meth:`port` ``(u, v)``."""
+        return [{index[nbr]: port for nbr, port in self._ports[node].items()}
+                for node in index]
 
     def port(self, node, neighbor) -> int:
         """The local port at *node* leading to *neighbor*."""

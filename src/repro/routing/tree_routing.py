@@ -24,12 +24,17 @@ departing from ``u`` itself, whose port is ``L_t[ell_u]``.
 
 The resulting routes follow tree paths exactly, which by Lemma 1 are
 preferred paths — i.e. **stretch 1**.
+
+One labeller, :func:`heavy_path_tree`, labels a tree given as parent
+indexes, breaking every tie by node rank (the nodes' own order).
+:class:`TreeRoutingScheme` converts its tree to parent indexes once; the
+Cowen scheme labels the tree store's parent rows directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -43,17 +48,139 @@ from repro.routing.memory import bits_for_count, label_bits_for_nodes, port_bits
 from repro.routing.model import Decision, RoutingScheme
 
 
-@dataclass(frozen=True)
-class _NodeInfo:
-    """The O(log n)-bit local state of one node."""
+def node_state_bits(n: int, degree: int) -> int:
+    """Bits of one node's tree-routing state in an n-node network."""
+    node_bits = label_bits_for_nodes(n)
+    bits = 2 * node_bits  # own DFS interval
+    bits += 2 * node_bits  # heavy child's interval (or absent-markers)
+    bits += 2 * port_bits(degree)  # parent + heavy ports
+    bits += bits_for_count(max(2, n.bit_length()))  # light depth <= log2 n
+    return bits
 
-    dfs: int
-    interval_end: int          # max DFS number in the subtree
-    parent_port: Optional[int]
-    heavy_port: Optional[int]
-    heavy_dfs: Optional[int]
-    heavy_end: Optional[int]
-    light_depth: int           # number of light edges on the root->node path
+
+def tree_label_bits(n: int, label, light_port_bits: int) -> int:
+    """Bits of a tree label ``(dfs, light ports)``: a DFS number plus one
+    port of *light_port_bits* (those of the graph's largest degree) per
+    light edge."""
+    return label_bits_for_nodes(n) + len(label[1]) * light_port_bits
+
+
+@dataclass(frozen=True)
+class HeavyPathTree:
+    """The heavy-path state of one rooted tree, as read-only columns.
+
+    ``index`` maps a node to its position in every column (one
+    :class:`~repro.frozen.FrozenTable` all trees of a scheme share).  Per
+    node: ``dfs``, its preorder number (-1 off the tree); ``end``, the
+    last DFS number of its subtree (-2 off the tree); ``parent_port`` and
+    ``heavy_port`` (0 for none); ``heavy_end``, the last DFS number of the
+    heavy child's subtree, whose first is ``dfs + 1``; and ``labels``, its
+    light-port sequence, whose length is its light depth.
+    """
+
+    index: Dict
+    dfs: Tuple[int, ...]
+    end: Tuple[int, ...]
+    parent_port: Tuple[int, ...]
+    heavy_port: Tuple[int, ...]
+    heavy_end: Tuple[int, ...]
+    labels: Tuple[Tuple[int, ...], ...]
+
+    def _slot(self, node) -> int:
+        i = self.index[node]
+        if self.dfs[i] < 0:
+            raise KeyError(node)
+        return i
+
+    def label(self, node) -> Tuple[int, Tuple[int, ...]]:
+        """The (dfs number, light-port sequence) address of *node*."""
+        i = self._slot(node)
+        return (self.dfs[i], self.labels[i])
+
+    def next_port(self, node, header) -> Optional[int]:
+        """The port at *node* toward *header*'s node, None to deliver."""
+        target_dfs, light_ports = header
+        i = self._slot(node)
+        dfs = self.dfs[i]
+        if target_dfs == dfs:
+            return None
+        if not (dfs <= target_dfs <= self.end[i]):
+            if not self.parent_port[i]:
+                raise RoutingError(f"root {node!r} asked to route to foreign dfs {target_dfs}")
+            return self.parent_port[i]
+        if self.heavy_port[i] and dfs + 1 <= target_dfs <= self.heavy_end[i]:
+            return self.heavy_port[i]
+        # The target sits below a light child of this very node: the next
+        # light port on the root->target path is ours.
+        depth = len(self.labels[i])
+        if depth >= len(light_ports):
+            raise RoutingError(f"malformed label {header!r} at node {node!r}")
+        return light_ports[depth]
+
+
+def heavy_path_tree(parent: List[int], root: int, by_rank: Sequence[int],
+                    port_rows: Sequence[Dict[int, int]],
+                    index: Dict) -> HeavyPathTree:
+    """Label the tree *parent* describes, rooted at index *root*.
+
+    ``parent[i]`` is the index of ``i``'s parent, -1 at the tree's root
+    and off the tree; the tree is re-rooted at *root* in place.
+    *by_rank* lists every index in node-rank order, and ``port_rows[i]``
+    maps a neighbour's index to its port at ``i``
+    (:meth:`~repro.routing.model.PortMap.index_rows`).
+    """
+    previous, node = -1, root  # reverse the parent pointers above root
+    while node != -1:
+        up = parent[node]
+        parent[node] = previous
+        previous, node = node, up
+    n = len(parent)
+    # Children in node-rank order: max() below keeps the first of equal
+    # subtrees, so the heavy child's ties go to the lowest-ranked child.
+    children: List[List[int]] = [[] for _ in range(n)]
+    for i in by_rank:
+        if parent[i] >= 0:
+            children[parent[i]].append(i)
+    order = [root]
+    for node in order:
+        order += children[node]
+    size = [0] * n
+    for node in reversed(order):
+        size[node] += 1
+        if parent[node] >= 0:
+            size[parent[node]] += size[node]
+
+    dfs = [-1] * n
+    parent_port = [0] * n
+    heavy_port = [0] * n
+    heavy_end = [-1] * n
+    labels: List[Tuple[int, ...]] = [()] * n
+    dfs[root] = 0
+    # Preorder DFS numbers, heavy child first: each child's subtree takes
+    # the next size[kid] numbers after those of the children before it.
+    for node in order:
+        kids = children[node]
+        if not kids:
+            continue
+        ports = port_rows[node]
+        heavy = max(kids, key=size.__getitem__)
+        start = dfs[node] + 1
+        heavy_port[node] = ports[heavy]
+        heavy_end[node] = start + size[heavy] - 1
+        dfs[heavy] = start
+        labels[heavy] = light = labels[node]
+        start += size[heavy]
+        for kid in kids:
+            parent_port[kid] = port_rows[kid][node]
+            if kid != heavy:
+                dfs[kid] = start
+                start += size[kid]
+                labels[kid] = light + (ports[kid],)
+    return HeavyPathTree(
+        index=index, dfs=tuple(dfs),
+        end=tuple([d + s - 1 for d, s in zip(dfs, size)]),
+        parent_port=tuple(parent_port), heavy_port=tuple(heavy_port),
+        heavy_end=tuple(heavy_end), labels=tuple(labels))
 
 
 class TreeRoutingScheme(RoutingScheme):
@@ -61,8 +188,8 @@ class TreeRoutingScheme(RoutingScheme):
 
     *tree* must span the nodes of *graph* (it defaults to the Lemma 1
     preferred spanning tree of *graph* under *algebra*).  Forwarding only
-    ever uses tree edges.  The per-node state ``_info`` and the labels
-    ``_labels`` are read-only (:class:`~repro.frozen.FrozenTable`).
+    ever uses tree edges.  The tree is rooted at its least node, and its
+    state is one read-only :class:`HeavyPathTree`, ``_heavy_paths``.
     """
 
     name = "tree-routing"
@@ -83,131 +210,49 @@ class TreeRoutingScheme(RoutingScheme):
         self.tree = tree
         self.root = min(tree.nodes())
         with span("table_encoding", scheme=self.name):
-            self._build()
+            nodes = list(graph.nodes())
+            index = FrozenTable((node, i) for i, node in enumerate(nodes))
+            self._heavy_paths = heavy_path_tree(
+                self._parent_indexes(index), index[self.root],
+                sorted(range(len(nodes)), key=nodes.__getitem__),
+                self.ports.index_rows(index), index)
+        self._light_port_bits = port_bits(self.ports.max_degree())
 
-    # -- construction --------------------------------------------------
-
-    def _build(self):
-        children: Dict[object, list] = {}
-        parent: Dict[object, Optional[object]] = {self.root: None}
-        order = [self.root]
-        for node in order:
-            kids = sorted(k for k in self.tree.neighbors(node) if k != parent.get(node, object()))
-            kids = [k for k in kids if k not in parent]
-            for kid in kids:
-                parent[kid] = node
-            children[node] = kids
-            order.extend(kids)
-
-        size = {node: 1 for node in order}
-        for node in reversed(order):
-            if parent[node] is not None:
-                size[parent[node]] += size[node]
-
-        heavy: Dict[object, Optional[object]] = {}
-        for node in order:
-            kids = children[node]
-            heavy[node] = max(kids, key=lambda k: (size[k], -k)) if kids else None
-
-        # Iterative DFS assigning preorder numbers, heavy child first so a
-        # heavy path gets consecutive numbers (not required for correctness,
-        # but keeps intervals tight and deterministic).
-        dfs: Dict[object, int] = {}
-        interval_end: Dict[object, int] = {}
-        counter = 0
-        stack = [(self.root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                interval_end[node] = counter - 1
-                continue
-            dfs[node] = counter
-            counter += 1
-            stack.append((node, True))
-            ordered_kids = children[node][:]
-            if heavy[node] is not None:
-                ordered_kids.remove(heavy[node])
-                ordered_kids = [heavy[node]] + ordered_kids
-            for kid in reversed(ordered_kids):
-                stack.append((kid, False))
-
-        light_depth = {self.root: 0}
-        light_ports: Dict[object, Tuple[int, ...]] = {self.root: ()}
-        for node in order:
-            for kid in children[node]:
-                if kid == heavy[node]:
-                    light_depth[kid] = light_depth[node]
-                    light_ports[kid] = light_ports[node]
-                else:
-                    light_depth[kid] = light_depth[node] + 1
-                    light_ports[kid] = light_ports[node] + (self.ports.port(node, kid),)
-
-        info: Dict[object, _NodeInfo] = {}
-        for node in order:
-            h = heavy[node]
-            info[node] = _NodeInfo(
-                dfs=dfs[node],
-                interval_end=interval_end[node],
-                parent_port=(
-                    self.ports.port(node, parent[node]) if parent[node] is not None else None
-                ),
-                heavy_port=self.ports.port(node, h) if h is not None else None,
-                heavy_dfs=dfs[h] if h is not None else None,
-                heavy_end=interval_end[h] if h is not None else None,
-                light_depth=light_depth[node],
-            )
-        self._info = FrozenTable(info)
-        self._labels = FrozenTable(
-            (node, (dfs[node], light_ports[node])) for node in order)
+    def _parent_indexes(self, index: Dict) -> List[int]:
+        """The tree as parent indexes from the root (-1 off the tree).
+        A tree edge off the graph raises, as ``PortMap.port`` does."""
+        parent = [-1] * len(index)
+        for kid, node in nx.bfs_predecessors(self.tree, self.root):
+            self.ports.port(node, kid)
+            self.ports.port(kid, node)
+            parent[index[kid]] = index[node]
+        return parent
 
     # -- the routing function -------------------------------------------
 
     def label(self, node) -> Tuple[int, Tuple[int, ...]]:
         """The (dfs number, light-port sequence) address of *node*."""
-        return self._labels[node]
+        return self._heavy_paths.label(node)
 
     def initial_header(self, source, target):
-        return self._labels[target]
+        return self._heavy_paths.label(target)
 
     def local_decision(self, node, header) -> Decision:
-        target_dfs, light_ports = header
-        info = self._info[node]
-        if target_dfs == info.dfs:
+        port = self._heavy_paths.next_port(node, header)
+        if port is None:
             return Decision.deliver()
-        if not (info.dfs <= target_dfs <= info.interval_end):
-            if info.parent_port is None:
-                raise RoutingError(f"root {node!r} asked to route to foreign dfs {target_dfs}")
-            return Decision.forward(info.parent_port, header)
-        if info.heavy_dfs is not None and info.heavy_dfs <= target_dfs <= info.heavy_end:
-            return Decision.forward(info.heavy_port, header)
-        # The target sits below a light child of this very node: the next
-        # light port on the root->target path is ours.
-        if info.light_depth >= len(light_ports):
-            raise RoutingError(f"malformed label {header!r} at node {node!r}")
-        return Decision.forward(light_ports[info.light_depth], header)
+        return Decision.forward(port, header)
 
     # -- memory accounting ------------------------------------------------
 
     def table_bits(self, node) -> int:
-        n = self.graph.number_of_nodes()
-        node_bits = label_bits_for_nodes(n)
-        p_bits = port_bits(self.ports.degree(node))
-        bits = 2 * node_bits  # own DFS interval
-        bits += 2 * node_bits  # heavy child's interval (or absent-markers)
-        bits += 2 * p_bits  # parent + heavy ports
-        bits += bits_for_count(max(2, n.bit_length()))  # light depth <= log2 n
-        return bits
+        return node_state_bits(self.graph.number_of_nodes(),
+                               self.ports.degree(node))
 
     def label_bits(self, node) -> int:
-        n = self.graph.number_of_nodes()
-        dfs_bits = label_bits_for_nodes(n)
-        _, light_ports = self._labels[node]
-        d = max((self.ports.degree(v) for v in self.graph.nodes()), default=1)
-        return dfs_bits + len(light_ports) * port_bits(d)
+        return self.header_bits(self.label(node))
 
     def header_bits(self, header) -> int:
         """Headers are node labels, charged exactly like :meth:`label_bits`."""
-        _, light_ports = header
-        n = self.graph.number_of_nodes()
-        d = max((self.ports.degree(v) for v in self.graph.nodes()), default=1)
-        return label_bits_for_nodes(n) + len(light_ports) * port_bits(d)
+        return tree_label_bits(self.graph.number_of_nodes(), header,
+                               self._light_port_bits)

@@ -14,15 +14,18 @@ hop histogram and packet traces too.  Further tests pin the read-only
 tables that keep compiled queries from going stale, the resolver
 semantics (env handling, warn-once, explicit errors), the fallback
 ladder (algebras without an integer key, keys past int64), stretches
-above 3 and small ``max_k`` on tree routing over weighted cycles, and
-spawn workers that compile their own tables.
+above 3 and small ``max_k`` on tree routing over weighted cycles,
+graphs whose nodes are strings or tuples, and spawn workers that compile
+their own tables.
 """
 
+import dataclasses
 import os
 import pickle
 import random
 import warnings
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -70,7 +73,7 @@ from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.stretch import StretchReport, measure_stretch
-from repro.routing.tree_routing import TreeRoutingScheme
+from repro.routing.tree_routing import HeavyPathTree, TreeRoutingScheme
 
 needs_numpy = pytest.mark.skipif(not compiled_query.numpy_available(),
                                  reason="numpy (repro[fast]) not installed")
@@ -338,6 +341,8 @@ class TestBatchReferenceEquality:
                        for _, _, reason in reference[3])
             if sabotage == "off-edge":
                 assert stats["fallbacks"].get("pair-replay")
+        else:   # an intact scheme's walk replays no pair
+            assert "pair-replay" not in stats["fallbacks"]
 
     @needs_numpy
     @settings(max_examples=40, deadline=None)
@@ -468,6 +473,54 @@ class TestStretchBeyondThree:
         assert reports[16].max_stretch > compiled_query.KEY_STRETCH
         assert reports[3].unbounded > 0
         assert (reports[16].unbounded > 0) == (n == 64)
+
+
+class TestNodeLabels:
+    """Graphs whose nodes are strings or tuples build, route and compile.
+
+    Heavy-child ties break by node rank, so no node label is ever
+    negated; the walk and the referee agree on every pair.
+    """
+
+    LABELS = {"str": lambda v: f"n{v}", "tuple": lambda v: (v % 3, f"n{v}")}
+    SCHEMES = {
+        "tree-widest-path": lambda graph, algebra: TreeRoutingScheme(
+            graph, algebra),
+        "cowen-shortest-path": lambda graph, algebra: CowenScheme(
+            graph, algebra, rng=random.Random(7)),
+        "cowen-widest-shortest-path": lambda graph, algebra: CowenScheme(
+            graph, algebra, rng=random.Random(7)),
+    }
+    ALGEBRAS = {
+        "tree-widest-path": lambda: WidestPath(max_capacity=3),
+        "cowen-shortest-path": lambda: ShortestPath(max_weight=3),
+        "cowen-widest-shortest-path": lambda: widest_shortest_path(
+            max_weight=3, max_capacity=3),
+    }
+
+    @pytest.mark.parametrize("labels", sorted(LABELS))
+    @pytest.mark.parametrize("case", sorted(SCHEMES))
+    def test_walk_and_referee_route_every_pair(self, case, labels):
+        algebra = self.ALGEBRAS[case]()
+        graph = erdos_renyi(24, rng=random.Random(5))
+        assign_random_weights(graph, algebra, rng=random.Random(6))
+        relabel = self.LABELS[labels]
+        graph = nx.relabel_nodes(graph, {v: relabel(v) for v in graph})
+        scheme = self.SCHEMES[case](graph, algebra)
+        oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
+        pairs = sample_pairs(graph)
+        reference = _referee_key(algebra, scheme, oracle, pairs)
+        assert reference[0] == reference[1] == len(pairs)
+        assert not reference[3]
+        assert reference[4].stretch3_holds
+        if compiled_query.numpy_available():
+            assert compiled_query.compile_query(scheme) is not None
+            query_engine.reset_query_stats()
+            walked = route_shard(algebra, scheme, oracle, list(pairs))
+            stats = query_engine.query_stats()
+            assert stats["batch_pairs"] == len(pairs)
+            assert not stats["fallbacks"]   # no pair replayed
+            assert _shard_key(walked) == reference
 
 
 class TestResolver:
@@ -607,21 +660,50 @@ class TestFallbackLadder:
 
 #: Per family, the read-only tables of a built scheme, and the store
 #: trees a Cowen scheme forwards by (its direct entries read their parent
-#: maps).
+#: maps).  A tree scheme's state is one heavy-path tree (tuple columns
+#: and a node index), and a Cowen scheme's landmark trees map each
+#: landmark to one.
 READ_ONLY_TABLES = {
     "destination-next-hop": ("destination", lambda s: s._next_hop),
     "destination-row": ("destination", lambda s: s._next_hop[0]),
     "pair-entries": ("pair", lambda s: s._entries),
     "pair-row": ("pair", lambda s: s._entries[0]),
-    "tree-info": ("tree", lambda s: s._info),
-    "tree-labels": ("tree", lambda s: s._labels),
+    "tree-info": ("tree", lambda s: s._heavy_paths),
+    "tree-labels": ("tree", lambda s: s._heavy_paths.labels),
     "cowen-clusters": ("cowen", lambda s: s.clusters),
     "cowen-landmark-of": ("cowen", lambda s: s.landmark_of),
-    "cowen-tree-schemes": ("cowen", lambda s: s._tree_schemes),
+    "cowen-tree-schemes": ("cowen", lambda s: s._landmark_trees),
     "cowen-trees": ("cowen", lambda s: s._trees),
     "store-tree-weight": ("cowen", lambda s: s._trees[0].weight),
     "store-tree-parent": ("cowen", lambda s: s._trees[0].parent),
 }
+
+
+def _assert_read_only(table):
+    """Every in-place write to *table* raises, and leaves it as it was."""
+    if isinstance(table, HeavyPathTree):
+        for field in dataclasses.fields(table):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, field.name, None)
+            _assert_read_only(getattr(table, field.name))
+        return
+    size = len(table)
+    if type(table) is tuple:
+        with pytest.raises(TypeError):
+            table[0] = table[-1]
+        with pytest.raises(TypeError):
+            del table[0]
+        assert len(table) == size
+        return
+    assert type(table) is FrozenTable
+    first, last = list(table)[0], list(table)[-1]
+    with pytest.raises(TypeError):
+        table[first] = table[last]
+    with pytest.raises(TypeError):
+        table.update({first: table[last]})
+    with pytest.raises(TypeError):
+        del table[first]
+    assert len(table) == size
 
 
 class TestReadOnlyTables:
@@ -657,18 +739,8 @@ class TestReadOnlyTables:
         _, _, scheme = _build_instance(family, seed=11, n=8)
         clone = pickle.loads(pickle.dumps(scheme))
         for built in (scheme, clone):
-            table = table_of(built)
-            assert type(table) is FrozenTable
-            first, last = list(table)[0], list(table)[-1]
-            size = len(table)
-            with pytest.raises(TypeError):
-                table[first] = table[last]
-            with pytest.raises(TypeError):
-                table.update({first: table[last]})
-            with pytest.raises(TypeError):
-                del table[first]
-            assert len(table) == size
-        assert table_of(clone).keys() == table_of(scheme).keys()
+            _assert_read_only(table_of(built))
+        assert table_of(clone) == table_of(scheme)
 
     def test_cowen_sets_are_frozen(self):
         _, _, scheme = _build_instance("cowen", seed=11, n=8)

@@ -1,8 +1,14 @@
 """Tests for the one-call Table 1 reproduction."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.core.table1 import format_table1, reproduce_table1
+
+#: ``repro table1 --sizes 16,24,32``, byte for byte (CI diffs it too).
+FIXTURE = Path(__file__).parent / "fixtures" / "table1.expected.txt"
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +55,10 @@ class TestReproduceTable1:
         assert text.count("\n") >= 7
         for row in rows:
             assert row.policy in text
+
+
+def test_cli_output_matches_fixture(capsys):
+    """Memory bits, fits and classes stay byte-identical; the widest-path
+    and usable-path rows carry tree-routing bits."""
+    assert main(["table1", "--sizes", "16,24,32"]) == 0
+    assert capsys.readouterr().out == FIXTURE.read_text(encoding="utf-8")

@@ -84,7 +84,7 @@ class TestCorruptHeaders:
         target = max(graph.nodes())
         other = next(l for l in sorted(scheme.landmarks)
                      if l != scheme.landmark_of[target])
-        forged = (target, other, scheme._tree_schemes[other].label(target))
+        forged = (target, other, scheme.landmark_label(other, target))
         current = 0
         path = [0]
         for _ in range(64):
