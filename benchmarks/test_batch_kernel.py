@@ -16,8 +16,8 @@ the ratio is end-to-end.  The asserted bar is **>= 5x wall clock** for
 the whole all-pairs build; the ratio also lands in the committed
 baseline as ``batch_speedup`` so ``compare_baseline.py`` trips when the
 vectorized path decays back toward per-source Python speed.  Every tree
-must be bit-identical to the kernel's (weights, parents, and dict
-insertion order) — speed without exactness would corrupt golden traces.
+must be bit-identical to the kernel's (its weight and parent rows) —
+speed without exactness would corrupt golden traces.
 
 Skips (not fails) when numpy — the ``repro[fast]`` optional extra — is
 not installed.
@@ -64,16 +64,15 @@ def test_batch_all_pairs_speedup():
     batch_compiled = compile_graph(graph, WEIGHT_ATTR)
     plan = batch.batch_plan(batch_compiled, algebra)
     assert plan is not None
-    batch_runs = batch.batch_trees(batch_compiled, algebra, sources, plan=plan)
+    weights, parents = batch.batch_trees(batch_compiled, algebra, sources,
+                                         plan=plan)
     batch_s = time.perf_counter() - start
 
     # Exactness first: every lane bit-identical to its kernel sweep.
-    assert len(batch_runs) == len(kernel_runs) == N
-    for kernel_run, batch_run in zip(kernel_runs, batch_runs):
-        assert batch_run.weight == kernel_run.weight
-        assert batch_run.parent == kernel_run.parent
-        assert list(batch_run.weight) == list(kernel_run.weight)
-        assert list(batch_run.parent) == list(kernel_run.parent)
+    assert len(weights) == len(parents) == len(kernel_runs) == N
+    for kernel_run, weight, parent in zip(kernel_runs, weights, parents):
+        assert weight == kernel_run.weight
+        assert parent == kernel_run.parent
 
     speedup = kernel_s / batch_s if batch_s else float("inf")
     per_source_kernel = kernel_s / N * 1e3
@@ -90,7 +89,7 @@ def test_batch_all_pairs_speedup():
             f"({per_source_batch:6.2f} ms/source)",
             f"wall clock: {speedup:.1f}x vs kernel "
             f"(bar: {REQUIRED_SPEEDUP}x)",
-            "trees bit-identical across engines (weights, parents, order)",
+            "trees bit-identical across engines (weight and parent rows)",
         ],
         data={
             "n": N,

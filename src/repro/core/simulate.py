@@ -101,24 +101,24 @@ class PreferredWeightOracle:
     """Lazy exact oracle: one preferred-path structure per *source*.
 
     The per-source structure is the unit of routing state (one
-    generalized-Dijkstra :class:`~repro.paths.dijkstra.PathTree`, one
-    valley-free automaton run, one shortest-widest sweep — picked by the
-    same per-algebra dispatch the eager oracle used), and it is built on
-    the first query from that source, never up front.  Workloads that
-    sample ``pair_count ≪ n²`` pairs, or shards that route from a handful
-    of sources, therefore pay for exactly the trees they touch instead of
-    all ``n``.
+    generalized-Dijkstra tree, one valley-free automaton run, one
+    shortest-widest sweep — picked by the same per-algebra dispatch the
+    eager oracle used), and it is built on the first query from that
+    source, never up front.  Workloads that sample ``pair_count ≪ n²``
+    pairs, or shards that route from a handful of sources, therefore pay
+    for exactly the trees they touch instead of all ``n``.
 
+    * every structure is kept as read-only rows over the graph's node
+      order, as the batch sweep and the kernel compute them: a weight
+      row (``PHI`` at the source and where unreachable), and for trees
+      a parent-index row (-1 at the same places);
     * :meth:`ensure_sources` bulk-builds the structures for a known
       source set (the parallel engine calls it per shard, so a shard's
       startup cost is ``O(sources_per_shard)`` builds);
-    * :meth:`trees` hands out the generalized-Dijkstra engine's trees as
-      :class:`~repro.paths.dijkstra.PathTree` views — the tree store the
-      Cowen and destination-table schemes are built from — and
-      :meth:`paths` one source's preferred paths, which pair tables
-      install;
-    * :meth:`key_rows` and :meth:`parent_rows`, its row read side, hand
-      out the same trees over node indexes (built from the maps for now);
+    * :meth:`rows` hands out the trees' rows themselves (the Cowen and
+      destination-table schemes hold them) and :meth:`key_rows` their
+      order keys; :meth:`trees` makes :class:`~repro.paths.dijkstra.PathTree`
+      maps of them, and :meth:`paths` the paths pair tables install;
     * it picks the path engine: two or more missing trees build in the
       vectorized sweeps of :mod:`repro.paths.batch` when the algebra has
       a batch plan, every other tree on the per-source kernel;
@@ -131,7 +131,7 @@ class PreferredWeightOracle:
       object itself lives in :data:`oracle_cache`, so trees accumulate
       across evaluations of the same instance;
     * shortest-widest routes keep their paths, as trees keep their
-      parent maps, and invalidation drops both together;
+      parent rows, and invalidation drops both together;
     * algebras with no per-source engine (non-regular, non-tabular) fall
       back to per-pair enumeration, memoized per ordered pair with its
       path; ``trees_built`` stays 0 for them.
@@ -152,6 +152,7 @@ class PreferredWeightOracle:
         self._tables: Dict = {}
         self._parents: Dict = {}
         self._paths: Dict = {}
+        self._index: Optional[Dict] = None
         self._enum_memo: Optional[Dict] = None
         self._compiled = None
         self._path_engines: set = set()
@@ -196,33 +197,40 @@ class PreferredWeightOracle:
             self._compiled = compile_graph(self.graph, self.attr)
         return self._compiled
 
-    def _build_table(self, source) -> Dict:
-        """target -> preferred weight, from one per-source engine run."""
+    def _row_index(self) -> Dict:
+        """``node -> row position``, in the graph's node order, which its
+        compiled graph shares."""
+        if self._index is None or len(self._index) != len(self.graph):
+            self._index = {node: i for i, node in enumerate(self.graph)}
+        return self._index
+
+    def _build_table(self, source) -> tuple:
+        """The weight row of *source*, from one per-source engine run."""
         if self.engine == "bgp":
             from repro.paths.valley_free import bgp_routes
 
             routes = bgp_routes(self.graph, self.algebra, source, attr=self.attr)
-            return {t: route.label for t, route in routes.items()}
+            return tuple(routes[t].label if t in routes else PHI
+                         for t in self._row_index())
         if self.engine == "shortest-widest":
             from repro.paths.shortest_widest import shortest_widest_routes
 
             routes = shortest_widest_routes(self.graph, source, attr=self.attr,
                                             compiled=self._ensure_compiled())
             self._paths[source] = {t: route.path for t, route in routes.items()}
-            return {t: route.weight for t, route in routes.items()}
-        from repro.paths.dijkstra import preferred_path_tree
+            return tuple(routes[t].weight if t in routes else PHI
+                         for t in self._row_index())
+        from repro.paths.dijkstra import preferred_path_rows
 
-        tree = preferred_path_tree(self.graph, self.algebra, source,
-                                   attr=self.attr,
-                                   compiled=self._ensure_compiled())
+        run = preferred_path_rows(self._ensure_compiled(), self.algebra, source)
         self._path_engines.add("kernel")
-        # The parent map is the raw material of surgical invalidation
+        # The parent row is the raw material of surgical invalidation
         # (tree-edge tests in invalidate_edge); it costs nothing extra —
         # the engine already built it.
-        self._parents[source] = tree.parent
-        return tree.weight
+        self._parents[source] = run.parent
+        return run.weight
 
-    def _table_for(self, source) -> Dict:
+    def _table_for(self, source) -> tuple:
         table = self._tables.get(source)
         if table is not None:
             return table
@@ -258,45 +266,36 @@ class PreferredWeightOracle:
                 _telemetry().counter("oracle.trees_requested").inc()
             self._table_for(source)
 
-    def trees(self, sources: Iterable) -> Dict:
-        """``source -> PathTree`` for *sources*, building the missing trees.
+    def rows(self, sources: Sequence) -> Tuple[List[tuple], List[tuple]]:
+        """The stored weight rows and parent rows of *sources*, built and
+        requested through :meth:`ensure_sources`.
 
-        The tree store's read side: missing trees are built through
-        :meth:`ensure_sources` (batched sweeps over the one compiled
-        graph where the engine allows), and each returned
-        :class:`~repro.paths.dijkstra.PathTree` wraps the memoized weight
-        and parent maps themselves, not copies — a scheme built from
-        them and this oracle's optimality checks read the same trees.
-        Only the generalized-Dijkstra engine keeps trees; the others
-        raise :class:`~repro.exceptions.AlgebraError`.
+        ``weights[k][i]`` is the preferred weight from ``sources[k]`` to
+        the graph's ``i``-th node and ``parents[k][i]`` the position of
+        that node's parent.  Only the generalized-Dijkstra engine keeps
+        trees; the others raise :class:`~repro.exceptions.AlgebraError`.
         """
         if self.engine != "dijkstra":
             raise AlgebraError(
                 f"{self.algebra.name}: the {self.engine} oracle engine "
                 f"keeps no path trees")
-        from repro.paths.dijkstra import PathTree
-
-        ordered = list(dict.fromkeys(sources))
-        self.ensure_sources(ordered)
+        self.ensure_sources(sources)
         with self._lock:
-            return {source: PathTree(source, self._tables[source],
-                                     self._parents[source])
-                    for source in ordered}
+            return ([self._tables[source] for source in sources],
+                    [self._parents[source] for source in sources])
 
-    def key_rows(self, nodes: Sequence) -> List[list]:
-        """The trees of *nodes* as order-key rows over *nodes*.
+    def key_rows(self, weight_rows: Sequence[Sequence]) -> List[list]:
+        """The order keys of *weight_rows* (from :meth:`rows`), entry by
+        entry.
 
-        ``rows[i][j]`` keys the preferred weight from ``nodes[i]`` to
-        ``nodes[j]``: a lower key is a strictly preferred weight, and
-        equally preferred weights key equal.  The keys are the algebra's
-        integer keys (:func:`~repro.algebra.base.key_codec` at ``n - 1``
-        hops) where every weight has one, else ``comparison_key()``
-        objects.  A node's own column and its unreachable ones hold the
-        key of ``PHI``, above every weight.
+        A lower key is a strictly preferred weight, and equally preferred
+        weights key equal.  The keys are the algebra's integer keys
+        (:func:`~repro.algebra.base.key_codec` at ``n - 1`` hops) where
+        every weight has one, else ``comparison_key()`` objects.  ``PHI``
+        keys above every weight.
         """
-        tables = [self._tree_maps(source)[0] for source in nodes]
-        distinct = list(set().union(*(table.values() for table in tables)))
-        codec = key_codec(self.algebra, max(1, len(nodes) - 1))
+        distinct = list(set().union(*weight_rows) - {PHI})
+        codec = key_codec(self.algebra, max(1, len(self.graph) - 1))
         keys = codec.encode(distinct) if codec is not None else None
         if keys is not None:
             key_of = dict(zip(distinct, keys))
@@ -305,33 +304,23 @@ class PreferredWeightOracle:
             key = self.algebra.comparison_key()
             key_of = {weight: key(weight) for weight in distinct + [PHI]}
         get = key_of.__getitem__
-        return [list(map(get, map(table.get, nodes, itertools.repeat(PHI))))
-                for table in tables]
+        return [list(map(get, row)) for row in weight_rows]
 
-    def parent_rows(self, sources: Sequence, nodes: Sequence) -> List[List[int]]:
-        """The trees of *sources* as parent-index rows over *nodes*: -1 at
-        the source and at unreachable nodes."""
-        index = {node: i for i, node in enumerate(nodes)}.get
-        return [list(map(index, map(self._tree_maps(source)[1].get, nodes),
-                         itertools.repeat(-1)))
-                for source in sources]
+    def trees(self, sources: Iterable) -> Dict:
+        """``source -> PathTree`` for *sources*: node-keyed maps made from
+        :meth:`rows` on every call, in node-index order."""
+        from repro.paths.dijkstra import PathTree
 
-    def _tree_maps(self, source) -> Tuple[Dict, Dict]:
-        """One source's weight and parent maps for the row read side.
-
-        A source missing from the store is built, and requested, through
-        :meth:`trees`; a built tree's rows are read without a request.
-        """
-        if source not in self._parents:
-            self.trees([source])
-        with self._lock:
-            return self._tables[source], self._parents[source]
+        ordered = list(dict.fromkeys(sources))
+        nodes = list(self._row_index())
+        return {source: PathTree.from_rows(source, nodes, weight, parent)
+                for source, weight, parent in zip(ordered, *self.rows(ordered))}
 
     def paths(self, source) -> Dict:
         """``target -> preferred path`` (a node tuple) from *source*.
 
         The pair table's read side.  Trees yield their paths by walking
-        parent maps; shortest-widest routes and
+        parent rows; shortest-widest routes and
         enumeration results hand back the paths they were found with.
         The valley-free engine keeps no paths and raises
         :class:`~repro.exceptions.AlgebraError`.
@@ -344,13 +333,11 @@ class PreferredWeightOracle:
                      for target in self.graph.nodes() if target != source}
             return {target: route.path for target, route in found.items()
                     if route is not None}
-        self.ensure_sources([source])
-        with self._lock:
-            if self.engine == "shortest-widest":
+        if self.engine == "shortest-widest":
+            self.ensure_sources([source])
+            with self._lock:
                 return self._paths[source]
-            from repro.paths.dijkstra import PathTree
-
-            tree = PathTree(source, self._tables[source], self._parents[source])
+        tree = self.trees([source])[source]
         return {target: tuple(tree.path_to(target)) for target in tree.weight}
 
     def _enumerate(self, s, t):
@@ -387,11 +374,10 @@ class PreferredWeightOracle:
                 _batch.count_fallback()
                 return
             self._path_engines.add("batch")
-            runs = _batch.batch_trees(compiled, self.algebra, missing,
-                                      plan=plan)
-            for source, run in zip(missing, runs):
-                self._tables[source] = run.weight
-                self._parents[source] = run.parent
+            weights, parents = _batch.batch_trees(compiled, self.algebra,
+                                                  missing, plan=plan)
+            self._tables.update(zip(missing, weights))
+            self._parents.update(zip(missing, parents))
             self.trees_built += len(missing)
             if _telemetry_enabled():
                 _telemetry().counter("oracle.trees_built").inc(len(missing))
@@ -403,7 +389,9 @@ class PreferredWeightOracle:
         if self.engine == "enumeration":
             found = self._enumerate(s, t)
             return found.weight if found is not None else PHI
-        return self._table_for(s).get(t, PHI)
+        row = self._table_for(s)
+        i = self._row_index().get(t)
+        return PHI if i is None else row[i]
 
     def weights_from(self, source, targets: Sequence) -> List:
         """The preferred weights from *source* to *targets*, in order.
@@ -420,8 +408,9 @@ class PreferredWeightOracle:
         if self.engine == "enumeration":
             found = [self._enumerate(source, t) for t in targets]
             return [PHI if route is None else route.weight for route in found]
-        return list(map(self._table_for(source).get, targets,
-                        itertools.repeat(PHI)))
+        row = self._table_for(source)
+        return [PHI if i is None else row[i]
+                for i in map(self._row_index().get, targets)]
 
     # -- incremental invalidation (the service layer's churn path) --------
 
@@ -432,6 +421,7 @@ class PreferredWeightOracle:
             self._tables = {}
             self._parents = {}
             self._paths = {}
+            self._index = None
             if self._enum_memo is not None:
                 dropped += len(self._enum_memo)
                 self._enum_memo = {}
@@ -464,7 +454,8 @@ class PreferredWeightOracle:
         identically — true of every built-in algebra, whose weights are
         ints, Fractions and tuples thereof).  Everything else is dropped
         and lazily rebuilt on the next query.  The compiled CSR view is
-        weight-patched in place when possible, else dropped.
+        weight-patched in place when possible, else dropped.  A new node
+        (appended to the node order) grows every kept row by one entry.
         """
         if change not in ("weight", "remove", "add"):
             raise ValueError(f"unknown change kind {change!r}")
@@ -481,6 +472,13 @@ class PreferredWeightOracle:
                 self._enum_memo = {}
                 return OracleInvalidation(change=change, kept=0,
                                           dropped=dropped, patched=patched)
+            first = next(iter(self._tables.values()), None)
+            grow = 0 if first is None else len(self.graph) - len(first)
+            if grow:
+                self._tables = {source: row + (PHI,) * grow
+                                for source, row in self._tables.items()}
+                self._parents = {source: row + (-1,) * grow
+                                 for source, row in self._parents.items()}
             keep = self._keep_rule(u, v, new_weight, change)
             kept_tables = {source: table
                            for source, table in self._tables.items()
@@ -497,24 +495,27 @@ class PreferredWeightOracle:
                                   dropped=dropped, patched=patched)
 
     def _keep_rule(self, u, v, new_weight, change):
-        """``(source, table) -> bool``: may the memoized table survive?"""
+        """``(source, weight row) -> bool``: may the memoized row survive?"""
         directed = self.graph.is_directed()
         algebra = self.algebra
         declared = algebra.declared_properties()
         surgical = (self.engine == "dijkstra"
                     and declared.monotone is True
                     and declared.isotone is True)
+        index = self._row_index()
+        ui, vi = index[u], index[v]
 
-        def reaches(source, table, node):
-            return node == source or node in table
+        def reaches(s, row, node):
+            return node == s or not is_phi(row[node])
 
         if not surgical:
             # Endpoint-reachability rule, valid for every engine: a path
             # from *source* through the arc needs a valid prefix ending
             # at the tail, and prefixes use only unchanged arcs.
-            def keep(source, table):
-                if not reaches(source, table, u):
-                    return directed or not reaches(source, table, v)
+            def keep(source, row):
+                s = index[source]
+                if not reaches(s, row, ui):
+                    return directed or not reaches(s, row, vi)
                 return False
 
             return keep
@@ -522,30 +523,30 @@ class PreferredWeightOracle:
         parents = self._parents
 
         def is_tree_edge(parent):
-            if parent.get(v) == u:
+            if parent[vi] == ui:
                 return True
-            return not directed and parent.get(u) == v
+            return not directed and parent[ui] == vi
 
-        def direction_safe(source, table, tail, head):
+        def direction_safe(s, row, tail, head):
             # May a path source -> tail -> (changed arc) -> head enter
             # the optimum class at *head*?  Safe when it provably cannot.
-            if is_phi(new_weight) or head == source:
+            if is_phi(new_weight) or head == s:
                 return True
-            if tail == source:
+            if tail == s:
                 candidate = new_weight
             else:
-                d_tail = table.get(tail, PHI)
+                d_tail = row[tail]
                 if is_phi(d_tail):
                     return True
                 candidate = algebra.combine(d_tail, new_weight)
             if is_phi(candidate):
                 return True
-            d_head = table.get(head, PHI)
+            d_head = row[head]
             if is_phi(d_head):
                 return False  # the arc makes *head* reachable
             return algebra.lt(d_head, candidate)
 
-        def keep(source, table):
+        def keep(source, row):
             parent = parents.get(source)
             if parent is None:
                 return False  # no recorded tree: assume affected
@@ -556,9 +557,10 @@ class PreferredWeightOracle:
                 # Non-tree edge: the memoized tree avoids it, removal
                 # cannot improve anything -> labels stand.
                 return True
-            if not direction_safe(source, table, u, v):
+            s = index[source]
+            if not direction_safe(s, row, ui, vi):
                 return False
-            return directed or direction_safe(source, table, v, u)
+            return directed or direction_safe(s, row, vi, ui)
 
         return keep
 

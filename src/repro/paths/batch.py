@@ -16,10 +16,9 @@ Bit-identity with the PR 5 kernel
 ---------------------------------
 
 The kernel settles nodes in non-decreasing key order, FIFO within a key
-(its buckets, or its heap's insertion-counter tie-break), and builds the
-``weight``/``parent`` maps in first-relaxation order with
-strict-improvement tie-breaks.  The batch sweep reproduces all of it
-exactly, per lane:
+(its buckets, or its heap's insertion-counter tie-break), and labels
+each node with strict-improvement tie-breaks.  The batch sweep
+reproduces both exactly, per lane:
 
 * **windows** — the sweep settles key *windows* ``[L, L + step)`` in
   increasing order, where ``step`` is the smallest raise any compiled
@@ -39,14 +38,13 @@ exactly, per lane:
   order major, CSR edge order minor), and forms the candidate keys with
   the algebra's key combine.  Per relaxed target the sweep keeps the
   event minimizing ``(candidate key, event rank)`` — exactly the label
-  the kernel's sequential strict-improvement scan leaves behind — and
-  separately the *first* touching event, which fixes the map-insertion
-  (first-relaxation) order;
+  the kernel's sequential strict-improvement scan leaves behind;
 * **decode** — final labels are integer keys; the algebra's
   :meth:`~repro.algebra.base.RoutingAlgebra.integer_key_weight_fn`
   decodes them back to the weight objects the kernel would have
   produced (the capability promises ``decode(ik(w)) == w``; the plan
-  additionally validates the promise on every compiled edge weight).
+  additionally validates the promise on every compiled edge weight),
+  once per distinct key, into the kernel's weight and parent rows.
 
 Eligibility falls back **per algebra**: when the algebra declares no key
 combine (:func:`~repro.algebra.base.key_codec`), is not monotone, its
@@ -66,11 +64,10 @@ try:  # numpy is an optional extra (`pip install repro[fast]`)
 except Exception:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
-from repro.algebra.base import KeyCombine, RoutingAlgebra, key_codec
-from repro.frozen import FrozenTable
+from repro.algebra.base import PHI, KeyCombine, RoutingAlgebra, key_codec
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
-from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
+from repro.paths.kernel import CompiledGraph
 
 #: Lanes per vectorized sweep chunk; source lists longer than this are
 #: processed in chunks (the last one ragged), bounding the dense
@@ -79,8 +76,8 @@ from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
 #: chunks amortize no better and measurably thrash.
 DEFAULT_BATCH_SIZE = 128
 
-#: The int64 maximum: the unreachable sentinel of int64 label and rank
-#: state, above every key a plan admits (key bounds stop at 2^62).
+#: The int64 maximum: the unreachable sentinel of int64 label state,
+#: above every key a plan admits (key bounds stop at 2^62).
 _INF = (1 << 63) - 1
 
 #: ``compiled.scratch`` key of the algebra-independent CSR int arrays.
@@ -117,10 +114,6 @@ class BatchPlan:
     edge_keys: "object"
     combine: KeyCombine
     decode: Callable[[int], object]
-    #: True when every weight IS its own integer key (plain-int
-    #: algebras like shortest-path / min-hop): emission can then skip
-    #: the per-node decode call entirely.
-    identity_decode: bool = False
 
 
 @dataclass(frozen=True)
@@ -178,9 +171,6 @@ def _make_batch_plan(compiled, algebra):
     keys = codec.encode(compiled.weights)
     if keys is None:
         return None
-    # ``bool`` is excluded: it needs a real decode back from int.
-    identity = all(type(weight) is int and weight == key
-                   for weight, key in zip(compiled.weights, keys))
     csr = compiled.scratch.get(_CSR_KEY)
     if csr is None:
         csr = (_np.asarray(compiled.indptr, dtype=_np.int64),
@@ -198,7 +188,7 @@ def _make_batch_plan(compiled, algebra):
     return BatchPlan(bound=codec.bound, step=step, max_lanes=max_lanes,
                      max_hops=max_hops, indptr=csr[0], indices=csr[1],
                      edge_keys=edge_keys, combine=codec.combine,
-                     decode=codec.decode, identity_decode=identity)
+                     decode=codec.decode)
 
 
 def count_fallback() -> None:
@@ -210,16 +200,16 @@ def count_fallback() -> None:
 
 def batch_trees(compiled: CompiledGraph, algebra: RoutingAlgebra,
                 roots: Sequence, plan: Optional[BatchPlan] = None,
-                batch_size: int = DEFAULT_BATCH_SIZE) -> List[KernelRun]:
-    """Vectorized sweeps from every root; kernel-identical per-root results.
+                batch_size: int = DEFAULT_BATCH_SIZE
+                ) -> Tuple[List[tuple], List[tuple]]:
+    """Vectorized sweeps from every root; kernel-identical rows per root.
 
     Roots are processed in chunks of *batch_size* lanes (the tail chunk
     ragged; no wider than the plan's ``max_lanes``); each chunk shares
     one window/wave loop, so the per-window numpy work amortizes across
-    its lanes.  Returns one
-    :class:`~repro.paths.kernel.KernelRun` per root, in *roots* order —
-    ``weight``/``parent`` maps equal to :func:`~repro.paths.kernel.kernel_tree`'s
-    for the same root, including dict insertion order.
+    its lanes.  Returns ``(weight rows, parent rows)``, one of each per
+    root in *roots* order, equal to :func:`~repro.paths.kernel.kernel_tree`'s
+    for the same root.
 
     Raises ``ValueError`` when the instance has no batch plan — callers
     decide the fallback (see :func:`batch_plan`).
@@ -235,37 +225,37 @@ def batch_trees(compiled: CompiledGraph, algebra: RoutingAlgebra,
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     root_indices = [compiled.node_index[root] for root in roots]
     width = min(batch_size, plan.max_lanes)
-    runs: List[KernelRun] = []
+    n = len(compiled.nodes)
+    ints = _np.arange(n + 1).astype(object)
+    ints[n] = -1  # what index -1 (no parent) gathers
+    decoded = {}
+    weight_rows: List[tuple] = []
+    parent_rows: List[tuple] = []
     chunks = 0
     levels = 0
     relaxations = 0
     improvements = 0
     for start in range(0, len(root_indices), width):
         chunk = root_indices[start:start + width]
-        dist, parent, touch, touch_inf, chunk_stats = _sweep_chunk(
-            compiled, plan, chunk)
+        dist, parent, chunk_stats = _sweep_chunk(compiled, plan, chunk)
         chunks += 1
         levels += chunk_stats[0]
         relaxations += chunk_stats[1]
         improvements += chunk_stats[2]
-        stats = KernelStats(engine="batch", relaxations=chunk_stats[1],
-                            frontier_pushes=chunk_stats[2], stale_pops=0,
-                            bucket_engaged=False)
-        runs.extend(_emit_chunk(compiled, plan, dist, parent, touch,
-                                touch_inf, len(chunk), stats))
+        weight_rows += _weight_rows(plan, dist, parent, n, decoded)
+        parent_rows += map(tuple, ints.take(parent).reshape(-1, n).tolist())
     _emit_batch_stats(BatchStats(sources=len(root_indices), chunks=chunks,
                                  levels=levels, relaxations=relaxations,
                                  improvements=improvements))
-    return runs
+    return weight_rows, parent_rows
 
 
 def _sweep_chunk(compiled, plan, roots) -> Tuple:
-    """One dense multi-lane window sweep; returns (dist, parent, touch, stats).
+    """One dense multi-lane window sweep; returns (dist, parent, stats).
 
     ``dist[lane, v]`` is the integer key of lane ``lane``'s current label
     at node ``v`` (``key_inf`` = unreached), ``parent`` the predecessor
-    index (-1 = none), ``touch[lane, v]`` the global rank of the first
-    relaxation that reached ``v`` (the map-insertion order), and stats a
+    index (-1 = none: the root and unreached nodes), and stats a
     ``(windows, relaxations, improvements)`` triple.
 
     All label state lives in flat ``lanes * n`` arrays indexed by
@@ -281,13 +271,11 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
     lanes_count = len(roots)
     size = lanes_count * n
     # Event ranks are bounded by every lane scanning every arc once, so
-    # most chunks can keep rank state (push order, touch order) in
-    # int32 — halving both the radix passes of the per-wave FIFO sort
-    # and the scatter/gather traffic.  Same idea for the target sort
-    # keys, bounded by lanes x nodes.
+    # most chunks can keep push ranks in int32 — halving both the radix
+    # passes of the per-wave FIFO sort and the scatter/gather traffic.
+    # Same idea for the target sort keys, bounded by lanes x nodes.
     rank_bound = lanes_count * (int(edge_keys.size) + 1)
     rank_dtype = np.int32 if rank_bound < (1 << 31) - 1 else np.int64
-    touch_inf = (1 << 31) - 1 if rank_dtype is np.int32 else _INF
     group_dtype = np.int32 if size < (1 << 31) else np.int64
     # Label keys stay below the plan's bound; when that is far below
     # 2^31 the distance state narrows to int32 as well — with its own
@@ -300,7 +288,6 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
     dist = np.full(size, key_inf, dtype=key_dtype)
     parent = np.full(size, -1, dtype=group_dtype)
     push_rank = np.zeros(size, dtype=rank_dtype)
-    touch = np.full(size, touch_inf, dtype=rank_dtype)
     settled = np.zeros(size, dtype=bool)
     frontier = np.full(size, key_inf, dtype=key_dtype)
     root_arr = np.asarray(roots, dtype=np.int64)
@@ -314,7 +301,7 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
     edge_src = np.repeat(np.arange(n, dtype=group_dtype), np.diff(indptr))
     # The root's "key" seeds candidates at 0, the identity of every key
     # combine: a one-edge path's key is the edge key.  The root stays
-    # settled and untouched, so it never reaches the output maps —
+    # settled and never gets a parent, so its row entries stay PHI and -1 —
     # kernel semantics.
     root_flat = lane_base0 + root_arr
     dist[root_flat] = 0
@@ -330,7 +317,7 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
     def relax(us, lane_base, base_keys):
         """Scan the CSR rows of the wave's nodes — in settle order, with
         label keys *base_keys* (one int when they all share it) — and
-        fold the generated events into dist/parent/push_rank/touch."""
+        fold the generated events into dist/parent/push_rank."""
         starts = indptr[us]
         degs = indptr[us + 1] - starts
         ends = np.cumsum(degs)
@@ -349,13 +336,13 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
             base_keys = np.repeat(base_keys, degs)
         cand = combine(base_keys, edge_keys.take(pos), np.minimum)
         # Keep only candidates that beat the target's current label.
-        # This is winner- and touch-preserving: the per-target winner
-        # minimizes (candidate key, rank), so whenever any event
-        # improves, the overall winner is itself improving; targets with
-        # no improving event need neither a label nor a touch (unreached
-        # targets hold the unreached sentinel, so every live candidate
-        # beats them).  Settled targets drop out for free: their final
-        # key is <= the window, hence <= every candidate.
+        # This is winner-preserving: the per-target winner minimizes
+        # (candidate key, rank), so whenever any event improves, the
+        # overall winner is itself improving; targets with no improving
+        # event need no label (unreached targets hold the unreached
+        # sentinel, so every live candidate beats them).  Settled
+        # targets drop out for free: their final key is <= the window,
+        # hence <= every candidate.
         rank = np.flatnonzero(cand < dist.take(targets))
         if rank.size == 0:
             counters["time"] += total
@@ -388,13 +375,6 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
         win_index = group_min % total
         parent[improved] = edge_src.take(pos.take(win_index))
         push_rank[improved] = counters["time"] + win_index
-        # Insertion order: the *first* (lowest-rank) event touching a
-        # previously unreached node fixes its position in the maps (the
-        # kernel appends on first relaxation, not the final label).
-        # Groups are rank-ordered, so each group's head IS its minimum.
-        group_touch = rank.take(order.take(bounds))
-        fresh = touch.take(improved) == touch_inf
-        touch[improved[fresh]] = counters["time"] + group_touch[fresh]
         counters["time"] += total
 
     relax(root_arr, lane_base0, 0)
@@ -432,54 +412,32 @@ def _sweep_chunk(compiled, plan, roots) -> Tuple:
             # A zero raise may have labeled new nodes at this same key:
             # they form the next wave, exactly like entries appended to
             # the kernel's in-scan bucket.
-    return dist, parent, touch, touch_inf, (window_count,
-                                            counters["relaxations"],
-                                            counters["improvements"])
+    return dist, parent, (window_count, counters["relaxations"],
+                          counters["improvements"])
 
 
-def _emit_chunk(compiled, plan, dist, parent, touch, touch_inf, lanes_count,
-                stats) -> List[KernelRun]:
-    """Decode one chunk's flat integer labels into kernel-shaped runs.
+def _weight_rows(plan, dist, parent, n, decoded) -> List[tuple]:
+    """One chunk's weight rows: ``PHI`` where ``parent`` is -1 (the root,
+    unreached nodes), else the weight behind the label key.
 
-    One lexsort over every reached ``(lane, touch rank)`` pair recovers
-    all lanes' map-insertion orders at once, and ``tolist()``
-    bulk-converts the label arrays to native Python ints, so the
-    per-node cost is a few C-level dict inserts rather than per-lane
-    numpy calls and scalar boxing.  Each distinct key decodes once:
-    labels with equal keys share one (immutable) weight object, which
-    saves decode calls and the memory of the chunk's trees.
+    Keys decode once into *decoded*, which the chunks of one sweep share,
+    so equal labels share one weight object, gathered into every row at
+    C speed.
     """
     np = _np
-    nodes = compiled.nodes
-    decode = plan.decode
-    n = len(nodes)
-    # Object-array gathers map every reached label of the whole chunk
-    # back to node objects in two C-level passes (``np.array`` would
-    # try to broadcast tuple-keyed nodes; the empty/fill idiom doesn't).
-    node_objs = np.empty(n, dtype=object)
-    node_objs[:] = nodes
-    reached = np.flatnonzero(touch != touch_inf)
-    lane_of = reached // n
-    reached = reached.take(np.lexsort((touch.take(reached), lane_of)))
-    touched_nodes = node_objs.take(reached % n).tolist()
-    keys = dist.take(reached).tolist()
-    if not plan.identity_decode:
-        decoded = dict.fromkeys(keys)
-        for key in decoded:
-            decoded[key] = decode(key)
-        keys = list(map(decoded.__getitem__, keys))
-    parent_nodes = node_objs.take(parent.take(reached)).tolist()
-    splits = np.cumsum(np.bincount(lane_of, minlength=lanes_count)).tolist()
-    runs: List[KernelRun] = []
-    start = 0
-    for stop in splits:
-        node_list = touched_nodes[start:stop]
-        runs.append(KernelRun(
-            weight=FrozenTable(zip(node_list, keys[start:stop])),
-            parent=FrozenTable(zip(node_list, parent_nodes[start:stop])),
-            stats=stats))
-        start = stop
-    return runs
+    reached = parent >= 0
+    keys, codes = np.unique(dist[reached], return_inverse=True)
+    weights = []
+    for key in keys.tolist():
+        weight = decoded.get(key)
+        if weight is None:
+            weight = decoded[key] = plan.decode(key)
+        weights.append(weight)
+    weights.append(PHI)
+    table = np.fromiter(weights, dtype=object, count=len(weights))
+    slots = np.full(dist.size, len(weights) - 1, dtype=np.int64)
+    slots[reached] = codes.ravel()
+    return list(map(tuple, table.take(slots).reshape(-1, n).tolist()))
 
 
 def _emit_batch_stats(stats: BatchStats) -> None:

@@ -12,9 +12,9 @@ final.  The implementation refuses algebras *declared* non-isotone unless
 ``unsafe=True``; for undeclared algebras it proceeds (callers can validate
 results against :mod:`repro.paths.enumerate` on small instances).
 
-Three engines produce the (bit-identical) result, and the tree store
-(:class:`repro.core.simulate.PreferredWeightOracle`) alone decides which
-one builds a tree:
+Three engines produce the same preferred weights and parents, and the
+tree store (:class:`repro.core.simulate.PreferredWeightOracle`) alone
+decides which one builds a tree:
 
 * the **batch** engine (:mod:`repro.paths.batch`) runs vectorized numpy
   sweeps over CSR-flattened arrays for monotone algebras with an integer
@@ -30,6 +30,13 @@ one builds a tree:
   adjacency dicts with a ``_HeapEntry`` heap — the seed implementation,
   kept as the referee that tests and the E-KRN benchmark call by name.
 
+The batch and kernel engines return a tree as rows over the compiled
+node index, the tree store's one format
+(:class:`~repro.paths.kernel.KernelRun`); :meth:`PathTree.from_rows`
+makes node-keyed maps of them, in node-index order, for the callers
+that ask for maps.  The referee's maps are in first-relaxation order, so
+maps compare by content.
+
 All-pairs work should not call :func:`preferred_path_tree` once per
 source: the store builds every source's tree in batched sweeps over one
 compiled graph, and the schemes :func:`repro.core.compiler.build_scheme`
@@ -43,7 +50,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.algebra.base import PHI, RoutingAlgebra, Weight, is_phi
 from repro.exceptions import AlgebraError
@@ -51,6 +58,7 @@ from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.paths.kernel import (  # noqa: F401  (re-exported for compat)
     CompiledGraph,
+    KernelRun,
     KernelStats,
     _HeapEntry,
     compile_graph,
@@ -66,13 +74,25 @@ class PathTree:
     ``weight[v]`` is the preferred path weight (absent if unreachable;
     ``weight[root]`` is absent too, since the empty path has no weight in a
     semigroup), ``parent[v]`` is the penultimate node on the preferred
-    root→v path.  Every engine emits both maps read-only
-    (:class:`~repro.frozen.FrozenTable`): schemes forward by them.
+    root→v path.  Both maps are read-only
+    (:class:`~repro.frozen.FrozenTable`).
     """
 
     root: object
     weight: Dict[object, Weight]
     parent: Dict[object, object]
+
+    @classmethod
+    def from_rows(cls, root, nodes: Sequence, weight: Sequence,
+                  parent: Sequence[int]) -> "PathTree":
+        """The tree whose rows over *nodes* are *weight* and *parent*
+        (:class:`~repro.paths.kernel.KernelRun`), as maps in node-index
+        order."""
+        reached = [i for i, up in enumerate(parent) if up >= 0]
+        keys = [nodes[i] for i in reached]
+        return cls(root,
+                   FrozenTable(zip(keys, map(weight.__getitem__, reached))),
+                   FrozenTable(zip(keys, [nodes[parent[i]] for i in reached])))
 
     def path_to(self, target) -> Optional[list]:
         """The preferred root→target node sequence, or None if unreachable."""
@@ -104,6 +124,20 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
     amortize flattening across per-source runs; single-shot callers can
     omit it.  Trees for many sources come cheaper from the tree store.
     """
+    if compiled is None:
+        compiled = compile_graph(graph, attr)
+    elif compiled.attr != attr:
+        raise ValueError(
+            f"compiled graph flattened attr {compiled.attr!r}, requested {attr!r}"
+        )
+    run = preferred_path_rows(compiled, algebra, root, unsafe=unsafe)
+    return PathTree.from_rows(root, compiled.nodes, run.weight, run.parent)
+
+
+def preferred_path_rows(compiled: CompiledGraph, algebra: RoutingAlgebra,
+                        root, unsafe: bool = False) -> KernelRun:
+    """:func:`preferred_path_tree`'s kernel run, as rows over the compiled
+    node index: the tree store's format, with the same checks."""
     if algebra.is_right_associative:
         raise AlgebraError(
             f"{algebra.name} is right-associative; use the valley-free path engine"
@@ -115,17 +149,11 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
             f"monotone={declared.monotone}, isotone={declared.isotone} "
             f"(pass unsafe=True to force)"
         )
-    if compiled is None:
-        compiled = compile_graph(graph, attr)
-    elif compiled.attr != attr:
-        raise ValueError(
-            f"compiled graph flattened attr {compiled.attr!r}, requested {attr!r}"
-        )
     if root not in compiled.node_index:
         raise AlgebraError(f"root {root!r} not in graph")
     run = kernel_tree(compiled, algebra, root)
     emit_stats(run.stats)
-    return PathTree(root, run.weight, run.parent)
+    return run
 
 
 def _reference_tree(graph, algebra: RoutingAlgebra, root,
@@ -147,8 +175,8 @@ def _reference_tree(graph, algebra: RoutingAlgebra, root,
     settled.add(root)
     for v in neighbors(root):
         w = graph[root][v][attr]
-        if is_phi(w):
-            continue
+        if v == root or is_phi(w):
+            continue  # a loop at the root labels nothing
         relaxations += 1
         if v not in weight or algebra.lt(w, weight[v]):
             weight[v] = w

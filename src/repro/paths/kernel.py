@@ -26,9 +26,10 @@ the per-source loop:
 Results are **bit-identical** to the seed engine,
 :func:`repro.paths.dijkstra._reference_tree`: within a bucket all weights
 are algebra-equal (integer keys are an order embedding), so FIFO pop
-order reproduces the heap's insertion-counter tie-break exactly, and the
-``weight``/``parent`` maps are rebuilt in first-relaxation order.  The
-kernel-vs-reference Hypothesis suite enforces this.
+order reproduces the heap's insertion-counter tie-break exactly.  A run
+returns the tree as its weight and parent-index rows over the compiled
+node index (:class:`KernelRun`), the tree store's one format.  The
+kernel-vs-reference Hypothesis suite enforces equal weights and parents.
 
 The kernel builds every single-root tree
 (:func:`~repro.paths.dijkstra.preferred_path_tree`) and every tree the
@@ -43,10 +44,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.algebra.base import RoutingAlgebra, is_phi
-from repro.frozen import FrozenTable
+from repro.algebra.base import PHI, RoutingAlgebra, is_phi
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
@@ -151,10 +151,12 @@ class _BucketPlan:
 
 @dataclass(frozen=True)
 class KernelRun:
-    """The outcome of one compiled per-source sweep."""
+    """One compiled per-source sweep: ``weight[i]`` is the preferred weight
+    to node index ``i`` and ``parent[i]`` its parent's index, ``PHI`` and
+    -1 at the root and at unreachable nodes."""
 
-    weight: Dict
-    parent: Dict
+    weight: Tuple
+    parent: Tuple[int, ...]
     stats: KernelStats
 
 
@@ -336,24 +338,16 @@ def kernel_tree(compiled: CompiledGraph, algebra: RoutingAlgebra,
     Picks the bucketed frontier when :meth:`CompiledGraph.bucket_plan`
     accepts the algebra; otherwise runs the reference-heap algorithm over
     the compiled arrays.  Both paths reproduce the reference engine's
-    result exactly — weights, parents, and the first-relaxation insertion
-    order of both (read-only) maps.
+    weights and parents exactly, as read-only rows (:class:`KernelRun`).
     """
     root_index = compiled.node_index[root]
     plan = compiled.bucket_plan(algebra)
     if plan is not None:
-        weight, parent, order, stats = _bucket_tree(compiled, algebra,
-                                                    root_index, plan)
+        weight, parent, stats = _bucket_tree(compiled, algebra, root_index,
+                                             plan)
     else:
-        weight, parent, order, stats = _heap_tree(compiled, algebra,
-                                                  root_index)
-    nodes = compiled.nodes
-    reached = [nodes[index] for index in order]
-    return KernelRun(
-        weight=FrozenTable(zip(reached, map(weight.__getitem__, order))),
-        parent=FrozenTable(zip(reached, [nodes[parent[index]]
-                                         for index in order])),
-        stats=stats)
+        weight, parent, stats = _heap_tree(compiled, algebra, root_index)
+    return KernelRun(weight=tuple(weight), parent=tuple(parent), stats=stats)
 
 
 def _bucket_tree(compiled, algebra, root, plan):
@@ -374,9 +368,8 @@ def _bucket_tree(compiled, algebra, root, plan):
     lt = algebra.lt
     key_of = plan.key_fn
     edge_keys = plan.edge_keys
-    weight: List = [None] * n
+    weight: List = [PHI] * n
     parent = [-1] * n
-    order: List[int] = []
     settled = bytearray(n)
     buckets: List[Optional[list]] = [None] * plan.length
     relaxations = 0
@@ -386,12 +379,12 @@ def _bucket_tree(compiled, algebra, root, plan):
     settled[root] = 1
     for edge in range(indptr[root], indptr[root + 1]):
         v = indices[edge]
+        if v == root:
+            continue  # a loop at the root: the root keeps no label
         w = weights[edge]
         relaxations += 1
         current = weight[v]
-        if current is None or lt(w, current):
-            if current is None:
-                order.append(v)
+        if current is PHI or lt(w, current):
             weight[v] = w
             parent[v] = root
             key = edge_keys[edge]
@@ -424,9 +417,7 @@ def _bucket_tree(compiled, algebra, root, plan):
                 if is_phi(candidate):
                     continue
                 current = weight[v]
-                if current is None or lt(candidate, current):
-                    if current is None:
-                        order.append(v)
+                if current is PHI or lt(candidate, current):
                     weight[v] = candidate
                     parent[v] = u
                     key = key_of(candidate)
@@ -443,7 +434,7 @@ def _bucket_tree(compiled, algebra, root, plan):
     stats = KernelStats(engine="bucket", relaxations=relaxations,
                         frontier_pushes=pushes, stale_pops=stale,
                         bucket_engaged=True, buckets=plan.length)
-    return weight, parent, order, stats
+    return weight, parent, stats
 
 
 def _heap_tree(compiled, algebra, root):
@@ -453,9 +444,8 @@ def _heap_tree(compiled, algebra, root):
     combine = algebra.combine_finite
     lt = algebra.lt
     keyfn = algebra.comparison_key()
-    weight: List = [None] * n
+    weight: List = [PHI] * n
     parent = [-1] * n
-    order: List[int] = []
     settled = bytearray(n)
     counter = itertools.count()
     heap: List[_HeapEntry] = []
@@ -466,12 +456,12 @@ def _heap_tree(compiled, algebra, root):
     settled[root] = 1
     for edge in range(indptr[root], indptr[root + 1]):
         v = indices[edge]
+        if v == root:
+            continue  # a loop at the root: the root keeps no label
         w = weights[edge]
         relaxations += 1
         current = weight[v]
-        if current is None or lt(w, current):
-            if current is None:
-                order.append(v)
+        if current is PHI or lt(w, current):
             weight[v] = w
             parent[v] = root
             heapq.heappush(heap, _HeapEntry(keyfn(w), w, next(counter), v))
@@ -494,9 +484,7 @@ def _heap_tree(compiled, algebra, root):
             if is_phi(candidate):
                 continue
             current = weight[v]
-            if current is None or lt(candidate, current):
-                if current is None:
-                    order.append(v)
+            if current is PHI or lt(candidate, current):
                 weight[v] = candidate
                 parent[v] = u
                 heapq.heappush(
@@ -507,7 +495,7 @@ def _heap_tree(compiled, algebra, root):
     stats = KernelStats(engine="heap", relaxations=relaxations,
                         frontier_pushes=pushes, stale_pops=stale,
                         bucket_engaged=False)
-    return weight, parent, order, stats
+    return weight, parent, stats
 
 
 def emit_stats(stats: KernelStats) -> None:

@@ -18,7 +18,8 @@ per-decision step of the one walk (:func:`_walk`) reads:
   key), light depths, and each target's label (DFS number + light-port
   sequence) as a CSR;
 * **cowen** (:class:`CowenScheme`): the direct cluster/landmark entries
-  as one sorted ``u*n + t`` key array with pre-resolved next hops, plus
+  as one sorted ``u*n + t`` key array with next hops gathered from the
+  tree store's parent rows the scheme holds, plus
   the tree-routing columns of every landmark tree stacked into flat
   ``(|L|, n)`` arrays and each target's header (landmark slot, tree DFS,
   light ports);
@@ -339,16 +340,26 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key,
         return None
     arrays = _tree_columns(trees, adjacency)
 
-    # Direct entries: one sorted u*n+t key per (node, cluster-or-landmark
-    # target), the next hop pre-resolved along the target-rooted tree.
-    entries = []
-    for ui, u in enumerate(nodes):
-        for t in scheme.clusters[u] | scheme.landmarks:
-            if t != u:
-                vi = node_index[scheme._trees[t].parent[u]]
-                entries.append((ui * n + node_index[t], vi,
-                                edge_key[(ui, vi)]))
-    arrays.update(_entry_columns("direct", entries))
+    # Direct entries: one sorted u*n+t code per (node, cluster-or-landmark
+    # target), its next hop u's parent in the target-rooted tree and that
+    # arc's key, both gathered: from the parent rows and an arc-key matrix.
+    direct = [scheme.clusters[u] | scheme.landmarks for u in nodes]
+    sizes = list(map(len, direct))
+    targets = _np.fromiter(map(node_index.__getitem__, chain.from_iterable(direct)),
+                           dtype=_np.int64, count=sum(sizes))
+    everyone = _np.arange(n, dtype=_np.int64)
+    sources = _np.repeat(everyone, sizes)
+    codes = _np.sort((sources * n + targets)[sources != targets])
+    sources, targets = codes // n, codes % n
+    hops = _np.asarray(scheme._parent_rows, dtype=_np.int64)[targets, sources]
+    arc_key = _np.full((n, n + 1), -1, dtype=_np.int64)   # column n: no arc
+    arc_key[_np.repeat(everyone, _np.diff(adjacency["adj_indptr"])),
+            adjacency["adj_next"]] = adjacency["adj_key"]
+    keys = arc_key[sources, _np.where(hops < 0, n, hops)]
+    if (keys < 0).any():   # a hop off every edge
+        return None
+    arrays.update({"direct_code": codes, "direct_next": hops,
+                   "direct_key": keys})
 
     # Per-target header: which landmark tree to walk (as a flat-array
     # base offset) and the target's label in it.

@@ -102,17 +102,18 @@ class CowenScheme(RoutingScheme):
     :class:`~repro.core.simulate.PreferredWeightOracle`; ``build_scheme``
     passes the one evaluation reads) or, without one, a private store.
     Either way the trees are built in batched sweeps over one compiled
-    graph and the scheme holds the store's own maps.  Landmarks, balls
-    and clusters are comparisons within the store's order-key rows
+    graph and the scheme holds the store's own weight and parent rows
+    (:meth:`~repro.core.simulate.PreferredWeightOracle.rows`).  Landmarks,
+    balls and clusters are comparisons within their order-key rows
     (:meth:`~repro.core.simulate.PreferredWeightOracle.key_rows`), and
-    every landmark's tree is labelled from its parent-index row with the
-    scheme's one port map.
+    every landmark's tree is labelled from a copy of its parent row with
+    the scheme's one port map.
 
-    The built state is read-only: ``landmarks`` is a ``frozenset``, and
-    ``clusters`` (of frozensets), ``landmark_of``, the landmark trees (of
-    :class:`~repro.routing.tree_routing.HeavyPathTree` states) and the
-    store trees (direct entries forward by their parent maps) are
-    :class:`~repro.frozen.FrozenTable` maps.
+    The built state is read-only: ``landmarks`` is a ``frozenset``,
+    ``clusters`` (of frozensets), ``landmark_of`` and the landmark trees
+    (of :class:`~repro.routing.tree_routing.HeavyPathTree` states) are
+    :class:`~repro.frozen.FrozenTable` maps, and the store's rows (direct
+    entries forward by the parent rows) are tuples.
     """
 
     name = "cowen-stretch3"
@@ -147,15 +148,18 @@ class CowenScheme(RoutingScheme):
                 from repro.core.simulate import PreferredWeightOracle
 
                 oracle = PreferredWeightOracle(graph, algebra, attr=attr)
-            self._trees = FrozenTable(oracle.trees(nodes))
-            for node, tree in self._trees.items():
-                if len(tree.weight) != n - 1:
+            weights, parents = oracle.rows(nodes)
+            for node, parent in zip(nodes, parents):
+                if parent.count(-1) != 1:
                     raise NotApplicableError(
                         f"node {node!r} cannot reach every other node; the Cowen "
                         f"construction needs a connected traversable graph"
                     )
-            keys = oracle.key_rows(nodes)
-        index = FrozenTable((node, i) for i, node in enumerate(nodes))
+            keys = oracle.key_rows(weights)
+        self._weight_rows = tuple(weights)
+        self._parent_rows = tuple(parents)
+        self._nodes = tuple(nodes)
+        self._index = index = FrozenTable((node, i) for i, node in enumerate(nodes))
 
         with span("landmark_selection", scheme=self.name, strategy=strategy):
             if landmarks is None:
@@ -176,13 +180,14 @@ class CowenScheme(RoutingScheme):
             self.clusters = FrozenTable(zip(nodes, map(frozenset, clusters)))
         with span("table_encoding", scheme=self.name):
             # Every landmark tree is rooted at the least node and read
-            # through the scheme's one port map.
+            # through the scheme's one port map.  The labeller re-roots
+            # its argument in place, so it gets a copy of the store's row.
             by_rank = sorted(range(n), key=nodes.__getitem__)
             port_rows = self.ports.index_rows(index)
             self._landmark_trees = FrozenTable(
-                (l, heavy_path_tree(parent, by_rank[0], by_rank, port_rows,
-                                    index))
-                for l, parent in zip(ranked, oracle.parent_rows(ranked, nodes)))
+                (l, heavy_path_tree(list(parents[index[l]]), by_rank[0],
+                                    by_rank, port_rows, index))
+                for l in ranked)
         self._light_port_bits = port_bits(self.ports.max_degree())
 
     # ------------------------------------------------------------------
@@ -243,7 +248,8 @@ class CowenScheme(RoutingScheme):
             # tree rooted at the target (every node on the leg walks up the
             # same tree, so the leg is loop-free and the realized path is a
             # preferred one by commutativity of ⊕).
-            next_hop = self._trees[target].parent[node]
+            index = self._index
+            next_hop = self._nodes[self._parent_rows[index[target]][index[node]]]
             return Decision.forward(self.ports.port(node, next_hop), header)
         # Landmark leg: heavy-path tree routing over the landmark's tree.
         port = self._landmark_trees[landmark].next_port(node, tree_label)
@@ -280,7 +286,8 @@ class CowenScheme(RoutingScheme):
         """The true preferred weight (for stretch measurement)."""
         if source == target:
             return None
-        return self._trees[source].weight.get(target, PHI)
+        i = self._index.get(target)
+        return PHI if i is None else self._weight_rows[self._index[source]][i]
 
     def max_cluster_size(self) -> int:
         return max((len(c) for c in self.clusters.values()), default=0)

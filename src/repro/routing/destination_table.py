@@ -14,20 +14,24 @@ first hop of the preferred ``u -> t`` path for every ``u`` (the preferred
 ``t -> u`` tree read backwards).  The trees come from a tree store
 (:class:`~repro.core.simulate.PreferredWeightOracle`): the one
 ``build_scheme`` passes, else a private one.  Only ``unsafe=True``, which
-forces algebras the store refuses, runs ``preferred_path_tree`` once per
-destination.
+forces algebras the store refuses, runs the kernel once per destination
+(:func:`~repro.paths.dijkstra.preferred_path_rows`).  The next-hop table
+is the trees' parent rows read column by column.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from itertools import compress
 
-from repro.algebra.base import RoutingAlgebra
-from repro.exceptions import NotApplicableError
+from repro.algebra.base import PHI, RoutingAlgebra
+from repro.exceptions import NotApplicableError, RoutingError
 from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
-from repro.paths.dijkstra import preferred_path_tree
+# Not called here (the trees come as rows), but kept importable:
+# perfbench/spans.py wraps this name to count scheme-side tree builds.
+from repro.paths.dijkstra import preferred_path_tree  # noqa: F401
+from repro.paths.dijkstra import compile_graph, preferred_path_rows
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
 from repro.routing.model import Decision, RoutingScheme
 
@@ -37,7 +41,8 @@ class DestinationTableScheme(RoutingScheme):
 
     ``_next_hop[u][t]`` is the first hop of the preferred ``u -> t`` path.
     Both levels are read-only (:class:`~repro.frozen.FrozenTable`): a
-    different table is a different scheme.
+    different table is a different scheme.  ``_weight_rows`` holds the
+    tree store's weight row of every destination (in node order).
     """
 
     name = "destination-table"
@@ -57,30 +62,29 @@ class DestinationTableScheme(RoutingScheme):
                 f"algebra; {algebra.name} declares monotone={declared.monotone}, "
                 f"isotone={declared.isotone}"
             )
-        next_hop: Dict[object, Dict[object, object]] = {
-            node: {} for node in graph.nodes()
-        }
-        self._weight_to: Dict[object, Dict[object, object]] = {}
+        nodes = list(graph.nodes())
         with span("preferred_trees", scheme=self.name):
             if unsafe:
-                trees = (preferred_path_tree(graph, algebra, target,
-                                             attr=attr, unsafe=True)
-                         for target in graph.nodes())
+                compiled = compile_graph(graph, attr)
+                runs = [preferred_path_rows(compiled, algebra, target,
+                                            unsafe=True) for target in nodes]
+                weights = [run.weight for run in runs]
+                parents = [run.parent for run in runs]
             else:
                 if oracle is None:
                     from repro.core.simulate import PreferredWeightOracle
 
                     oracle = PreferredWeightOracle(graph, algebra, attr=attr)
-                trees = oracle.trees(graph.nodes()).values()
-            for tree in trees:
-                target = tree.root
-                self._weight_to[target] = tree.weight
-                for node in tree.reachable():
-                    # parent pointers walk toward the root (= destination), so
-                    # the parent of u in the tree rooted at t IS u's next hop.
-                    next_hop[node][target] = tree.parent[node]
+                weights, parents = oracle.rows(nodes)
+        self._weight_rows = tuple(weights)
+        self._index = FrozenTable((node, i) for i, node in enumerate(nodes))
+        # u's parent in the tree rooted at t IS its next hop toward t:
+        # u's row is column u of the parent rows.
+        node_at = nodes.__getitem__
         self._next_hop = FrozenTable(
-            (node, FrozenTable(row)) for node, row in next_hop.items())
+            (u, FrozenTable(compress(zip(nodes, map(node_at, column)),
+                                     map((0).__le__, column))))
+            for u, column in zip(nodes, zip(*parents)))
 
     def initial_header(self, source, target):
         return target
@@ -93,16 +97,13 @@ class DestinationTableScheme(RoutingScheme):
         if next_hop is None:
             # No traversable preferred path: the model only promises routes
             # for pairs with a traversable path, so surface a stuck packet.
-            from repro.exceptions import RoutingError
-
             raise RoutingError(f"no route from {node!r} to {target!r}")
         return Decision.forward(self.ports.port(node, next_hop), header)
 
     def preferred_weight(self, source, target):
         """The preferred source→target weight this scheme realizes."""
-        from repro.algebra.base import PHI
-
-        return self._weight_to.get(target, {}).get(source, PHI)
+        t, s = self._index.get(target), self._index.get(source)
+        return PHI if t is None or s is None else self._weight_rows[t][s]
 
     def table_bits(self, node) -> int:
         entries = len(self._next_hop[node])

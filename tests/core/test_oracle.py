@@ -297,13 +297,15 @@ class TestTreeStore:
         assert oracle_cache.stats()["misses"] == 1
         oracle = oracle_cache.get(graph, algebra)
         assert oracle.trees_built == n
-        # The scheme holds the store's weight and parent maps, not copies.
-        for source, tree in oracle.trees(graph.nodes()).items():
+        # The scheme holds the store's row objects, not copies, and the
+        # labeller never wrote them: they are still the referee's trees.
+        weights, parents = oracle.rows(list(graph.nodes()))
+        for i in range(n):
+            assert scheme._weight_rows[i] is weights[i]
             if isinstance(scheme, CowenScheme):
-                assert scheme._trees[source].weight is tree.weight
-                assert scheme._trees[source].parent is tree.parent
-            else:
-                assert scheme._weight_to[source] is tree.weight
+                assert scheme._parent_rows[i] is parents[i]
+        for source, tree in oracle.trees(graph.nodes()).items():
+            assert tree.parent == _reference_tree(graph, algebra, source).parent
         assert oracle.trees_built == n
 
     def test_explicit_store_bypasses_the_cache(self):
@@ -313,7 +315,7 @@ class TestTreeStore:
                               oracle=store)
         assert len(oracle_cache) == 0
         assert store.trees_built == graph.number_of_nodes()
-        assert scheme._trees[0].parent is store.trees([0])[0].parent
+        assert scheme._parent_rows[0] is store.rows([0])[1][0]
 
     def test_schemes_without_trees_leave_the_store_alone(self):
         # Widest path is selective: one Lemma 1 tree, no per-source trees.
@@ -352,15 +354,21 @@ class TestTreeStore:
         algebra = factory()
         graph = erdos_renyi(20, rng=random.Random(7))
         assign_random_weights(graph, algebra, rng=random.Random(8))
+        # Loops at some sources: a root never labels itself.
+        for source in sorted(graph.nodes())[::3]:
+            for u, v, weight in list(graph.edges(source, data="weight"))[:1]:
+                graph.add_edge(source, source, weight=weight)
         build_scheme(graph, algebra, mode="exact")
-        oracle = oracle_cache.get(graph, algebra)
         sources = sorted(graph.nodes())[::5]
-        for source, tree in oracle.trees(sources).items():
-            reference = _reference_tree(graph, algebra, source)
-            assert tree.weight == reference.weight
-            assert tree.parent == reference.parent
-            assert list(tree.weight) == list(reference.weight)
-            assert list(tree.parent) == list(reference.parent)
+        one_by_one = PreferredWeightOracle(graph, algebra)
+        for source in sources:
+            one_by_one.ensure_sources([source])   # one missing tree: the kernel
+        for store in (oracle_cache.get(graph, algebra), one_by_one):
+            for source, tree in store.trees(sources).items():
+                reference = _reference_tree(graph, algebra, source)
+                assert tree.weight == reference.weight
+                assert tree.parent == reference.parent
+                assert source not in tree.weight
 
     def test_reordered_graph_gets_its_own_store(self):
         # Equal content, different adjacency order: ties between

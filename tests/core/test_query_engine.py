@@ -659,8 +659,8 @@ class TestFallbackLadder:
 
 
 #: Per family, the read-only tables of a built scheme, and the store
-#: trees a Cowen scheme forwards by (its direct entries read their parent
-#: maps).  A tree scheme's state is one heavy-path tree (tuple columns
+#: rows a Cowen scheme forwards by (its direct entries read the parent
+#: rows).  A tree scheme's state is one heavy-path tree (tuple columns
 #: and a node index), and a Cowen scheme's landmark trees map each
 #: landmark to one.
 READ_ONLY_TABLES = {
@@ -673,9 +673,9 @@ READ_ONLY_TABLES = {
     "cowen-clusters": ("cowen", lambda s: s.clusters),
     "cowen-landmark-of": ("cowen", lambda s: s.landmark_of),
     "cowen-tree-schemes": ("cowen", lambda s: s._landmark_trees),
-    "cowen-trees": ("cowen", lambda s: s._trees),
-    "store-tree-weight": ("cowen", lambda s: s._trees[0].weight),
-    "store-tree-parent": ("cowen", lambda s: s._trees[0].parent),
+    "cowen-trees": ("cowen", lambda s: s._parent_rows),
+    "store-tree-weight": ("cowen", lambda s: s._weight_rows[0]),
+    "store-tree-parent": ("cowen", lambda s: s._parent_rows[0]),
 }
 
 

@@ -1,11 +1,11 @@
 """Property and unit tests for the vectorized multi-source batch engine.
 
 The batch engine's contract is *bit-identical* results against the PR 5
-kernel (and hence the reference engine): same weights, same parents, same
-dict insertion order — for every lane of every chunk, ragged tails
-included.  Hypothesis drives random seeded graphs (with unreachable
-regions, ``phi``-dropped arcs and heterogeneous node keys) through all
-three engines; unit tests cover eligibility fallbacks, cache
+kernel: the same weight and parent rows, for every lane of every chunk,
+ragged tails included — and hence the reference engine's weights and
+parents, compared as maps.  Hypothesis drives random seeded graphs (with
+unreachable regions, ``phi``-dropped arcs, self-loops and heterogeneous
+node keys) through all three engines; unit tests cover eligibility fallbacks, cache
 invalidation after ``patch_weight``, the tree store's engine choice and
 bulk build, and telemetry counters.
 
@@ -45,7 +45,7 @@ from repro.obs.metrics import (
     reset as telemetry_reset,
 )
 from repro.paths import batch
-from repro.paths.dijkstra import _reference_tree
+from repro.paths.dijkstra import PathTree, _reference_tree
 from repro.paths.kernel import compile_graph, kernel_tree
 
 needs_numpy = pytest.mark.skipif(
@@ -79,12 +79,11 @@ def _mixed_keys(graph):
     )
 
 
-def _assert_identical(run, reference):
+def _assert_identical(weight, parent, reference):
+    """Batch rows equal to a kernel run's, entry for entry."""
     __tracebackhide__ = True
-    assert run.weight == reference.weight
-    assert run.parent == reference.parent
-    assert list(run.weight) == list(reference.weight)
-    assert list(run.parent) == list(reference.parent)
+    assert weight == reference.weight
+    assert parent == reference.parent
 
 
 @needs_numpy
@@ -96,9 +95,10 @@ def _assert_identical(run, reference):
     algebra_index=st.integers(min_value=0, max_value=len(KEYED_ALGEBRAS) - 1),
     batch_size=st.sampled_from([1, 3, 256]),
     phi_arcs=st.booleans(),
+    self_loops=st.booleans(),
 )
 def test_batch_bit_identical_to_kernel_and_reference(
-    seed, n, p, algebra_index, batch_size, phi_arcs
+    seed, n, p, algebra_index, batch_size, phi_arcs, self_loops
 ):
     algebra = KEYED_ALGEBRAS[algebra_index]()
     rng = random.Random(seed)
@@ -108,26 +108,37 @@ def test_batch_bit_identical_to_kernel_and_reference(
         for u, v in graph.edges():
             if rng.random() < 0.2:
                 graph[u][v][WEIGHT_ATTR] = PHI
+    if self_loops:
+        _add_self_loops(graph, rng)
     compiled = compile_graph(graph)
     plan = batch.batch_plan(compiled, algebra)
     assert plan is not None
     roots = list(graph.nodes())
     # batch_size=3 against n up to 16 exercises ragged tail chunks
-    runs = batch.batch_trees(compiled, algebra, roots, plan=plan,
-                             batch_size=batch_size)
-    assert len(runs) == len(roots)
-    for root, run in zip(roots, runs):
-        _assert_identical(run, kernel_tree(compiled, algebra, root))
+    weights, parents = batch.batch_trees(compiled, algebra, roots, plan=plan,
+                                         batch_size=batch_size)
+    assert len(weights) == len(parents) == len(roots)
+    for root, weight, parent in zip(roots, weights, parents):
+        _assert_identical(weight, parent, kernel_tree(compiled, algebra, root))
         # The shortest-widest products are not isotone, but every engine
         # still runs the same generalized Dijkstra.
+        tree = PathTree.from_rows(root, compiled.nodes, weight, parent)
         reference = _reference_tree(graph, algebra, root)
-        assert run.weight == reference.weight
-        assert list(run.weight) == list(reference.weight)
+        assert tree.weight == reference.weight
+        assert tree.parent == reference.parent
         # decoded weights must be plain Python objects, not numpy scalars
         # (golden traces serialize them to JSON byte-for-byte)
-        for value in run.weight.values():
+        for value in tree.weight.values():
             assert all(type(part) is int
                        for part in flatten_weight(value)), value
+
+
+def _add_self_loops(graph, rng):
+    """A loop at about a third of the nodes, weighted like an edge."""
+    weights = [data[WEIGHT_ATTR] for _, _, data in graph.edges(data=True)]
+    for node in list(graph.nodes()):
+        if weights and rng.random() < 0.35:
+            graph.add_edge(node, node, **{WEIGHT_ATTR: rng.choice(weights)})
 
 
 class TestEligibility:
@@ -201,7 +212,6 @@ class TestEligibility:
         for root, tree in trees.items():
             reference = _reference_tree(graph, algebra, root)
             assert tree.weight == reference.weight
-            assert list(tree.weight) == list(reference.weight)
 
     def test_store_without_numpy_falls_back(self, monkeypatch):
         algebra = ShortestPath(9)
@@ -258,7 +268,6 @@ class TestOverflowGuards:
             reference = _reference_tree(graph, algebra, root)
             assert tree.weight == reference.weight
             assert tree.parent == reference.parent
-            assert list(tree.weight) == list(reference.weight)
 
     def test_wide_chunks_narrow_to_the_plan_lanes(self):
         # This chain's packed pairs fit a few lanes, not one per root:
@@ -270,9 +279,11 @@ class TestOverflowGuards:
         assert plan is not None
         assert plan.max_lanes < graph.number_of_nodes()
         roots = list(graph.nodes())
-        runs = batch.batch_trees(compiled, algebra, roots, plan=plan)
-        for root, run in zip(roots, runs):
-            _assert_identical(run, kernel_tree(compiled, algebra, root))
+        weights, parents = batch.batch_trees(compiled, algebra, roots,
+                                             plan=plan)
+        for root, weight, parent in zip(roots, weights, parents):
+            _assert_identical(weight, parent,
+                              kernel_tree(compiled, algebra, root))
 
 
 class TestInvalidation:
@@ -286,16 +297,17 @@ class TestInvalidation:
             graph[u][v][WEIGHT_ATTR] = 2
         compiled = compile_graph(graph)
         plan_before = batch.batch_plan(compiled, algebra)
-        run_before = batch.batch_trees(compiled, algebra, [0],
-                                       plan=plan_before)[0]
-        assert run_before.weight[4] == 8
+        (weight_before,), _ = batch.batch_trees(compiled, algebra, [0],
+                                                plan=plan_before)
+        assert weight_before[4] == 8
         assert compiled.patch_weight(2, 3, 9)
         plan_after = batch.batch_plan(compiled, algebra)
         assert plan_after is not plan_before
-        run_after = batch.batch_trees(compiled, algebra, [0],
-                                      plan=plan_after)[0]
-        _assert_identical(run_after, kernel_tree(compiled, algebra, 0))
-        assert run_after.weight[4] == 15
+        (weight_after,), (parent_after,) = batch.batch_trees(
+            compiled, algebra, [0], plan=plan_after)
+        _assert_identical(weight_after, parent_after,
+                          kernel_tree(compiled, algebra, 0))
+        assert weight_after[4] == 15
 
 
 @needs_numpy

@@ -205,7 +205,7 @@ class TestCounters:
         graph = _weighted_er(12, 8, algebra)
         compiled = compile_graph(graph, WEIGHT_ATTR)
         bucket = kernel_tree(compiled, algebra, 0).stats
-        heap = _heap_tree(compiled, algebra, compiled.node_index[0])[3]
+        heap = _heap_tree(compiled, algebra, compiled.node_index[0])[-1]
         assert bucket.bucket_engaged and not heap.bucket_engaged
         assert bucket.relaxations == heap.relaxations
         assert bucket.frontier_pushes == heap.frontier_pushes

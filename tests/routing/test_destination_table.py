@@ -56,7 +56,7 @@ class TestCorrectness:
         forced = DestinationTableScheme(graph, algebra, unsafe=True)
         stored = DestinationTableScheme(graph, algebra)
         assert forced._next_hop == stored._next_hop
-        assert forced._weight_to == stored._weight_to
+        assert forced._weight_rows == stored._weight_rows
 
     def test_stuck_packet_raises(self):
         graph = nx.Graph()

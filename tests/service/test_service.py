@@ -1,5 +1,6 @@
 """Unit tests for the persistent :class:`repro.service.RoutingService`."""
 
+import copy
 import random
 
 import pytest
@@ -121,6 +122,27 @@ class TestMutations:
         service.restore_link(*missing, weight=2)
         assert graph[missing[0]][missing[1]]["weight"] == 2
 
+    @pytest.mark.parametrize("mode", ["auto", "compact"])
+    def test_edge_to_a_new_node_reindexes_the_store(self, mode):
+        # The store's rows are indexed by node position, and an edge to a
+        # new node is the one mutation that adds a position.
+        graph, algebra = make_instance(n=24)
+        service = RoutingService(graph, algebra, ServiceOptions(mode=mode))
+        service.route(all_pairs(graph))
+        u, new = next(iter(graph.nodes())), len(graph)
+        result = service.restore_link(u, new, weight=2)
+        assert result.trees_kept + result.trees_dropped == 24
+        nodes = list(graph.nodes())
+        pairs = ([(s, new) for s in nodes if s != new]
+                 + [(new, t) for t in nodes if t != new])
+        warm = service.route(pairs)
+        assert all(answer.delivered for answer in warm)
+        # deepcopy keeps every node's adjacency order (Graph.copy() need
+        # not), and ties between equal-weight paths break in that order.
+        cold = RoutingService(copy.deepcopy(service.graph), algebra,
+                              service.options)
+        assert warm == cold.route(pairs)
+
     def test_fail_twice_raises(self):
         graph, algebra = make_instance()
         service = RoutingService(graph, algebra)
@@ -214,6 +236,21 @@ class TestSurgicalInvalidation:
         assert result.trees_dropped == 4
         answer = service.route([(0, 3)])[0]
         assert answer.preferred == 100
+
+    def test_edge_to_a_new_node_grows_kept_rows(self):
+        # The edge touches one component, so the other's trees are kept
+        # and grow one entry for the new node, as a cold build has them.
+        graph, algebra = make_instance(n=12)
+        graph.add_edge(100, 101, weight=3)
+        service = RoutingService(graph, algebra)
+        service.route(all_pairs(graph))
+        result = service.restore_link(0, 102, weight=2)
+        assert result.trees_kept >= 2
+        kept = service._oracle._tables[100]
+        assert len(kept) == len(graph) and kept[-1] is PHI
+        cold = RoutingService(copy.deepcopy(graph), algebra)
+        assert service.route(all_pairs(graph)) == cold.route(all_pairs(graph))
+        assert service._oracle._tables[100] is kept
 
     def test_non_dijkstra_engine_uses_reachability_rule(self):
         # shortest-widest uses its own engine: invalidation falls back to
