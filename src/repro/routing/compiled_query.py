@@ -6,31 +6,42 @@ lookups and header objects.  This module compiles a **built** scheme once
 into flat numpy int arrays and then walks an entire shard of pairs, one
 vectorized step per packet decision.
 
-Compilation (:func:`compile_query`) produces a sorted-adjacency CSR over
-the scheme's graph (``adj_indptr`` / ``adj_next`` / ``adj_key``) — ports
-are 1-based ranks into each node's sorted neighbor list (exactly
-:class:`repro.routing.model.PortMap`), so ``adj_next[adj_indptr[u] +
-port - 1]`` resolves any forwarded port — plus what each family's
-per-decision step of the one walk (:func:`_walk`) reads:
+Compilation (:func:`compile_query`) resolves ports through a
+sorted-adjacency CSR over the scheme's graph (``adj_indptr`` /
+``adj_next`` / ``adj_key``) — ports are 1-based ranks into each node's
+sorted neighbor list (exactly :class:`repro.routing.model.PortMap`), so
+``adj_next[adj_indptr[u] + port - 1]`` resolves any forwarded port — and
+edge keys through an ``(n, n + 1)`` arc-key matrix.  It produces what
+the one walk (:func:`_walk`) reads:
 
-* **tree-routing** (:class:`TreeRoutingScheme`): the per-node DFS
-  interval labels, parent/heavy hops pre-resolved to (next node, edge
-  key), light depths, and each target's label (DFS number + light-port
-  sequence) as a CSR;
-* **cowen** (:class:`CowenScheme`): the direct cluster/landmark entries
-  as one sorted ``u*n + t`` key array with next hops gathered from the
-  tree store's parent rows the scheme holds, plus
-  the tree-routing columns of every landmark tree stacked into flat
-  ``(|L|, n)`` arrays and each target's header (landmark slot, tree DFS,
-  light ports);
-* **destination-table** (:class:`DestinationTableScheme`): dense
-  ``t*n + u`` next-hop and edge-key arrays, one gather per decision;
+* **tree-routing**, **cowen** and **destination-table**: dense ``t*n +
+  u`` next-hop and edge-key arrays (``dt_next`` / ``dt_key``), one
+  gather per decision.  Their headers are the target's label, written
+  at the source and never rewritten, so each decision depends on (node,
+  target) alone and is made once, at compile time:
+
+  - a destination table (:class:`DestinationTableScheme`) lays out its
+    ``_next_hop`` rows;
+  - tree routing (:class:`TreeRoutingScheme`) runs the heavy-path
+    decision (DFS intervals, parent/heavy hops, the target's light-port
+    label) over all n² cells, in blocks of :data:`BLOCK_PAIRS`;
+  - Cowen (:class:`CowenScheme`) runs it over every landmark tree,
+    each target's cell in its landmark's tree, then writes the direct
+    cluster/landmark entries over their cells, their next hops gathered
+    from the tree store's parent rows the scheme holds.
+
+  Tree and Cowen tables also keep each target's label DFS number
+  (``hdr_dfs``, -1 for a target without a label).  The price is n²
+  decisions per compile, even when a sampled run walks a few pairs,
+  and 16 bytes per cell (4.2 MB at n = 512, 151 MB at n = 3,072);
 * **pair-table** (:class:`PairTableScheme`): every node's entries as
   sorted ``(u*n + s)*n + t`` codes, one ``searchsorted`` per decision.
 
 A built scheme's forwarding state is read-only
 (:class:`~repro.frozen.FrozenTable`), so compiled tables memoized per
-scheme instance cannot go stale: a changed table is a new scheme.
+scheme instance cannot go stale: a changed table is a new scheme.  The
+compiled arrays are read-only too: nothing writes them after
+:func:`compile_query` returns, so threads and forked workers share them.
 
 Realized weights ride the integer-key capability
 (:func:`repro.algebra.base.key_codec`): the key of a walk is its edge
@@ -75,8 +86,9 @@ that safe:
   exact f-strings;
 * any pair the walk cannot replicate bit-for-bit — a condition the
   reference would raise on (an entry off every edge, a port that does
-  not exist), an endpoint outside the compiled tables, a premature tree
-  delivery, a caller's preferred weight off the key range — goes
+  not exist, a premature tree delivery: a cell holding
+  :data:`_REPLAY`), an endpoint outside the compiled tables, a caller's
+  preferred weight off the key range — goes
   through the referee's per-pair verifier
   (:func:`repro.core.simulate._verify_pair`), reproducing even exotic
   exception behavior.
@@ -142,8 +154,9 @@ _UNKEYED = -2       # off the codec's key range: replay the pair
 _MISSING = -1    # no table entry: the packet strands where it is
 _REPLAY = -2     # an entry the walk cannot follow: replay the pair
 
-#: Pairs evaluated per block of a shard: bounds the walk's ~30 pair-sized
-#: temporaries and the per-pair lists, whatever the shard size.
+#: Pairs evaluated per block of a shard, and (node, target) cells decided
+#: per block of a tree or Cowen compile: bounds the ~30 block-sized
+#: temporaries and the per-pair lists, whatever the shard or graph size.
 BLOCK_PAIRS = 16384
 
 #: Stretches decided in key space.  A preferred path is simple, so its
@@ -163,7 +176,7 @@ _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class CompiledQuery:
-    """Flat int arrays plus the key codec for one built scheme."""
+    """Flat, read-only int arrays plus the key codec for one built scheme."""
 
     __slots__ = ("kind", "n", "nodes", "node_index", "codec", "arrays")
 
@@ -232,34 +245,42 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     # ``adj_indptr[u] + port - 1`` is the neighbor behind ``port`` at u.
     adj_indptr = [0]
     adj_next: List[int] = []
-    arcs: List[Tuple[int, int]] = []
     weights = []
     attr = scheme.attr
-    for ui, u in enumerate(nodes):
+    for u in nodes:
         for v in sorted(graph.neighbors(u)):
-            vi = node_index[v]
-            arcs.append((ui, vi))
-            adj_next.append(vi)
+            adj_next.append(node_index[v])
             weights.append(graph[u][v][attr])
         adj_indptr.append(len(adj_next))
     adj_keys = codec.encode(weights)
     if adj_keys is None:
         return None
-    edge_key: Dict[Tuple[int, int], int] = dict(zip(arcs, adj_keys))
-
-    arrays = {
+    adjacency = {
         "adj_indptr": _np.asarray(adj_indptr, dtype=_np.int64),
         "adj_next": _np.asarray(adj_next, dtype=_np.int64),
         "adj_key": _np.asarray(adj_keys, dtype=_np.int64),
     }
 
-    compiled = compile_kind(scheme, nodes, node_index, edge_key, arrays)
+    compiled = compile_kind(scheme, nodes, node_index, adjacency)
     if compiled is None:
         return None
-    kind, kind_arrays = compiled
-    arrays.update(kind_arrays)
+    kind, arrays = compiled
+    for array in arrays.values():
+        array.flags.writeable = False
     return CompiledQuery(kind=kind, nodes=nodes, node_index=node_index,
                          codec=codec, arrays=arrays)
+
+
+def _arc_keys(adjacency):
+    """The ``(n, n + 1)`` arc-key matrix: ``[u, v]`` holds the edge key of
+    arc ``(u, v)``, -1 off every edge.  Column ``n`` is -1 throughout, so
+    a ``v`` of -1 (no node, or one off the graph) reads "no arc" too."""
+    indptr = adjacency["adj_indptr"]
+    n = indptr.size - 1
+    arc_key = _np.full((n, n + 1), -1, dtype=_np.int64)
+    arc_key[_np.repeat(_np.arange(n), _np.diff(indptr)),
+            adjacency["adj_next"]] = adjacency["adj_key"]
+    return arc_key
 
 
 def _port_hops(ports, base, adjacency):
@@ -275,8 +296,8 @@ def _port_hops(ports, base, adjacency):
 
 
 def _tree_columns(trees, adjacency) -> Dict[str, "object"]:
-    """The walk's columns of heavy-path trees, stacked: entry ``k*n + i``
-    is node ``i`` in ``trees[k]`` (a
+    """The decision's columns of heavy-path trees, stacked: entry ``k*n +
+    i`` is node ``i`` in ``trees[k]`` (a
     :class:`~repro.routing.tree_routing.HeavyPathTree`), its parent and
     heavy hops resolved through the sorted adjacency."""
     def column(name):
@@ -306,99 +327,160 @@ def _label_csr(seqs):
     return indptr, flat
 
 
-def _entry_columns(prefix: str, entries) -> Dict[str, "object"]:
-    """Sorted ``(code, next node, edge key)`` entries as int64 columns."""
-    entries.sort()
-    return {f"{prefix}_{column}": _np.asarray([entry[i] for entry in entries],
-                                              dtype=_np.int64)
-            for i, column in enumerate(("code", "next", "key"))}
+def _tree_table(columns, adjacency, hdr_base, hdr_dfs, labels):
+    """Tree routing's decision at every ``t*n + u`` cell, as dense arrays.
+
+    *columns* are :func:`_tree_columns`' stacked trees.  Target ``t`` is
+    routed in the tree whose columns start at ``hdr_base[t]``, toward its
+    label there: DFS number ``hdr_dfs[t]`` and light ports ``labels[t]``.
+    A cell the reference would raise on — a delivery, a root asked for a
+    foreign DFS number, a malformed label or port — holds
+    :data:`_REPLAY`.  The cells are decided in blocks of
+    :data:`BLOCK_PAIRS`.  Returns the ``dt_next``/``dt_key`` arrays and
+    *hdr_dfs*.
+    """
+    adj_indptr = adjacency["adj_indptr"]
+    adj_next = adjacency["adj_next"]
+    adj_key = adjacency["adj_key"]
+    t_dfs = columns["t_dfs"]
+    t_iend = columns["t_iend"]
+    t_hdfs = columns["t_hdfs"]
+    t_hend = columns["t_hend"]
+    t_pnext = columns["t_pnext"]
+    t_pkey = columns["t_pkey"]
+    t_hnext = columns["t_hnext"]
+    t_hkey = columns["t_hkey"]
+    t_ldepth = columns["t_ldepth"]
+    lp_indptr, lp_port = _label_csr(labels)
+    n = hdr_base.size
+    cells = n * n
+    dt_next = _np.empty(cells, dtype=_np.int64)
+    dt_key = _np.empty(cells, dtype=_np.int64)
+    for start in range(0, cells, BLOCK_PAIRS):
+        stop = min(start + BLOCK_PAIRS, cells)
+        tgt, here = _np.divmod(_np.arange(start, stop, dtype=_np.int64), n)
+        flat = hdr_base[tgt] + here
+        own_dfs = t_dfs[flat]
+        target_dfs = hdr_dfs[tgt]
+        inner_deliver = target_dfs == own_dfs
+        in_interval = (own_dfs <= target_dfs) & (target_dfs <= t_iend[flat])
+        up = ~in_interval
+        heavy = (in_interval & ~inner_deliver
+                 & (t_hdfs[flat] <= target_dfs) & (target_dfs <= t_hend[flat]))
+        light = in_interval & ~inner_deliver & ~heavy
+
+        depth = t_ldepth[flat]
+        seq_start = lp_indptr[tgt]
+        seq_len = lp_indptr[tgt + 1] - seq_start
+        bad_label = light & (depth >= seq_len)
+        light_ok = light & ~bad_label
+        if lp_port.size:
+            lpos = seq_start + _np.minimum(depth,
+                                           _np.maximum(seq_len - 1, 0))
+            port = lp_port[_np.minimum(lpos, lp_port.size - 1)]
+        else:
+            port = _np.zeros(here.size, dtype=_np.int64)
+        apos = adj_indptr[here] + port - 1
+        bad_port = light_ok & ((port < 1) | (apos >= adj_indptr[here + 1]))
+        if adj_next.size:
+            apos = _np.clip(apos, 0, adj_next.size - 1)
+            light_next = adj_next[apos]
+            light_key = adj_key[apos]
+        else:
+            bad_port = bad_port | light_ok
+            light_next = _np.full(here.size, -1, dtype=_np.int64)
+            light_key = _np.zeros(here.size, dtype=_np.int64)
+
+        tree_next = _np.where(up, t_pnext[flat],
+                              _np.where(heavy, t_hnext[flat], light_next))
+        anomaly = (inner_deliver | (up & (t_pnext[flat] < 0))
+                   | bad_label | bad_port)
+        dt_next[start:stop] = _np.where(anomaly, _REPLAY, tree_next)
+        dt_key[start:stop] = _np.where(up, t_pkey[flat],
+                                       _np.where(heavy, t_hkey[flat],
+                                                 light_key))
+    return {"dt_next": dt_next, "dt_key": dt_key, "hdr_dfs": hdr_dfs}
 
 
-def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, edge_key,
-                  adjacency):
+def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, adjacency):
     tree = scheme._heavy_paths
     if tree.index != node_index:
         return None
-    arrays = _tree_columns([tree], adjacency)
-    lp_indptr, lp_port = _label_csr(tree.labels)
-    arrays.update(_entry_columns("direct", []))
-    arrays.update({
-        "hdr_base": _np.zeros(len(nodes), dtype=_np.int64),
-        "hdr_dfs": arrays["t_dfs"],   # -1 marks a node off the tree
-        "hdr_lp_indptr": lp_indptr,
-        "hdr_lp_port": lp_port,
-    })
-    return "tree", arrays
+    columns = _tree_columns([tree], adjacency)
+    # A node's label is its DFS number in the one tree: -1 off the tree.
+    return "tree", _tree_table(columns, adjacency,
+                               _np.zeros(len(nodes), dtype=_np.int64),
+                               columns["t_dfs"], tree.labels)
 
 
-def _compile_cowen(scheme: CowenScheme, nodes, node_index, edge_key,
-                   adjacency):
+def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
     n = len(nodes)
     landmarks = sorted(scheme.landmarks)
     trees = [scheme._landmark_trees[landmark] for landmark in landmarks]
     if trees[0].index != node_index:   # one index, shared by every tree
         return None
-    arrays = _tree_columns(trees, adjacency)
 
-    # Direct entries: one sorted u*n+t code per (node, cluster-or-landmark
-    # target), its next hop u's parent in the target-rooted tree and that
-    # arc's key, both gathered: from the parent rows and an arc-key matrix.
+    # Direct entries: one per (node, cluster-or-landmark target), its next
+    # hop u's parent in the target-rooted tree and that arc's key, both
+    # gathered: from the parent rows and the arc-key matrix.
     direct = [scheme.clusters[u] | scheme.landmarks for u in nodes]
     sizes = list(map(len, direct))
     targets = _np.fromiter(map(node_index.__getitem__, chain.from_iterable(direct)),
                            dtype=_np.int64, count=sum(sizes))
-    everyone = _np.arange(n, dtype=_np.int64)
-    sources = _np.repeat(everyone, sizes)
-    codes = _np.sort((sources * n + targets)[sources != targets])
-    sources, targets = codes // n, codes % n
+    sources = _np.repeat(_np.arange(n, dtype=_np.int64), sizes)
+    off_diagonal = sources != targets
+    sources, targets = sources[off_diagonal], targets[off_diagonal]
     hops = _np.asarray(scheme._parent_rows, dtype=_np.int64)[targets, sources]
-    arc_key = _np.full((n, n + 1), -1, dtype=_np.int64)   # column n: no arc
-    arc_key[_np.repeat(everyone, _np.diff(adjacency["adj_indptr"])),
-            adjacency["adj_next"]] = adjacency["adj_key"]
-    keys = arc_key[sources, _np.where(hops < 0, n, hops)]
-    if (keys < 0).any():   # a hop off every edge
+    keys = _arc_keys(adjacency)[sources, hops]
+    if (keys < 0).any():   # a hop off every edge, or none (-1)
         return None
-    arrays.update({"direct_code": codes, "direct_next": hops,
-                   "direct_key": keys})
 
-    # Per-target header: which landmark tree to walk (as a flat-array
-    # base offset) and the target's label in it.
+    # Every other cell takes the landmark leg: tree routing in the
+    # target's landmark tree (a flat-array base offset), toward its label
+    # there.  A direct entry masks that decision, replays included.
     slot = {landmark: k for k, landmark in enumerate(landmarks)}
     slots = [slot[scheme.landmark_of[t]] for t in nodes]
+    columns = _tree_columns(trees, adjacency)
     hdr_base = _np.asarray(slots, dtype=_np.int64) * n
-    lp_indptr, lp_port = _label_csr(
-        [trees[k].labels[i] for i, k in enumerate(slots)])
-    arrays.update({"hdr_base": hdr_base,
-                   "hdr_dfs": arrays["t_dfs"][hdr_base + _np.arange(n)],
-                   "hdr_lp_indptr": lp_indptr, "hdr_lp_port": lp_port})
-    return "cowen", arrays
+    table = _tree_table(columns, adjacency, hdr_base,
+                        columns["t_dfs"][hdr_base + _np.arange(n)],
+                        [trees[k].labels[i] for i, k in enumerate(slots)])
+    cells = targets * n + sources
+    table["dt_next"][cells] = hops
+    table["dt_key"][cells] = keys
+    return "cowen", table
 
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
-                         edge_key, adjacency):
-    """``_next_hop`` as dense ``t*n + u`` next-hop and edge-key arrays."""
+                         adjacency):
+    """``_next_hop`` as dense ``t*n + u`` next-hop and edge-key arrays.
+
+    The rows' targets and next hops become node indexes in C-level
+    passes, -1 off the graph.  A next hop off every edge is replayed; an
+    off-graph target is never asked for.
+    """
     n = len(nodes)
+    rows = [scheme._next_hop[u] for u in nodes]
+    sizes = list(map(len, rows))
+    count = sum(sizes)
     index = node_index.get
-    nxt = [_MISSING] * (n * n)
-    key = [0] * (n * n)
-    for ui, u in enumerate(nodes):
-        for t, hop in scheme._next_hop[u].items():
-            ti = index(t)
-            if ti is None:
-                continue   # an off-graph target is never asked for
-            vi = index(hop)
-            step = edge_key.get((ui, vi))
-            if step is None:
-                nxt[ti * n + ui] = _REPLAY   # not a graph edge
-            else:
-                nxt[ti * n + ui] = vi
-                key[ti * n + ui] = step
-    return "destination", {"dt_next": _np.asarray(nxt, dtype=_np.int64),
-                           "dt_key": _np.asarray(key, dtype=_np.int64)}
+    targets = _np.fromiter(map(index, chain.from_iterable(rows), repeat(-1)),
+                           dtype=_np.int64, count=count)
+    hops = _np.fromiter(
+        map(index, chain.from_iterable(map(dict.values, rows)), repeat(-1)),
+        dtype=_np.int64, count=count)
+    sources = _np.repeat(_np.arange(n, dtype=_np.int64), sizes)
+    keys = _arc_keys(adjacency)[sources, hops]
+    known = targets >= 0
+    cells = targets[known] * n + sources[known]
+    dt_next = _np.full(n * n, _MISSING, dtype=_np.int64)
+    dt_key = _np.zeros(n * n, dtype=_np.int64)
+    dt_next[cells] = _np.where(keys < 0, _REPLAY, hops)[known]
+    dt_key[cells] = _np.maximum(keys, 0)[known]
+    return "destination", {"dt_next": dt_next, "dt_key": dt_key}
 
 
-def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key,
-                  adjacency):
+def _compile_pair(scheme: PairTableScheme, nodes, node_index, adjacency):
     """Every node's entries, sorted by ``(u*n + s)*n + t`` code.
 
     Each entry's port resolves through the scheme's own
@@ -408,6 +490,7 @@ def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key,
     """
     n = len(nodes)
     ports = scheme.ports
+    arc_key = _arc_keys(adjacency)
     entries = []
     for ui, u in enumerate(nodes):
         for (s, t), port in scheme._entries[u].items():
@@ -418,9 +501,12 @@ def _compile_pair(scheme: PairTableScheme, nodes, node_index, edge_key,
                 entries.append((code, _REPLAY, 0))
                 continue
             vi = node_index[hop]
-            entries.append((code, vi, edge_key[(ui, vi)]))
+            entries.append((code, vi, int(arc_key[ui, vi])))
     entries.append((n ** 3, _MISSING, 0))
-    return "pair", _entry_columns("pt", entries)
+    entries.sort()
+    code, nxt, key = (_np.asarray(column, dtype=_np.int64)
+                      for column in zip(*entries))
+    return "pair", {"pt_code": code, "pt_next": nxt, "pt_key": key}
 
 
 #: Per supported scheme type (exact match), its compiler.
@@ -657,16 +743,17 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
     Replicates ``RoutingScheme.route`` exactly: ``4n + 8`` decisions per
     pair, a delivery consuming one decision, pairs still in flight after
     the budget (forwarding loops too) marked ``hop limit exceeded``.  The
-    family's step (:data:`_STEPS`) gives each packet its next node and
-    edge key; a :data:`_MISSING` next node strands the packet where it is
-    (recorded in *fail*), a :data:`_REPLAY` one replays the pair.  The
-    step at which a pair finishes is its hop count (*steps*).
+    step — one gather from the dense tables, or the pair table's search —
+    gives each packet its next node and edge key; a :data:`_MISSING` next
+    node strands the packet where it is (recorded in *fail*), a
+    :data:`_REPLAY` one replays the pair.  The step at which a pair
+    finishes is its hop count (*steps*).
     """
     n = tables.n
-    step = _STEPS[tables.kind](tables)
+    with_source = tables.kind == "pair"
+    step = (_pair_step if with_source else _destination_step)(tables)
     combine = tables.codec.combine.combine
     hdr_dfs = tables.arrays.get("hdr_dfs")
-    with_source = tables.kind == "pair"
 
     alive = _np.nonzero(status == _PENDING)[0]
     if hdr_dfs is not None:
@@ -713,99 +800,9 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
     steps[alive] = budget
 
 
-def _tree_step(tables):
-    """The tree/Cowen decision, as ``step(here, tgt, src) -> (next, key)``.
-
-    The Cowen direct table is consulted first (one ``searchsorted`` over
-    the sorted ``u*n + t`` keys), then the landmark/tree interval logic;
-    any branch the reference would raise on is replayed.
-    """
-    arrays = tables.arrays
-    n = tables.n
-    adj_indptr = arrays["adj_indptr"]
-    adj_next = arrays["adj_next"]
-    adj_key = arrays["adj_key"]
-    t_dfs = arrays["t_dfs"]
-    t_iend = arrays["t_iend"]
-    t_hdfs = arrays["t_hdfs"]
-    t_hend = arrays["t_hend"]
-    t_pnext = arrays["t_pnext"]
-    t_pkey = arrays["t_pkey"]
-    t_hnext = arrays["t_hnext"]
-    t_hkey = arrays["t_hkey"]
-    t_ldepth = arrays["t_ldepth"]
-    direct_code = arrays["direct_code"]
-    direct_next = arrays["direct_next"]
-    direct_key = arrays["direct_key"]
-    hdr_base = arrays["hdr_base"]
-    hdr_dfs_all = arrays["hdr_dfs"]
-    lp_indptr = arrays["hdr_lp_indptr"]
-    lp_port = arrays["hdr_lp_port"]
-
-    def step(here, tgt, src):
-        if direct_code.size:
-            want = here * n + tgt
-            pos = _np.minimum(_np.searchsorted(direct_code, want),
-                              direct_code.size - 1)
-            hit = direct_code[pos] == want
-        else:
-            pos = _np.zeros(here.size, dtype=_np.int64)
-            hit = _np.zeros(here.size, dtype=bool)
-
-        flat = hdr_base[tgt] + here
-        own_dfs = t_dfs[flat]
-        hdr_dfs = hdr_dfs_all[tgt]
-        inner_deliver = hdr_dfs == own_dfs
-        in_interval = (own_dfs <= hdr_dfs) & (hdr_dfs <= t_iend[flat])
-        up = ~in_interval
-        heavy = (in_interval & ~inner_deliver
-                 & (t_hdfs[flat] <= hdr_dfs) & (hdr_dfs <= t_hend[flat]))
-        light = in_interval & ~inner_deliver & ~heavy
-
-        depth = t_ldepth[flat]
-        seq_start = lp_indptr[tgt]
-        seq_len = lp_indptr[tgt + 1] - seq_start
-        bad_label = light & (depth >= seq_len)
-        light_ok = light & ~bad_label
-        if lp_port.size:
-            lpos = seq_start + _np.minimum(depth,
-                                           _np.maximum(seq_len - 1, 0))
-            port = lp_port[_np.minimum(lpos, lp_port.size - 1)]
-        else:
-            port = _np.zeros(here.size, dtype=_np.int64)
-        apos = adj_indptr[here] + port - 1
-        bad_port = light_ok & ((port < 1) | (apos >= adj_indptr[here + 1]))
-        if adj_next.size:
-            apos = _np.clip(apos, 0, adj_next.size - 1)
-            light_next = adj_next[apos]
-            light_key = adj_key[apos]
-        else:
-            bad_port = bad_port | light_ok
-            light_next = _np.full(here.size, -1, dtype=_np.int64)
-            light_key = _np.zeros(here.size, dtype=_np.int64)
-
-        tree_next = _np.where(up, t_pnext[flat],
-                              _np.where(heavy, t_hnext[flat], light_next))
-        tree_key = _np.where(up, t_pkey[flat],
-                             _np.where(heavy, t_hkey[flat], light_key))
-        anomaly = ~hit & (inner_deliver | (up & (t_pnext[flat] < 0))
-                          | bad_label | bad_port)
-
-        if direct_code.size:
-            nxt = _np.where(hit, direct_next[pos], tree_next)
-            key = _np.where(hit, direct_key[pos], tree_key)
-        else:
-            nxt = tree_next
-            key = tree_key
-        if anomaly.any():
-            nxt = _np.where(anomaly, _REPLAY, nxt)
-        return nxt, key
-
-    return step
-
-
 def _destination_step(tables):
-    """One gather from the dense ``t*n + u`` next-hop and edge-key arrays."""
+    """One gather from the dense ``t*n + u`` next-hop and edge-key arrays:
+    the step of tree, Cowen and destination tables."""
     n = tables.n
     dt_next = tables.arrays["dt_next"]
     dt_key = tables.arrays["dt_key"]
@@ -832,7 +829,3 @@ def _pair_step(tables):
 
     return step
 
-
-#: Per compiled kind, the factory of its per-decision step.
-_STEPS = {"tree": _tree_step, "cowen": _tree_step,
-          "destination": _destination_step, "pair": _pair_step}

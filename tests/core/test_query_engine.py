@@ -10,7 +10,10 @@ sabotaged copies of the table schemes included, and holds
 :func:`repro.routing.compiled_query.evaluate_shard` to the referee,
 :func:`repro.core.simulate._reference_shard`, called by name; observed
 runs (telemetry on, a trace capture active) must match the referee's
-hop histogram and packet traces too.  Further tests pin the read-only
+hop histogram and packet traces too.  The dense tables that tree,
+Cowen and destination schemes compile to are held cell by cell to the
+schemes' own routing function, and a compile split into many blocks to
+one done in a single block.  Further tests pin the read-only
 tables that keep compiled queries from going stale, the resolver
 semantics (env handling, warn-once, explicit errors), the fallback
 ladder (algebras without an integer key, keys past int64), stretches
@@ -60,6 +63,7 @@ from repro.core.simulate import (
     route_shard,
     sample_pairs,
 )
+from repro.exceptions import RoutingError
 from repro.frozen import FrozenTable
 from repro.graphs.generators import erdos_renyi, ring
 from repro.graphs.weighting import WEIGHT_ATTR, assign_random_weights
@@ -71,6 +75,7 @@ from repro.obs.tracing import capture_traces
 from repro.routing import compiled_query, query_engine
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
+from repro.routing.model import Action
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.stretch import StretchReport, measure_stretch
 from repro.routing.tree_routing import HeavyPathTree, TreeRoutingScheme
@@ -393,15 +398,27 @@ class TestBatchReferenceEquality:
         assert ref_counters["query_engine.reference_pairs"] == len(pairs)
 
     @needs_numpy
-    def test_blocks_keep_pair_order(self, monkeypatch, sabotaged):
+    @pytest.mark.parametrize("family", ("destination", "cowen", "tree"))
+    def test_blocks_keep_pair_order(self, monkeypatch, sabotaged, family):
         """A shard split into many blocks: failures, stretch, hop counts
-        and a traced sample spanning blocks, all in order."""
+        and a traced sample spanning blocks, all in order.  A Cowen or
+        tree compile decides its 15² cells in blocks too, the last one
+        partial, and lays them out as one block would."""
         monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", 7)
-        algebra = widest_shortest_path(max_weight=9, max_capacity=9)
-        graph = erdos_renyi(14, rng=random.Random(16))
+        if family == "tree":
+            algebra = WidestPath(max_capacity=9)
+        else:
+            algebra = widest_shortest_path(max_weight=9, max_capacity=9)
+        graph = erdos_renyi(14 if family == "destination" else 15,
+                            rng=random.Random(16))
         assign_random_weights(graph, algebra, rng=random.Random(17))
-        scheme = sabotaged(DestinationTableScheme(graph, algebra),
-                           "_next_hop", {3: {}})
+        if family == "destination":
+            scheme = sabotaged(DestinationTableScheme(graph, algebra),
+                               "_next_hop", {3: {}})
+        elif family == "cowen":
+            scheme = CowenScheme(graph, algebra, rng=random.Random(18))
+        else:
+            scheme = TreeRoutingScheme(graph, algebra)
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes for t in nodes]
@@ -413,10 +430,17 @@ class TestBatchReferenceEquality:
             lambda: _reference_shard(algebra, scheme, oracle, list(pairs)), 40)
         assert (hops, traces, dropped) == (ref_hops, ref_traces, ref_dropped)
         reference = _referee_key(algebra, scheme, oracle, pairs)
-        assert reference[3]
+        assert bool(reference[3]) == (family == "destination")
         assert _shard_key(batch) == reference
         assert stats["batch_shards"] == 1
         assert stats["batch_pairs"] == len(pairs)
+        if family != "destination":
+            blocked = compiled_query.compile_query(scheme).arrays
+            monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", len(pairs))
+            whole = compiled_query._compile(scheme).arrays
+            assert blocked.keys() == whole.keys()
+            for name, array in whole.items():
+                assert np.array_equal(blocked[name], array), name
 
     @needs_numpy
     def test_route_shard_failure_tuples_and_order(self, sabotaged):
@@ -434,6 +458,75 @@ class TestBatchReferenceEquality:
         batch = route_shard(algebra, scheme, oracle, list(pairs))
         assert reference[3]   # the sabotage is visible
         assert _shard_key(batch) == reference
+
+
+def _decided_cell(scheme, tables, node, target, header):
+    """What the compiled ``(node, target)`` cell must hold, from the
+    scheme's own routing function: ``(next node index, arc key)`` where it
+    forwards, ``(_MISSING, None)`` where the destination table has no
+    route, and ``(_REPLAY, None)`` for anything else the route loop would
+    not follow (another exception, a delivery away from the target)."""
+    try:
+        decision = scheme.local_decision(node, header)
+        hop = (None if decision.action is Action.DELIVER
+               else scheme.ports.neighbor(node, decision.port))
+    except RoutingError as error:
+        if str(error) == f"no route from {node!r} to {target!r}":
+            return compiled_query._MISSING, None
+        return compiled_query._REPLAY, None
+    except Exception:
+        return compiled_query._REPLAY, None
+    if hop is None:
+        return compiled_query._REPLAY, None
+    # The compile rests on this: the header is never rewritten.
+    assert decision.header == header
+    weight = scheme.graph[node][hop][scheme.attr]
+    return tables.node_index[hop], tables.codec.key(weight)
+
+
+class TestCompiledCells:
+    """The dense table is the scheme's forwarding function, cell by cell.
+
+    Outcome equality cannot see a wrong next hop that ties the right one
+    in weight and hop count; a cell-by-cell comparison can.
+    """
+
+    @needs_numpy
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n=st.integers(min_value=4, max_value=12),
+        family=st.sampled_from(("cowen", "destination", "tree")),
+        sabotage=st.sampled_from(("none", "empty-table", "two-cycle",
+                                  "off-edge")),
+    )
+    @example(seed=1, n=7, family="destination", sabotage="empty-table")
+    @example(seed=1, n=7, family="destination", sabotage="two-cycle")
+    @example(seed=1, n=7, family="destination", sabotage="off-edge")
+    @example(seed=1, n=7, family="cowen", sabotage="none")
+    @example(seed=1, n=7, family="tree", sabotage="none")
+    def test_cells_are_the_local_decisions(self, seed, n, family, sabotage,
+                                           sabotaged):
+        _graph, _algebra, scheme, _expected = _instance_under_test(
+            sabotaged, family, seed, n, sabotage)
+        tables = compiled_query.compile_query(scheme)
+        dt_next, dt_key = tables.arrays["dt_next"], tables.arrays["dt_key"]
+        assert not dt_next.flags.writeable and not dt_key.flags.writeable
+        nodes, size = tables.nodes, tables.n
+        for ti, target in enumerate(nodes):
+            for ui, node in enumerate(nodes):
+                if node == target:
+                    continue
+                try:
+                    header = scheme.initial_header(node, target)
+                except Exception:   # no label: the walk replays its pairs
+                    assert tables.arrays["hdr_dfs"][ti] < 0
+                    continue
+                hop, key = _decided_cell(scheme, tables, node, target, header)
+                cell = ti * size + ui
+                assert dt_next[cell] == hop, (node, target)
+                if key is not None:
+                    assert dt_key[cell] == key, (node, target)
 
 
 class TestStretchBeyondThree:
