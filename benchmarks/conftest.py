@@ -10,6 +10,9 @@ twice under ``benchmarks/results/``:
 
 At session end a consolidated ``summary.json`` is written covering every
 experiment recorded in the run, so downstream tooling reads one file.
+It covers that one session only: a run of one benchmark file rewrites it
+with that file's experiments, so it is not tracked, and
+``compare_baseline.py`` reads the one its own session just wrote.
 """
 
 import os

@@ -3,7 +3,7 @@
 The PR 4 acceptance experiment.  On the largest seeded Erdős–Rényi
 instance of the Table 1 suite (n = 512), a workload of ``2n`` sampled
 pairs no longer pays for the all-pairs oracle: the lazy
-:class:`~repro.core.simulate.PreferredWeightOracle` builds one Dijkstra
+:class:`~repro.paths.store.PreferredWeightOracle` builds one Dijkstra
 tree per *distinct source actually routed from*, never ``n``.
 
 Two workloads are measured:
@@ -27,9 +27,9 @@ from conftest import record
 from repro.algebra import ShortestPath
 from repro.core import (
     EvaluationOptions,
+    PreferredWeightOracle,
     evaluate_scheme,
     oracle_cache,
-    preferred_weight_oracle,
     uniform_pairs,
 )
 from repro.core.compiler import build_scheme
@@ -63,7 +63,7 @@ def test_lazy_oracle_slices_tree_builds():
     scheme = build_scheme(graph, algebra)
 
     # Eager baseline: what every evaluation paid before PR 4.
-    eager = preferred_weight_oracle(graph, algebra)
+    eager = PreferredWeightOracle(graph, algebra)
     start = time.perf_counter()
     eager.ensure_sources(graph.nodes())
     eager_s = time.perf_counter() - start
@@ -71,7 +71,7 @@ def test_lazy_oracle_slices_tree_builds():
 
     # Context: a uniform 2n sample still touches most sources.
     uniform = uniform_pairs(graph, PAIR_COUNT, rng=random.Random(41))
-    lazy_uniform = preferred_weight_oracle(graph, algebra)
+    lazy_uniform = PreferredWeightOracle(graph, algebra)
     for s, t in uniform:
         lazy_uniform(s, t)
     uniform_built = lazy_uniform.trees_built

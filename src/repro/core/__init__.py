@@ -25,15 +25,16 @@ from repro.core.simulate import (
     EvaluationOptions,
     EvaluationReport,
     ExperimentResult,
-    OracleCache,
-    PreferredWeightOracle,
     as_rng,
     evaluate_scheme,
-    graph_signature,
-    oracle_cache,
-    preferred_weight_oracle,
     run_experiment,
     sample_pairs,
+)
+from repro.paths.store import (
+    OracleCache,
+    PreferredWeightOracle,
+    graph_signature,
+    oracle_cache,
 )
 from repro.core.parallel import evaluate_sharded, shard_pairs_by_source
 
@@ -75,7 +76,6 @@ __all__ = [
     "evaluate_sharded",
     "graph_signature",
     "oracle_cache",
-    "preferred_weight_oracle",
     "run_experiment",
     "sample_pairs",
     "shard_pairs_by_source",

@@ -16,7 +16,7 @@ B1/B2 under A1 + A2            the Theorem 6 / Theorem 7 tree schemes
 
 The destination-table, Cowen and pair-table schemes read their paths
 from the tree store
-(:class:`~repro.core.simulate.PreferredWeightOracle`), which picks the
+(:class:`~repro.paths.store.PreferredWeightOracle`), which picks the
 exact solver for the algebra.
 """
 
@@ -30,6 +30,7 @@ from repro.algebra.bgp import PEER, BGPAlgebra
 from repro.exceptions import NotApplicableError
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
+from repro.paths.store import oracle_cache
 from repro.routing.bgp_schemes import B1TreeScheme, B2ConeScheme
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
@@ -66,11 +67,11 @@ def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
 
     The Cowen, destination-table and pair-table schemes need preferred
     paths from every node.  They take them from a tree store, the
-    :class:`~repro.core.simulate.PreferredWeightOracle` *oracle*, which
+    :class:`~repro.paths.store.PreferredWeightOracle` *oracle*, which
     picks the solver for the algebra and builds trees in batched sweeps
     over one compiled graph.  By default that is the oracle
     :func:`~repro.core.simulate.evaluate_scheme` reads (from
-    :data:`~repro.core.simulate.oracle_cache`), so evaluation finds every
+    :data:`~repro.paths.store.oracle_cache`), so evaluation finds every
     tree and path already built.  A caller that keeps its own oracle
     (the routing service) passes it in, and a rebuild after an edge
     change reuses every tree its invalidation kept.
@@ -141,8 +142,6 @@ def _build_scheme(graph, algebra: RoutingAlgebra, mode: str, attr: str,
             f"[{declared.summary()}]"
         )
     if oracle is None:
-        from repro.core.simulate import oracle_cache
-
         oracle = oracle_cache.get(graph, algebra, attr=attr,
                                   scheme_name=scheme_class.name)
     return scheme_class(graph, algebra, attr=attr, oracle=oracle, **options)

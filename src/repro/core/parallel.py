@@ -267,10 +267,10 @@ def _map_shards(shards: List[List[Tuple]], workers: int, context,
                 initargs) -> List[ShardResult]:
     """Evaluate *shards* on one pool; return their results in shard order.
 
-    The pool shuts down without waiting for its workers to exit, so their
-    exit stays off the caller's clock, unless a live event queue rides
-    last in *initargs*: a spawn worker that is still starting opens that
-    queue's lock by name, so the queue must outlive every worker.
+    The pool waits for its workers to exit: one left to exit on its own
+    races the interpreter's exit hook, which prints an ``OSError``, and a
+    spawn worker still starting opens the live event queue's lock (last
+    in *initargs*) by name, so the queue must outlive every worker.
     """
     executor = ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                    initializer=_init_worker,
@@ -278,7 +278,7 @@ def _map_shards(shards: List[List[Tuple]], workers: int, context,
     try:
         return list(executor.map(_run_shard, enumerate(shards)))
     finally:
-        executor.shutdown(wait=initargs[-1] is not None, cancel_futures=True)
+        executor.shutdown(cancel_futures=True)
 
 
 def _match_indices(shard: List[Tuple], index_list: List[int],

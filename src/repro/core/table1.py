@@ -35,9 +35,9 @@ from repro.algebra.lexicographic import shortest_widest_path, widest_shortest_pa
 from repro.core.classify import Classification, classify
 from repro.core.compiler import build_scheme
 from repro.core.scaling import ScalingFit, fit_scaling
-from repro.core.simulate import PreferredWeightOracle
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
+from repro.paths.store import PreferredWeightOracle
 from repro.routing.memory import memory_report
 
 

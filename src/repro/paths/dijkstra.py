@@ -13,7 +13,7 @@ final.  The implementation refuses algebras *declared* non-isotone unless
 results against :mod:`repro.paths.enumerate` on small instances).
 
 Three engines produce the same preferred weights and parents, and the
-tree store (:class:`repro.core.simulate.PreferredWeightOracle`) alone
+tree store (:class:`repro.paths.store.PreferredWeightOracle`) alone
 decides which one builds a tree:
 
 * the **batch** engine (:mod:`repro.paths.batch`) runs vectorized numpy

@@ -11,7 +11,7 @@ the per-source loop:
   neighbor offsets (``indptr``), neighbor indices and edge-weight arrays —
   shared across all per-source runs.  It is pickle-safe (derived caches
   are dropped and rebuilt lazily), so the tree store
-  (:class:`~repro.core.simulate.PreferredWeightOracle`) ships it to
+  (:class:`~repro.paths.store.PreferredWeightOracle`) ships it to
   spawn workers instead of recompiling per worker.
 * :func:`kernel_tree` runs generalized Dijkstra over the compiled arrays,
   with a **bucketed (Dial-style) frontier** fast path for algebras whose

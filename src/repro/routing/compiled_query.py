@@ -20,15 +20,16 @@ the one walk (:func:`_walk`) reads:
   at the source and never rewritten, so each decision depends on (node,
   target) alone and is made once, at compile time:
 
-  - a destination table (:class:`DestinationTableScheme`) lays out its
-    ``_next_hop`` rows;
+  - a destination table (:class:`DestinationTableScheme`) is the tree
+    store's parent rows it holds, laid end to end: row ``t`` is the tree
+    rooted at ``t``, so its entry ``u`` is u's next hop toward t;
   - tree routing (:class:`TreeRoutingScheme`) runs the heavy-path
     decision (DFS intervals, parent/heavy hops, the target's light-port
     label) over all n² cells, in blocks of :data:`BLOCK_PAIRS`;
   - Cowen (:class:`CowenScheme`) runs it over every landmark tree,
     each target's cell in its landmark's tree, then writes the direct
     cluster/landmark entries over their cells, their next hops gathered
-    from the tree store's parent rows the scheme holds.
+    from the parent rows the scheme holds, as a destination table's are.
 
   Tree and Cowen tables also keep each target's label DFS number
   (``hdr_dfs``, -1 for a target without a label).  The price is n²
@@ -120,6 +121,7 @@ from repro.exceptions import ReproError, RoutingError
 from repro.obs import tracing as _obs_tracing
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
+from repro.paths.store import PreferredWeightOracle, _algebra_key
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
@@ -283,6 +285,19 @@ def _arc_keys(adjacency):
     return arc_key
 
 
+def _parent_hops(scheme, adjacency, cells):
+    """The next hop and edge key of each ``t*n + u`` cell of *cells*, for
+    a scheme that forwards on the tree store's parent rows.
+
+    u's next hop toward t is its parent in the tree rooted at t, -1 for
+    none, gathered from the rows; its key comes from the arc-key matrix,
+    -1 for no hop or one off every edge.
+    """
+    parents = _np.asarray(scheme._parent_rows, dtype=_np.int64)
+    hops = parents.ravel()[cells]
+    return hops, _arc_keys(adjacency)[cells % parents.shape[1], hops]
+
+
 def _port_hops(ports, base, adjacency):
     """The (next node, edge key) behind each port; port 0 is none
     (-1, 0).  *base* holds each port's node's ``adj_indptr`` entry."""
@@ -420,18 +435,14 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
     if trees[0].index != node_index:   # one index, shared by every tree
         return None
 
-    # Direct entries: one per (node, cluster-or-landmark target), its next
-    # hop u's parent in the target-rooted tree and that arc's key, both
-    # gathered: from the parent rows and the arc-key matrix.
+    # Direct entries: one per (node, cluster-or-landmark target) cell.
     direct = [scheme.clusters[u] | scheme.landmarks for u in nodes]
     sizes = list(map(len, direct))
     targets = _np.fromiter(map(node_index.__getitem__, chain.from_iterable(direct)),
                            dtype=_np.int64, count=sum(sizes))
     sources = _np.repeat(_np.arange(n, dtype=_np.int64), sizes)
-    off_diagonal = sources != targets
-    sources, targets = sources[off_diagonal], targets[off_diagonal]
-    hops = _np.asarray(scheme._parent_rows, dtype=_np.int64)[targets, sources]
-    keys = _arc_keys(adjacency)[sources, hops]
+    cells = (targets * n + sources)[sources != targets]
+    hops, keys = _parent_hops(scheme, adjacency, cells)
     if (keys < 0).any():   # a hop off every edge, or none (-1)
         return None
 
@@ -445,7 +456,6 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
     table = _tree_table(columns, adjacency, hdr_base,
                         columns["t_dfs"][hdr_base + _np.arange(n)],
                         [trees[k].labels[i] for i, k in enumerate(slots)])
-    cells = targets * n + sources
     table["dt_next"][cells] = hops
     table["dt_key"][cells] = keys
     return "cowen", table
@@ -453,31 +463,14 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
                          adjacency):
-    """``_next_hop`` as dense ``t*n + u`` next-hop and edge-key arrays.
-
-    The rows' targets and next hops become node indexes in C-level
-    passes, -1 off the graph.  A next hop off every edge is replayed; an
-    off-graph target is never asked for.
-    """
-    n = len(nodes)
-    rows = [scheme._next_hop[u] for u in nodes]
-    sizes = list(map(len, rows))
-    count = sum(sizes)
-    index = node_index.get
-    targets = _np.fromiter(map(index, chain.from_iterable(rows), repeat(-1)),
-                           dtype=_np.int64, count=count)
-    hops = _np.fromiter(
-        map(index, chain.from_iterable(map(dict.values, rows)), repeat(-1)),
-        dtype=_np.int64, count=count)
-    sources = _np.repeat(_np.arange(n, dtype=_np.int64), sizes)
-    keys = _arc_keys(adjacency)[sources, hops]
-    known = targets >= 0
-    cells = targets[known] * n + sources[known]
-    dt_next = _np.full(n * n, _MISSING, dtype=_np.int64)
-    dt_key = _np.zeros(n * n, dtype=_np.int64)
-    dt_next[cells] = _np.where(keys < 0, _REPLAY, hops)[known]
-    dt_key[cells] = _np.maximum(keys, 0)[known]
-    return "destination", {"dt_next": dt_next, "dt_key": dt_key}
+    """Every cell's :func:`_parent_hops`: a cell without a next hop is
+    :data:`_MISSING`, and one whose hop is off every edge is replayed."""
+    if scheme._index != node_index:
+        return None
+    hops, keys = _parent_hops(scheme, adjacency,
+                              _np.arange(len(nodes) ** 2, dtype=_np.int64))
+    dt_next = _np.where(keys >= 0, hops, _np.where(hops < 0, _MISSING, _REPLAY))
+    return "destination", {"dt_next": dt_next, "dt_key": _np.maximum(keys, 0)}
 
 
 def _compile_pair(scheme: PairTableScheme, nodes, node_index, adjacency):
@@ -533,7 +526,7 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
     anomaly replays, for :func:`~repro.routing.stretch.measure_stretch`.
 
     A tree-store oracle serves each source's run of pairs in one
-    :meth:`~repro.core.simulate.PreferredWeightOracle.weights_from` call,
+    :meth:`~repro.paths.store.PreferredWeightOracle.weights_from` call,
     which advances its lazy-oracle accounting by the pairs served; any
     other oracle is called once per pair, in pair order.  Pairs the walk
     cannot replicate bit-for-bit go through the referee's per-pair
@@ -546,8 +539,6 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
         return None
     # The scheme's tables encode its own algebra's keys: an equal algebra
     # (the identity the oracle cache keys on) reads them the same way.
-    from repro.core.simulate import _algebra_key
-
     if _algebra_key(algebra) != _algebra_key(scheme.algebra):
         count_query_fallback("algebra-mismatch", pairs=len(pairs))
         return None
@@ -573,8 +564,6 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
 
 def _preferred_weights(oracle, sources, targets) -> List:
     """The preferred weight of every pair, in pair order."""
-    from repro.core.simulate import PreferredWeightOracle
-
     if not isinstance(oracle, PreferredWeightOracle):
         return list(map(oracle, sources, targets))
     weights: List = []

@@ -55,6 +55,7 @@ from repro.obs.tracing import span
 # Not called here (the trees come from a tree store), but kept importable:
 # perfbench/spans.py wraps this name to count scheme-side tree builds.
 from repro.paths.dijkstra import preferred_path_tree  # noqa: F401
+from repro.paths.store import PreferredWeightOracle
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
 from repro.routing.model import Decision, RoutingScheme
 # TreeRoutingScheme is not called here either (landmark trees are labelled
@@ -99,13 +100,13 @@ class CowenScheme(RoutingScheme):
 
     The construction reads a preferred-path tree from every node, out of
     a tree store: *oracle* (a
-    :class:`~repro.core.simulate.PreferredWeightOracle`; ``build_scheme``
+    :class:`~repro.paths.store.PreferredWeightOracle`; ``build_scheme``
     passes the one evaluation reads) or, without one, a private store.
     Either way the trees are built in batched sweeps over one compiled
     graph and the scheme holds the store's own weight and parent rows
-    (:meth:`~repro.core.simulate.PreferredWeightOracle.rows`).  Landmarks,
+    (:meth:`~repro.paths.store.PreferredWeightOracle.rows`).  Landmarks,
     balls and clusters are comparisons within their order-key rows
-    (:meth:`~repro.core.simulate.PreferredWeightOracle.key_rows`), and
+    (:meth:`~repro.paths.store.PreferredWeightOracle.key_rows`), and
     every landmark's tree is labelled from a copy of its parent row with
     the scheme's one port map.
 
@@ -145,8 +146,6 @@ class CowenScheme(RoutingScheme):
         n = len(nodes)
         with span("preferred_trees", scheme=self.name):
             if oracle is None:
-                from repro.core.simulate import PreferredWeightOracle
-
                 oracle = PreferredWeightOracle(graph, algebra, attr=attr)
             weights, parents = oracle.rows(nodes)
             for node, parent in zip(nodes, parents):

@@ -106,12 +106,14 @@ def decode_port_table(bits: Sequence[int], count: int, n: int, degree: int
 
 
 def encode_destination_table_node(scheme, node) -> BitWriter:
-    """Bit-encode one node's state of a DestinationTableScheme."""
+    """Bit-encode one node's state of a DestinationTableScheme: an entry
+    per target whose parent row holds a next hop for *node*."""
     n = scheme.graph.number_of_nodes()
     degree = scheme.ports.degree(node)
+    u, nodes = scheme._index[node], scheme._nodes
     table = {
-        dest: scheme.ports.port(node, nxt)
-        for dest, nxt in scheme._next_hop[node].items()
+        nodes[t]: scheme.ports.port(node, nodes[row[u]])
+        for t, row in enumerate(scheme._parent_rows) if row[u] >= 0
     }
     return encode_port_table(table, n, degree)
 

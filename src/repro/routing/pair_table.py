@@ -9,7 +9,7 @@ paper quotes for SW while noting the gap to the ``Omega(n)`` lower bound
 remains open.
 
 The paths to install come from the tree store
-(:class:`~repro.core.simulate.PreferredWeightOracle`), which picks the
+(:class:`~repro.paths.store.PreferredWeightOracle`), which picks the
 exact solver per algebra: the shortest-widest solver of
 :mod:`repro.paths.shortest_widest`, exhaustive enumeration for other
 non-isotone algebras, and generalized-Dijkstra trees for regular ones.
@@ -24,6 +24,7 @@ from repro.exceptions import RoutingError
 from repro.frozen import FrozenTable
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
+from repro.paths.store import PreferredWeightOracle
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
 from repro.routing.model import Decision, RoutingScheme
 
@@ -45,8 +46,6 @@ class PairTableScheme(RoutingScheme):
                  oracle=None):
         super().__init__(graph, algebra, attr)
         if oracle is None:
-            from repro.core.simulate import PreferredWeightOracle
-
             oracle = PreferredWeightOracle(graph, algebra, attr=attr)
         entries: Dict[object, Dict[Tuple, int]] = {
             node: {} for node in graph.nodes()

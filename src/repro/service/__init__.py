@@ -7,7 +7,7 @@ is the amortized counterpart: a :class:`RoutingService` builds that state
 the warm structures, while ``update_weight``/``fail_link``/``restore_link``
 keep it correct under churn by surgically invalidating only the per-source
 trees the change can affect (see
-:meth:`repro.core.simulate.PreferredWeightOracle.invalidate_edge`) and
+:meth:`repro.paths.store.PreferredWeightOracle.invalidate_edge`) and
 rebuilding the compact scheme lazily on the next query.  Answers are
 bit-identical to a cold service constructed from the mutated graph.
 

@@ -6,7 +6,7 @@ state warm across queries:
 * the **scheme** (whatever :func:`repro.core.compiler.build_scheme`
   prescribes), rebuilt lazily — and deterministically, from the service's
   seed — after any mutation dirties it;
-* a private lazy :class:`~repro.core.simulate.PreferredWeightOracle`
+* a private lazy :class:`~repro.paths.store.PreferredWeightOracle`
   whose per-source trees accumulate across queries and survive mutations
   that provably cannot affect them (surgical invalidation).  It is also
   the scheme's tree store: the Cowen and destination-table schemes are
@@ -36,10 +36,10 @@ from repro.obs import events as _events
 from repro.obs import tracing as _obs_tracing
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
+from repro.paths.store import OracleInvalidation, PreferredWeightOracle
 from repro.routing.memory import MemoryReport, memory_report
 from repro.routing.model import RoutingScheme
 from repro.routing.stretch import minimal_stretch
-from repro.core.simulate import OracleInvalidation, PreferredWeightOracle
 
 #: Modes accepted by ServiceOptions (mirrors repro.core.compiler.MODES).
 _MODES = ("auto", "exact", "compact")

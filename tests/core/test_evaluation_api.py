@@ -12,7 +12,6 @@ from repro.core.simulate import (
     as_rng,
     evaluate_scheme,
     oracle_cache,
-    preferred_weight_oracle,
     run_experiment,
     sample_pairs,
 )
@@ -22,6 +21,7 @@ from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import reset as telemetry_reset
+from repro.paths.store import PreferredWeightOracle
 from repro.routing.memory import memory_report
 from repro.routing.stretch import StretchReport
 
@@ -225,7 +225,7 @@ class TestOracleCache:
 
     def test_explicit_oracle_bypasses_cache(self):
         graph, algebra, scheme = _instance()
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         before = oracle_cache.stats()
         evaluate_scheme(graph, algebra, scheme,
                         options=EvaluationOptions(oracle=oracle, pair_count=5))

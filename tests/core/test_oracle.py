@@ -1,7 +1,7 @@
 """The PR 4 lazy oracle: engine dispatch, laziness, pickling, concurrency.
 
-Covers :class:`repro.core.simulate.PreferredWeightOracle` directly plus the
-:class:`~repro.core.simulate.OracleCache` fixes that ride along: the
+Covers :class:`repro.paths.store.PreferredWeightOracle` directly plus the
+:class:`~repro.paths.store.OracleCache` fixes that ride along: the
 per-key build lock (no thundering herd), the explicit ``attr`` key
 component, and truthful per-scheme ``oracle`` span attribution on hits.
 ``TestTreeStore`` covers the oracle as the one tree store the Cowen and
@@ -19,15 +19,8 @@ import pytest
 from repro.algebra.bgp import valley_free_algebra
 from repro.algebra.catalog import ShortestPath, WidestPath
 from repro.algebra.lexicographic import shortest_widest_path, widest_shortest_path
-from repro.core import simulate as simulate_mod
 from repro.core.compiler import build_scheme
-from repro.core.simulate import (
-    OracleCache,
-    PreferredWeightOracle,
-    evaluate_scheme,
-    oracle_cache,
-    preferred_weight_oracle,
-)
+from repro.core.simulate import evaluate_scheme
 from repro.exceptions import AlgebraError
 from repro.graphs.bgp_topologies import coned_as_topology
 from repro.graphs.generators import erdos_renyi, ring
@@ -39,6 +32,7 @@ from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
 from repro.paths.dijkstra import _reference_tree
 from repro.paths.enumerate import preferred_by_enumeration
+from repro.paths.store import OracleCache, PreferredWeightOracle, oracle_cache
 from repro.protocols.disputes import DisputeWheelAlgebra, bad_gadget
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
@@ -67,35 +61,35 @@ def _sp_instance(n=12, seed=1):
 class TestEngineSelection:
     def test_regular_algebra_uses_dijkstra(self):
         graph, algebra = _sp_instance()
-        assert preferred_weight_oracle(graph, algebra).engine == "dijkstra"
+        assert PreferredWeightOracle(graph, algebra).engine == "dijkstra"
 
     def test_shortest_widest_engine(self):
         algebra = shortest_widest_path(max_weight=5, max_capacity=5)
         graph = ring(6)
         assign_random_weights(graph, algebra, rng=random.Random(3))
-        assert preferred_weight_oracle(graph, algebra).engine == "shortest-widest"
+        assert PreferredWeightOracle(graph, algebra).engine == "shortest-widest"
 
     def test_bgp_engine(self):
         algebra = valley_free_algebra()
         graph = coned_as_topology(2, 2, 2, rng=random.Random(4))
-        assert preferred_weight_oracle(graph, algebra).engine == "bgp"
+        assert PreferredWeightOracle(graph, algebra).engine == "bgp"
 
     def test_non_monotone_falls_back_to_enumeration(self):
-        oracle = preferred_weight_oracle(bad_gadget(3), DisputeWheelAlgebra())
+        oracle = PreferredWeightOracle(bad_gadget(3), DisputeWheelAlgebra())
         assert oracle.engine == "enumeration"
 
 
 class TestLaziness:
     def test_no_builds_at_construction(self):
         graph, algebra = _sp_instance()
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         assert oracle.trees_built == 0
         assert oracle.trees_requested == 0
         assert oracle.stats()["sources_cached"] == 0
 
     def test_query_builds_only_its_source(self):
         graph, algebra = _sp_instance()
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         oracle(0, 5)
         oracle(0, 7)
         oracle(1, 3)
@@ -105,14 +99,14 @@ class TestLaziness:
 
     def test_matches_enumeration_truth_lazily(self):
         graph, algebra = _sp_instance()
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         truth = preferred_by_enumeration(graph, algebra, 0, 5)
         assert oracle(0, 5) == truth.weight
         assert oracle.trees_built == 1
 
     def test_ensure_sources_bulk_builds_once(self):
         graph, algebra = _sp_instance()
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         oracle.ensure_sources([0, 1, 0, 2, 1])  # duplicates collapse
         assert oracle.trees_built == 3
         assert oracle.trees_requested == 3
@@ -124,7 +118,7 @@ class TestLaziness:
     def test_enumeration_memoizes_pairs_and_builds_nothing(self):
         algebra = DisputeWheelAlgebra()
         graph = bad_gadget(3)
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         oracle.ensure_sources(graph.nodes())  # no-op for enumeration
         assert oracle.trees_built == 0
         first = oracle(1, 0)
@@ -137,7 +131,7 @@ class TestLaziness:
     def test_telemetry_counters_emitted(self):
         telemetry_enable()
         graph, algebra = _sp_instance()
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         oracle(0, 5)
         oracle(0, 7)
         oracle.ensure_sources([2])
@@ -149,7 +143,7 @@ class TestLaziness:
 class TestPickle:
     def test_roundtrip_keeps_tables_and_counters(self):
         graph, algebra = _sp_instance()
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         expected = oracle(0, 5)
         clone = pickle.loads(pickle.dumps(oracle))
         assert clone.trees_built == 1
@@ -163,7 +157,7 @@ class TestPickle:
 class TestThreadSafety:
     def test_concurrent_queries_build_each_source_once(self):
         graph, algebra = _sp_instance(n=10)
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         builds = []
         original = oracle._build_table
 
@@ -195,15 +189,14 @@ class TestOracleCacheConcurrency:
         graph, algebra = _sp_instance()
         cache = OracleCache(capacity=4)
         built = []
-        original = simulate_mod.preferred_weight_oracle
+        original = PreferredWeightOracle.__init__
 
-        def slow_factory(*args, **kwargs):
+        def slow_init(self, *args, **kwargs):
             built.append(args)
             time.sleep(0.01)  # widen the race window
-            return original(*args, **kwargs)
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(simulate_mod, "preferred_weight_oracle",
-                            slow_factory)
+        monkeypatch.setattr(PreferredWeightOracle, "__init__", slow_init)
         barrier = threading.Barrier(4)
         oracles = []
 

@@ -12,12 +12,12 @@ from repro.core.simulate import (
     EvaluationOptions,
     evaluate_scheme,
     route_shard,
-    preferred_weight_oracle,
     sample_pairs,
 )
 from repro.graphs.bgp_topologies import coned_as_topology
 from repro.graphs.generators import barabasi_albert, erdos_renyi
 from repro.graphs.weighting import assign_random_weights
+from repro.paths.store import PreferredWeightOracle
 
 
 def _golden_instances():
@@ -88,7 +88,7 @@ class TestForkOracleSlicing:
         assign_random_weights(graph, algebra, rng=random.Random(22))
         scheme = build_scheme(graph, algebra)
         pairs = [(s, t) for s in (0, 1, 2) for t in (4, 5, 6, 7)]
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         enable()
         try:
             merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
@@ -124,7 +124,7 @@ class TestShardMergeEquivalence:
         graph = erdos_renyi(16, rng=random.Random(7))
         assign_random_weights(graph, algebra, rng=random.Random(8))
         # sabotage one node's table
-        scheme = sabotaged(build_scheme(graph, algebra), "_next_hop", {3: {}})
+        scheme = sabotaged(build_scheme(graph, algebra), "_parent_rows", {3: {}})
         serial = evaluate_scheme(graph, algebra, scheme)
         parallel = evaluate_scheme(
             graph, algebra, scheme,
@@ -209,7 +209,7 @@ class TestTracesDroppedMerge:
 class TestEvaluateShardedDirect:
     def test_single_shard_short_circuits_serially(self):
         _, graph, algebra, scheme = _golden_instances()[0]
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         pairs = sample_pairs(graph)[:5]
         merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
                                   workers=4, shard_size=100)

@@ -24,7 +24,6 @@ from repro.core.simulate import (
     EvaluationOptions,
     evaluate_scheme,
     oracle_cache,
-    preferred_weight_oracle,
     sample_pairs,
 )
 from repro.graphs.generators import erdos_renyi
@@ -35,6 +34,7 @@ from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
+from repro.paths.store import PreferredWeightOracle
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +62,7 @@ def _instance(n=16, seed=1):
 
 
 def _run_parallel(graph, algebra, scheme, **options):
-    oracle = preferred_weight_oracle(graph, algebra)
+    oracle = PreferredWeightOracle(graph, algebra)
     pairs = sample_pairs(graph, None, random.Random(0))
     return evaluate_sharded(graph, algebra, scheme, oracle, pairs,
                             workers=2, **options), pairs
@@ -219,7 +219,7 @@ class TestFallbackCause:
         assert last_fallback() is not None
         # A subsequent single-shard run (one source groups into one
         # shard, so it never reaches the pool) must clear the old cause.
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         pairs = [(0, t) for t in (1, 2, 3)]
         evaluate_sharded(graph, algebra, scheme, oracle, pairs, workers=2,
                          shard_size=len(pairs))

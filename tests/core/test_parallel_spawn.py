@@ -27,7 +27,6 @@ from repro.core.simulate import (
     EvaluationOptions,
     evaluate_scheme,
     oracle_cache,
-    preferred_weight_oracle,
 )
 from repro.graphs.bgp_topologies import coned_as_topology
 from repro.graphs.generators import erdos_renyi
@@ -38,6 +37,7 @@ from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
+from repro.paths.store import PreferredWeightOracle
 from repro.routing.cowen import CowenScheme
 
 
@@ -97,7 +97,7 @@ class TestSpawnMergeExactness:
 
     def test_failures_keep_serial_order(self, sabotaged):
         graph, algebra, scheme = _sp_instance(seed=7)
-        scheme = sabotaged(scheme, "_next_hop", {3: {}})  # one node's table
+        scheme = sabotaged(scheme, "_parent_rows", {3: {}})  # one node's table
         serial = evaluate_scheme(graph, algebra, scheme)
         parallel = evaluate_scheme(
             graph, algebra, scheme,
@@ -131,7 +131,7 @@ class TestSpawnOracleSlicing:
         three tree builds across all spawned workers — never ``n``."""
         graph, algebra, scheme = _sp_instance(n=12)
         pairs = [(s, t) for s in (0, 1, 2) for t in (4, 5, 6, 7)]
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         telemetry_enable()
         merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
                                   workers=2, shard_size=4)
@@ -247,7 +247,7 @@ class TestSpawnEventFoldDeterminism:
 
     def _run_with_events(self, shard_size=40):
         graph, algebra, scheme = _sp_instance(n=14, seed=21)
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         pairs = [(s, t) for s in graph.nodes() for t in graph.nodes()
                  if s != t]
         telemetry_enable()

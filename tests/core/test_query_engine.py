@@ -205,6 +205,8 @@ def _build_instance(family, seed, n):
 #: node's table emptied; a 2-cycle of next hops toward one target, which
 #: ends in the hop limit; an entry the walk cannot follow (a next hop that
 #: is not a neighbour, a port that does not exist), which forces a replay.
+#: A destination table's next hops are parent-row indexes, so none is off
+#: the graph.
 #: Per (family, case), a failure message the reference must then report.
 SABOTAGES = {
     ("destination", "empty-table"): "no route from",
@@ -214,6 +216,14 @@ SABOTAGES = {
     ("destination", "off-edge"): "is not a neighbor",
     ("pair", "off-edge"): "has no port",
 }
+
+
+def _destination_row(scheme, node):
+    """*node*'s ``{target: next hop}`` entries in a destination table:
+    column ``node`` of its parent rows."""
+    u, nodes = scheme._index[node], scheme._nodes
+    return {nodes[t]: nodes[row[u]]
+            for t, row in enumerate(scheme._parent_rows) if row[u] >= 0}
 
 
 def _sabotage(sabotaged, scheme, family, case, rng):
@@ -226,21 +236,22 @@ def _sabotage(sabotaged, scheme, family, case, rng):
     graph = scheme.graph
     nodes = sorted(graph.nodes())
     u = rng.choice(nodes)
-    name = "_next_hop" if family == "destination" else "_entries"
-    table = getattr(scheme, name)
+    name = "_parent_rows" if family == "destination" else "_entries"
     if case == "empty-table":
         return sabotaged(scheme, name, {u: {}})
     v = rng.choice(sorted(graph.neighbors(u)))
     t = rng.choice([x for x in nodes if x not in (u, v)])
     if family == "destination":
+        table = {x: _destination_row(scheme, x) for x in (u, v)}
         if case == "two-cycle":
             rows = {u: {**table[u], t: v}, v: {**table[v], t: u}}
         else:
-            # a node not adjacent to u, else one not in the graph at all
+            # a node not adjacent to u, else u itself
             w = next((x for x in nodes
-                      if x != u and not graph.has_edge(u, x)), len(nodes))
+                      if x != u and not graph.has_edge(u, x)), u)
             rows = {u: {**table[u], t: w}}
     else:
+        table = scheme._entries
         ports = scheme.ports
         if case == "two-cycle":
             rows = {u: {**table[u], (u, t): ports.port(u, v)},
@@ -414,7 +425,7 @@ class TestBatchReferenceEquality:
         assign_random_weights(graph, algebra, rng=random.Random(17))
         if family == "destination":
             scheme = sabotaged(DestinationTableScheme(graph, algebra),
-                               "_next_hop", {3: {}})
+                               "_parent_rows", {3: {}})
         elif family == "cowen":
             scheme = CowenScheme(graph, algebra, rng=random.Random(18))
         else:
@@ -450,7 +461,7 @@ class TestBatchReferenceEquality:
         assign_random_weights(graph, algebra, rng=random.Random(4))
         # strands packets routed *through* 5 too
         scheme = sabotaged(DestinationTableScheme(graph, algebra),
-                           "_next_hop", {5: {}})
+                           "_parent_rows", {5: {}})
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         nodes = list(graph.nodes())
         pairs = [(s, t) for s in nodes for t in nodes]
@@ -739,8 +750,8 @@ class TestFallbackLadder:
         before = route_shard(algebra, scheme, oracle, list(pairs))
         assert not before.failures
         with pytest.raises(TypeError):
-            scheme._next_hop[nodes[2]] = {}
-        broken = sabotaged(scheme, "_next_hop", {nodes[2]: {}})
+            scheme._parent_rows[0][2] = -1   # nodes[2]'s entry for nodes[0]
+        broken = sabotaged(scheme, "_parent_rows", {nodes[2]: {}})
         reference = _referee_key(algebra, broken, oracle, pairs)
         batch = route_shard(algebra, broken, oracle, list(pairs))
         assert reference[3]
@@ -752,13 +763,14 @@ class TestFallbackLadder:
 
 
 #: Per family, the read-only tables of a built scheme, and the store
-#: rows a Cowen scheme forwards by (its direct entries read the parent
-#: rows).  A tree scheme's state is one heavy-path tree (tuple columns
-#: and a node index), and a Cowen scheme's landmark trees map each
-#: landmark to one.
+#: rows the destination table and Cowen's direct entries forward by (the
+#: parent rows stay tuples through a pickle).  A tree scheme's state is
+#: one heavy-path tree (tuple columns and a node index), and a Cowen
+#: scheme's landmark trees map each landmark to one.
 READ_ONLY_TABLES = {
-    "destination-next-hop": ("destination", lambda s: s._next_hop),
-    "destination-row": ("destination", lambda s: s._next_hop[0]),
+    "destination-index": ("destination", lambda s: s._index),
+    "destination-parent-rows": ("destination", lambda s: s._parent_rows),
+    "destination-row": ("destination", lambda s: s._parent_rows[0]),
     "pair-entries": ("pair", lambda s: s._entries),
     "pair-row": ("pair", lambda s: s._entries[0]),
     "tree-info": ("tree", lambda s: s._heavy_paths),
@@ -817,12 +829,15 @@ class TestReadOnlyTables:
         scheme = DestinationTableScheme(graph, algebra)
         batch = evaluate_scheme(graph, algebra, scheme)
         assert batch.optimal == batch.pairs == 870
-        row = scheme._next_hop[0]
-        target, hop = next(iter(row.items()))
-        other = next(v for v in sorted(graph.neighbors(0)) if v != hop)
+        index = scheme._index
+        row = scheme._parent_rows[index[1]]   # the tree rooted at node 1
+        u = index[0]
+        hop = row[u]                          # node 0's next hop toward 1
+        other = next(index[v] for v in sorted(graph.neighbors(0))
+                     if index[v] != hop)
         with pytest.raises(TypeError):
-            row[target] = other
-        assert row[target] == hop
+            row[u] = other
+        assert row[u] == hop
         assert _report_key(batch) == _referee_report_key(graph, algebra,
                                                          scheme)
 

@@ -11,12 +11,12 @@ from repro.core.compiler import build_scheme
 from repro.core.simulate import (
     EvaluationOptions,
     evaluate_scheme,
-    preferred_weight_oracle,
     sample_pairs,
 )
 from repro.graphs.bgp_topologies import coned_as_topology
 from repro.graphs.generators import erdos_renyi, ring
 from repro.graphs.weighting import assign_random_weights
+from repro.paths.store import PreferredWeightOracle
 
 
 class TestSamplePairs:
@@ -41,7 +41,7 @@ class TestOracles:
         algebra = ShortestPath()
         graph = erdos_renyi(12, rng=random.Random(1))
         assign_random_weights(graph, algebra, rng=random.Random(2))
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         from repro.paths.enumerate import preferred_by_enumeration
 
         truth = preferred_by_enumeration(graph, algebra, 0, 5)
@@ -51,7 +51,7 @@ class TestOracles:
         algebra = shortest_widest_path(max_weight=5, max_capacity=5)
         graph = ring(6)
         assign_random_weights(graph, algebra, rng=random.Random(3))
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         from repro.paths.enumerate import preferred_by_enumeration
 
         truth = preferred_by_enumeration(graph, algebra, 1, 4)
@@ -60,7 +60,7 @@ class TestOracles:
     def test_bgp_oracle(self):
         algebra = valley_free_algebra()
         graph = coned_as_topology(2, 2, 2, rng=random.Random(4))
-        oracle = preferred_weight_oracle(graph, algebra)
+        oracle = PreferredWeightOracle(graph, algebra)
         nodes = sorted(graph.nodes())
         assert oracle(nodes[0], nodes[-1]) in ("c", "r", "p")
 
@@ -106,7 +106,7 @@ class TestEvaluateScheme:
 
         # sabotage: truncate one node's table
         victim = 3
-        scheme = sabotaged(scheme, "_next_hop", {victim: {}})
+        scheme = sabotaged(scheme, "_parent_rows", {victim: {}})
         report = evaluate_scheme(graph, algebra, scheme)
         assert not report.all_delivered
         assert report.failures

@@ -35,7 +35,6 @@ from repro.algebra.lexicographic import (
     shortest_widest_path,
     widest_shortest_path,
 )
-from repro.core.simulate import PreferredWeightOracle
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR, assign_random_weights
 from repro.obs.metrics import (
@@ -47,6 +46,7 @@ from repro.obs.metrics import (
 from repro.paths import batch
 from repro.paths.dijkstra import PathTree, _reference_tree
 from repro.paths.kernel import compile_graph, kernel_tree
+from repro.paths.store import PreferredWeightOracle
 
 needs_numpy = pytest.mark.skipif(
     not batch.numpy_available(),

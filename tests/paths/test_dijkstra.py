@@ -12,9 +12,9 @@ from repro.algebra.bgp import provider_customer_algebra
 from repro.exceptions import AlgebraError
 from repro.graphs.generators import erdos_renyi, grid, ring
 from repro.graphs.weighting import assign_random_weights
-from repro.core.simulate import PreferredWeightOracle
 from repro.paths.dijkstra import preferred_path_tree
 from repro.paths.enumerate import preferred_by_enumeration
+from repro.paths.store import PreferredWeightOracle
 
 
 REGULAR_ALGEBRAS = [

@@ -227,7 +227,7 @@ class TestNodeRanks:
 
 class TestOracleAdoption:
     def test_oracle_shares_one_compiled_graph(self):
-        from repro.core.simulate import PreferredWeightOracle
+        from repro.paths.store import PreferredWeightOracle
 
         algebra = ShortestPath(9)
         graph = _weighted_er(10, 9, algebra)

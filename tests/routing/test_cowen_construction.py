@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 import cowen_referee as referee
 from repro.algebra.catalog import MostReliablePath, ShortestPath, UsablePath, WidestPath
 from repro.algebra.lexicographic import widest_shortest_path
-from repro.core.simulate import PreferredWeightOracle
 from repro.graphs.weighting import WEIGHT_ATTR, assign_random_weights
+from repro.paths.store import PreferredWeightOracle
 from repro.routing.cowen import STRATEGIES, CowenScheme
 from repro.routing.memory import memory_report
 from repro.routing.tree_routing import TreeRoutingScheme

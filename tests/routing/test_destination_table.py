@@ -13,7 +13,8 @@ from repro.graphs.generators import erdos_renyi, grid, max_degree
 from repro.graphs.weighting import assign_random_weights
 from repro.paths.enumerate import preferred_by_enumeration
 from repro.routing.destination_table import DestinationTableScheme
-from repro.routing.memory import memory_report
+from repro.routing.encoding import decode_port_table, encode_destination_table_node
+from repro.routing.memory import label_bits_for_nodes, memory_report, port_bits
 
 
 REGULAR = [
@@ -47,17 +48,6 @@ class TestCorrectness:
         scheme = DestinationTableScheme(graph, ShortestPath())
         assert scheme.initial_header(0, 8) == 8
 
-    @pytest.mark.parametrize("algebra", REGULAR, ids=lambda a: a.name)
-    def test_unsafe_per_destination_build_matches_the_store(self, algebra):
-        # unsafe=True is the one construction that bypasses the tree store.
-        rng = random.Random(3)
-        graph = erdos_renyi(12, p=0.4, rng=rng)
-        assign_random_weights(graph, algebra, rng=rng)
-        forced = DestinationTableScheme(graph, algebra, unsafe=True)
-        stored = DestinationTableScheme(graph, algebra)
-        assert forced._next_hop == stored._next_hop
-        assert forced._weight_rows == stored._weight_rows
-
     def test_stuck_packet_raises(self):
         graph = nx.Graph()
         graph.add_edge(0, 1, weight=1)
@@ -79,6 +69,37 @@ class TestMemory:
                 math.ceil(math.log2(n)) + math.ceil(math.log2(graph.degree(node)))
             )
             assert scheme.table_bits(node) == expected
+
+    def test_entries_are_the_reachable_targets(self):
+        """Two components and an isolated node: a node's table, as charged
+        and as encoded, holds one entry per target it can reach.  The
+        charge counts the node's own tree, which assumes reachability is
+        symmetric (an undirected graph, a commutative ⊕)."""
+        graph = nx.Graph()
+        nx.add_path(graph, [0, 1, 2, 3])
+        graph.add_edges_from([(4, 5), (5, 6), (6, 4)])
+        graph.add_node(7)
+        algebra = ShortestPath(max_weight=9)
+        assign_random_weights(graph, algebra, rng=random.Random(8))
+        scheme = DestinationTableScheme(graph, algebra)
+        report = memory_report(scheme)
+        n = graph.number_of_nodes()
+        for node in graph.nodes():
+            reachable = nx.node_connected_component(graph, node) - {node}
+            degree = graph.degree(node)
+            charged = len(reachable) * (label_bits_for_nodes(n)
+                                        + port_bits(degree))
+            assert scheme.table_bits(node) == charged, node
+            assert report.per_node_bits[node] == charged, node
+            writer = encode_destination_table_node(scheme, node)
+            assert writer.bit_length == charged, node
+            decoded = decode_port_table(writer.bits(), len(reachable), n,
+                                        degree)
+            assert set(decoded) == reachable, node
+        with pytest.raises(RoutingError, match="no route from 0 to 4"):
+            scheme.local_decision(0, 4)    # the other component
+        with pytest.raises(RoutingError, match="no route from 0 to 8"):
+            scheme.local_decision(0, 8)    # outside the graph
 
     def test_memory_grows_linearly(self):
         bits = []

@@ -97,9 +97,11 @@ class TestSchemesAreHonest:
         scheme = DestinationTableScheme(graph, algebra)
         node = 0
         writer = encode_destination_table_node(scheme, node)
+        # node 0's entry for target t: its parent in the tree rooted at t
+        nodes, u = scheme._nodes, scheme._index[node]
         entries = {
-            dest: scheme.ports.port(node, nxt)
-            for dest, nxt in scheme._next_hop[node].items()
+            nodes[t]: scheme.ports.port(node, nodes[parents[u]])
+            for t, parents in enumerate(scheme._parent_rows) if parents[u] >= 0
         }
         decoded = decode_port_table(
             writer.bits(), len(entries), graph.number_of_nodes(),

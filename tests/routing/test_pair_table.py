@@ -7,16 +7,12 @@ import pytest
 import repro.paths.shortest_widest as shortest_widest
 from repro.algebra.catalog import MostReliablePath, ShortestPath, WidestPath
 from repro.algebra.lexicographic import LexicographicProduct, shortest_widest_path
-from repro.core.simulate import (
-    EvaluationOptions,
-    PreferredWeightOracle,
-    oracle_cache,
-    run_experiment,
-)
+from repro.core.simulate import EvaluationOptions, oracle_cache, run_experiment
 from repro.exceptions import RoutingError
 from repro.graphs.generators import erdos_renyi, ring
 from repro.graphs.weighting import assign_random_weights
 from repro.paths.enumerate import preferred_by_enumeration
+from repro.paths.store import PreferredWeightOracle
 from repro.routing.memory import memory_report
 from repro.routing.pair_table import PairTableScheme
 

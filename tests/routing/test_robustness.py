@@ -104,7 +104,7 @@ class TestSabotagedState:
         graph, algebra = shortest_setup
         victim = 5
         scheme = sabotaged(DestinationTableScheme(graph, algebra),
-                           "_next_hop", {victim: {}})
+                           "_parent_rows", {victim: {}})
         result_or_error = None
         try:
             result_or_error = scheme.route(0, victim + 1 if victim + 1 in graph else 0)

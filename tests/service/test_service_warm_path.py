@@ -12,12 +12,12 @@ import random
 import networkx as nx
 import pytest
 
-import repro.core.simulate as simulate
 import repro.paths.kernel as kernel
 from repro.algebra.catalog import ShortestPath
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
 from repro.paths.dijkstra import _reference_tree
+from repro.paths.store import PreferredWeightOracle
 from repro.service import RoutingService, ServiceOptions
 
 
@@ -48,7 +48,7 @@ def test_warm_queries_touch_no_build_machinery(monkeypatch):
 
     # From here on, any attempt to compile or build must blow up.
     monkeypatch.setattr(kernel, "compile_graph", _boom)
-    monkeypatch.setattr(simulate.PreferredWeightOracle, "_build_table", _boom)
+    monkeypatch.setattr(PreferredWeightOracle, "_build_table", _boom)
 
     again = service.route(pairs)
     service.stretch(pairs[: len(pairs) // 4])
