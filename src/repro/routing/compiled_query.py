@@ -102,6 +102,15 @@ its hop count, so the ``evaluate.hops`` histogram is a ``bincount`` away
 when telemetry is on; packet traces replay the first routed pairs a
 trace capture has room for through ``scheme.route``, exactly the pairs
 the referee would have traced, and count the rest as dropped.
+
+Service reads take the walk too (:func:`walk_read`).  For that caller
+only, the walk keeps each packet's node at every step, a steps × pairs
+trail a read's few dozen pairs can afford, so a route answer's path and
+hop count come from the walk, its realized weight from the walk's key
+(decoded once per distinct key), and its optimality and stretch from
+the same key-space rule.  The routing service's per-pair hop loop
+replays the pairs the walk cannot take, as the referee's verifier does
+here.  Evaluation blocks keep no trail.
 """
 
 from __future__ import annotations
@@ -126,6 +135,7 @@ from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.query_engine import count_query_fallback, note_batch_shard
+from repro.routing.stretch import minimal_stretch
 from repro.routing.tree_routing import TreeRoutingScheme
 
 __all__ = [
@@ -133,6 +143,7 @@ __all__ = [
     "compile_query",
     "evaluate_shard",
     "numpy_available",
+    "walk_read",
 ]
 
 
@@ -245,22 +256,34 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
 
     # Sorted-adjacency CSR == the PortMap's port numbering: position
     # ``adj_indptr[u] + port - 1`` is the neighbor behind ``port`` at u.
-    adj_indptr = [0]
+    adj = dict(graph.adjacency())   # node -> {neighbour: edge data}
+    attr = scheme.attr
+    degrees: List[int] = []
     adj_next: List[int] = []
     weights = []
-    attr = scheme.attr
     for u in nodes:
-        for v in sorted(graph.neighbors(u)):
-            adj_next.append(node_index[v])
-            weights.append(graph[u][v][attr])
-        adj_indptr.append(len(adj_next))
-    adj_keys = codec.encode(weights)
-    if adj_keys is None:
+        nbrs = adj[u]
+        order = sorted(nbrs)
+        degrees.append(len(order))
+        adj_next += map(node_index.__getitem__, order)
+        weights += [nbrs[v][attr] for v in order]
+    # Each distinct weight is keyed (and round-tripped) once.  Equal
+    # weights of different types (1, 1.0, True) would share a key they
+    # need not have, so a graph mixing weight types is not compiled.
+    if len(set(map(type, weights))) > 1:
         return None
+    distinct = list(set(weights))
+    keys = codec.encode(distinct)
+    if keys is None:
+        return None
+    adj_indptr = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(degrees, out=adj_indptr[1:])
     adjacency = {
-        "adj_indptr": _np.asarray(adj_indptr, dtype=_np.int64),
+        "adj_indptr": adj_indptr,
         "adj_next": _np.asarray(adj_next, dtype=_np.int64),
-        "adj_key": _np.asarray(adj_keys, dtype=_np.int64),
+        "adj_key": _np.fromiter(map(dict(zip(distinct, keys)).__getitem__,
+                                    weights),
+                                dtype=_np.int64, count=len(weights)),
     }
 
     compiled = compile_kind(scheme, nodes, node_index, adjacency)
@@ -285,17 +308,21 @@ def _arc_keys(adjacency):
     return arc_key
 
 
-def _parent_hops(scheme, adjacency, cells):
-    """The next hop and edge key of each ``t*n + u`` cell of *cells*, for
-    a scheme that forwards on the tree store's parent rows.
+def _parent_hops(scheme, adjacency):
+    """The next hop and edge key of every ``t*n + u`` cell, for a scheme
+    that forwards on the tree store's parent rows.
 
     u's next hop toward t is its parent in the tree rooted at t, -1 for
-    none, gathered from the rows; its key comes from the arc-key matrix,
-    -1 for no hop or one off every edge.
+    none, read from the rows in one pass; its key comes from the arc-key
+    matrix, -1 for no hop or one off every edge.
     """
-    parents = _np.asarray(scheme._parent_rows, dtype=_np.int64)
-    hops = parents.ravel()[cells]
-    return hops, _arc_keys(adjacency)[cells % parents.shape[1], hops]
+    rows = scheme._parent_rows
+    n = len(rows)
+    hops = _np.fromiter(chain.from_iterable(rows), dtype=_np.int64,
+                        count=n * n).reshape(n, n)
+    # Row t of the keys is arc_key[u, hops[t, u]] for every u.
+    keys = _arc_keys(adjacency)[_np.arange(n), hops]
+    return hops.ravel(), keys.ravel()
 
 
 def _port_hops(ports, base, adjacency):
@@ -442,7 +469,8 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
                            dtype=_np.int64, count=sum(sizes))
     sources = _np.repeat(_np.arange(n, dtype=_np.int64), sizes)
     cells = (targets * n + sources)[sources != targets]
-    hops, keys = _parent_hops(scheme, adjacency, cells)
+    hops, keys = _parent_hops(scheme, adjacency)
+    hops, keys = hops[cells], keys[cells]
     if (keys < 0).any():   # a hop off every edge, or none (-1)
         return None
 
@@ -463,14 +491,14 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
                          adjacency):
-    """Every cell's :func:`_parent_hops`: a cell without a next hop is
+    """Every cell's :func:`_parent_hops`: a cell without a next hop (-1) is
     :data:`_MISSING`, and one whose hop is off every edge is replayed."""
     if scheme._index != node_index:
         return None
-    hops, keys = _parent_hops(scheme, adjacency,
-                              _np.arange(len(nodes) ** 2, dtype=_np.int64))
-    dt_next = _np.where(keys >= 0, hops, _np.where(hops < 0, _MISSING, _REPLAY))
-    return "destination", {"dt_next": dt_next, "dt_key": _np.maximum(keys, 0)}
+    hops, keys = _parent_hops(scheme, adjacency)
+    return "destination", {
+        "dt_next": _np.where((keys < 0) & (hops >= 0), _REPLAY, hops),
+        "dt_key": _np.maximum(keys, 0)}
 
 
 def _compile_pair(scheme: PairTableScheme, nodes, node_index, adjacency):
@@ -534,20 +562,9 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
     each block fills ``evaluate.hops`` when telemetry is on, and an
     active trace capture with its replayed sample.
     """
-    if _np is None:
-        count_query_fallback("numpy-missing", pairs=len(pairs))
-        return None
-    # The scheme's tables encode its own algebra's keys: an equal algebra
-    # (the identity the oracle cache keys on) reads them the same way.
-    if _algebra_key(algebra) != _algebra_key(scheme.algebra):
-        count_query_fallback("algebra-mismatch", pairs=len(pairs))
-        return None
-    tables = compile_query(scheme)
+    tables = _tables(algebra, scheme, len(pairs))
     if tables is None:
-        count_query_fallback("uncompilable", pairs=len(pairs))
         return None
-
-    note_batch_shard(len(pairs))
     capture = _obs_tracing.active_capture()
     hops = (_telemetry().histogram("evaluate.hops", scheme=scheme.name)
             if _telemetry_enabled() else None)
@@ -560,6 +577,71 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
             failures, samples, hops, capture)
     routed, delivered, optimal, *counts = totals.tolist()
     return routed, delivered, optimal, failures, tuple(counts), samples
+
+
+def walk_read(scheme, oracle, pairs, max_k, replay) -> List[Optional[Tuple]]:
+    """The compiled walk over one service read, each packet's path kept.
+
+    *pairs* are ``(source, target)`` pairs of distinct nodes of the
+    scheme's graph.  Returns one route per pair, as the per-pair hop loop
+    gives it: ``(delivered, path, hops, preferred, realized, optimal,
+    stretch, reason)``, or None where the preferred weight, read from the
+    tree store's rows as :func:`evaluate_shard` reads it, is ``PHI``.
+
+    The walk keeps each packet's node at every step, so the path and its
+    hop count come from the walk, and the realized weight is the walk's
+    key, decoded once per distinct key.  Optimality and a stretch up to
+    :data:`KEY_STRETCH` come from the key-space rule the evaluation
+    applies; :func:`~repro.routing.stretch.minimal_stretch` settles a
+    larger one, up to *max_k*.  Every other routable pair is handed to
+    ``replay(source, target, preferred)``, which returns its route: each
+    anomaly, and all of them where the walk cannot run (no numpy, a
+    scheme that does not compile).  Those are counted as
+    :func:`evaluate_shard` counts them.  An active trace capture gets the
+    routable pairs replayed through ``scheme.route``, in pair order.
+    """
+    sources = list(map(itemgetter(0), pairs))
+    targets = list(map(itemgetter(1), pairs))
+    preferred = _preferred_weights(oracle, sources, targets)
+    routes: List = [None] * len(pairs)
+    tables = _tables(scheme.algebra, scheme, len(pairs)) if pairs else None
+    if tables is None:
+        replays = [i for i, weight in enumerate(preferred) if not is_phi(weight)]
+    else:
+        replays = _read_routes(scheme, tables, preferred, sources, targets,
+                               max_k, routes)
+    capture = _obs_tracing.active_capture()
+    if replays:
+        # A zero-limit capture keeps the replays out of the sample, which
+        # is traced below in pair order.
+        with _obs_tracing.capture_traces(limit=0):
+            for i in replays:
+                routes[i] = replay(sources[i], targets[i], preferred[i])
+    if capture is not None:
+        _replay_traces(scheme, [pair for pair, weight in zip(pairs, preferred)
+                                if not is_phi(weight)], capture)
+    return routes
+
+
+def _tables(algebra, scheme, pairs: int) -> Optional[CompiledQuery]:
+    """The compiled tables the walk reads for *pairs* pairs of *scheme*,
+    or None where it cannot run; either way counted."""
+    if _np is None:
+        count_query_fallback("numpy-missing", pairs=pairs)
+        return None
+    # The scheme's tables encode its own algebra's keys: an equal algebra
+    # (the identity the oracle cache keys on) reads them the same way.
+    if _algebra_key(algebra) != _algebra_key(scheme.algebra):
+        count_query_fallback("algebra-mismatch", pairs=pairs)
+        return None
+    # Looked up per call: perfbench/spans.py wraps compile_query to time
+    # the compiles.
+    tables = compile_query(scheme)
+    if tables is None:
+        count_query_fallback("uncompilable", pairs=pairs)
+        return None
+    note_batch_shard(pairs)
+    return tables
 
 
 def _preferred_weights(oracle, sources, targets) -> List:
@@ -597,12 +679,13 @@ def _node_indexes(tables, nodes) -> "object":
                         dtype=_np.int64, count=len(nodes))
 
 
-def _walk_pairs(tables, s_arr, t_arr):
+def _walk_pairs(tables, s_arr, t_arr, trail=None):
     """Walk the index pairs ``(s_arr, t_arr)``, ``-1`` marking an endpoint
     off the compiled tables.
 
     Returns per-pair ``(status, realized key, stranding node, hops)``
-    arrays; the hop count is ``-1`` where the route would raise.
+    arrays; the hop count is ``-1`` where the route would raise.  A
+    *trail* list receives the packets' nodes, one array per step.
     """
     routed = s_arr.size
     status = _np.zeros(routed, dtype=_np.int8)
@@ -615,28 +698,35 @@ def _walk_pairs(tables, s_arr, t_arr):
     status[same] = _DELIVERED
     steps[same] = 0
     status[(~same) & ((s_arr < 0) | (t_arr < 0))] = _ANOMALY
-    _walk(tables, s_arr, t_arr, status, rkey, fail, steps)
+    _walk(tables, s_arr, t_arr, status, rkey, fail, steps, trail)
     return status, rkey, fail, steps
 
 
 def _key_stretch(combine, pref, realized):
     """Definition 3 in key space, for pairs with preferred keys *pref*.
 
-    Returns the per-k counts of pairs whose minimal stretch is exactly k,
-    k = 1 .. :data:`KEY_STRETCH`, and the mask of pairs unresolved there:
-    the first k with ``realized <= pref^k``, where ``pref^1 = pref`` and
-    ``pref^k = combine(pref^(k-1), pref)``.
+    Returns each pair's minimal stretch k for k = 1 .. :data:`KEY_STRETCH`,
+    0 where it is unresolved there: the first k with ``realized <=
+    pref^k``, where ``pref^1 = pref`` and ``pref^k = combine(pref^(k-1),
+    pref)``.
     """
-    pending = _np.ones(pref.size, dtype=bool)
+    stretch = _np.zeros(pref.size, dtype=_np.int64)
     power = pref
-    counts = []
     for k in range(1, KEY_STRETCH + 1):
         if k > 1:
             power = combine.combine(power, pref, _np.minimum)
-        within = pending & (realized <= power)
-        counts.append(int(_np.count_nonzero(within)))
-        pending &= ~within
-    return counts, pending
+        stretch[(stretch == 0) & (realized <= power)] = k
+        if _np.count_nonzero(stretch) == stretch.size:
+            break
+    return stretch
+
+
+def _no_route(kind, s, t, stuck) -> str:
+    """The reference's message for a packet at *stuck* without a table
+    entry (:data:`_NO_ROUTE`)."""
+    if kind == "destination":
+        return f"no route from {stuck!r} to {t!r}"
+    return f"no pair entry for {(s, t)!r} at node {stuck!r}"
 
 
 def _replay_traces(scheme, pairs, capture) -> None:
@@ -649,6 +739,53 @@ def _replay_traces(scheme, pairs, capture) -> None:
             scheme.route(s, t)
         except ReproError:
             pass  # the partial trace stays, as the referee's does
+
+
+def _read_routes(scheme, tables, preferred, sources, targets, max_k,
+                 routes) -> List[int]:
+    """:func:`walk_read`'s walk: the route of every pair it takes, onto
+    *routes*; returns the indexes of the routable pairs to replay."""
+    pref_all = _order_keys(tables.codec, preferred)
+    walked = _np.flatnonzero(pref_all >= 0)
+    replays = _np.flatnonzero(pref_all == _UNKEYED).tolist()
+    trail: List = []
+    status, rkey, fail, steps = _walk_pairs(
+        tables, _node_indexes(tables, sources)[walked],
+        _node_indexes(tables, targets)[walked], trail)
+    pref = pref_all[walked]
+    optimal = (rkey == pref).tolist()
+    stretch = _key_stretch(tables.codec.combine, pref, rkey).tolist()
+    trail = _np.stack(trail, axis=1).tolist()
+    nodes = tables.nodes
+    decode = tables.codec.decode
+    realized = {key: decode(key)
+                for key in rkey[status == _DELIVERED].tolist()}
+    for j, (i, state, key, hops) in enumerate(zip(
+            walked.tolist(), status.tolist(), rkey.tolist(), steps.tolist())):
+        if state == _DELIVERED:
+            weight = realized[key]
+            k = stretch[j]
+            if not k:
+                k = minimal_stretch(scheme.algebra, preferred[i], weight,
+                                    max_k=max_k)
+            elif k > max_k:
+                k = None
+            routes[i] = (True, tuple(map(nodes.__getitem__,
+                                         trail[j][:hops + 1])),
+                         hops, preferred[i], weight, optimal[j], k, "")
+        elif state == _HOP_LIMIT:
+            routes[i] = (False, tuple(map(nodes.__getitem__,
+                                          trail[j][:hops + 1])),
+                         hops, preferred[i], None, None, None,
+                         "hop limit exceeded")
+        elif state == _NO_ROUTE:
+            routes[i] = (False, (), 0, preferred[i], None, None, None,
+                         _no_route(tables.kind, sources[i], targets[i],
+                                   nodes[fail[j]]))
+        else:   # _ANOMALY
+            count_query_fallback("pair-replay", pairs=1)
+            replays.append(i)
+    return sorted(replays)
 
 
 def _evaluate_block(algebra, scheme, tables, oracle, pairs, failures,
@@ -680,17 +817,16 @@ def _evaluate_block(algebra, scheme, tables, oracle, pairs, failures,
     delivered = status == _DELIVERED
     realized = rkey[delivered]
     optimal = int(_np.count_nonzero(realized == pref[delivered]))
-    counts, unresolved = _key_stretch(tables.codec.combine, pref[delivered],
-                                      realized)
+    stretch = _key_stretch(tables.codec.combine, pref[delivered], realized)
+    counts = _np.bincount(stretch, minlength=KEY_STRETCH + 1)[1:].tolist()
     decode = tables.codec.decode
-    for i, key in zip(routed_idx[delivered][unresolved].tolist(),
-                      realized[unresolved].tolist()):
+    for i, key in zip(routed_idx[delivered][stretch == 0].tolist(),
+                      realized[stretch == 0].tolist()):
         samples.append((preferred[i], decode(key)))
 
     # Failures and replays, in pair order.  A zero-limit capture keeps
     # replayed anomalies out of the sample.
     nodes = tables.nodes
-    kind = tables.kind
     sampled = len(samples)
     with _obs_tracing.capture_traces(limit=0):
         for j in _np.flatnonzero(~delivered).tolist():
@@ -700,13 +836,8 @@ def _evaluate_block(algebra, scheme, tables, oracle, pairs, failures,
             if state == _HOP_LIMIT:
                 failures.append((s, t, "hop limit exceeded"))
             elif state == _NO_ROUTE:
-                stuck = nodes[fail[j]]
-                if kind == "destination":
-                    failures.append((s, t, f"no route from {stuck!r} to {t!r}"))
-                else:
-                    failures.append(
-                        (s, t,
-                         f"no pair entry for {(s, t)!r} at node {stuck!r}"))
+                failures.append((s, t, _no_route(tables.kind, s, t,
+                                                 nodes[fail[j]])))
             else:  # _ANOMALY: the referee's verifier, one pair
                 count_query_fallback("pair-replay", pairs=1)
                 pair_hops, pair_optimal = _verify_pair(
@@ -726,7 +857,7 @@ def _evaluate_block(algebra, scheme, tables, oracle, pairs, failures,
     return [routed_idx.size, realized.size + replayed, optimal] + counts
 
 
-def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
+def _walk(tables, s_arr, t_arr, status, rkey, fail, steps, trail=None):
     """Walk every pending pair, one vectorized step per packet decision.
 
     Replicates ``RoutingScheme.route`` exactly: ``4n + 8`` decisions per
@@ -736,7 +867,9 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
     gives each packet its next node and edge key; a :data:`_MISSING` next
     node strands the packet where it is (recorded in *fail*), a
     :data:`_REPLAY` one replays the pair.  The step at which a pair
-    finishes is its hop count (*steps*).
+    finishes is its hop count (*steps*).  A *trail* list gets every
+    packet's node before the first step and after each, so a packet's
+    path is its column of the first ``hops + 1`` arrays.
     """
     n = tables.n
     with_source = tables.kind == "pair"
@@ -744,7 +877,7 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
     combine = tables.codec.combine.combine
     hdr_dfs = tables.arrays.get("hdr_dfs")
 
-    alive = _np.nonzero(status == _PENDING)[0]
+    alive = (status == _PENDING).nonzero()[0]
     if hdr_dfs is not None:
         # An unlabeled target would crash the reference at initial_header —
         # replay those pairs rather than guessing.
@@ -752,69 +885,77 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail, steps):
         status[alive[bad_header]] = _ANOMALY
         alive = alive[~bad_header]
 
-    cur = s_arr.copy()
+    # The packets in flight, packed: pair index, node, target, the part of
+    # their table code that never changes (the step's ``base``) and the
+    # key walked so far.
+    here = s_arr[alive]
+    tgt = t_arr[alive]
+    base = here * n + tgt if with_source else tgt * n
+    walked = _np.zeros(alive.size, dtype=_np.int64)
+    if trail is not None:
+        cur = s_arr.copy()
+        trail.append(s_arr)
     budget = 4 * n + 8
     for hop in range(budget):
-        if alive.size == 0:
-            return
-        here = cur[alive]
-        tgt = t_arr[alive]
         done = here == tgt
-        if done.any():
-            finished = alive[done]
+        finished = alive[done]
+        if finished.size:
             status[finished] = _DELIVERED
             steps[finished] = hop
+            rkey[finished] = walked[done]
             keep = ~done
-            alive = alive[keep]
-            here = here[keep]
-            tgt = tgt[keep]
-            if alive.size == 0:
-                return
-        src = s_arr[alive] if with_source else None
-        nxt, key = step(here, tgt, src)
+            alive, here, tgt, base, walked = (
+                alive[keep], here[keep], tgt[keep], base[keep], walked[keep])
+        if not alive.size:
+            return
+        nxt, key = step(here, base)
         stop = nxt < 0
-        if stop.any():
-            stuck = alive[stop]
+        stuck = alive[stop]
+        if stuck.size:
             missing = nxt[stop] == _MISSING
             status[stuck] = _ANOMALY
             status[stuck[missing]] = _NO_ROUTE
             fail[stuck[missing]] = here[stop][missing]
             keep = ~stop
-            alive = alive[keep]
-            nxt = nxt[keep]
-            key = key[keep]
-        cur[alive] = nxt
-        rkey[alive] = combine(rkey[alive], key, _np.minimum)
+            alive, nxt, key, tgt, base, walked = (
+                alive[keep], nxt[keep], key[keep], tgt[keep], base[keep],
+                walked[keep])
+        here = nxt
+        walked = combine(walked, key, _np.minimum)
+        if trail is not None:
+            cur[alive] = here
+            trail.append(cur.copy())
     status[alive] = _HOP_LIMIT
     steps[alive] = budget
+    rkey[alive] = walked
 
 
 def _destination_step(tables):
     """One gather from the dense ``t*n + u`` next-hop and edge-key arrays:
-    the step of tree, Cowen and destination tables."""
-    n = tables.n
+    the step of tree, Cowen and destination tables.  A packet's ``base``
+    is its target's row, ``t*n``."""
     dt_next = tables.arrays["dt_next"]
     dt_key = tables.arrays["dt_key"]
 
-    def step(here, tgt, src):
-        flat = tgt * n + here
+    def step(here, base):
+        flat = base + here
         return dt_next[flat], dt_key[flat]
 
     return step
 
 
 def _pair_step(tables):
-    """One ``searchsorted`` over the sorted ``(u*n + s)*n + t`` codes."""
-    n = tables.n
+    """One ``searchsorted`` over the sorted ``(u*n + s)*n + t`` codes.  A
+    packet's ``base`` is its ``s*n + t``."""
+    stride = tables.n ** 2
     pt_code = tables.arrays["pt_code"]
     pt_next = tables.arrays["pt_next"]
     pt_key = tables.arrays["pt_key"]
 
-    def step(here, tgt, src):
-        want = (here * n + src) * n + tgt
+    def step(here, base):
+        want = here * stride + base
         pos = _np.searchsorted(pt_code, want)
         nxt = _np.where(pt_code[pos] == want, pt_next[pos], _MISSING)
         return nxt, pt_key[pos]
 
     return step
-

@@ -27,9 +27,10 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.algebra.base import PHI, RoutingAlgebra, is_phi
+from repro.algebra.base import PHI, RoutingAlgebra
 from repro.exceptions import GraphError, ReproError
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs import events as _events
@@ -37,6 +38,7 @@ from repro.obs import tracing as _obs_tracing
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 from repro.paths.store import OracleInvalidation, PreferredWeightOracle
+from repro.routing import compiled_query as _compiled_query
 from repro.routing.memory import MemoryReport, memory_report
 from repro.routing.model import RoutingScheme
 from repro.routing.stretch import minimal_stretch
@@ -186,7 +188,10 @@ class RoutingService:
 
         Per-source oracle trees are bulk-ensured up front, so a batch
         touching ``k`` sources pays at most ``k`` tree builds (zero when
-        warm); the loop itself is pure lookup plus hop-by-hop forwarding.
+        warm).  The pairs then take the compiled walk
+        (:func:`~repro.routing.compiled_query.walk_read`), which keeps
+        each packet's path; the hop loop (:meth:`_route_one`) replays
+        only the pairs the walk cannot take.
         """
         pairs = list(pairs)
         with self._lock:
@@ -196,8 +201,7 @@ class RoutingService:
                                    pairs=str(len(pairs))):
                 oracle.ensure_sources(
                     s for s, t in pairs if s != t and s in self.graph)
-                answers = [self._route_one(scheme, oracle, s, t)
-                           for s, t in pairs]
+                answers = self._answers(scheme, oracle, pairs)
             self.queries += len(pairs)
             if _telemetry_enabled():
                 _telemetry().counter("service.queries").inc(len(pairs))
@@ -207,44 +211,58 @@ class RoutingService:
                              delivered=sum(a.delivered for a in answers))
         return answers
 
-    def _route_one(self, scheme, oracle, s, t) -> RouteAnswer:
-        if s not in self.graph or t not in self.graph:
-            return RouteAnswer(source=s, target=t, routable=False,
-                               delivered=False, path=(), hops=0,
-                               preferred=PHI, realized=None, optimal=None,
-                               stretch=None, reason="unknown node")
-        if s == t:
-            return RouteAnswer(source=s, target=t, routable=True,
-                               delivered=True, path=(s,), hops=0,
-                               preferred=None, realized=None, optimal=True,
-                               stretch=1, reason="")
-        preferred = oracle(s, t)
-        if is_phi(preferred):
-            return RouteAnswer(source=s, target=t, routable=False,
-                               delivered=False, path=(), hops=0,
-                               preferred=PHI, realized=None, optimal=None,
-                               stretch=None, reason="no traversable path")
+    def _answers(self, scheme, oracle, pairs) -> List[RouteAnswer]:
+        """One answer per pair: unknown endpoints and self pairs answered
+        here, every other pair by the walk, whose routes are an answer's
+        fields after ``routable``."""
+        graph = self.graph
+        answers: List[Optional[RouteAnswer]] = []
+        positions = []
+        walked = []
+        for s, t in pairs:
+            if s not in graph or t not in graph:
+                answers.append(RouteAnswer(
+                    source=s, target=t, routable=False, delivered=False,
+                    path=(), hops=0, preferred=PHI, realized=None,
+                    optimal=None, stretch=None, reason="unknown node"))
+            elif s == t:
+                answers.append(RouteAnswer(
+                    source=s, target=t, routable=True, delivered=True,
+                    path=(s,), hops=0, preferred=None, realized=None,
+                    optimal=True, stretch=1, reason=""))
+            else:
+                positions.append(len(answers))
+                answers.append(None)
+                walked.append((s, t))
+        routes = _compiled_query.walk_read(
+            scheme, oracle, walked, self.options.max_k,
+            partial(self._route_one, scheme))
+        for i, (s, t), route in zip(positions, walked, routes):
+            if route is None:
+                answers[i] = RouteAnswer(
+                    source=s, target=t, routable=False, delivered=False,
+                    path=(), hops=0, preferred=PHI, realized=None,
+                    optimal=None, stretch=None, reason="no traversable path")
+            else:
+                answers[i] = RouteAnswer(s, t, True, *route)
+        return answers
+
+    def _route_one(self, scheme, s, t, preferred) -> Tuple:
+        """One routable pair through the hop loop: the replay of a pair
+        the compiled walk cannot take.  Returns its route as
+        :func:`~repro.routing.compiled_query.walk_read` gives one."""
         try:
             result = scheme.route(s, t)
         except ReproError as exc:
-            return RouteAnswer(source=s, target=t, routable=True,
-                               delivered=False, path=(), hops=0,
-                               preferred=preferred, realized=None,
-                               optimal=None, stretch=None, reason=str(exc))
+            return False, (), 0, preferred, None, None, None, str(exc)
         if not result.delivered:
-            return RouteAnswer(source=s, target=t, routable=True,
-                               delivered=False, path=tuple(result.path),
-                               hops=result.hops, preferred=preferred,
-                               realized=None, optimal=None, stretch=None,
-                               reason=result.reason)
+            return (False, tuple(result.path), result.hops, preferred, None,
+                    None, None, result.reason)
         realized = scheme.realized_weight(result)
-        return RouteAnswer(
-            source=s, target=t, routable=True, delivered=True,
-            path=tuple(result.path), hops=result.hops, preferred=preferred,
-            realized=realized, optimal=self.algebra.eq(realized, preferred),
-            stretch=minimal_stretch(self.algebra, preferred, realized,
-                                    max_k=self.options.max_k),
-            reason="")
+        return (True, tuple(result.path), result.hops, preferred, realized,
+                self.algebra.eq(realized, preferred),
+                minimal_stretch(self.algebra, preferred, realized,
+                                max_k=self.options.max_k), "")
 
     def stretch(self, pairs: Iterable[Tuple]) -> List[Optional[int]]:
         """Per-pair minimal stretch exponents (None = undelivered/unbounded)."""

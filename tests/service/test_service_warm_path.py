@@ -2,8 +2,9 @@
 
 Once a :class:`~repro.service.RoutingService` has answered a batch, asking
 again must be pure lookup — no graph recompilation, no compiled-graph
-re-adoption, no new oracle trees, no scheme rebuild.  The tests enforce
-this by making the build entry points explode and querying anyway.
+re-adoption, no new oracle trees, no scheme rebuild, no query-table
+compile.  The tests enforce this by making the build entry points explode
+and querying anyway.
 """
 
 import copy
@@ -13,6 +14,7 @@ import networkx as nx
 import pytest
 
 import repro.paths.kernel as kernel
+from repro.routing import compiled_query
 from repro.algebra.catalog import ShortestPath
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
@@ -49,6 +51,7 @@ def test_warm_queries_touch_no_build_machinery(monkeypatch):
     # From here on, any attempt to compile or build must blow up.
     monkeypatch.setattr(kernel, "compile_graph", _boom)
     monkeypatch.setattr(PreferredWeightOracle, "_build_table", _boom)
+    monkeypatch.setattr(compiled_query, "_compile", _boom)
 
     again = service.route(pairs)
     service.stretch(pairs[: len(pairs) // 4])
@@ -59,6 +62,31 @@ def test_warm_queries_touch_no_build_machinery(monkeypatch):
     assert service._oracle._compiled is compiled
     assert service.stats()["oracle"]["trees_built"] == built
     assert service.scheme_builds == 1
+
+
+def test_a_write_makes_the_next_read_compile_once(monkeypatch):
+    # Reads walk the scheme's compiled tables; a write rebuilds the scheme,
+    # so the first read after it compiles the new one, and later reads
+    # reuse that compile.
+    service = make_service()
+    pairs = all_pairs(service.graph)
+    service.route(pairs)
+    compiled = []
+    compile_scheme = compiled_query._compile
+
+    def counting_compile(scheme):
+        compiled.append(scheme)
+        return compile_scheme(scheme)
+
+    monkeypatch.setattr(compiled_query, "_compile", counting_compile)
+    u, v = next(iter(service.graph.edges()))
+    service.update_weight(u, v, 1)
+    assert compiled == []
+    service.route(pairs)
+    service.route(pairs[:7])
+    service.stretch(pairs[7:])
+    expected = [service.scheme] if compiled_query.numpy_available() else []
+    assert compiled == expected
 
 
 def test_update_then_query_rebuilds_only_dropped_trees():
