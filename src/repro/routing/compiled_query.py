@@ -6,13 +6,11 @@ lookups and header objects.  This module compiles a **built** scheme once
 into flat numpy int arrays and then walks an entire shard of pairs, one
 vectorized step per packet decision.
 
-Compilation (:func:`compile_query`) resolves ports through a
-sorted-adjacency CSR over the scheme's graph (``adj_indptr`` /
-``adj_next`` / ``adj_key``) — ports are 1-based ranks into each node's
-sorted neighbor list (exactly :class:`repro.routing.model.PortMap`), so
-``adj_next[adj_indptr[u] + port - 1]`` resolves any forwarded port — and
-edge keys through an ``(n, n + 1)`` arc-key matrix.  It produces what
-the one walk (:func:`_walk`) reads:
+Compilation (:func:`compile_query`) reads the graph's edges in the
+order of the scheme's port map (:meth:`PortMap.neighbors
+<repro.routing.model.PortMap.neighbors>`), as a CSR (``adj_indptr`` /
+``adj_next`` / ``adj_key``), and their keys through an ``(n, n + 1)``
+arc-key matrix.  It produces what the one walk (:func:`_walk`) reads:
 
 * **tree-routing**, **cowen** and **destination-table**: dense ``t*n +
   u`` next-hop and edge-key arrays (``dt_next`` / ``dt_key``), one
@@ -23,18 +21,20 @@ the one walk (:func:`_walk`) reads:
   - a destination table (:class:`DestinationTableScheme`) is the tree
     store's parent rows it holds, laid end to end: row ``t`` is the tree
     rooted at ``t``, so its entry ``u`` is u's next hop toward t;
-  - tree routing (:class:`TreeRoutingScheme`) runs the heavy-path
-    decision (DFS intervals, parent/heavy hops, the target's light-port
-    label) over all n² cells, in blocks of :data:`BLOCK_PAIRS`;
-  - Cowen (:class:`CowenScheme`) runs it over every landmark tree,
-    each target's cell in its landmark's tree, then writes the direct
-    cluster/landmark entries over their cells, their next hops gathered
-    from the parent rows the scheme holds, as a destination table's are.
+  - tree routing (:class:`TreeRoutingScheme`) sends a packet along the
+    tree path to its target, so its row ``t`` is filled from the tree's
+    parent indexes, which the scheme keeps
+    (:func:`_table_from_parents`); the heavy-path decision itself
+    belongs to the router,
+    :meth:`~repro.routing.tree_routing.HeavyPathTree.next_port`;
+  - Cowen (:class:`CowenScheme`) fills row ``t`` the same way from the
+    tree store's parent row of t's landmark, then writes the direct
+    cluster entries over their cells, read from the targets' own rows.
 
-  Tree and Cowen tables also keep each target's label DFS number
-  (``hdr_dfs``, -1 for a target without a label).  The price is n²
-  decisions per compile, even when a sampled run walks a few pairs,
-  and 16 bytes per cell (4.2 MB at n = 512, 151 MB at n = 3,072);
+  A tree or Cowen cell the walk cannot follow (an endpoint off the tree)
+  holds :data:`_REPLAY`, never :data:`_MISSING`.  The price is n² cells
+  per compile, even when a sampled run walks a few pairs, and 16 bytes
+  per cell (4.2 MB at n = 512, 151 MB at n = 3,072);
 * **pair-table** (:class:`PairTableScheme`): every node's entries as
   sorted ``(u*n + s)*n + t`` codes, one ``searchsorted`` per decision.
 
@@ -87,8 +87,8 @@ that safe:
   exact f-strings;
 * any pair the walk cannot replicate bit-for-bit — a condition the
   reference would raise on (an entry off every edge, a port that does
-  not exist, a premature tree delivery: a cell holding
-  :data:`_REPLAY`), an endpoint outside the compiled tables, a caller's
+  not exist, an endpoint off a tree: a cell holding :data:`_REPLAY`),
+  an endpoint outside the compiled tables, a caller's
   preferred weight off the key range — goes
   through the referee's per-pair verifier
   (:func:`repro.core.simulate._verify_pair`), reproducing even exotic
@@ -167,9 +167,8 @@ _UNKEYED = -2       # off the codec's key range: replay the pair
 _MISSING = -1    # no table entry: the packet strands where it is
 _REPLAY = -2     # an entry the walk cannot follow: replay the pair
 
-#: Pairs evaluated per block of a shard, and (node, target) cells decided
-#: per block of a tree or Cowen compile: bounds the ~30 block-sized
-#: temporaries and the per-pair lists, whatever the shard or graph size.
+#: Pairs evaluated per block of a shard: bounds the ~30 block-sized
+#: temporaries and the per-pair lists, whatever the shard size.
 BLOCK_PAIRS = 16384
 
 #: Stretches decided in key space.  A preferred path is simple, so its
@@ -177,10 +176,6 @@ BLOCK_PAIRS = 16384
 #: within the codec's hop budget, where keys embed the order and combine
 #: exactly.
 KEY_STRETCH = 4
-
-#: "No heavy child" sentinel: larger than any DFS number, so the heavy
-#: interval test ``hdfs <= target_dfs <= hend`` can never pass.
-_NO_DFS = 1 << 40
 
 #: compile results memoized per scheme instance.  A module-level weak map
 #: (not a scheme attribute) so numpy arrays and key closures never ride a
@@ -254,16 +249,17 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     nodes = list(graph.nodes())
     node_index = {node: i for i, node in enumerate(nodes)}
 
-    # Sorted-adjacency CSR == the PortMap's port numbering: position
+    # The adjacency CSR in the scheme's port order: position
     # ``adj_indptr[u] + port - 1`` is the neighbor behind ``port`` at u.
     adj = dict(graph.adjacency())   # node -> {neighbour: edge data}
     attr = scheme.attr
+    ports = scheme.ports
     degrees: List[int] = []
     adj_next: List[int] = []
     weights = []
     for u in nodes:
         nbrs = adj[u]
-        order = sorted(nbrs)
+        order = ports.neighbors(u)
         degrees.append(len(order))
         adj_next += map(node_index.__getitem__, order)
         weights += [nbrs[v][attr] for v in order]
@@ -308,197 +304,109 @@ def _arc_keys(adjacency):
     return arc_key
 
 
-def _parent_hops(scheme, adjacency):
-    """The next hop and edge key of every ``t*n + u`` cell, for a scheme
-    that forwards on the tree store's parent rows.
+def _cell_keys(hops, adjacency):
+    """The edge key of every cell of an ``(n, n)`` next-hop array: row t
+    holds ``arc_key[u, hops[t, u]]`` for every u, -1 for no hop (-1) or
+    one off every edge."""
+    return _arc_keys(adjacency)[_np.arange(hops.shape[0]), hops]
 
-    u's next hop toward t is its parent in the tree rooted at t, -1 for
-    none, read from the rows in one pass; its key comes from the arc-key
-    matrix, -1 for no hop or one off every edge.
+
+def _table_from_parents(trees, tree_of, adjacency, cells=(), cell_hops=()):
+    """The dense ``t*n + u`` next-hop and edge-key arrays of routing in
+    trees given as parent rows.
+
+    Row ``k`` of *trees* is a tree as parent indexes (-1 at its root and
+    off the tree), and target t is routed in tree ``tree_of[t]``, -1 for
+    none.  A packet follows the tree path to its target, whatever node
+    the tree is rooted at, so u's next hop toward t is its parent, unless
+    u is an ancestor of t: then it is u's child on the path to t.  Row t
+    starts as t's tree, and one walk from every target up to its root
+    writes those children, a level per round.  The *cells* (flat ``t*n +
+    u`` indexes) then take *cell_hops*.  A cell without a next hop (the
+    root's own cell, and those of nodes and targets off their tree) or
+    with one off every edge holds :data:`_REPLAY`.
     """
-    rows = scheme._parent_rows
-    n = len(rows)
-    hops = _np.fromiter(chain.from_iterable(rows), dtype=_np.int64,
-                        count=n * n).reshape(n, n)
-    # Row t of the keys is arc_key[u, hops[t, u]] for every u.
-    keys = _arc_keys(adjacency)[_np.arange(n), hops]
-    return hops.ravel(), keys.ravel()
-
-
-def _port_hops(ports, base, adjacency):
-    """The (next node, edge key) behind each port; port 0 is none
-    (-1, 0).  *base* holds each port's node's ``adj_indptr`` entry."""
-    adj_next = adjacency["adj_next"]
-    has = ports > 0
-    if not adj_next.size:
-        return _np.full(ports.size, -1, dtype=_np.int64), _np.zeros_like(ports)
-    pos = _np.where(has, base + ports - 1, 0)
-    return (_np.where(has, adj_next[pos], -1),
-            _np.where(has, adjacency["adj_key"][pos], 0))
-
-
-def _tree_columns(trees, adjacency) -> Dict[str, "object"]:
-    """The decision's columns of heavy-path trees, stacked: entry ``k*n +
-    i`` is node ``i`` in ``trees[k]`` (a
-    :class:`~repro.routing.tree_routing.HeavyPathTree`), its parent and
-    heavy hops resolved through the sorted adjacency."""
-    def column(name):
-        return _np.array([getattr(tree, name) for tree in trees],
-                         dtype=_np.int64).ravel()
-
-    dfs = column("dfs")
-    heavy_port = column("heavy_port")
-    base = _np.tile(adjacency["adj_indptr"][:-1], len(trees))
-    pnext, pkey = _port_hops(column("parent_port"), base, adjacency)
-    hnext, hkey = _port_hops(heavy_port, base, adjacency)
-    ldepth = _np.fromiter(
-        map(len, chain.from_iterable(tree.labels for tree in trees)),
-        dtype=_np.int64, count=dfs.size)
-    return {"t_dfs": dfs, "t_iend": column("end"),
-            "t_hdfs": _np.where(heavy_port > 0, dfs + 1, _NO_DFS),
-            "t_hend": column("heavy_end"), "t_pnext": pnext, "t_pkey": pkey,
-            "t_hnext": hnext, "t_hkey": hkey, "t_ldepth": ldepth}
-
-
-def _label_csr(seqs):
-    """Per-target light-port sequences as a CSR ``(indptr, ports)``."""
-    indptr = _np.zeros(len(seqs) + 1, dtype=_np.int64)
-    _np.cumsum(list(map(len, seqs)), out=indptr[1:])
-    flat = _np.fromiter(chain.from_iterable(seqs), dtype=_np.int64,
-                        count=int(indptr[-1]))
-    return indptr, flat
-
-
-def _tree_table(columns, adjacency, hdr_base, hdr_dfs, labels):
-    """Tree routing's decision at every ``t*n + u`` cell, as dense arrays.
-
-    *columns* are :func:`_tree_columns`' stacked trees.  Target ``t`` is
-    routed in the tree whose columns start at ``hdr_base[t]``, toward its
-    label there: DFS number ``hdr_dfs[t]`` and light ports ``labels[t]``.
-    A cell the reference would raise on — a delivery, a root asked for a
-    foreign DFS number, a malformed label or port — holds
-    :data:`_REPLAY`.  The cells are decided in blocks of
-    :data:`BLOCK_PAIRS`.  Returns the ``dt_next``/``dt_key`` arrays and
-    *hdr_dfs*.
-    """
-    adj_indptr = adjacency["adj_indptr"]
-    adj_next = adjacency["adj_next"]
-    adj_key = adjacency["adj_key"]
-    t_dfs = columns["t_dfs"]
-    t_iend = columns["t_iend"]
-    t_hdfs = columns["t_hdfs"]
-    t_hend = columns["t_hend"]
-    t_pnext = columns["t_pnext"]
-    t_pkey = columns["t_pkey"]
-    t_hnext = columns["t_hnext"]
-    t_hkey = columns["t_hkey"]
-    t_ldepth = columns["t_ldepth"]
-    lp_indptr, lp_port = _label_csr(labels)
-    n = hdr_base.size
-    cells = n * n
-    dt_next = _np.empty(cells, dtype=_np.int64)
-    dt_key = _np.empty(cells, dtype=_np.int64)
-    for start in range(0, cells, BLOCK_PAIRS):
-        stop = min(start + BLOCK_PAIRS, cells)
-        tgt, here = _np.divmod(_np.arange(start, stop, dtype=_np.int64), n)
-        flat = hdr_base[tgt] + here
-        own_dfs = t_dfs[flat]
-        target_dfs = hdr_dfs[tgt]
-        inner_deliver = target_dfs == own_dfs
-        in_interval = (own_dfs <= target_dfs) & (target_dfs <= t_iend[flat])
-        up = ~in_interval
-        heavy = (in_interval & ~inner_deliver
-                 & (t_hdfs[flat] <= target_dfs) & (target_dfs <= t_hend[flat]))
-        light = in_interval & ~inner_deliver & ~heavy
-
-        depth = t_ldepth[flat]
-        seq_start = lp_indptr[tgt]
-        seq_len = lp_indptr[tgt + 1] - seq_start
-        bad_label = light & (depth >= seq_len)
-        light_ok = light & ~bad_label
-        if lp_port.size:
-            lpos = seq_start + _np.minimum(depth,
-                                           _np.maximum(seq_len - 1, 0))
-            port = lp_port[_np.minimum(lpos, lp_port.size - 1)]
-        else:
-            port = _np.zeros(here.size, dtype=_np.int64)
-        apos = adj_indptr[here] + port - 1
-        bad_port = light_ok & ((port < 1) | (apos >= adj_indptr[here + 1]))
-        if adj_next.size:
-            apos = _np.clip(apos, 0, adj_next.size - 1)
-            light_next = adj_next[apos]
-            light_key = adj_key[apos]
-        else:
-            bad_port = bad_port | light_ok
-            light_next = _np.full(here.size, -1, dtype=_np.int64)
-            light_key = _np.zeros(here.size, dtype=_np.int64)
-
-        tree_next = _np.where(up, t_pnext[flat],
-                              _np.where(heavy, t_hnext[flat], light_next))
-        anomaly = (inner_deliver | (up & (t_pnext[flat] < 0))
-                   | bad_label | bad_port)
-        dt_next[start:stop] = _np.where(anomaly, _REPLAY, tree_next)
-        dt_key[start:stop] = _np.where(up, t_pkey[flat],
-                                       _np.where(heavy, t_hkey[flat],
-                                                 light_key))
-    return {"dt_next": dt_next, "dt_key": dt_key, "hdr_dfs": hdr_dfs}
+    n = tree_of.size
+    hops = trees[tree_of]
+    hops[tree_of < 0] = -1
+    rows = child = _np.flatnonzero(tree_of >= 0)
+    tree = tree_of[rows]
+    for _ in range(n):
+        up = trees[tree, child]
+        climbing = up >= 0
+        if not climbing.any():
+            break
+        rows, tree, child, up = (rows[climbing], tree[climbing],
+                                 child[climbing], up[climbing])
+        hops[rows, up] = child
+        child = up
+    hops.ravel()[_np.asarray(cells, dtype=_np.int64)] = cell_hops
+    keys = _cell_keys(hops, adjacency)
+    hops[keys < 0] = _REPLAY
+    return {"dt_next": hops.ravel(),
+            "dt_key": _np.maximum(keys, 0, out=keys).ravel()}
 
 
 def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, adjacency):
-    tree = scheme._heavy_paths
-    if tree.index != node_index:
+    """The scheme's one tree, its parent indexes; a target off it is
+    routed in none."""
+    if scheme._heavy_paths.index != node_index:
         return None
-    columns = _tree_columns([tree], adjacency)
-    # A node's label is its DFS number in the one tree: -1 off the tree.
-    return "tree", _tree_table(columns, adjacency,
-                               _np.zeros(len(nodes), dtype=_np.int64),
-                               columns["t_dfs"], tree.labels)
+    parents = _np.asarray(scheme._parents, dtype=_np.int64)
+    tree_of = _np.where(parents >= 0, 0, -1)   # the root has no parent
+    tree_of[node_index[scheme.root]] = 0
+    return "tree", _table_from_parents(parents[None], tree_of, adjacency)
 
 
 def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
+    """Every target's landmark leg, with its direct cluster entries over
+    their cells.
+
+    A landmark's tree is the tree store's parent row of the landmark,
+    which the scheme holds.  A direct entry is u's parent in the tree
+    rooted at the target: for a landmark target, that already is the
+    cell of its tree; for a cluster target, it is read from the target's
+    row at that cell alone.
+    """
+    if scheme._index != node_index:
+        return None
+    rows = scheme._parent_rows
     n = len(nodes)
     landmarks = sorted(scheme.landmarks)
-    trees = [scheme._landmark_trees[landmark] for landmark in landmarks]
-    if trees[0].index != node_index:   # one index, shared by every tree
-        return None
-
-    # Direct entries: one per (node, cluster-or-landmark target) cell.
-    direct = [scheme.clusters[u] | scheme.landmarks for u in nodes]
-    sizes = list(map(len, direct))
-    targets = _np.fromiter(map(node_index.__getitem__, chain.from_iterable(direct)),
-                           dtype=_np.int64, count=sum(sizes))
-    sources = _np.repeat(_np.arange(n, dtype=_np.int64), sizes)
-    cells = (targets * n + sources)[sources != targets]
-    hops, keys = _parent_hops(scheme, adjacency)
-    hops, keys = hops[cells], keys[cells]
-    if (keys < 0).any():   # a hop off every edge, or none (-1)
-        return None
-
-    # Every other cell takes the landmark leg: tree routing in the
-    # target's landmark tree (a flat-array base offset), toward its label
-    # there.  A direct entry masks that decision, replays included.
     slot = {landmark: k for k, landmark in enumerate(landmarks)}
-    slots = [slot[scheme.landmark_of[t]] for t in nodes]
-    columns = _tree_columns(trees, adjacency)
-    hdr_base = _np.asarray(slots, dtype=_np.int64) * n
-    table = _tree_table(columns, adjacency, hdr_base,
-                        columns["t_dfs"][hdr_base + _np.arange(n)],
-                        [trees[k].labels[i] for i, k in enumerate(slots)])
-    table["dt_next"][cells] = hops
-    table["dt_key"][cells] = keys
-    return "cowen", table
+    trees = _np.fromiter(
+        chain.from_iterable(rows[node_index[landmark]]
+                            for landmark in landmarks),
+        dtype=_np.int64, count=len(landmarks) * n).reshape(-1, n)
+    tree_of = _np.fromiter(
+        (slot[scheme.landmark_of[t]] for t in nodes), dtype=_np.int64,
+        count=n)
+    cells: List[int] = []
+    cell_hops: List[int] = []
+    for u, node in enumerate(nodes):
+        for t in map(node_index.__getitem__, scheme.clusters[node]):
+            if t != u:
+                cells.append(t * n + u)
+                cell_hops.append(rows[t][u])
+    return "cowen", _table_from_parents(trees, tree_of, adjacency, cells,
+                                        cell_hops)
 
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
                          adjacency):
-    """Every cell's :func:`_parent_hops`: a cell without a next hop (-1) is
-    :data:`_MISSING`, and one whose hop is off every edge is replayed."""
+    """The scheme's parent rows laid end to end, read in one pass: a cell
+    without a next hop (-1) is :data:`_MISSING`, and one whose hop is off
+    every edge is replayed."""
     if scheme._index != node_index:
         return None
-    hops, keys = _parent_hops(scheme, adjacency)
+    rows = scheme._parent_rows
+    n = len(rows)
+    hops = _np.fromiter(chain.from_iterable(rows), dtype=_np.int64,
+                        count=n * n).reshape(n, n)
+    keys = _cell_keys(hops, adjacency)
     return "destination", {
-        "dt_next": _np.where((keys < 0) & (hops >= 0), _REPLAY, hops),
-        "dt_key": _np.maximum(keys, 0)}
+        "dt_next": _np.where((keys < 0) & (hops >= 0), _REPLAY, hops).ravel(),
+        "dt_key": _np.maximum(keys, 0).ravel()}
 
 
 def _compile_pair(scheme: PairTableScheme, nodes, node_index, adjacency):
@@ -875,16 +783,8 @@ def _walk(tables, s_arr, t_arr, status, rkey, fail, steps, trail=None):
     with_source = tables.kind == "pair"
     step = (_pair_step if with_source else _destination_step)(tables)
     combine = tables.codec.combine.combine
-    hdr_dfs = tables.arrays.get("hdr_dfs")
 
     alive = (status == _PENDING).nonzero()[0]
-    if hdr_dfs is not None:
-        # An unlabeled target would crash the reference at initial_header —
-        # replay those pairs rather than guessing.
-        bad_header = hdr_dfs[t_arr[alive]] < 0
-        status[alive[bad_header]] = _ANOMALY
-        alive = alive[~bad_header]
-
     # The packets in flight, packed: pair index, node, target, the part of
     # their table code that never changes (the step's ``base``) and the
     # key walked so far.

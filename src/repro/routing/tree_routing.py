@@ -27,8 +27,9 @@ preferred paths — i.e. **stretch 1**.
 
 One labeller, :func:`heavy_path_tree`, labels a tree given as parent
 indexes, breaking every tie by node rank (the nodes' own order).
-:class:`TreeRoutingScheme` converts its tree to parent indexes once; the
-Cowen scheme labels the tree store's parent rows directly.
+:class:`TreeRoutingScheme` converts its tree to parent indexes once and
+keeps them; the Cowen scheme labels the tree store's parent rows
+directly.
 """
 
 from __future__ import annotations
@@ -186,10 +187,13 @@ def heavy_path_tree(parent: List[int], root: int, by_rank: Sequence[int],
 class TreeRoutingScheme(RoutingScheme):
     """Thorup-Zwick heavy-path routing over a given tree.
 
-    *tree* must span the nodes of *graph* (it defaults to the Lemma 1
-    preferred spanning tree of *graph* under *algebra*).  Forwarding only
-    ever uses tree edges.  The tree is rooted at its least node, and its
-    state is one read-only :class:`HeavyPathTree`, ``_heavy_paths``.
+    *tree* is a tree on nodes of *graph* (by default the Lemma 1 preferred
+    spanning tree of *graph* under *algebra*), rooted at its least node.
+    Forwarding only ever uses tree edges; a packet with an endpoint off
+    the tree raises :class:`~repro.exceptions.RoutingError`.  The state
+    is one read-only :class:`HeavyPathTree`, ``_heavy_paths``, and the
+    tree's parent indexes, ``_parents`` (a tuple, -1 at the root and off
+    the tree).
     """
 
     name = "tree-routing"
@@ -212,10 +216,14 @@ class TreeRoutingScheme(RoutingScheme):
         with span("table_encoding", scheme=self.name):
             nodes = list(graph.nodes())
             index = FrozenTable((node, i) for i, node in enumerate(nodes))
+            # The labeller re-roots its argument in place; these parents
+            # are rooted at the tree's root already, so they stay as is.
+            parents = self._parent_indexes(index)
             self._heavy_paths = heavy_path_tree(
-                self._parent_indexes(index), index[self.root],
+                parents, index[self.root],
                 sorted(range(len(nodes)), key=nodes.__getitem__),
                 self.ports.index_rows(index), index)
+            self._parents = tuple(parents)
         self._light_port_bits = port_bits(self.ports.max_degree())
 
     def _parent_indexes(self, index: Dict) -> List[int]:
@@ -235,6 +243,9 @@ class TreeRoutingScheme(RoutingScheme):
         return self._heavy_paths.label(node)
 
     def initial_header(self, source, target):
+        for node in (source, target):
+            if node not in self.tree:
+                raise RoutingError(f"{node!r} is not on the routing tree")
         return self._heavy_paths.label(target)
 
     def local_decision(self, node, header) -> Decision:
@@ -250,7 +261,8 @@ class TreeRoutingScheme(RoutingScheme):
                                self.ports.degree(node))
 
     def label_bits(self, node) -> int:
-        return self.header_bits(self.label(node))
+        """A node's label, charged as a header; one off the tree has none."""
+        return self.header_bits(self.label(node)) if node in self.tree else 0
 
     def header_bits(self, header) -> int:
         """Headers are node labels, charged exactly like :meth:`label_bits`."""

@@ -5,15 +5,15 @@ routed/delivered/optimal counts, the same failure tuples in the same
 order (message strings included), and the same stretch report, the
 walk's per-k counts folded with its weight samples; pair by pair, every
 pair the walk delivers has the referee's realized weight.
-Hypothesis drives seeded graphs through every compiled scheme family,
-sabotaged copies of the table schemes included, and holds
-:func:`repro.routing.compiled_query.evaluate_shard` to the referee,
-:func:`repro.core.simulate._reference_shard`, called by name; observed
-runs (telemetry on, a trace capture active) must match the referee's
-hop histogram and packet traces too.  The dense tables that tree,
-Cowen and destination schemes compile to are held cell by cell to the
-schemes' own routing function, and a compile split into many blocks to
-one done in a single block.  Further tests pin the read-only
+Hypothesis drives seeded graphs (random ones, and rings and paths, whose
+trees are deep) through every compiled scheme family, sabotaged copies
+of the table schemes and tree routing over part of the graph included,
+and holds :func:`repro.routing.compiled_query.evaluate_shard` to the
+referee, :func:`repro.core.simulate._reference_shard`, called by name;
+observed runs (telemetry on, a trace capture active) must match the
+referee's hop histogram and packet traces too.  The dense tables that
+tree, Cowen and destination schemes compile to are held cell by cell to
+the schemes' own routing function.  Further tests pin the read-only
 tables that keep compiled queries from going stale, the resolver
 semantics (env handling, warn-once, explicit errors), the fallback
 ladder (algebras without an integer key, keys past int64), stretches
@@ -65,7 +65,7 @@ from repro.core.simulate import (
 )
 from repro.exceptions import RoutingError
 from repro.frozen import FrozenTable
-from repro.graphs.generators import erdos_renyi, ring
+from repro.graphs.generators import erdos_renyi, path_graph, ring
 from repro.graphs.weighting import WEIGHT_ATTR, assign_random_weights
 from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
@@ -165,7 +165,19 @@ def _referee_report_key(graph, algebra, scheme, options=None):
             stretch)
 
 
-FAMILIES = ("cowen", "destination", "tree", "pair")
+FAMILIES = ("cowen", "destination", "tree", "subtree", "pair")
+
+#: Graphs an instance is drawn on: shallow random trees, and a ring and a
+#: path, whose trees are about n/2 and n levels deep.
+TOPOLOGIES = {
+    "erdos-renyi": lambda n, rng: erdos_renyi(n, rng=rng),
+    "ring": lambda n, rng: ring(n),
+    "path": lambda n, rng: path_graph(n),
+}
+
+#: The failure a "subtree" scheme reports for every pair with an endpoint
+#: off its tree.
+OFF_TREE = "is not on the routing tree"
 
 #: Per family, the algebras an instance draws from: additive keys, plus
 #: widest-shortest (add, then max), widest (max) and shortest-widest
@@ -177,18 +189,26 @@ ALGEBRAS = {
                     lambda: widest_shortest_path(max_weight=9,
                                                  max_capacity=9)),
     "tree": (UsablePath, lambda: WidestPath(max_capacity=9)),
+    "subtree": (UsablePath, lambda: WidestPath(max_capacity=9)),
     "pair": (MinHop, lambda: ShortestPath(max_weight=9),
              lambda: shortest_widest_path(max_weight=9, max_capacity=9)),
 }
 
 
-def _build_instance(family, seed, n):
+def _bfs_subtree(graph):
+    """A tree on about half of *graph*: the first n // 2 edges of a BFS
+    from its least node."""
+    edges = list(nx.bfs_edges(graph, min(graph)))
+    return nx.Graph(edges[:len(graph) // 2])
+
+
+def _build_instance(family, seed, n, topology="erdos-renyi"):
     rng = random.Random(seed)
     choices = ALGEBRAS[family]
     algebra = choices[seed % len(choices)]()
     if family == "pair":
         n = min(n, 8)   # every node holds up to n^2 pair entries
-    graph = erdos_renyi(n, rng=rng)
+    graph = TOPOLOGIES[topology](n, rng)
     assign_random_weights(graph, algebra, rng=rng)
     if family == "cowen":
         scheme = CowenScheme(graph, algebra, rng=random.Random(seed + 1))
@@ -196,6 +216,8 @@ def _build_instance(family, seed, n):
         scheme = DestinationTableScheme(graph, algebra)
     elif family == "tree":
         scheme = TreeRoutingScheme(graph, algebra)
+    elif family == "subtree":
+        scheme = TreeRoutingScheme(graph, algebra, tree=_bfs_subtree(graph))
     else:
         scheme = PairTableScheme(graph, algebra)
     return graph, algebra, scheme
@@ -261,9 +283,11 @@ def _sabotage(sabotaged, scheme, family, case, rng):
     return sabotaged(scheme, name, rows)
 
 
-def _instance_under_test(sabotaged, family, seed, n, sabotage):
+def _instance_under_test(sabotaged, family, seed, n, sabotage, topology):
     """``(graph, algebra, scheme, expected failure text or None)``."""
-    graph, algebra, scheme = _build_instance(family, seed, n)
+    graph, algebra, scheme = _build_instance(family, seed, n, topology)
+    if family == "subtree":
+        return graph, algebra, scheme, OFF_TREE
     expected = SABOTAGES.get((family, sabotage))
     if expected is not None:
         # Broken forwarding state: the walk must also agree with the
@@ -316,17 +340,30 @@ class TestBatchReferenceEquality:
         family=st.sampled_from(FAMILIES),
         sabotage=st.sampled_from(("none", "empty-table", "two-cycle",
                                   "off-edge")),
+        topology=st.sampled_from(sorted(TOPOLOGIES)),
     )
-    @example(seed=1, n=7, family="destination", sabotage="empty-table")
-    @example(seed=1, n=7, family="destination", sabotage="two-cycle")
-    @example(seed=1, n=7, family="destination", sabotage="off-edge")
-    @example(seed=1, n=7, family="pair", sabotage="empty-table")
-    @example(seed=1, n=7, family="pair", sabotage="two-cycle")
-    @example(seed=1, n=7, family="pair", sabotage="off-edge")
+    @example(seed=1, n=7, family="destination", sabotage="empty-table",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="destination", sabotage="two-cycle",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="destination", sabotage="off-edge",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="pair", sabotage="empty-table",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="pair", sabotage="two-cycle",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="pair", sabotage="off-edge",
+             topology="erdos-renyi")
+    @example(seed=1, n=12, family="tree", sabotage="none", topology="path")
+    @example(seed=2, n=12, family="cowen", sabotage="none", topology="ring")
+    @example(seed=1, n=12, family="cowen", sabotage="none", topology="path")
+    @example(seed=1, n=9, family="subtree", sabotage="none",
+             topology="erdos-renyi")
+    @example(seed=1, n=10, family="subtree", sabotage="none", topology="ring")
     def test_reports_are_bit_identical(self, seed, n, family, sabotage,
-                                       sabotaged):
+                                       topology, sabotaged):
         graph, algebra, scheme, expected = _instance_under_test(
-            sabotaged, family, seed, n, sabotage)
+            sabotaged, family, seed, n, sabotage, topology)
         # Every ordered pair (n <= 12), so the sabotaged pair is routed.
         options = EvaluationOptions(pair_count=min(4 * n * n, 200), rng=seed)
         pairs = sample_pairs(graph, count=options.pair_count, rng=seed)
@@ -355,7 +392,8 @@ class TestBatchReferenceEquality:
         if expected is not None:
             assert any(expected in reason
                        for _, _, reason in reference[3])
-            if sabotage == "off-edge":
+            if sabotage == "off-edge" or family == "subtree":
+                # the walk replays the pairs it cannot follow
                 assert stats["fallbacks"].get("pair-replay")
         else:   # an intact scheme's walk replays no pair
             assert "pair-replay" not in stats["fallbacks"]
@@ -369,21 +407,28 @@ class TestBatchReferenceEquality:
         sabotage=st.sampled_from(("none", "empty-table", "two-cycle",
                                   "off-edge")),
         capture=st.sampled_from(sorted(CALLER_LIMITS)),
+        topology=st.sampled_from(sorted(TOPOLOGIES)),
     )
     @example(seed=1, n=7, family="destination", sabotage="off-edge",
-             capture="own")
+             capture="own", topology="erdos-renyi")
     @example(seed=1, n=7, family="pair", sabotage="two-cycle",
-             capture="caller-below")
+             capture="caller-below", topology="erdos-renyi")
     @example(seed=1, n=7, family="cowen", sabotage="none",
-             capture="caller-above")
+             capture="caller-above", topology="erdos-renyi")
+    @example(seed=1, n=12, family="tree", sabotage="none", capture="own",
+             topology="ring")
+    @example(seed=1, n=12, family="cowen", sabotage="none",
+             capture="caller-above", topology="path")
+    @example(seed=1, n=9, family="subtree", sabotage="none",
+             capture="caller-below", topology="path")
     def test_observed_walk_matches_referee(self, seed, n, family, sabotage,
-                                           capture, sabotaged):
+                                           capture, topology, sabotaged):
         """Telemetry on: every pair takes the walk, and its hop histogram,
         packet traces (every hop event) and drop count are the referee's —
         under route_shard's own capture and under a caller's, whose limit
         sits below or above the trace limit."""
         graph, algebra, scheme, _expected = _instance_under_test(
-            sabotaged, family, seed, n, sabotage)
+            sabotaged, family, seed, n, sabotage, topology)
         pairs = sample_pairs(graph, count=min(4 * n * n, 200), rng=seed)
         oracle = oracle_cache.get(graph, algebra, WEIGHT_ATTR)
         limit = CALLER_LIMITS[capture]
@@ -412,9 +457,7 @@ class TestBatchReferenceEquality:
     @pytest.mark.parametrize("family", ("destination", "cowen", "tree"))
     def test_blocks_keep_pair_order(self, monkeypatch, sabotaged, family):
         """A shard split into many blocks: failures, stretch, hop counts
-        and a traced sample spanning blocks, all in order.  A Cowen or
-        tree compile decides its 15² cells in blocks too, the last one
-        partial, and lays them out as one block would."""
+        and a traced sample spanning blocks, all in order."""
         monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", 7)
         if family == "tree":
             algebra = WidestPath(max_capacity=9)
@@ -445,13 +488,6 @@ class TestBatchReferenceEquality:
         assert _shard_key(batch) == reference
         assert stats["batch_shards"] == 1
         assert stats["batch_pairs"] == len(pairs)
-        if family != "destination":
-            blocked = compiled_query.compile_query(scheme).arrays
-            monkeypatch.setattr(compiled_query, "BLOCK_PAIRS", len(pairs))
-            whole = compiled_query._compile(scheme).arrays
-            assert blocked.keys() == whole.keys()
-            for name, array in whole.items():
-                assert np.array_equal(blocked[name], array), name
 
     @needs_numpy
     def test_route_shard_failure_tuples_and_order(self, sabotaged):
@@ -507,34 +543,52 @@ class TestCompiledCells:
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
         n=st.integers(min_value=4, max_value=12),
-        family=st.sampled_from(("cowen", "destination", "tree")),
+        family=st.sampled_from(("cowen", "destination", "tree", "subtree")),
         sabotage=st.sampled_from(("none", "empty-table", "two-cycle",
                                   "off-edge")),
+        topology=st.sampled_from(sorted(TOPOLOGIES)),
     )
-    @example(seed=1, n=7, family="destination", sabotage="empty-table")
-    @example(seed=1, n=7, family="destination", sabotage="two-cycle")
-    @example(seed=1, n=7, family="destination", sabotage="off-edge")
-    @example(seed=1, n=7, family="cowen", sabotage="none")
-    @example(seed=1, n=7, family="tree", sabotage="none")
+    @example(seed=1, n=7, family="destination", sabotage="empty-table",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="destination", sabotage="two-cycle",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="destination", sabotage="off-edge",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="cowen", sabotage="none",
+             topology="erdos-renyi")
+    @example(seed=1, n=7, family="tree", sabotage="none",
+             topology="erdos-renyi")
+    @example(seed=1, n=12, family="tree", sabotage="none", topology="ring")
+    @example(seed=1, n=12, family="tree", sabotage="none", topology="path")
+    @example(seed=2, n=12, family="cowen", sabotage="none", topology="ring")
+    @example(seed=1, n=12, family="cowen", sabotage="none", topology="path")
+    @example(seed=1, n=9, family="subtree", sabotage="none",
+             topology="erdos-renyi")
+    @example(seed=1, n=12, family="subtree", sabotage="none",
+             topology="path")
     def test_cells_are_the_local_decisions(self, seed, n, family, sabotage,
-                                           sabotaged):
+                                           topology, sabotaged):
         _graph, _algebra, scheme, _expected = _instance_under_test(
-            sabotaged, family, seed, n, sabotage)
+            sabotaged, family, seed, n, sabotage, topology)
         tables = compiled_query.compile_query(scheme)
         dt_next, dt_key = tables.arrays["dt_next"], tables.arrays["dt_key"]
         assert not dt_next.flags.writeable and not dt_key.flags.writeable
+        if family != "destination":   # _MISSING's message is the table's
+            assert not (dt_next == compiled_query._MISSING).any()
         nodes, size = tables.nodes, tables.n
         for ti, target in enumerate(nodes):
             for ui, node in enumerate(nodes):
                 if node == target:
                     continue
+                cell = ti * size + ui
                 try:
                     header = scheme.initial_header(node, target)
-                except Exception:   # no label: the walk replays its pairs
-                    assert tables.arrays["hdr_dfs"][ti] < 0
+                except RoutingError:
+                    # An endpoint off the tree: the walk replays the pair.
+                    assert family == "subtree"
+                    assert dt_next[cell] == compiled_query._REPLAY
                     continue
                 hop, key = _decided_cell(scheme, tables, node, target, header)
-                cell = ti * size + ui
                 assert dt_next[cell] == hop, (node, target)
                 if key is not None:
                     assert dt_key[cell] == key, (node, target)
@@ -765,8 +819,8 @@ class TestFallbackLadder:
 #: Per family, the read-only tables of a built scheme, and the store
 #: rows the destination table and Cowen's direct entries forward by (the
 #: parent rows stay tuples through a pickle).  A tree scheme's state is
-#: one heavy-path tree (tuple columns and a node index), and a Cowen
-#: scheme's landmark trees map each landmark to one.
+#: one heavy-path tree (tuple columns and a node index) and its parent
+#: indexes, and a Cowen scheme's landmark trees map each landmark to one.
 READ_ONLY_TABLES = {
     "destination-index": ("destination", lambda s: s._index),
     "destination-parent-rows": ("destination", lambda s: s._parent_rows),
@@ -775,6 +829,7 @@ READ_ONLY_TABLES = {
     "pair-row": ("pair", lambda s: s._entries[0]),
     "tree-info": ("tree", lambda s: s._heavy_paths),
     "tree-labels": ("tree", lambda s: s._heavy_paths.labels),
+    "tree-parents": ("tree", lambda s: s._parents),
     "cowen-clusters": ("cowen", lambda s: s.clusters),
     "cowen-landmark-of": ("cowen", lambda s: s.landmark_of),
     "cowen-tree-schemes": ("cowen", lambda s: s._landmark_trees),

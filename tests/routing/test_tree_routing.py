@@ -7,12 +7,14 @@ import networkx as nx
 import pytest
 
 from repro.algebra.catalog import ShortestPath, UsablePath, WidestPath
+from repro.core.simulate import EvaluationOptions, evaluate_scheme
 from repro.exceptions import NotApplicableError
 from repro.graphs.generators import erdos_renyi, path_graph, random_tree, star
 from repro.graphs.weighting import assign_random_weights, assign_uniform_weight
 from repro.paths.enumerate import preferred_by_enumeration
 from repro.paths.spanning_tree import tree_path
 from repro.routing.memory import memory_report
+from repro.routing.query_engine import QUERY_ENGINE_ENV
 from repro.routing.tree_routing import TreeRoutingScheme
 
 
@@ -99,14 +101,24 @@ class TestMemoryAndLabels:
                 _, light_ports = scheme.label(node)
                 assert len(light_ports) <= math.log2(n)
 
-    def test_subtree_routing(self):
-        """Trees spanning a subgraph route between their own nodes."""
+    def test_subtree_routing(self, monkeypatch):
+        """Trees spanning a subgraph route between their own nodes; a pair
+        with an endpoint off the tree is a counted failure, under either
+        query engine."""
         graph = path_graph(10)
         assign_uniform_weight(graph, 1)
         sub = graph.subgraph([0, 1, 2, 3, 4]).copy()
         scheme = TreeRoutingScheme(graph, UsablePath(), tree=sub,
                                    check_properties=False)
         assert scheme.route(0, 4).delivered
+        options = EvaluationOptions(pairs=[(0, 4), (0, 7), (7, 2)])
+        off_tree = "7 is not on the routing tree"
+        for engine in ("batch", "reference"):
+            monkeypatch.setenv(QUERY_ENGINE_ENV, engine)
+            report = evaluate_scheme(graph, UsablePath(), scheme, options)
+            assert (report.pairs, report.delivered) == (3, 1), engine
+            assert report.failures == ((0, 7, off_tree),
+                                       (7, 2, off_tree)), engine
 
     def test_rejects_non_tree(self):
         graph = nx.cycle_graph(4)
