@@ -23,6 +23,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.algebra import PropertyProfile, RoutingAlgebra, empirical_profile
+from repro.algebra.base import KEY_ADD, KeyCodec, KeyCombine
 from repro.core import build_scheme, evaluate_scheme, investigate
 from repro.graphs import assign_random_weights, random_geometric
 
@@ -34,6 +35,10 @@ class ExpensiveLinkCount(RoutingAlgebra):
     number of expensive links.  Monotone but only weakly: prepending a
     cheap link leaves the weight unchanged, so the algebra is NOT strictly
     monotone — it sits in the paper's open middle ground (Section 6).
+
+    Counts are small integers that add, so one method, :meth:`key_codec`,
+    puts the policy on the integer-key engines: bucketed and batched
+    path sweeps, and the compiled query walk.
     """
 
     name = "expensive-link-count"
@@ -55,6 +60,14 @@ class ExpensiveLinkCount(RoutingAlgebra):
             monotone=True, isotone=True, strictly_monotone=False,
             selective=False, cancellative=True, condensed=False, delimited=True,
         )
+
+    def key_codec(self, max_hops):
+        # A count is its own key: a path of up to max_hops edges counts
+        # at most max_hops expensive links, and counts add.
+        bound = max_hops + 1
+        return KeyCodec(bound=bound, key=lambda weight: weight,
+                        decode=lambda key: key,
+                        combine=KeyCombine(((KEY_ADD, bound),)))
 
 
 class MostTrustedPath(RoutingAlgebra):

@@ -213,68 +213,36 @@ class RoutingAlgebra(abc.ABC):
         return acc
 
     # ------------------------------------------------------------------
-    # integer-key capability (bucketed frontiers, vectorized engines)
+    # integer keys (bucketed frontiers, vectorized engines)
     # ------------------------------------------------------------------
 
-    def integer_key_bound(self, max_hops: int) -> Optional[int]:
-        """Exclusive upper bound on integer comparison keys, or None.
+    def key_codec(self, max_hops: int) -> Optional["KeyCodec"]:
+        """The integer-key codec for paths of at most *max_hops* edges, or None.
 
-        An algebra that can embed its order into small non-negative
-        integers declares it here, unlocking the Dial-style bucketed
-        frontier in :mod:`repro.paths.kernel`.  Returning a bound ``B``
-        promises that :meth:`integer_key_fn` yields a map ``ik`` with,
-        for all weights of paths of at most *max_hops* edges:
+        An algebra whose order embeds into non-negative integers, under
+        which ``⊕`` becomes a sum or a maximum one component at a time,
+        declares it here.  That one declaration unlocks every integer-key
+        engine: the bucket frontier (:mod:`repro.paths.kernel`), the batch
+        sweep (:mod:`repro.paths.batch`), the tree store's key rows and
+        the compiled walk (:mod:`repro.routing.compiled_query`).  The
+        returned :class:`KeyCodec` promises, for all weights of paths of
+        at most *max_hops* edges:
 
-        * **order embedding** — ``w1 ⪯ w2`` iff ``ik(w1) <= ik(w2)``
-          (so algebra-equal weights share a key and vice versa);
-        * **range** — ``0 <= ik(w) < B``;
-        * **subadditivity** — ``ik(w1 ⊕ w2) <= ik(w1) + ik(w2)`` whenever
-          the combination is finite (lets the engine tighten the bucket
-          range to ``max_hops * max_edge_key + 1``).
+        * **order embedding** — ``w1 ⪯ w2`` iff ``key(w1) <= key(w2)``;
+        * **range** — ``0 <= key(w) < bound``;
+        * **homomorphism** — ``key(w1 ⊕ w2) == combine.combine(key(w1),
+          key(w2))``, so finite weights combine to a finite weight.  Sums
+          and maxima are subadditive, which lets the bucket frontier
+          tighten its range to ``max_hops * max_edge_key + 1``;
+        * **invertibility** — ``decode(key(w)) == w``.
 
-        The default declares nothing (no bucket fast path).
+        Engines read it through :func:`key_codec`, which refuses keys too
+        wide for int64, and key edge weights with :meth:`KeyCodec.encode`,
+        which demotes an instance whose weights break the range or
+        invertibility promise to the comparison engines.  The default
+        declares nothing.
         """
         return None
-
-    def integer_key_fn(self, max_hops: int):
-        """The integer key map promised by :meth:`integer_key_bound`.
-
-        Only called when :meth:`integer_key_bound` returned a bound;
-        algebras without the capability keep the default, which raises.
-        """
-        raise AlgebraError(f"{self.name} declares no integer key embedding")
-
-    def integer_key_combine(self, max_hops: int) -> Optional["KeyCombine"]:
-        """The vectorizable key combine, or None.
-
-        Returning a :class:`KeyCombine` ``c`` strengthens the
-        :meth:`integer_key_bound` contract, for all weights of paths of at
-        most *max_hops* edges:
-
-        * **homomorphism** — ``ik(w1 ⊕ w2) == c.combine(ik(w1), ik(w2))``
-          (so finite weights always combine to a finite weight: a ``phi``
-          result would have no key);
-        * **invertibility** — :meth:`integer_key_weight_fn` reconstructs
-          the unique weight from its key, ``decode(ik(w)) == w``.
-
-        The combine also bounds how far one edge raises a key
-        (:meth:`KeyCombine.step`).  Together these let the vectorized
-        engines — the multi-source batch sweep
-        (:mod:`repro.paths.batch`) and the compiled query walk
-        (:mod:`repro.routing.compiled_query`) — run on integer arrays
-        and decode back to weight objects, bit-identical to the kernel
-        and the reference loop.  :func:`key_codec` derives and checks the
-        whole capability in one place.  The default declares nothing.
-        """
-        return None
-
-    def integer_key_weight_fn(self, max_hops: int):
-        """The ``key -> weight`` decode of :meth:`integer_key_combine`.
-
-        Only called when :meth:`integer_key_combine` returned a combine;
-        algebras without the capability keep the default, which raises.
-        """
-        raise AlgebraError(f"{self.name} declares no integer key decode")
 
     # ------------------------------------------------------------------
     # misc
@@ -401,7 +369,8 @@ class KeyCombine:
 
 @dataclass(frozen=True)
 class KeyCodec:
-    """An algebra's whole integer-key capability at one hop budget."""
+    """An algebra's integer keys at one hop budget: the contract is
+    :meth:`RoutingAlgebra.key_codec`'s."""
 
     bound: int
     key: Callable[[Weight], int]
@@ -429,18 +398,11 @@ class KeyCodec:
 def key_codec(algebra: RoutingAlgebra, max_hops: int) -> Optional[KeyCodec]:
     """The algebra's integer-key codec for paths of *max_hops* edges, or None.
 
-    The one eligibility check of the vectorized engines: the algebra
-    declares a key bound, a :class:`KeyCombine` and a decode
-    (:meth:`RoutingAlgebra.integer_key_combine`), and its keys fit int64
-    arithmetic — a bound above :data:`INT64_KEY_LIMIT` is refused.
+    The one gate of every integer-key engine: the codec the algebra
+    declares (:meth:`RoutingAlgebra.key_codec`), provided its keys fit
+    int64 arithmetic — a bound above :data:`INT64_KEY_LIMIT` is refused.
     """
-    bound = algebra.integer_key_bound(max_hops)
-    combine = algebra.integer_key_combine(max_hops)
-    if bound is None or combine is None or not 1 <= bound <= INT64_KEY_LIMIT:
+    codec = algebra.key_codec(max_hops)
+    if codec is None or not 1 <= codec.bound <= INT64_KEY_LIMIT:
         return None
-    try:
-        key = algebra.integer_key_fn(max_hops)
-        decode = algebra.integer_key_weight_fn(max_hops)
-    except AlgebraError:   # the defaults: no key map or no decode declared
-        return None
-    return KeyCodec(bound=bound, key=key, decode=decode, combine=combine)
+    return codec

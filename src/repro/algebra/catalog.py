@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.algebra.base import KEY_ADD, KEY_MAX, KeyCombine, RoutingAlgebra
+from repro.algebra.base import (KEY_ADD, KEY_MAX, KeyCodec, KeyCombine,
+                                RoutingAlgebra)
 from repro.algebra.properties import PropertyProfile
 
 
@@ -66,21 +67,14 @@ class ShortestPath(RoutingAlgebra):
             delimited=True,
         )
 
-    def integer_key_bound(self, max_hops):
-        # Additive costs over edges of at most max_weight: a path of up to
-        # max_hops edges weighs at most max_hops * max_weight.
-        return max_hops * self.max_weight + 1
-
-    def integer_key_fn(self, max_hops):
-        return lambda weight: weight
-
-    def integer_key_combine(self, max_hops):
+    def key_codec(self, max_hops):
         # Keys ARE the weights and composition is integer addition, so
-        # keys add and decode trivially.
-        return KeyCombine(((KEY_ADD, self.integer_key_bound(max_hops)),))
-
-    def integer_key_weight_fn(self, max_hops):
-        return lambda key: key
+        # keys add and decode trivially.  A path of up to max_hops edges
+        # of at most max_weight weighs at most max_hops * max_weight.
+        bound = max_hops * self.max_weight + 1
+        return KeyCodec(bound=bound, key=lambda weight: weight,
+                        decode=lambda key: key,
+                        combine=KeyCombine(((KEY_ADD, bound),)))
 
 
 class MinHop(ShortestPath):
@@ -138,22 +132,14 @@ class WidestPath(RoutingAlgebra):
             delimited=True,
         )
 
-    def integer_key_bound(self, max_hops):
+    def key_codec(self, max_hops):
         # Bottleneck (min) composition never leaves the edge-weight range
-        # [1, max_capacity]; wider is preferred, so invert into [0, C-1].
-        return self.max_capacity
-
-    def integer_key_fn(self, max_hops):
+        # [1, max_capacity]; wider is preferred, so keys invert it into
+        # [0, C-1], and the min of capacities is the max of their keys.
         capacity = self.max_capacity
-        return lambda weight: capacity - weight
-
-    def integer_key_combine(self, max_hops):
-        # min of capacities is max of the inverted keys.
-        return KeyCombine(((KEY_MAX, self.max_capacity),))
-
-    def integer_key_weight_fn(self, max_hops):
-        capacity = self.max_capacity
-        return lambda key: capacity - key
+        return KeyCodec(bound=capacity, key=lambda weight: capacity - weight,
+                        decode=lambda key: capacity - key,
+                        combine=KeyCombine(((KEY_MAX, capacity),)))
 
 
 class MostReliablePath(RoutingAlgebra):
@@ -262,16 +248,8 @@ class UsablePath(RoutingAlgebra):
             delimited=True,
         )
 
-    def integer_key_bound(self, max_hops):
-        # Singleton weight set: every traversable path shares one key.
-        return 1
-
-    def integer_key_fn(self, max_hops):
-        return lambda weight: 0
-
-    def integer_key_combine(self, max_hops):
-        # 0 + 0 == 0 and the one key decodes to the one weight.
-        return KeyCombine(((KEY_ADD, 1),))
-
-    def integer_key_weight_fn(self, max_hops):
-        return lambda key: 1
+    def key_codec(self, max_hops):
+        # Singleton weight set: every traversable path shares key 0,
+        # 0 + 0 == 0, and the one key decodes to the one weight.
+        return KeyCodec(bound=1, key=lambda weight: 0, decode=lambda key: 1,
+                        combine=KeyCombine(((KEY_ADD, 1),)))

@@ -10,7 +10,7 @@ path falls out mechanically — exactly the way Table 1 derives it.
 
 from __future__ import annotations
 
-from repro.algebra.base import PHI, KeyCombine, RoutingAlgebra, is_phi
+from repro.algebra.base import PHI, KeyCodec, KeyCombine, RoutingAlgebra, is_phi
 from repro.algebra.catalog import ShortestPath, WidestPath
 from repro.algebra.properties import PropertyProfile
 
@@ -113,38 +113,23 @@ class LexicographicProduct(RoutingAlgebra):
             self.first.declared_properties(), self.second.declared_properties()
         )
 
-    def integer_key_bound(self, max_hops):
+    def key_codec(self, max_hops):
         # Flatten the pair order into one integer base-b2: because each
-        # component key is an order embedding and ik2 < b2, the flattened
-        # key compares exactly as the lexicographic order does, and
-        # componentwise subadditivity carries through the flattening.
-        b1 = self.first.integer_key_bound(max_hops)
-        b2 = self.second.integer_key_bound(max_hops)
-        if b1 is None or b2 is None:
-            return None
-        return b1 * b2
-
-    def integer_key_fn(self, max_hops):
-        b2 = self.second.integer_key_bound(max_hops)
-        k1 = self.first.integer_key_fn(max_hops)
-        k2 = self.second.integer_key_fn(max_hops)
-        return lambda weight: k1(weight[0]) * b2 + k2(weight[1])
-
-    def integer_key_combine(self, max_hops):
-        # The flattened key k1 * b2 + k2 is a mixed-radix number whose
-        # digits are the factors' keys, so the product combines one
-        # component at a time: the factors' parts, concatenated.
-        c1 = self.first.integer_key_combine(max_hops)
-        c2 = self.second.integer_key_combine(max_hops)
+        # component key is an order embedding and k2 < b2, the flattened
+        # key k1 * b2 + k2 compares exactly as the lexicographic order
+        # does.  It is a mixed-radix number whose digits are the factors'
+        # keys, so it combines one component at a time: the factors'
+        # parts, concatenated.
+        c1 = self.first.key_codec(max_hops)
+        c2 = self.second.key_codec(max_hops)
         if c1 is None or c2 is None:
             return None
-        return KeyCombine(c1.parts + c2.parts)
-
-    def integer_key_weight_fn(self, max_hops):
-        b2 = self.second.integer_key_bound(max_hops)
-        d1 = self.first.integer_key_weight_fn(max_hops)
-        d2 = self.second.integer_key_weight_fn(max_hops)
-        return lambda key: (d1(key // b2), d2(key % b2))
+        k1, d1, k2, d2, b2 = c1.key, c1.decode, c2.key, c2.decode, c2.bound
+        return KeyCodec(
+            bound=c1.bound * b2,
+            key=lambda weight: k1(weight[0]) * b2 + k2(weight[1]),
+            decode=lambda key: (d1(key // b2), d2(key % b2)),
+            combine=KeyCombine(c1.combine.parts + c2.combine.parts))
 
 
 def lexicographic_chain(*algebras: RoutingAlgebra, name=None) -> "LexicographicProduct":

@@ -2,15 +2,14 @@
 
 PR 5's :mod:`repro.paths.kernel` flattened every ``(graph, attr)`` into
 CSR arrays, but the sweep itself remained one Python loop per source.
-This module removes that loop for **integer-keyed algebras with a key
-combine** (the
-:meth:`~repro.algebra.base.RoutingAlgebra.integer_key_combine`
-capability — shortest-path, min-hop, usable-path, widest-path, and
-lexicographic products of them such as widest-shortest and
-shortest-widest path): *batches* of sources run through one
-numpy-vectorized Dial/Bellman-Ford sweep, with distances as integer
-matrices (one lane per source), frontiers as masks, and per-lane
-parent/weight matrices decoded back to weight objects only at the end.
+This module removes that loop for **algebras with a key codec**
+(:meth:`~repro.algebra.base.RoutingAlgebra.key_codec` — shortest-path,
+min-hop, usable-path, widest-path, and lexicographic products of them
+such as widest-shortest and shortest-widest path): *batches* of sources
+run through one numpy-vectorized Dial/Bellman-Ford sweep, with
+distances as integer matrices (one lane per source), frontiers as
+masks, and per-lane parent/weight matrices decoded back to weight
+objects only at the end.
 
 Bit-identity with the PR 5 kernel
 ---------------------------------
@@ -39,15 +38,14 @@ reproduces both exactly, per lane:
   the algebra's key combine.  Per relaxed target the sweep keeps the
   event minimizing ``(candidate key, event rank)`` — exactly the label
   the kernel's sequential strict-improvement scan leaves behind;
-* **decode** — final labels are integer keys; the algebra's
-  :meth:`~repro.algebra.base.RoutingAlgebra.integer_key_weight_fn`
-  decodes them back to the weight objects the kernel would have
-  produced (the capability promises ``decode(ik(w)) == w``; the plan
+* **decode** — final labels are integer keys; the codec's ``decode``
+  turns them back into the weight objects the kernel would have
+  produced (the codec promises ``decode(key(w)) == w``; the plan
   additionally validates the promise on every compiled edge weight),
   once per distinct key, into the kernel's weight and parent rows.
 
-Eligibility falls back **per algebra**: when the algebra declares no key
-combine (:func:`~repro.algebra.base.key_codec`), is not monotone, its
+Eligibility falls back **per algebra**: when the algebra has no key
+codec (:func:`~repro.algebra.base.key_codec`), is not monotone, its
 keys could overflow int64, or numpy is absent, the tree store — the only
 caller outside tests and benchmarks — runs the per-source kernel instead
 (counted on ``path_engine.batch_fallbacks``).  Results are bit-identical
@@ -143,10 +141,10 @@ def batch_plan(compiled: CompiledGraph, algebra: RoutingAlgebra
     Eligibility: numpy importable, the algebra is left-associative and
     declares monotonicity (keys never fall along a path, so windows
     settle in order), :func:`~repro.algebra.base.key_codec` accepts it
-    (key bound, key combine and decode, keys within int64), every
-    compiled edge weight round-trips through its key, and one lane's
-    packed ``(key, event rank)`` pairs fit int64.  Decisions are
-    memoized per algebra object in ``compiled.scratch``, which
+    (a declared codec whose keys fit int64), every compiled edge weight
+    round-trips through its key, and one lane's packed ``(key, event
+    rank)`` pairs fit int64.  Decisions are memoized per algebra object
+    in ``compiled.scratch``, which
     :meth:`~repro.paths.kernel.CompiledGraph.patch_weight` invalidates
     together with the kernel's own bucket plans.
     """

@@ -17,14 +17,14 @@ tree store (:class:`repro.paths.store.PreferredWeightOracle`) alone
 decides which one builds a tree:
 
 * the **batch** engine (:mod:`repro.paths.batch`) runs vectorized numpy
-  sweeps over CSR-flattened arrays for monotone algebras with an integer
-  key combine (shortest, widest, widest-shortest and shortest-widest
-  path among them); the store runs it when two or more sources are
+  sweeps over CSR-flattened arrays for monotone algebras with a key
+  codec (shortest, widest, widest-shortest and shortest-widest path
+  among them); the store runs it when two or more sources are
   missing and the algebra has a batch plan;
 * the **compiled kernel** (:mod:`repro.paths.kernel`) runs one Python
   sweep per source over the same arrays, with a Dial-style bucketed
-  frontier when the algebra declares an integer key embedding and the
-  reference heap otherwise; the store runs it for every other build, and
+  frontier when the algebra declares a key codec and the reference
+  heap otherwise; the store runs it for every other build, and
   :func:`preferred_path_tree` always runs it;
 * the **reference** engine, :func:`_reference_tree`, walks the networkx
   adjacency dicts with a ``_HeapEntry`` heap — the seed implementation,

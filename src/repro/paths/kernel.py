@@ -17,8 +17,8 @@ the per-source loop:
   with a **bucketed (Dial-style) frontier** fast path for algebras whose
   comparison keys are small non-negative integers — hop count, integer
   shortest path, integer widest path, and lexicographic products of such
-  components — declared via the
-  :meth:`~repro.algebra.base.RoutingAlgebra.integer_key_bound` capability.
+  components — declared via
+  :meth:`~repro.algebra.base.RoutingAlgebra.key_codec`.
   Algebras without the capability (or instances whose key range is too
   wide to bucket profitably) fall back to the reference ``_HeapEntry``
   heap, still over the compiled arrays.
@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.algebra.base import PHI, RoutingAlgebra, is_phi
+from repro.algebra.base import PHI, RoutingAlgebra, is_phi, key_codec
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
@@ -267,10 +267,11 @@ class CompiledGraph:
 
         Eligibility: the algebra declares monotonicity (pops must come in
         non-decreasing key order for the advancing cursor to be exact),
-        declares an integer key bound for paths of up to ``n - 1`` edges,
-        every compiled edge weight maps into ``[0, bound)``, and the
-        bucket range — tightened to ``(n - 1) * max_edge_key + 1`` using
-        the capability's subadditivity contract — fits the instance's
+        :func:`~repro.algebra.base.key_codec` accepts it for paths of up
+        to ``n - 1`` edges, every compiled edge weight round-trips
+        through its key (:meth:`~repro.algebra.base.KeyCodec.encode`),
+        and the bucket range — tightened to ``(n - 1) * max_edge_key +
+        1``, because keys are subadditive — fits the instance's
         :meth:`bucket_limit`.  Decisions are memoized per algebra object.
         """
         cached = self._plans.get(algebra)
@@ -283,24 +284,14 @@ class CompiledGraph:
         if algebra.declared_properties().monotone is not True:
             return None
         max_hops = max(1, len(self.nodes) - 1)
-        bound = algebra.integer_key_bound(max_hops)
-        if bound is None or bound < 1:
+        codec = key_codec(algebra, max_hops)
+        edge_keys = codec.encode(self.weights) if codec is not None else None
+        if edge_keys is None:
             return None
-        key_fn = algebra.integer_key_fn(max_hops)
-        edge_keys: List[int] = []
-        max_edge_key = 0
-        for weight in self.weights:
-            key = key_fn(weight)
-            if (not isinstance(key, int) or isinstance(key, bool)
-                    or key < 0 or key >= bound):
-                return None
-            if key > max_edge_key:
-                max_edge_key = key
-            edge_keys.append(key)
-        length = min(bound, max_hops * max_edge_key + 1)
+        length = min(codec.bound, max_hops * max(edge_keys, default=0) + 1)
         if length > self.bucket_limit():
             return None
-        return _BucketPlan(length=length, edge_keys=edge_keys, key_fn=key_fn)
+        return _BucketPlan(length=length, edge_keys=edge_keys, key_fn=codec.key)
 
 
 def compile_graph(graph, attr: str = WEIGHT_ATTR) -> CompiledGraph:
@@ -353,7 +344,7 @@ def kernel_tree(compiled: CompiledGraph, algebra: RoutingAlgebra,
 def _bucket_tree(compiled, algebra, root, plan):
     """The Dial-style frontier: integer buckets instead of a heap.
 
-    Entries land in ``buckets[integer_key(weight)]`` and are popped by an
+    Entries land in ``buckets[key(weight)]`` and are popped by an
     advancing cursor, FIFO within a bucket.  Within a bucket all weights
     are algebra-equal (integer keys are an order embedding), so FIFO
     reproduces the heap's insertion-counter tie-break; monotonicity

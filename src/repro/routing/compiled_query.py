@@ -6,11 +6,9 @@ lookups and header objects.  This module compiles a **built** scheme once
 into flat numpy int arrays and then walks an entire shard of pairs, one
 vectorized step per packet decision.
 
-Compilation (:func:`compile_query`) reads the graph's edges in the
-order of the scheme's port map (:meth:`PortMap.neighbors
-<repro.routing.model.PortMap.neighbors>`), as a CSR (``adj_indptr`` /
-``adj_next`` / ``adj_key``), and their keys through an ``(n, n + 1)``
-arc-key matrix.  It produces what the one walk (:func:`_walk`) reads:
+Compilation (:func:`compile_query`) keys the graph's arcs into an
+``(n, n + 1)`` arc-key matrix, and produces what the one walk
+(:func:`_walk`) reads:
 
 * **tree-routing**, **cowen** and **destination-table**: dense ``t*n +
   u`` next-hop and edge-key arrays (``dt_next`` / ``dt_key``), one
@@ -248,21 +246,16 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
 
     nodes = list(graph.nodes())
     node_index = {node: i for i, node in enumerate(nodes)}
-
-    # The adjacency CSR in the scheme's port order: position
-    # ``adj_indptr[u] + port - 1`` is the neighbor behind ``port`` at u.
     adj = dict(graph.adjacency())   # node -> {neighbour: edge data}
     attr = scheme.attr
-    ports = scheme.ports
     degrees: List[int] = []
-    adj_next: List[int] = []
+    heads: List[int] = []
     weights = []
     for u in nodes:
         nbrs = adj[u]
-        order = ports.neighbors(u)
-        degrees.append(len(order))
-        adj_next += map(node_index.__getitem__, order)
-        weights += [nbrs[v][attr] for v in order]
+        degrees.append(len(nbrs))
+        heads += map(node_index.__getitem__, nbrs)
+        weights += [data[attr] for data in nbrs.values()]
     # Each distinct weight is keyed (and round-tripped) once.  Equal
     # weights of different types (1, 1.0, True) would share a key they
     # need not have, so a graph mixing weight types is not compiled.
@@ -272,17 +265,15 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     keys = codec.encode(distinct)
     if keys is None:
         return None
-    adj_indptr = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(degrees, out=adj_indptr[1:])
-    adjacency = {
-        "adj_indptr": adj_indptr,
-        "adj_next": _np.asarray(adj_next, dtype=_np.int64),
-        "adj_key": _np.fromiter(map(dict(zip(distinct, keys)).__getitem__,
-                                    weights),
-                                dtype=_np.int64, count=len(weights)),
-    }
+    # ``arc_key[u, v]`` is the edge key of arc (u, v), -1 off every edge.
+    # Column n is -1 throughout, so a v of -1 (no node, or one off the
+    # graph) reads "no arc" too.
+    arc_key = _np.full((n, n + 1), -1, dtype=_np.int64)
+    arc_key[_np.repeat(_np.arange(n), degrees), heads] = _np.fromiter(
+        map(dict(zip(distinct, keys)).__getitem__, weights),
+        dtype=_np.int64, count=len(weights))
 
-    compiled = compile_kind(scheme, nodes, node_index, adjacency)
+    compiled = compile_kind(scheme, nodes, node_index, arc_key)
     if compiled is None:
         return None
     kind, arrays = compiled
@@ -292,26 +283,14 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
                          codec=codec, arrays=arrays)
 
 
-def _arc_keys(adjacency):
-    """The ``(n, n + 1)`` arc-key matrix: ``[u, v]`` holds the edge key of
-    arc ``(u, v)``, -1 off every edge.  Column ``n`` is -1 throughout, so
-    a ``v`` of -1 (no node, or one off the graph) reads "no arc" too."""
-    indptr = adjacency["adj_indptr"]
-    n = indptr.size - 1
-    arc_key = _np.full((n, n + 1), -1, dtype=_np.int64)
-    arc_key[_np.repeat(_np.arange(n), _np.diff(indptr)),
-            adjacency["adj_next"]] = adjacency["adj_key"]
-    return arc_key
-
-
-def _cell_keys(hops, adjacency):
+def _cell_keys(hops, arc_key):
     """The edge key of every cell of an ``(n, n)`` next-hop array: row t
     holds ``arc_key[u, hops[t, u]]`` for every u, -1 for no hop (-1) or
     one off every edge."""
-    return _arc_keys(adjacency)[_np.arange(hops.shape[0]), hops]
+    return arc_key[_np.arange(hops.shape[0]), hops]
 
 
-def _table_from_parents(trees, tree_of, adjacency, cells=(), cell_hops=()):
+def _table_from_parents(trees, tree_of, arc_key, cells=(), cell_hops=()):
     """The dense ``t*n + u`` next-hop and edge-key arrays of routing in
     trees given as parent rows.
 
@@ -341,13 +320,13 @@ def _table_from_parents(trees, tree_of, adjacency, cells=(), cell_hops=()):
         hops[rows, up] = child
         child = up
     hops.ravel()[_np.asarray(cells, dtype=_np.int64)] = cell_hops
-    keys = _cell_keys(hops, adjacency)
+    keys = _cell_keys(hops, arc_key)
     hops[keys < 0] = _REPLAY
     return {"dt_next": hops.ravel(),
             "dt_key": _np.maximum(keys, 0, out=keys).ravel()}
 
 
-def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, adjacency):
+def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, arc_key):
     """The scheme's one tree, its parent indexes; a target off it is
     routed in none."""
     if scheme._heavy_paths.index != node_index:
@@ -355,10 +334,10 @@ def _compile_tree(scheme: TreeRoutingScheme, nodes, node_index, adjacency):
     parents = _np.asarray(scheme._parents, dtype=_np.int64)
     tree_of = _np.where(parents >= 0, 0, -1)   # the root has no parent
     tree_of[node_index[scheme.root]] = 0
-    return "tree", _table_from_parents(parents[None], tree_of, adjacency)
+    return "tree", _table_from_parents(parents[None], tree_of, arc_key)
 
 
-def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
+def _compile_cowen(scheme: CowenScheme, nodes, node_index, arc_key):
     """Every target's landmark leg, with its direct cluster entries over
     their cells.
 
@@ -388,12 +367,12 @@ def _compile_cowen(scheme: CowenScheme, nodes, node_index, adjacency):
             if t != u:
                 cells.append(t * n + u)
                 cell_hops.append(rows[t][u])
-    return "cowen", _table_from_parents(trees, tree_of, adjacency, cells,
+    return "cowen", _table_from_parents(trees, tree_of, arc_key, cells,
                                         cell_hops)
 
 
 def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
-                         adjacency):
+                         arc_key):
     """The scheme's parent rows laid end to end, read in one pass: a cell
     without a next hop (-1) is :data:`_MISSING`, and one whose hop is off
     every edge is replayed."""
@@ -403,13 +382,13 @@ def _compile_destination(scheme: DestinationTableScheme, nodes, node_index,
     n = len(rows)
     hops = _np.fromiter(chain.from_iterable(rows), dtype=_np.int64,
                         count=n * n).reshape(n, n)
-    keys = _cell_keys(hops, adjacency)
+    keys = _cell_keys(hops, arc_key)
     return "destination", {
         "dt_next": _np.where((keys < 0) & (hops >= 0), _REPLAY, hops).ravel(),
         "dt_key": _np.maximum(keys, 0).ravel()}
 
 
-def _compile_pair(scheme: PairTableScheme, nodes, node_index, adjacency):
+def _compile_pair(scheme: PairTableScheme, nodes, node_index, arc_key):
     """Every node's entries, sorted by ``(u*n + s)*n + t`` code.
 
     Each entry's port resolves through the scheme's own
@@ -419,7 +398,6 @@ def _compile_pair(scheme: PairTableScheme, nodes, node_index, adjacency):
     """
     n = len(nodes)
     ports = scheme.ports
-    arc_key = _arc_keys(adjacency)
     entries = []
     for ui, u in enumerate(nodes):
         for (s, t), port in scheme._entries[u].items():

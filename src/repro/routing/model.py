@@ -92,11 +92,6 @@ class PortMap:
         """The largest degree of the graph (1 when it has no nodes)."""
         return max(map(len, self._ports.values()), default=1)
 
-    def neighbors(self, node):
-        """The neighbours of *node* in port order: the i-th is behind
-        port ``i``, counting from 1."""
-        return self._ports[node].keys()
-
     def index_rows(self, index: Dict) -> List[Dict[int, int]]:
         """The ports by node index, *index* numbering the nodes 0..n-1 in
         its own order: row ``index[u]`` maps ``index[v]`` to

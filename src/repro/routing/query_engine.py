@@ -15,8 +15,9 @@ pairs.  Two engines produce bit-identical results:
 The walk runs whether or not telemetry, run events or a trace capture is
 on, and steps aside only when it cannot reproduce the referee
 bit-for-bit: no numpy (the ``repro[fast]`` optional extra), an algebra
-other than the scheme's, an algebra without an integer key combine (or
-whose keys could overflow int64), or an unsupported scheme family.
+other than the scheme's, an algebra without a key codec
+(:func:`repro.algebra.base.key_codec`, which also refuses keys that
+could overflow int64), or an unsupported scheme family.
 Every such step-down is counted on ``query_engine.batch_fallbacks``
 (tagged with a reason) and on the process-local :func:`query_stats`;
 the ``query_engine.*_pairs`` counters, which merge from workers, tell

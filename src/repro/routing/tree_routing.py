@@ -257,6 +257,9 @@ class TreeRoutingScheme(RoutingScheme):
     # -- memory accounting ------------------------------------------------
 
     def table_bits(self, node) -> int:
+        """A node's tree-routing state; one off the tree holds none."""
+        if node not in self.tree:
+            return 0
         return node_state_bits(self.graph.number_of_nodes(),
                                self.ports.degree(node))
 

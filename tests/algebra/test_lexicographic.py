@@ -186,12 +186,12 @@ class TestKeyCombine:
             assert codec.encode(weights) == [codec.key(w) for w in weights]
 
     def test_parts_concatenate_in_flattening_order(self):
-        ws = widest_shortest_path(9, 9).integer_key_combine(12)
+        ws = key_codec(widest_shortest_path(9, 9), 12).combine
         assert ws.parts == (("add", 12 * 9 + 1), ("max", 9))
         # widest-shortest: the step is the shortest-path component times
         # widest path's base; shortest-widest: the shortest-path component
         assert ws.step(4 * 9 + 6) == 4 * 9
-        sw = shortest_widest_path(9, 9).integer_key_combine(12)
+        sw = key_codec(shortest_widest_path(9, 9), 12).combine
         assert sw.step(4 * 109 + 6) == 6
 
     def test_keyless_or_oversized_algebras_have_no_codec(self):
@@ -200,7 +200,7 @@ class TestKeyCombine:
                                               MostReliablePath()), 12) is None
         # keys of a long chain outgrow int64 arithmetic
         chain = lexicographic_chain(*[ShortestPath(100)] * 8)
-        assert chain.integer_key_bound(12) > (1 << 62)
+        assert chain.key_codec(12).bound > (1 << 62)
         assert key_codec(chain, 12) is None
 
     def test_encode_rejects_keys_that_do_not_round_trip(self):

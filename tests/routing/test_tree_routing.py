@@ -120,6 +120,19 @@ class TestMemoryAndLabels:
             assert report.failures == ((0, 7, off_tree),
                                        (7, 2, off_tree)), engine
 
+    def test_partial_tree_charges_nothing_off_the_tree(self):
+        """Nodes off a tree that spans a subgraph hold no tree state: their
+        table bits are 0, as their label bits are."""
+        graph = nx.path_graph(10)
+        assign_uniform_weight(graph, 1)
+        scheme = TreeRoutingScheme(graph, UsablePath(),
+                                   tree=graph.subgraph(range(5)).copy(),
+                                   check_properties=False)
+        bits = memory_report(scheme).per_node_bits
+        assert [bits[node] for node in range(5, 10)] == [0] * 5
+        assert [scheme.label_bits(node) for node in range(5, 10)] == [0] * 5
+        assert all(bits[node] > 0 for node in range(5))
+
     def test_rejects_non_tree(self):
         graph = nx.cycle_graph(4)
         assign_uniform_weight(graph, 1)
